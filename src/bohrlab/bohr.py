@@ -10,7 +10,6 @@ endpoints inherit the "estimate-based" marker in their provenance.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ from .bounds import ExponentPair, chi_upper_small_pq, coeff_chi_upper_generic
 from .errors import BudgetExceededError
 from .optimize import OptConfig, bohr_sum, series_sup, sup_norm
 from .polynomial import HomPoly, TruncatedSeries, moebius_series
-from .witness import BoundBracket, SearchConfig, chi_bracket
+from .witness import SearchConfig, chi_bracket
 
 
 @dataclass(frozen=True)
@@ -95,7 +94,9 @@ def k_bracket(n: int, e: ExponentPair, M_max: int,
 
 def k_table(n_grid, e: ExponentPair, M_max: int,
             cfg: SearchConfig | None = None, **chi_kw) -> list[dict]:
-    """Sweep rows (n, lower, upper, region, rate(n)) for a grid of dimensions."""
+    """Sweep rows (n, lower, upper, region, rate(n), provenance) for a grid of
+    dimensions.  The provenance is "estimate-based" when either endpoint's
+    source is, else "closed-form"."""
     from .bounds import rate, region_classify
 
     rep = region_classify(e.p, e.q)
@@ -108,6 +109,8 @@ def k_table(n_grid, e: ExponentPair, M_max: int,
             "upper": br.upper,
             "region": rep.tag,
             "rate": rate(e.p, e.q, n) if n >= 2 else float("nan"),
+            "provenance": ("estimate-based" if "estimate-based" in br.lower_src + br.upper_src
+                           else "closed-form"),
         })
     return rows
 

@@ -10,8 +10,8 @@ the conjugate of 1 is inf.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import BudgetExceededError
 from .multiindex import (

@@ -253,7 +253,7 @@ def cmd_bohr(ns) -> int:
                                 sign_budget=ns.budget, samples=ns.samples)
         if ns.format == "csv":
             out = [[str(r["n"]), fnum(r["lower"]), fnum(r["upper"]),
-                    r["region"], fnum(r["rate"]), "estimate-based"]
+                    r["region"], fnum(r["rate"]), r["provenance"]]
                    for r in rows]
             emit(ns, (["n", "lower", "upper", "region", "rate", "provenance"], out))
         else:
@@ -340,8 +340,6 @@ def _common(sp, seed=True, fmt=True):
     if fmt:
         sp.add_argument("--format", choices=("csv", "json"), default="json")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--workers", type=int, default=1,
-                    help="worker pool size (execution is deterministic)")
     sp.add_argument("--restarts", type=int, default=32)
     sp.add_argument("--iters", type=int, default=200)
 

@@ -68,15 +68,22 @@ def enumerate_lambda(m: int, n: int, budget: int = DEFAULT_STREAM_BUDGET) -> Ite
     if m < 0 or n < 1:
         raise ValueError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
 
-    def rec(deg: int, nvar: int) -> Iterator[MultiIndex]:
-        if nvar == 1:
-            yield (deg,)
-            return
-        for last in range(deg + 1):
-            for head in rec(deg - last, nvar - 1):
-                yield head + (last,)
+    def colex() -> Iterator[MultiIndex]:
+        # successor: move one unit from the first nonzero entry to the next
+        # entry and the rest of the first nonzero entry back to entry 0
+        alpha = [m] + [0] * (n - 1)
+        first = 0 if m else n - 1  # index of the first nonzero entry
+        while True:
+            yield tuple(alpha)
+            if first == n - 1:
+                return
+            s = alpha[first]
+            alpha[first] = 0
+            alpha[first + 1] += 1
+            alpha[0] = s - 1
+            first = 0 if s > 1 else first + 1
 
-    return _budgeted(rec(m, n), budget)
+    return _budgeted(colex(), budget)
 
 
 def enumerate_j(m: int, n: int, budget: int = DEFAULT_STREAM_BUDGET) -> Iterator[IndexTuple]:

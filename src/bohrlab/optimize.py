@@ -9,12 +9,12 @@ witness.  Upper bounds come from the analytic formulas in ``bounds``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .polynomial import HomPoly, TruncatedSeries, eval_batch, grad_batch
+from .polynomial import HomPoly, TruncatedSeries, eval_batch, grad_batch, scale
 
 
 @dataclass
@@ -37,7 +37,6 @@ class NormEstimate:
     witness: np.ndarray
     restarts: int
     converged: bool
-    gap: float
 
 
 def lp_norm(v: np.ndarray, p: float) -> np.ndarray:
@@ -64,17 +63,6 @@ def _proj_sphere(Z: np.ndarray, p: float, flat: np.ndarray) -> np.ndarray:
         Z[dead] = flat
         nrm = np.where(dead, 1.0, nrm)
     return Z / nrm[:, None]
-
-
-def _proj_nonneg(X: np.ndarray, q: float, flat: np.ndarray) -> np.ndarray:
-    X = np.clip(X.real, 0.0, None)
-    nrm = lp_norm(X, q)
-    dead = nrm == 0
-    if dead.any():
-        X = X.copy()
-        X[dead] = flat
-        nrm = np.where(dead, 1.0, nrm)
-    return X / nrm[:, None]
 
 
 def _ascend(
@@ -120,15 +108,12 @@ def _ascend(
     return f, Z, bool((stalled >= 4).all())
 
 
-def _pick_best(values: np.ndarray, points: np.ndarray) -> tuple[int, float]:
+def _pick_best(values: np.ndarray, points: np.ndarray) -> int:
     """Index of the maximum value; ties broken by lexicographically smallest
     witness moduli so that results are scheduling-independent."""
     vmax = values.max()
     cand = np.flatnonzero(values >= vmax - 1e-12 * max(1.0, abs(vmax)))
-    best = min(cand, key=lambda i: tuple(np.abs(points[i])))
-    others = values[values < vmax - 1e-12 * max(1.0, abs(vmax))]
-    gap = float(vmax - others.max()) if others.size else 0.0
-    return int(best), gap
+    return int(min(cand, key=lambda i: tuple(np.abs(points[i]))))
 
 
 def _check_cfg(cfg: OptConfig) -> None:
@@ -154,7 +139,7 @@ def _structured_starts(P: HomPoly, p: float) -> list[np.ndarray]:
     """Coordinate vectors, the flat vector, the single-monomial maximizer of the
     largest coefficient, and (degree 1) the exact Hoelder point."""
     n = P.n
-    starts = [np.eye(n, dtype=np.complex128)[i] for i in range(n)]
+    starts = list(np.eye(n, dtype=np.complex128))
     starts.append(_flat_point(n, p))
     if P.coeffs:
         alpha = max(P.support(), key=lambda a: abs(P.coeffs[a]))
@@ -183,6 +168,54 @@ def _structured_starts(P: HomPoly, p: float) -> list[np.ndarray]:
     return starts
 
 
+def _estimate(F, p: float, starts: list[np.ndarray], cfg: OptConfig,
+              nonneg: bool) -> NormEstimate:
+    """Multi-start projected gradient ascent on the unit sphere of l_p^n from
+    the given starts plus random ones drawn from cfg.seed.
+
+    nonneg=False maximizes |F|^2 over the complex sphere (the torus for
+    p = inf); nonneg=True maximizes F, whose coefficients must be
+    nonnegative, over the nonnegative sphere.  The value is |F| at the
+    witness, which is scaled into the closed unit ball."""
+    n = F.n
+    rng = np.random.default_rng(cfg.seed)
+    n_rand = max(cfg.restarts - len(starts), 1)
+    if nonneg:
+        flat = _flat_point(n, p).real
+        fresh = np.abs(rng.standard_normal((n_rand, n)))
+
+        def fval(X):
+            return eval_batch(F, X.astype(np.complex128)).real
+
+        def fgrad(X):
+            return grad_batch(F, X.astype(np.complex128))[1].real
+
+        def project(X):
+            return _proj_sphere(np.clip(X.real, 0.0, None), p, flat)
+    else:
+        flat = _flat_point(n, p)
+        fresh = _random_sphere_starts(rng, n_rand, n, p)
+
+        def fval(Z):
+            return np.abs(eval_batch(F, Z)) ** 2
+
+        def fgrad(Z):
+            vals, grads = grad_batch(F, Z)
+            return 2.0 * vals[:, None] * np.conj(grads)
+
+        def project(Z):
+            return _proj_sphere(Z, p, flat)
+
+    Z0 = np.vstack([np.array(starts), fresh])
+    f, Z, conv = _ascend(fval, fgrad, project, Z0, cfg)
+    w = Z[_pick_best(f, Z)]
+    nw = lp_norm(w, p)
+    if nw > 1:
+        w = w / nw
+    value = float(abs(eval_batch(F, w[None, :].astype(np.complex128))[0]))
+    return NormEstimate(value, w, Z0.shape[0], conv)
+
+
 def sup_norm(P: HomPoly, p: float, cfg: OptConfig | None = None) -> NormEstimate:
     """Estimate sup of |P| over the l_p unit ball by multi-start projected
     gradient ascent on |P|^2 (for p = inf the search lives on the torus)."""
@@ -193,34 +226,9 @@ def sup_norm(P: HomPoly, p: float, cfg: OptConfig | None = None) -> NormEstimate
     _, c = P.tables()
     if c.size and not np.all(np.isfinite(c)):
         raise ValueError("non-finite coefficients")
-    n = P.n
     if not P.coeffs:
-        return NormEstimate(0.0, np.zeros(n, dtype=np.complex128), cfg.restarts, True, 0.0)
-
-    flat = _flat_point(n, p)
-
-    def fval(Z):
-        return np.abs(eval_batch(P, Z)) ** 2
-
-    def fgrad(Z):
-        vals, grads = grad_batch(P, Z)
-        return 2.0 * vals[:, None] * np.conj(grads)
-
-    def project(Z):
-        return _proj_sphere(Z, p, flat)
-
-    rng = np.random.default_rng(cfg.seed)
-    structured = _structured_starts(P, p)
-    n_rand = max(cfg.restarts - len(structured), 1)
-    Z0 = np.vstack([np.array(structured), _random_sphere_starts(rng, n_rand, n, p)])
-    f, Z, conv = _ascend(fval, fgrad, project, Z0, cfg)
-    i, gap = _pick_best(f, Z)
-    w = Z[i]
-    nw = lp_norm(w, p)
-    if nw > 1:
-        w = w / nw
-    value = float(abs(P.eval(w)))
-    return NormEstimate(value, w, Z0.shape[0], conv, math.sqrt(max(gap, 0.0)))
+        return NormEstimate(0.0, np.zeros(P.n, dtype=np.complex128), cfg.restarts, True)
+    return _estimate(P, p, _structured_starts(P, p), cfg, nonneg=False)
 
 
 def majorant_sup(P: HomPoly, q: float, cfg: OptConfig | None = None) -> NormEstimate:
@@ -235,36 +243,12 @@ def majorant_sup(P: HomPoly, q: float, cfg: OptConfig | None = None) -> NormEsti
     M = P.majorant()
     n = P.n
     if not M.coeffs:
-        return NormEstimate(0.0, np.zeros(n), cfg.restarts, True, 0.0)
+        return NormEstimate(0.0, np.zeros(n), cfg.restarts, True)
     if q == math.inf:
-        w = np.ones(n)
-        return NormEstimate(float(eval_batch(M, w[None, :].astype(complex))[0].real),
-                            w, cfg.restarts, True, 0.0)
-
-    flat = np.full(n, n ** (-1.0 / q))
-
-    def fval(X):
-        return eval_batch(M, X.astype(np.complex128)).real
-
-    def fgrad(X):
-        _, grads = grad_batch(M, X.astype(np.complex128))
-        return grads.real
-
-    def project(X):
-        return _proj_nonneg(X, q, flat)
-
-    rng = np.random.default_rng(cfg.seed)
-    structured = [np.abs(s).astype(float) for s in _structured_starts(M, q)]
-    n_rand = max(cfg.restarts - len(structured), 1)
-    X0 = np.vstack([np.array(structured), np.abs(rng.standard_normal((n_rand, n)))])
-    f, X, conv = _ascend(fval, fgrad, project, X0, cfg)
-    i, gap = _pick_best(f, X)
-    w = X[i]
-    nw = lp_norm(w, q)
-    if nw > 1:
-        w = w / nw
-    value = float(eval_batch(M, w[None, :].astype(complex))[0].real)
-    return NormEstimate(value, w, X0.shape[0], conv, gap)
+        value = math.fsum(abs(c) for c in M.coeffs.values())
+        return NormEstimate(value, np.ones(n), cfg.restarts, True)
+    starts = [np.abs(s).astype(float) for s in _structured_starts(M, q)]
+    return _estimate(M, q, starts, cfg, nonneg=True)
 
 
 def bohr_sum(F: TruncatedSeries, r: float, q: float, cfg: OptConfig | None = None) -> NormEstimate:
@@ -278,52 +262,17 @@ def bohr_sum(F: TruncatedSeries, r: float, q: float, cfg: OptConfig | None = Non
         raise ValueError(f"need r >= 0, got {r}")
     n = F.n
     base = abs(F.a0)
-    majs = [P.majorant() for P in F.parts]
-    if r == 0 or not any(M.coeffs for M in majs):
-        return NormEstimate(base, np.zeros(n), cfg.restarts, True, 0.0)
-    if n == 1:
+    if r == 0 or not any(P.coeffs for P in F.parts):
+        return NormEstimate(base, np.zeros(n), cfg.restarts, True)
+    if n == 1 or q == math.inf:
         value = base + math.fsum(
-            sum(abs(c) for c in M.coeffs.values()) * r**M.m for M in majs
+            sum(abs(c) for c in P.coeffs.values()) * r**P.m for P in F.parts
         )
-        return NormEstimate(value, np.array([r]), cfg.restarts, True, 0.0)
-    if q == math.inf:
-        w = np.full(n, r)
-        value = base + math.fsum(
-            float(eval_batch(M, w[None, :].astype(complex))[0].real) for M in majs
-        )
-        return NormEstimate(value, w, cfg.restarts, True, 0.0)
-
-    flat = np.full(n, n ** (-1.0 / q))
-    weights = [r**M.m for M in majs]
-
-    def fval(X):
-        Xc = X.astype(np.complex128)
-        out = np.full(X.shape[0], base)
-        for wgt, M in zip(weights, majs):
-            if M.coeffs:
-                out = out + wgt * eval_batch(M, Xc).real
-        return out
-
-    def fgrad(X):
-        Xc = X.astype(np.complex128)
-        out = np.zeros(X.shape, dtype=float)
-        for wgt, M in zip(weights, majs):
-            if M.coeffs:
-                out += wgt * grad_batch(M, Xc)[1].real
-        return out
-
-    def project(X):
-        return _proj_nonneg(X, q, flat)
-
-    rng = np.random.default_rng(cfg.seed)
-    structured = [np.full(n, n ** (-1.0 / q)), *(np.eye(n)[i] for i in range(n))]
-    n_rand = max(cfg.restarts - len(structured), 1)
-    X0 = np.vstack([np.array(structured), np.abs(rng.standard_normal((n_rand, n)))])
-    f, X, conv = _ascend(fval, fgrad, project, X0, cfg)
-    i, gap = _pick_best(f, X)
-    w = r * X[i]
-    value = float(fval(X[i][None, :])[0])
-    return NormEstimate(value, w, X0.shape[0], conv, gap)
+        return NormEstimate(value, np.full(n, r), cfg.restarts, True)
+    G = TruncatedSeries(n, base, [scale(P.majorant(), r**P.m) for P in F.parts])
+    starts = [np.full(n, n ** (-1.0 / q)), *np.eye(n)]
+    est = _estimate(G, q, starts, cfg, nonneg=True)
+    return replace(est, witness=r * est.witness)
 
 
 def series_sup(F: TruncatedSeries, p: float, cfg: OptConfig | None = None) -> NormEstimate:
@@ -332,45 +281,10 @@ def series_sup(F: TruncatedSeries, p: float, cfg: OptConfig | None = None) -> No
     cfg = cfg or OptConfig()
     _check_cfg(cfg)
     n = F.n
-    live = [P for P in F.parts if P.coeffs]
-    if not live:
-        return NormEstimate(abs(F.a0), np.zeros(n, dtype=np.complex128), cfg.restarts, True, 0.0)
-
-    flat = _flat_point(n, p)
-
-    def svals(Z):
-        out = np.full(Z.shape[0], F.a0, dtype=np.complex128)
-        for P in live:
-            out = out + eval_batch(P, Z)
-        return out
-
-    def fval(Z):
-        return np.abs(svals(Z)) ** 2
-
-    def fgrad(Z):
-        vals = np.full(Z.shape[0], F.a0, dtype=np.complex128)
-        grads = np.zeros(Z.shape, dtype=np.complex128)
-        for P in live:
-            v, g = grad_batch(P, Z)
-            vals += v
-            grads += g
-        return 2.0 * vals[:, None] * np.conj(grads)
-
-    def project(Z):
-        return _proj_sphere(Z, p, flat)
-
-    rng = np.random.default_rng(cfg.seed)
-    structured = [np.eye(n, dtype=np.complex128)[i] for i in range(n)] + [flat]
-    n_rand = max(cfg.restarts - len(structured), 1)
-    Z0 = np.vstack([np.array(structured), _random_sphere_starts(rng, n_rand, n, p)])
-    f, Z, conv = _ascend(fval, fgrad, project, Z0, cfg)
-    i, gap = _pick_best(f, Z)
-    w = Z[i]
-    nw = lp_norm(w, p)
-    if nw > 1:
-        w = w / nw
-    value = float(abs(F.eval(w)))
-    return NormEstimate(value, w, Z0.shape[0], conv, math.sqrt(max(gap, 0.0)))
+    if not any(P.coeffs for P in F.parts):
+        return NormEstimate(abs(F.a0), np.zeros(n, dtype=np.complex128), cfg.restarts, True)
+    starts = [*np.eye(n, dtype=np.complex128), _flat_point(n, p)]
+    return _estimate(F, p, starts, cfg, nonneg=False)
 
 
 # --- rearrangement / prefix-norm machinery --------------------------------

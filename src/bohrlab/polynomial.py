@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -22,6 +22,108 @@ from .multiindex import (
     multiplicity,
     validate_alpha,
 )
+
+
+class MonomialTable:
+    """A support compiled into its down-closure, ordered by degree.
+
+    A monomial is written as its nondecreasing tuple of variable indices j.
+    Entry 0 is the constant monomial (); every other entry j is the entry of
+    its parent j[:-1] times variable j[-1].  The closure also holds
+    alpha - e_i for every support row alpha and every i with alpha_i > 0, so
+    that derivatives are entries too.  ``support[t]`` is the entry of row t
+    of the support.
+    """
+
+    def __init__(self, A: np.ndarray):
+        A = np.asarray(A, dtype=np.int64)
+        T, n = A.shape
+        flat = np.repeat(np.tile(np.arange(n), T), A.ravel()).tolist()
+        deg = A.sum(axis=1)
+        ends = np.cumsum(deg).tolist()
+        js = [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
+        # drop the last occurrence of each distinct index i: j - e_i
+        lower = [(t, j[k], j[:k] + j[k + 1 :]) for t, j in enumerate(js)
+                 for k in range(len(j)) if k + 1 == len(j) or j[k] != j[k + 1]]
+        by_degree: list[dict] = [{} for _ in range(deg.max(initial=0) + 1)]
+        by_degree[0][()] = None
+        for j in js + [lo for _, _, lo in lower]:
+            while j not in by_degree[len(j)]:
+                by_degree[len(j)][j] = None
+                j = j[:-1]
+        index = {j: k for k, j in enumerate(j for level in by_degree for j in level)}
+        entries = list(index)
+        offset = np.cumsum([0] + [len(level) for level in by_degree]).tolist()
+        parent = np.array([0] + [index[j[:-1]] for j in entries[1:]], dtype=np.int64)
+        self.n = n
+        self.size = len(entries)
+        self.var = np.array([0] + [j[-1] for j in entries[1:]], dtype=np.int64)
+        # degree-1 entries are the coordinates themselves
+        self.levels = [(lo, hi, parent[lo:hi]) for lo, hi in zip(offset[2:-1], offset[3:])]
+        self.support = np.array([index[j] for j in js], dtype=np.int64)
+        # (entry of alpha - e_i, support row of alpha, i) for alpha_i > 0
+        rows, cols, low = zip(*lower) if lower else ((), (), ())
+        self.lower = (np.array([index[j] for j in low], dtype=np.int64),
+                      np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))
+
+    def powers(self, Z: np.ndarray) -> np.ndarray:
+        """z^beta for every point z (row of Z) and every entry beta, shape
+        (R, size).  Zero coordinates are exact: nothing is divided."""
+        M = Z[:, self.var]
+        M[:, 0] = 1
+        for lo, hi, par in self.levels:
+            M[:, lo:hi] *= M[:, par]
+        return M
+
+
+def monomials(Z: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """z^alpha for every point z (row of Z) and every row alpha of A, shape
+    (points, terms)."""
+    table = MonomialTable(A)
+    return table.powers(Z)[:, table.support]
+
+
+def _compiled(P) -> tuple[MonomialTable, np.ndarray, np.ndarray, np.ndarray]:
+    """P's monomial table, its coefficient vector over the table's entries,
+    and the derivative matrix D: D[k, i] is the coefficient of entry rows[k]
+    in dP/dz_i.  Built once per object from P.tables()."""
+    if getattr(P, "_kernel", None) is None:
+        A, c = P.tables()
+        table = MonomialTable(A)
+        idx, terms, var = table.lower
+        rows, k = np.unique(idx, return_inverse=True)
+        cf = np.zeros(table.size, dtype=np.complex128)
+        np.add.at(cf, table.support, c)
+        D = np.zeros((rows.size, table.n), dtype=np.complex128)
+        np.add.at(D, (k.ravel(), var), c[terms] * A[terms, var])
+        P._kernel = (table, cf, rows, D)
+    return P._kernel
+
+
+def _eval_point(P, z) -> complex:
+    """Evaluate at a single point."""
+    z = np.asarray(z, dtype=np.complex128)
+    if z.shape != (P.n,):
+        raise ValueError(f"point has shape {z.shape}, expected ({P.n},)")
+    return complex(eval_batch(P, z[None, :])[0])
+
+
+def eval_batch(P, Z: np.ndarray) -> np.ndarray:
+    """Evaluate P (anything with ``tables()``) at a batch of points, shape
+    (R, n) -> (R,)."""
+    table, c, _, _ = _compiled(P)
+    return table.powers(Z) @ c
+
+
+def grad_batch(P, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Values and complex gradients of P at a batch of points.
+
+    Returns (vals (R,), grads (R, n)) with grads[r, i] = dP/dz_i.  Zero
+    entries of Z are handled exactly (no division by coordinates).
+    """
+    table, c, rows, D = _compiled(P)
+    M = table.powers(Z)
+    return M @ c, M[:, rows] @ D
 
 
 class HomPoly:
@@ -59,14 +161,7 @@ class HomPoly:
             self._tables = (A, c)
         return self._tables
 
-    def eval(self, z) -> complex:
-        """Evaluate at a single point."""
-        z = np.asarray(z, dtype=np.complex128)
-        if z.shape != (self.n,):
-            raise ValueError(f"point has shape {z.shape}, expected ({self.n},)")
-        return complex(eval_batch(self, z[None, :])[0])
-
-    __call__ = eval
+    eval = __call__ = _eval_point
 
     def majorant(self) -> "HomPoly":
         """Polynomial with coefficients |a_alpha|."""
@@ -78,48 +173,9 @@ class HomPoly:
         w = np.asarray(w, dtype=np.complex128)
         if w.shape != (self.n,):
             raise ValueError(f"weight has shape {w.shape}, expected ({self.n},)")
-        out = {}
-        for a, c in self.coeffs.items():
-            wa = complex(np.prod([w[i] ** a[i] for i in range(self.n)]))
-            out[a] = c * wa
-        return HomPoly(self.n, self.m, out)
-
-
-def eval_batch(P: HomPoly, Z: np.ndarray) -> np.ndarray:
-    """Evaluate P at a batch of points, shape (R, n) -> (R,)."""
-    A, c = P.tables()
-    if len(c) == 0:
-        return np.zeros(Z.shape[0], dtype=np.complex128)
-    # per-monomial power table: (R, T, n) -> product over variables
-    pw = Z[:, None, :] ** A[None, :, :]
-    return pw.prod(axis=2) @ c
-
-
-def grad_batch(P: HomPoly, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and complex gradients of P at a batch of points.
-
-    Returns (vals (R,), grads (R, n)) with grads[r, i] = dP/dz_i.  Zero
-    entries of Z are handled exactly (no division by coordinates).
-    """
-    A, c = P.tables()
-    R, n = Z.shape
-    if len(c) == 0:
-        return np.zeros(R, dtype=np.complex128), np.zeros((R, n), dtype=np.complex128)
-    pw = Z[:, None, :] ** A[None, :, :]  # (R, T, n)
-    # prefix/suffix products so the factor excluding variable i needs no division
-    T = A.shape[0]
-    left = np.ones((R, T, n), dtype=pw.dtype)
-    right = np.ones((R, T, n), dtype=pw.dtype)
-    cp = np.cumprod(pw, axis=2)
-    left[:, :, 1:] = cp[:, :, :-1]
-    cpr = np.cumprod(pw[:, :, ::-1], axis=2)[:, :, ::-1]
-    right[:, :, :-1] = cpr[:, :, 1:]
-    rest = left * right  # (R, T, n): product of pw over k != i
-    Am1 = np.maximum(A - 1, 0)
-    pw_down = Z[:, None, :] ** Am1[None, :, :]
-    terms = (c[None, :, None] * A[None, :, :]) * pw_down * rest
-    vals = pw.prod(axis=2) @ c
-    return vals, terms.sum(axis=1)
+        A, c = self.tables()
+        wa = monomials(w[None, :], A)[0]
+        return HomPoly(self.n, self.m, dict(zip(self.support(), c * wa)))
 
 
 @dataclass
@@ -129,6 +185,7 @@ class TruncatedSeries:
     n: int
     a0: complex
     parts: list[HomPoly] = field(default_factory=list)
+    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.a0 = complex(self.a0)
@@ -142,11 +199,16 @@ class TruncatedSeries:
     def degree(self) -> int:
         return len(self.parts)
 
-    def eval(self, z) -> complex:
-        z = np.asarray(z, dtype=np.complex128)
-        return self.a0 + sum(P.eval(z) for P in self.parts)
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(exponent matrix, coefficient vector) of the whole series: the
+        constant term (zero row) first, then each part's support in turn."""
+        if self._tables is None:
+            parts = [P.tables() for P in self.parts]
+            A = np.vstack([np.zeros((1, self.n), dtype=np.int64)] + [a for a, _ in parts])
+            self._tables = (A, np.concatenate([[self.a0]] + [c for _, c in parts]))
+        return self._tables
 
-    __call__ = eval
+    eval = __call__ = _eval_point
 
 
 def sign_polynomial(m: int, n: int, signs: Mapping[MultiIndex, int]) -> HomPoly:

@@ -22,7 +22,7 @@ from scipy.stats import qmc
 from .bounds import ExponentPair, chi_upper_small_pq, coeff_chi_upper_generic, inv
 from .multiindex import enumerate_j, enumerate_lambda, lambda_card, multiplicity, tuple_to_alpha
 from .optimize import OptConfig, NormEstimate, lp_norm, majorant_sup, sup_norm
-from .polynomial import HomPoly, sign_polynomial
+from .polynomial import HomPoly, monomials, sign_polynomial
 
 
 @dataclass(frozen=True)
@@ -69,17 +69,9 @@ def _mc_nonneg_points(n: int, q: float, count: int, seed: int) -> np.ndarray:
     return x / lp_norm(x, q)[:, None]
 
 
-def _monomial_matrix(Z: np.ndarray, alphas: list[tuple[int, ...]], chunk: int = 256) -> np.ndarray:
-    """Matrix z_s^alpha_t of shape (points, terms), computed in term chunks to
-    bound memory."""
-    A = np.array(alphas, dtype=np.int64)
-    S, n = Z.shape
-    T = A.shape[0]
-    out = np.empty((S, T), dtype=Z.dtype)
-    for lo in range(0, T, chunk):
-        hi = min(lo + chunk, T)
-        out[:, lo:hi] = (Z[:, None, :] ** A[None, lo:hi, :]).prod(axis=2)
-    return out
+def _monomial_matrix(Z: np.ndarray, alphas: list[tuple[int, ...]]) -> np.ndarray:
+    """Matrix z_s^alpha_t of shape (points, terms)."""
+    return monomials(Z, np.array(alphas, dtype=np.int64).reshape(len(alphas), Z.shape[1]))
 
 
 def sign_search(
@@ -102,10 +94,10 @@ def sign_search(
     cfg = cfg or SearchConfig(seed=seed)
     if budget <= 0:
         raise ValueError("budget must be positive")
-    alphas = list(enumerate_lambda(m, n))
-    T = len(alphas)
+    T = lambda_card(m, n)
     if T > cfg.sign_cap:
         raise ValueError(f"index set size {T} exceeds cap {cfg.sign_cap}")
+    alphas = list(enumerate_lambda(m, n))
     mults = np.array([float(multiplicity(a)) for a in alphas])
     Z = _mc_sphere_points(n, p, cfg.mc_points, seed)
     M = _monomial_matrix(Z, alphas) * mults[None, :]
@@ -193,12 +185,12 @@ def brute_chi(
     re-scored with the full optimizer.
     """
     cfg = cfg or SearchConfig(seed=seed)
-    alphas = list(enumerate_lambda(m, n))
-    T = len(alphas)
+    T = lambda_card(m, n)
     if T > cfg.brute_cap:
         raise ValueError(f"index set size {T} exceeds brute cap {cfg.brute_cap}")
     if samples < 1000:
         raise ValueError("need samples >= 1000")
+    alphas = list(enumerate_lambda(m, n))
     mults = np.array([float(multiplicity(a)) for a in alphas])
 
     rng = np.random.default_rng(seed)
@@ -211,7 +203,7 @@ def brute_chi(
 
     Xq = _mc_nonneg_points(n, e.q, 256, seed + 1)
     Zp = _mc_sphere_points(n, e.p, 256, seed + 2)
-    Mon_q = _monomial_matrix(Xq.astype(complex), alphas).real
+    Mon_q = _monomial_matrix(Xq, alphas)
     Mon_p = _monomial_matrix(Zp, alphas)
 
     def cheap_ratio(coeffs: np.ndarray) -> np.ndarray:

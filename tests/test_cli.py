@@ -33,6 +33,13 @@ def test_enumerate_csv(capsys):
     assert [b[2] for b in body] == ["1", "2", "1"]
 
 
+def test_enumerate_many_variables(capsys):
+    code, out = capture(capsys, ["enumerate", "--m", "1", "--n", "1500",
+                                 "--format", "csv"])
+    assert code == 0
+    assert len(out.strip().splitlines()) == 2 + 1500
+
+
 def test_enumerate_j_json(capsys):
     code, out = capture(capsys, ["enumerate", "--m", "2", "--n", "2",
                                  "--set", "j", "--format", "json"])
@@ -122,3 +129,21 @@ def test_reruns_byte_identical(capsys):
     _, a = capture(capsys, args)
     _, b = capture(capsys, args)
     assert a == b
+
+
+@pytest.mark.parametrize("argv, provenance", [
+    (["--p", "2", "--q", "4/3", "--n-grid", "64", "--budget", "0"], "closed-form"),
+    # chi(1, 4; 1, inf) = 4 > 3: the sign-search chi lower bound sets K upper
+    (["--p", "1", "--q", "inf", "--n-grid", "4", "--mmax", "1", "--budget", "100",
+      "--restarts", "4", "--iters", "20"], "estimate-based"),
+])
+def test_bohr_table_provenance(capsys, argv, provenance):
+    base = ["bohr", "table"] + argv
+    code, out = capture(capsys, base + ["--format", "csv"])
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[1].split(",")[-1] == "provenance"
+    assert lines[2].split(",")[-1] == provenance
+    code, out = capture(capsys, base + ["--format", "json"])
+    assert code == 0
+    assert [r["provenance"] for r in json.loads(out)["result"]] == [provenance]

@@ -41,6 +41,9 @@ def test_enumerate_lambda_colex_order_and_restartable():
     assert first[0] == (2, 0, 0)
     assert first[-1] == (0, 0, 2)
     assert len(set(first)) == len(first)
+    for m, n in [(3, 4), (4, 3), (0, 3), (5, 1)]:
+        items = list(enumerate_lambda(m, n))
+        assert items == sorted(items, key=lambda a: a[::-1])
 
 
 def test_enumerate_j_small_sets():

@@ -6,6 +6,7 @@ import pytest
 from bohrlab.multiindex import enumerate_lambda
 from bohrlab.optimize import (
     OptConfig,
+    _structured_starts,
     bohr_sum,
     dec_rearrange,
     id_norm_q_to_xinfty,
@@ -69,6 +70,15 @@ def test_sup_norm_validation():
         sup_norm(P, 2.0, CFG)
     with pytest.raises(ValueError):
         sup_norm(HomPoly(1, 1, {(1,): 1.0}), 2.0, OptConfig(restarts=0))
+
+
+def test_structured_starts_memory_is_quadratic():
+    # the n coordinate starts may share one n x n identity, not hold one each
+    n = 100
+    P = HomPoly(n, 1, {tuple(int(i == k) for i in range(n)): 1.0 for k in range(n)})
+    starts = _structured_starts(P, 2.0)
+    held = {id(s.base): s.base.nbytes for s in starts if s.base is not None}
+    assert sum(held.values()) <= n * n * 16
 
 
 def test_majorant_sup():
@@ -196,3 +206,53 @@ def test_split_factorize():
     assert np.allclose(np.abs(wi), 1.0)
     with pytest.raises(ValueError):
         split_factorize(z, 1.5)
+
+
+def _series(seed, n, M):
+    rng = np.random.default_rng(seed)
+    parts = [random_poly(k, n, rng) for k in range(1, M + 1)]
+    return TruncatedSeries(n, complex(*rng.standard_normal(2)), parts)
+
+
+def _poly(seed, m, n):
+    return random_poly(m, n, np.random.default_rng(seed))
+
+
+PINNED_CASES = {
+    "sup_norm-m2-n3-p2": lambda: sup_norm(_poly(1, 2, 3), 2.0, CFG),
+    "sup_norm-m3-n2-pinf": lambda: sup_norm(_poly(2, 3, 2), math.inf, CFG),
+    "sup_norm-m2-n4-p1": lambda: sup_norm(_poly(3, 2, 4), 1.0, CFG),
+    "majorant_sup-m2-n3-q2": lambda: majorant_sup(_poly(4, 2, 3), 2.0, CFG),
+    "majorant_sup-m3-n3-q4_3": lambda: majorant_sup(_poly(5, 3, 3), 4 / 3, CFG),
+    "majorant_sup-m2-n2-qinf": lambda: majorant_sup(_poly(6, 2, 2), math.inf, CFG),
+    "bohr_sum-n2-M3-q2": lambda: bohr_sum(_series(7, 2, 3), 0.3, 2.0, CFG),
+    "bohr_sum-n3-M2-q4_3": lambda: bohr_sum(_series(8, 3, 2), 0.5, 4 / 3, CFG),
+    "bohr_sum-n2-M2-qinf": lambda: bohr_sum(_series(9, 2, 2), 0.4, math.inf, CFG),
+    "bohr_sum-n1-M4": lambda: bohr_sum(_series(10, 1, 4), 0.3, 2.0, CFG),
+    "series_sup-n2-M3-p2": lambda: series_sup(_series(11, 2, 3), 2.0, CFG),
+    "series_sup-n3-M2-pinf": lambda: series_sup(_series(12, 3, 2), math.inf, CFG),
+    "series_sup-n1-M4-p2": lambda: series_sup(_series(13, 1, 4), 2.0, CFG),
+}
+
+# Values recorded with the per-term power-table kernel (the reference in
+# test_polynomial.py); a kernel or driver change must not move them.
+PINNED = {
+    'sup_norm-m2-n3-p2': 1.459534786521308,
+    'sup_norm-m3-n2-pinf': 5.733080394881655,
+    'sup_norm-m2-n4-p1': 3.32900085286887,
+    'majorant_sup-m2-n3-q2': 2.8944016228739033,
+    'majorant_sup-m3-n3-q4_3': 1.7088754532479185,
+    'majorant_sup-m2-n2-qinf': 5.996705956868179,
+    'bohr_sum-n2-M3-q2': 2.7392662586391396,
+    'bohr_sum-n3-M2-q4_3': 2.6545337350827043,
+    'bohr_sum-n2-M2-qinf': 3.9276597022065394,
+    'bohr_sum-n1-M4': 1.1426700707539,
+    'series_sup-n2-M3-p2': 4.567682937975816,
+    'series_sup-n3-M2-pinf': 9.337026356911082,
+    'series_sup-n1-M4-p2': 6.7282827369592715,
+}
+
+
+@pytest.mark.parametrize("case", list(PINNED_CASES))
+def test_estimates_pinned(case):
+    assert PINNED_CASES[case]().value == pytest.approx(PINNED[case], rel=1e-9)

@@ -19,6 +19,7 @@ from bohrlab.polynomial import (
     series_to_dict,
     sign_polynomial,
 )
+from bohrlab.witness import _monomial_matrix
 
 RNG = np.random.default_rng(20260823)
 
@@ -142,20 +143,58 @@ def test_truncated_series_validation():
         TruncatedSeries(2, 0.0, [HomPoly(2, 2, {(1, 1): 1.0})])  # degree 2 first
 
 
-def test_batch_matches_scalar_and_grad():
-    P = random_poly(3, 3)
-    Z = RNG.standard_normal((8, 3)) + 1j * RNG.standard_normal((8, 3))
+def power_table(A, c, Z):
+    """Reference evaluator: per-term power tables (R, T, n), with prefix and
+    suffix products for the gradients.  Returns (values, gradients)."""
+    R, n = Z.shape
+    pw = Z[:, None, :] ** A[None, :, :]
+    left = np.ones_like(pw)
+    right = np.ones_like(pw)
+    left[:, :, 1:] = np.cumprod(pw, axis=2)[:, :, :-1]
+    right[:, :, :-1] = np.cumprod(pw[:, :, ::-1], axis=2)[:, :, ::-1][:, :, 1:]
+    pw_down = Z[:, None, :] ** np.maximum(A - 1, 0)[None, :, :]
+    terms = (c[None, :, None] * A[None, :, :]) * pw_down * left * right
+    return pw.prod(axis=2) @ c, terms.sum(axis=1)
+
+
+def _points(R, n, zero_rows=0):
+    Z = RNG.standard_normal((R, n)) + 1j * RNG.standard_normal((R, n))
+    Z[:zero_rows, :: max(n - 1, 1)] = 0  # zero the first and last coordinates
+    return Z
+
+
+BATCH_CASES = {
+    "full-m3-n3": lambda: (random_poly(3, 3), _points(8, 3)),
+    "full-m4-n2": lambda: (random_poly(4, 2), _points(8, 2)),
+    "sparse-not-down-closed": lambda: (
+        HomPoly(4, 5, {(5, 0, 0, 0): 1.0, (0, 2, 0, 3): 2 - 1j, (1, 1, 0, 3): 0.5j}),
+        _points(6, 4)),
+    "n1": lambda: (HomPoly(1, 6, {(6,): 1.5 - 2j}), _points(5, 1)),
+    "zero-coordinates": lambda: (random_poly(3, 4), _points(6, 4, zero_rows=3)),
+    "series-with-constant": lambda: (
+        TruncatedSeries(2, 0.7 - 0.2j, [random_poly(k, 2) for k in (1, 2, 3)]),
+        _points(8, 2, zero_rows=2)),
+}
+
+
+@pytest.mark.parametrize("case", list(BATCH_CASES))
+def test_batch_matches_scalar_and_grad(case):
+    P, Z = BATCH_CASES[case]()
+    A, c = P.tables()
+    ref_vals, ref_grads = power_table(A, c, Z)
+    tol = 1e-12 * max(1.0, np.abs(ref_vals).max(), np.abs(ref_grads).max())
     vals = eval_batch(P, Z)
-    for i in range(8):
-        assert abs(vals[i] - P.eval(Z[i])) <= 1e-12 * max(abs(vals[i]), 1.0)
     v2, grads = grad_batch(P, Z)
-    assert np.allclose(v2, vals)
-    h = 1e-7
-    for i in range(3):
-        dz = np.zeros(3, dtype=complex)
-        dz[i] = h
-        fd = (eval_batch(P, Z + dz) - vals) / h
-        assert np.allclose(fd, grads[:, i], rtol=1e-4, atol=1e-4)
+    assert np.abs(vals - ref_vals).max() <= tol
+    assert np.abs(v2 - ref_vals).max() <= tol
+    assert np.abs(grads - ref_grads).max() <= tol
+    for i in range(len(Z)):
+        assert abs(P.eval(Z[i]) - vals[i]) <= tol
+    fd = (eval_batch(P, Z + 1e-7 * np.eye(P.n)[0]) - vals) / 1e-7
+    assert np.allclose(fd, grads[:, 0], rtol=1e-4, atol=1e-4)
+    mon = _monomial_matrix(Z, [tuple(a) for a in A])
+    assert mon.shape == (len(Z), len(A))
+    assert np.abs(mon - (Z[:, None, :] ** A[None, :, :]).prod(axis=2)).max() <= tol
 
 
 def test_grad_batch_zero_entries():

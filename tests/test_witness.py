@@ -7,6 +7,7 @@ import pytest
 from bohrlab.bounds import ExponentPair, chi_upper_small_pq
 from bohrlab.multiindex import enumerate_lambda, multiplicity
 from bohrlab.optimize import OptConfig, sup_norm
+from bohrlab import witness
 from bohrlab.polynomial import HomPoly, sign_polynomial
 from bohrlab.witness import (
     SearchConfig,
@@ -91,6 +92,17 @@ def test_brute_chi_validation():
         brute_chi(4, 10, ExponentPair(2.0, 2.0), cfg=CFG)  # index set too big
     with pytest.raises(ValueError):
         brute_chi(1, 2, ExponentPair(2.0, 2.0), samples=10, cfg=CFG)
+
+
+def test_caps_checked_before_enumeration(monkeypatch):
+    def enumerate_lambda(*args, **kwargs):
+        raise AssertionError("index set enumerated before the cap check")
+
+    monkeypatch.setattr(witness, "enumerate_lambda", enumerate_lambda)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        sign_search(8, 40, 2.0, 100, 0, CFG)  # C(47, 8) ~ 3.1e8 terms
+    with pytest.raises(ValueError, match="exceeds brute cap"):
+        brute_chi(8, 40, ExponentPair(2.0, 2.0), cfg=CFG)
 
 
 def test_chi_bracket_linear_small_pq():
