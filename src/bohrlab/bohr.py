@@ -10,11 +10,12 @@ endpoints inherit the "estimate-based" marker in their provenance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ExponentPair, chi_upper_small_pq, coeff_chi_upper_generic
+from .bounds import ExponentPair, log_chi_upper, rate, region_classify
 from .errors import BudgetExceededError
 from .optimize import OptConfig, bohr_sum, series_sup, sup_norm
 from .polynomial import HomPoly, TruncatedSeries, moebius_series
@@ -48,13 +49,6 @@ def k_m_bracket(m: int, n: int, e: ExponentPair,
                          f"chi lower: {cb.lower_src}")
 
 
-def _best_chi_upper(m: int, n: int, e: ExponentPair) -> float:
-    best = coeff_chi_upper_generic(m, n, e.p)
-    if 1 <= e.q <= e.p <= 2:
-        best = min(best, chi_upper_small_pq(m, n, e))
-    return best
-
-
 def k_bracket(n: int, e: ExponentPair, M_max: int,
               cfg: SearchConfig | None = None, **chi_kw) -> RadiusBracket:
     """Bracket for the full radius K.
@@ -73,7 +67,7 @@ def k_bracket(n: int, e: ExponentPair, M_max: int,
         mm = max(mm + 1, int(mm * 1.5))
         grid.append(min(mm, 10 * M_max))
     grid = sorted(set(grid))
-    sup_root = max(_best_chi_upper(m, n, e) ** (1.0 / m) for m in grid)
+    sup_root = max(math.exp(log_chi_upper(m, n, e)[0] / m) for m in grid)
     lower = (1.0 / 3.0) / max(sup_root, 1.0)
 
     upper = 1.0 / 3.0
@@ -97,8 +91,6 @@ def k_table(n_grid, e: ExponentPair, M_max: int,
     """Sweep rows (n, lower, upper, region, rate(n), provenance) for a grid of
     dimensions.  The provenance is "estimate-based" when either endpoint's
     source is, else "closed-form"."""
-    from .bounds import rate, region_classify
-
     rep = region_classify(e.p, e.q)
     rows = []
     for n in n_grid:

@@ -13,13 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import BudgetExceededError
-from .multiindex import (
-    enumerate_lambda,
-    lambda_card,
-    multiplicity,
-    partition_shapes,
-)
+from .multiindex import enumerate_lambda, lambda_card, multiplicity, tuple_to_alpha
 
 INF = math.inf
 
@@ -77,48 +74,66 @@ class ExponentPair:
 # --- multiplicity sums ----------------------------------------------------
 
 
-def j_sum(
-    m: int,
-    n: int,
-    e: ExponentPair | None = None,
-    beta: float | None = None,
-    method: str = "partition",
-    budget: int = 10**8,
-) -> float:
+def _log_series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Truncated product of two power series given by finite log-coefficients."""
+    out = np.empty(len(a))
+    for t in range(len(a)):
+        s = a[: t + 1] + b[t::-1]
+        top = s.max()
+        out[t] = top + math.log(np.exp(s - top).sum())
+    return out
+
+
+def log_j_sum(m: int, n: int, beta: float, budget: int = 10**8) -> float:
+    """ln j_sum(m, n) from (k!)^(-beta) [x^k] (sum_{j<=k} (j!)^beta x^j)^n, k = m-1:
+    binary powering of truncated log-coefficient series, positive terms only,
+    no overflow, m^2 * bit_length(n) terms of work (at most budget)."""
+    if m < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta}")
+    work = m * m * n.bit_length()
+    if work > budget:
+        raise BudgetExceededError(f"generating function needs {work} terms, budget {budget}")
+    log_fact = np.array([math.lgamma(j + 1) for j in range(m)])
+    power, base = None, beta * log_fact
+    while True:
+        if n & 1:
+            power = base if power is None else _log_series_mul(power, base)
+        n >>= 1
+        if not n:
+            return float(power[-1] - beta * log_fact[-1])
+        base = _log_series_mul(base, base)
+
+
+def _exp(log_value: float, what: str) -> float:
+    try:
+        return math.exp(log_value)
+    except OverflowError:
+        raise ValueError(f"{what} does not fit in a float: ln {what} = {log_value!r}") from None
+
+
+def j_sum(m: int, n: int, e: ExponentPair | None = None, beta: float | None = None,
+          method: str = "gf", budget: int = 10**8) -> float:
     """Sum over the length-(m-1) index tuples of multiplicity^(-beta).
 
-    beta defaults to the pair's derived exponent.  The degenerate m = 1 sum
-    (over the empty tuple, multiplicity 1) is 1 by convention.  Two routes:
-    "naive" streams the full multi-index set, "partition" groups by the
-    partition shape of the exponents; they agree to relative 1e-12.
+    beta defaults to the pair's derived exponent; the m = 1 sum (over the
+    empty tuple) is 1.  "gf" is exp(log_j_sum), a ValueError naming ln j_sum
+    past the float range; "naive" streams the multi-index set (at most budget
+    items) and is the reference the tests hold "gf" to.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
     if beta is None:
         if e is None:
             raise ValueError("give an ExponentPair or an explicit beta")
         beta = e.beta
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta}")
-    if m == 1:
-        return 1.0
-    if method == "naive":
-        card = lambda_card(m - 1, n)
-        if card > budget:
-            raise BudgetExceededError(f"naive path needs {card} items, budget {budget}")
-        return math.fsum(
-            float(multiplicity(a)) ** (-beta) for a in enumerate_lambda(m - 1, n)
-        )
-    if method == "partition":
-        mfact = math.factorial(m - 1)
-        terms = []
-        for shape in partition_shapes(m - 1, n):
-            mult = mfact
-            for part in shape.parts:
-                mult //= math.factorial(part)
-            terms.append(shape.arrangements * float(mult) ** (-beta))
-        return math.fsum(terms)
-    raise ValueError(f"unknown method {method!r}")
+    if method == "gf":
+        return _exp(log_j_sum(m, n, beta, budget), "j_sum")
+    if method != "naive":
+        raise ValueError(f"unknown method {method!r}")
+    card = lambda_card(m - 1, n)
+    if card > budget:
+        raise BudgetExceededError(f"naive path needs {card} items, budget {budget}")
+    return math.fsum(float(multiplicity(a)) ** (-beta) for a in enumerate_lambda(m - 1, n))
 
 
 def j_sum_filtered(m: int, n: int, beta: float, keep) -> float:
@@ -136,24 +151,37 @@ def j_sum_filtered(m: int, n: int, beta: float, keep) -> float:
 # --- chi upper bounds -----------------------------------------------------
 
 
-def chi_upper_small_pq(m: int, n: int, e: ExponentPair, exp_base: str = "p") -> float:
-    """Upper bound m * e^(1 + (m-1)/p) * (multiplicity sum)^(1/q') on the
-    mixed unconditionality constant, valid for 1 <= q <= p <= 2.
-
-    exp_base selects the exponent base in e^(1+(m-1)/base) ("p" per the
-    statement; "q" available for sensitivity runs).
-    """
+def _log_chi_upper_small_pq(m: int, n: int, e: ExponentPair) -> float:
     if not (1 <= e.q <= e.p <= 2):
         raise ValueError(f"need 1 <= q <= p <= 2, got ({e.p}, {e.q})")
     if m < 1:
         raise ValueError(f"need m >= 1, got {m}")
-    base = e.p if exp_base == "p" else e.q
-    factor = m * math.exp(1.0 + (m - 1) * inv(base))
+    log_factor = math.log(m) + 1.0 + (m - 1) * inv(e.p)
     if e.q == 1:
         # q' = inf: the l_q' aggregate degenerates to a sup, and every
         # multiplicity^(1/p - 1) is at most 1.
-        return factor
-    return factor * j_sum(m, n, e) ** inv(e.q_conj)
+        return log_factor
+    return log_factor + log_j_sum(m, n, e.beta) * inv(e.q_conj)
+
+
+def chi_upper_small_pq(m: int, n: int, e: ExponentPair) -> float:
+    """Upper bound m * e^(1 + (m-1)/p) * (multiplicity sum)^(1/q') on the
+    mixed unconditionality constant, valid for 1 <= q <= p <= 2."""
+    return _exp(_log_chi_upper_small_pq(m, n, e), "chi_upper")
+
+
+def _log_coeff_chi_upper(m: int, n: int, p: float) -> float:
+    return math.log(lambda_card(m, n)) + m * inv(p) * math.log(n)
+
+
+def log_chi_upper(m: int, n: int, e: ExponentPair) -> tuple[float, str]:
+    """ln of the best closed-form upper bound on chi(m, n; p, q) and its
+    source: the coefficient bound, or the small-exponent lemma where it
+    applies (1 <= q <= p <= 2) and is smaller."""
+    cands = [(_log_coeff_chi_upper(m, n, e.p), "coefficient bound")]
+    if 1 <= e.q <= e.p <= 2:
+        cands.append((_log_chi_upper_small_pq(m, n, e), "small-exponent lemma"))
+    return min(cands, key=lambda c: c[0])
 
 
 def lempoly_rhs(m: int, n: int, p: float, j: tuple[int, ...]) -> float:
@@ -163,12 +191,7 @@ def lempoly_rhs(m: int, n: int, p: float, j: tuple[int, ...]) -> float:
         raise ValueError("slice inequality needs m >= 2")
     if len(j) != m - 1:
         raise ValueError(f"tuple length {len(j)} != m-1 = {m - 1}")
-    counts: dict[int, int] = {}
-    for v in j:
-        counts[v] = counts.get(v, 0) + 1
-    mult = math.factorial(m - 1)
-    for c in counts.values():
-        mult //= math.factorial(c)
+    mult = multiplicity(tuple_to_alpha(j, n))
     return m * math.exp(1.0 + (m - 1) * inv(p)) * float(mult) ** inv(p)
 
 
@@ -193,9 +216,7 @@ def bayart_bound(m: int, n: int, p: float) -> float:
 def coeff_chi_upper_generic(m: int, n: int, p: float) -> float:
     """Crude universal chi upper bound |Lambda(m,n)| * n^(m/p) from the
     coefficient (Cauchy) estimate and the l_inf-to-l_p norm comparison."""
-    if m < 0 or n < 1:
-        raise ValueError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
-    return float(lambda_card(m, n)) * n ** (m * inv(p))
+    return _exp(_log_coeff_chi_upper(m, n, p), "coefficient bound")
 
 
 class PowerLogMin(NamedTuple):
@@ -246,11 +267,10 @@ def envelope_constant(m: int, n: int, e: ExponentPair) -> EnvelopeReport:
         raise ValueError(f"need n >= 3, got {n}")
     if not (1 <= e.q <= e.p <= 2) or e.q == 1:
         raise ValueError(f"need 1 < q <= p <= 2, got ({e.p}, {e.q})")
-    s = j_sum(m, n, e)
-    ipc = inv(e.p_conj)
-    iqc = inv(e.q_conj)
     logn = math.log(n)
-    value = (s**iqc * logn ** (m * ipc) / n ** (m * iqc)) ** (1.0 / m)
+    log_value = (log_j_sum(m, n, e.beta) * inv(e.q_conj)
+                 + m * (inv(e.p_conj) * math.log(logn) - inv(e.q_conj) * logn))
+    value = math.exp(log_value / m)
 
     regimes = []
     if m >= logn ** (e.q_conj / e.p_conj):

@@ -64,10 +64,12 @@ def config_line(ns: argparse.Namespace) -> dict:
 
 def emit(ns: argparse.Namespace, payload) -> None:
     """Write the artifact (config header included) to --out or stdout."""
+    if ns.format == "csv" and not isinstance(payload, tuple):
+        kind = " ".join(filter(None, (ns.cmd, getattr(ns, "kind", None))))
+        raise ValueError(f"{kind} writes JSON only; --format csv is not available")
     buf = io.StringIO()
-    fmt = getattr(ns, "format", "json")
     cfg = config_line(ns)
-    if fmt == "json":
+    if ns.format == "json":
         buf.write(json.dumps({"config": cfg, "result": payload},
                              sort_keys=True, indent=2))
         buf.write("\n")
@@ -78,24 +80,26 @@ def emit(ns: argparse.Namespace, payload) -> None:
         for row in rows:
             buf.write(",".join(row) + "\n")
     text = buf.getvalue()
-    out = getattr(ns, "out", None)
-    if out:
-        with open(out, "w") as fh:
+    if ns.out:
+        with open(ns.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
+def _read_artifact(path: str) -> dict:
+    """A JSON input: an artifact as emit writes it, or its bare result."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    return doc["result"] if isinstance(doc, dict) and doc.keys() == {"config", "result"} else doc
+
+
 def _opt_cfg(ns: argparse.Namespace) -> optimize.OptConfig:
-    return optimize.OptConfig(
-        restarts=getattr(ns, "restarts", 32),
-        iters=getattr(ns, "iters", 200),
-        seed=getattr(ns, "seed", 0),
-    )
+    return optimize.OptConfig(restarts=ns.restarts, iters=ns.iters, seed=ns.seed)
 
 
 def _search_cfg(ns: argparse.Namespace) -> witness.SearchConfig:
-    return witness.SearchConfig(seed=getattr(ns, "seed", 0), opt=_opt_cfg(ns))
+    return witness.SearchConfig(seed=ns.seed, opt=_opt_cfg(ns))
 
 
 # --- subcommand bodies -----------------------------------------------------
@@ -140,8 +144,7 @@ def cmd_poly(ns) -> int:
 
 
 def cmd_norm(ns) -> int:
-    with open(ns.poly) as fh:
-        P = polynomial.poly_from_dict(json.load(fh))
+    P = polynomial.poly_from_dict(_read_artifact(ns.poly))
     cfg = _opt_cfg(ns)
     if ns.majorant:
         if ns.q is None:
@@ -160,12 +163,16 @@ def cmd_norm(ns) -> int:
 
 
 def cmd_bound(ns) -> int:
+    if ns.n is None and ns.kind != "region":
+        raise ValueError(f"--n is required for {ns.kind}")
+    if ns.q is None and ns.kind in ("chiupper", "envelope", "region", "rate"):
+        raise ValueError(f"--q is required for {ns.kind}")
     e = bounds.ExponentPair(ns.p, ns.q) if ns.q is not None else None
     regime = ""
     flags: tuple = ()
     prov = "closed-form"
     if ns.kind == "jsum":
-        value = bounds.j_sum(ns.m, ns.n, e, beta=ns.beta_override, method=ns.method)
+        value = bounds.j_sum(ns.m, ns.n, e, beta=ns.beta_override)
         prov = "exact-sum"
     elif ns.kind == "chiupper":
         value = bounds.chi_upper_small_pq(ns.m, ns.n, e)
@@ -185,8 +192,6 @@ def cmd_bound(ns) -> int:
                   "flags": list(rep.flags) + ["no-constant"]})
         return 0
     elif ns.kind == "rate":
-        if ns.n is None:
-            raise ValueError("--n is required for rate")
         value = bounds.rate(ns.p, ns.q, ns.n)
         regime = bounds.region_classify(ns.p, ns.q).tag
         flags = ("no-constant",)
@@ -238,8 +243,9 @@ def cmd_bohr(ns) -> int:
         emit(ns, {"lower": br.lower, "upper": br.upper,
                   "lower_src": br.lower_src, "upper_src": br.upper_src})
     elif ns.kind == "wiener":
-        with open(ns.series) as fh:
-            F = polynomial.series_from_dict(json.load(fh))
+        if ns.series is None:
+            raise ValueError("--series is required for bohr wiener")
+        F = polynomial.series_from_dict(_read_artifact(ns.series))
         rep = bohr_mod.wiener_check(F, ns.p, ns.slack, _opt_cfg(ns))
         emit(ns, {
             "all_pass": rep.all_pass,
@@ -290,7 +296,7 @@ def cmd_selftest(ns) -> int:
                    multiindex.tuple_to_alpha(multiindex.alpha_to_tuple(alpha), 3) == alpha))
 
     a = bounds.j_sum(4, 5, beta=1.0, method="naive")
-    b = bounds.j_sum(4, 5, beta=1.0, method="partition")
+    b = bounds.j_sum(4, 5, beta=1.0)
     checks.append(("multiplicity-sum routes agree", abs(a - b) <= 1e-12 * abs(b)))
 
     checks.append(("region (inf,inf) -> II",
@@ -334,14 +340,14 @@ def cmd_selftest(ns) -> int:
 # --- parser ----------------------------------------------------------------
 
 
-def _common(sp, seed=True, fmt=True):
+def _common(sp, seed=True, opt=True):
+    sp.add_argument("--format", choices=("csv", "json"), default="json")
+    sp.add_argument("--out", default=None)
     if seed:
         sp.add_argument("--seed", type=int, default=default_seed())
-    if fmt:
-        sp.add_argument("--format", choices=("csv", "json"), default="json")
-    sp.add_argument("--out", default=None)
-    sp.add_argument("--restarts", type=int, default=32)
-    sp.add_argument("--iters", type=int, default=200)
+    if opt:
+        sp.add_argument("--restarts", type=int, default=32)
+        sp.add_argument("--iters", type=int, default=200)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -353,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--set", choices=("lambda", "j", "lambda_k"), default="lambda")
     sp.add_argument("--k", type=int, default=None)
-    _common(sp, seed=False)
+    _common(sp, seed=False, opt=False)
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("poly")
@@ -364,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a", type=float, default=0.5)
     sp.add_argument("--p", type=parse_exponent, default=2.0)
     sp.add_argument("--budget", type=int, default=10**6)
-    _common(sp)
+    _common(sp, opt=False)
     sp.set_defaults(func=cmd_poly)
 
     sp = sub.add_parser("norm")
@@ -383,8 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=parse_exponent, required=True)
     sp.add_argument("--q", type=parse_exponent, default=None)
     sp.add_argument("--beta-override", type=float, default=None)
-    sp.add_argument("--method", choices=("partition", "naive"), default="partition")
-    _common(sp, seed=False)
+    _common(sp, seed=False, opt=False)
     sp.set_defaults(func=cmd_bound)
 
     sp = sub.add_parser("witness")
@@ -425,7 +430,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(format="csv")
 
     sp = sub.add_parser("selftest")
-    _common(sp, fmt=False)
     sp.set_defaults(func=cmd_selftest)
 
     return ap

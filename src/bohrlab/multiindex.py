@@ -13,6 +13,7 @@ arithmetic; floats never enter.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator
@@ -65,41 +66,14 @@ def enumerate_lambda(m: int, n: int, budget: int = DEFAULT_STREAM_BUDGET) -> Ite
     The stream is restartable (call again for a fresh iterator) and uses
     O(n) memory.
     """
-    if m < 0 or n < 1:
-        raise ValueError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
-
-    def colex() -> Iterator[MultiIndex]:
-        # successor: move one unit from the first nonzero entry to the next
-        # entry and the rest of the first nonzero entry back to entry 0
-        alpha = [m] + [0] * (n - 1)
-        first = 0 if m else n - 1  # index of the first nonzero entry
-        while True:
-            yield tuple(alpha)
-            if first == n - 1:
-                return
-            s = alpha[first]
-            alpha[first] = 0
-            alpha[first + 1] += 1
-            alpha[0] = s - 1
-            first = 0 if s > 1 else first + 1
-
-    return _budgeted(colex(), budget)
+    return enumerate_lambda_k(m, n, max(m, 1), budget)
 
 
 def enumerate_j(m: int, n: int, budget: int = DEFAULT_STREAM_BUDGET) -> Iterator[IndexTuple]:
     """Yield every nondecreasing m-tuple with entries in 1..n, lexicographic order."""
     if m < 0 or n < 1:
         raise ValueError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
-
-    def rec(length: int, lo: int) -> Iterator[IndexTuple]:
-        if length == 0:
-            yield ()
-            return
-        for first in range(lo, n + 1):
-            for rest in rec(length - 1, first):
-                yield (first,) + rest
-
-    return _budgeted(rec(m, 1), budget)
+    return _budgeted(itertools.combinations_with_replacement(range(1, n + 1), m), budget)
 
 
 def tuple_to_alpha(j: IndexTuple, n: int) -> MultiIndex:
@@ -140,22 +114,37 @@ def is_k_bounded(alpha: MultiIndex, k: int) -> bool:
 def enumerate_lambda_k(
     m: int, n: int, k: int, budget: int = DEFAULT_STREAM_BUDGET
 ) -> Iterator[MultiIndex]:
-    """Yield the k-bounded multi-indices of degree m (all exponents <= k)."""
+    """Yield the k-bounded multi-indices of degree m (all exponents <= k), in
+    the colexicographic order of enumerate_lambda, using O(n) memory."""
     if k < 1:
         raise ValueError(f"need k >= 1, got k={k}")
     if m < 0 or n < 1:
         raise ValueError(f"need m >= 0 and n >= 1, got m={m}, n={n}")
 
-    def rec(deg: int, nvar: int) -> Iterator[MultiIndex]:
-        if nvar == 1:
-            if deg <= k:
-                yield (deg,)
+    def colex() -> Iterator[MultiIndex]:
+        # successor: empty the leading block (first nonzero entry and the k's
+        # after it), add 1 to the next entry, refill from entry 0 up, k each
+        if m > n * k:
             return
-        for last in range(min(deg, k) + 1):
-            for head in rec(deg - last, nvar - 1):
-                yield head + (last,)
+        alpha = ([k] * (m // k) + [m % k] + [0] * n)[:n]
+        first = 0 if m else n - 1  # index of the first nonzero entry
+        while True:
+            yield tuple(alpha)
+            i, r = first + 1, alpha[first] - 1
+            alpha[first] = 0
+            while i < n and alpha[i] == k:
+                alpha[i] = 0
+                i, r = i + 1, r + k
+            if i == n:
+                return
+            alpha[i] += 1
+            q = r // k
+            if q:
+                alpha[:q] = [k] * q
+            alpha[q] = r - q * k
+            first = 0 if r else i
 
-    return _budgeted(rec(m, n), budget)
+    return _budgeted(colex(), budget)
 
 
 def complement_card_bound(m: int, n: int, k: int) -> int:
@@ -189,10 +178,6 @@ class PartitionShape:
 
     parts: tuple[int, ...]
     arrangements: int
-
-    @property
-    def part_count(self) -> int:
-        return len(self.parts)
 
 
 def _arrangements(parts: tuple[int, ...], n: int) -> int:

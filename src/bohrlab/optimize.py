@@ -17,6 +17,11 @@ import numpy as np
 from .polynomial import HomPoly, TruncatedSeries, eval_batch, grad_batch, scale
 
 
+STEP0 = 0.5  # first ascent step length
+TOL = 1e-13  # relative gain below which an accepted step counts as stalled
+BACKTRACKS = 40  # step halvings tried per iteration
+
+
 @dataclass
 class OptConfig:
     """Multi-start projected gradient ascent configuration."""
@@ -24,9 +29,6 @@ class OptConfig:
     restarts: int = 64
     iters: int = 300
     seed: int = 0
-    step0: float = 0.5
-    tol: float = 1e-13
-    backtracks: int = 40
 
 
 @dataclass
@@ -78,14 +80,14 @@ def _ascend(
     Z = project(Z0)
     f = fval(Z)
     R = Z.shape[0]
-    t = np.full(R, cfg.step0)
+    t = np.full(R, STEP0)
     stalled = np.zeros(R, dtype=np.int64)
     for _ in range(cfg.iters):
         if (stalled >= 4).all():
             break
         G = fgrad(Z)
         accepted = np.zeros(R, dtype=bool)
-        for _ in range(cfg.backtracks):
+        for _ in range(BACKTRACKS):
             todo = ~accepted & (stalled < 4)
             if not todo.any():
                 break
@@ -99,7 +101,7 @@ def _ascend(
             good, bad = idx[ok], idx[~ok]
             Z[good] = cand[ok]
             rel = (fc[ok] - f[good]) / np.maximum(np.abs(f[good]), 1e-300)
-            stalled[good] = np.where(rel < cfg.tol, stalled[good] + 1, 0)
+            stalled[good] = np.where(rel < TOL, stalled[good] + 1, 0)
             f[good] = fc[ok]
             accepted[good] = True
             t[good] = np.minimum(t[good] * 1.25, 1e3)

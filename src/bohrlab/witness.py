@@ -19,7 +19,7 @@ import numpy as np
 from scipy.stats import norm as _gauss
 from scipy.stats import qmc
 
-from .bounds import ExponentPair, chi_upper_small_pq, coeff_chi_upper_generic, inv
+from .bounds import ExponentPair, inv, log_chi_upper
 from .multiindex import enumerate_j, enumerate_lambda, lambda_card, multiplicity, tuple_to_alpha
 from .optimize import OptConfig, NormEstimate, lp_norm, majorant_sup, sup_norm
 from .polynomial import HomPoly, monomials, sign_polynomial
@@ -36,13 +36,15 @@ class BoundBracket:
     instance: tuple  # (m, n, p, q)
 
 
+MC_POINTS = 512  # quasi-random points scoring each sign pattern
+BRUTE_CAP = 50  # largest index set the brute oracle runs on
+SLACK = 1.05  # deflation of lower bounds whose denominator is an estimate
+
+
 @dataclass
 class SearchConfig:
     seed: int = 0
-    mc_points: int = 512
     sign_cap: int = 20_000
-    brute_cap: int = 50
-    slack: float = 1.05
     top_k: int = 8
     opt: OptConfig = field(default_factory=lambda: OptConfig(restarts=16, iters=150))
 
@@ -99,7 +101,7 @@ def sign_search(
         raise ValueError(f"index set size {T} exceeds cap {cfg.sign_cap}")
     alphas = list(enumerate_lambda(m, n))
     mults = np.array([float(multiplicity(a)) for a in alphas])
-    Z = _mc_sphere_points(n, p, cfg.mc_points, seed)
+    Z = _mc_sphere_points(n, p, MC_POINTS, seed)
     M = _monomial_matrix(Z, alphas) * mults[None, :]
 
     pool: dict[bytes, float] = {}
@@ -186,8 +188,8 @@ def brute_chi(
     """
     cfg = cfg or SearchConfig(seed=seed)
     T = lambda_card(m, n)
-    if T > cfg.brute_cap:
-        raise ValueError(f"index set size {T} exceeds brute cap {cfg.brute_cap}")
+    if T > BRUTE_CAP:
+        raise ValueError(f"index set size {T} exceeds brute cap {BRUTE_CAP}")
     if samples < 1000:
         raise ValueError("need samples >= 1000")
     alphas = list(enumerate_lambda(m, n))
@@ -244,7 +246,7 @@ def brute_chi(
         den = sup_norm(P, e.p, cfg.opt).value
         if den > 0:
             best = max(best, num / den)
-    return BruteChi(best, best / cfg.slack)
+    return BruteChi(best, best / SLACK)
 
 
 def chi_bracket(
@@ -260,8 +262,8 @@ def chi_bracket(
 
     Lower: max of 1, the flat-point chain through a sign-pattern search, and
     the brute oracle on tiny instances (estimate-based candidates are
-    slack-deflated).  Upper: min of the coefficient bound and, for
-    q <= p <= 2, the small-exponent lemma.  sign_budget=0 skips the search
+    slack-deflated).  Upper: bounds.log_chi_upper, the smaller closed form
+    (inf past the float range).  sign_budget=0 skips the search
     chain (as does an index set above the configured cap).
     """
     cfg = cfg or SearchConfig()
@@ -269,21 +271,16 @@ def chi_bracket(
     if sign_budget > 0 and lambda_card(m, n) <= cfg.sign_cap:
         _, est = sign_search(m, n, e.p, sign_budget, cfg.seed, cfg)
         if est.value > 0:
-            flat = chi_lower_flat(m, n, e.q, est.value) / cfg.slack
+            flat = chi_lower_flat(m, n, e.q, est.value) / SLACK
             lower_cands.append(
                 (flat, "sign-search flat point (estimate-based, slack-deflated)"))
-    if use_brute and lambda_card(m, n) <= cfg.brute_cap:
+    if use_brute and lambda_card(m, n) <= BRUTE_CAP:
         bc = brute_chi(m, n, e, samples=samples, seed=cfg.seed, cfg=cfg)
         lower_cands.append((bc.deflated, "brute oracle (estimate-based, slack-deflated)"))
 
-    upper_cands: list[tuple[float, str]] = [
-        (coeff_chi_upper_generic(m, n, e.p), "coefficient bound")
-    ]
-    if 1 <= e.q <= e.p <= 2:
-        upper_cands.append((chi_upper_small_pq(m, n, e), "small-exponent lemma"))
-
     lo, lo_src = max(lower_cands, key=lambda c: c[0])
-    up, up_src = min(upper_cands, key=lambda c: c[0])
+    log_up, up_src = log_chi_upper(m, n, e)
+    up = math.exp(log_up) if log_up < 709.0 else math.inf  # e^709.8 overflows
     return BoundBracket(lo, up, lo_src, up_src, (m, n, e.p, e.q))
 
 

@@ -19,7 +19,7 @@ from bohrlab.bounds import (
     transfer_lower_pq,
 )
 from bohrlab.errors import BudgetExceededError
-from bohrlab.multiindex import is_k_bounded, lambda_card
+from bohrlab.multiindex import is_k_bounded, lambda_card, partition_shapes
 
 
 def test_conjugates():
@@ -57,8 +57,22 @@ def test_j_sum_routes_agree():
         for n in range(1, 9):
             for beta in (0.0, 0.5, 1.0, 2.0):
                 a = j_sum(m, n, beta=beta, method="naive")
-                b = j_sum(m, n, beta=beta, method="partition")
+                b = j_sum(m, n, beta=beta)
                 assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_j_sum_matches_partition_shape_sum():
+    # past the naive route's reach: group the tuples by the partition shape of
+    # their exponents (every tuple of one shape has the same multiplicity)
+    for n in (64, 1039):
+        for m in [*range(1, 11), 20, 30, 40]:
+            k = m - 1
+            shapes = [(s.arrangements, math.factorial(k)
+                       // math.prod(math.factorial(v) for v in s.parts))
+                      for s in partition_shapes(k, n)]
+            for beta in (0.0, 0.5, 2 / 3, 1.0, 2.0):
+                ref = math.fsum(a * float(mult) ** (-beta) for a, mult in shapes)
+                assert j_sum(m, n, beta=beta) == pytest.approx(ref, rel=1e-12)
 
 
 def test_j_sum_beta_zero_is_card():
@@ -102,13 +116,6 @@ def test_chi_upper_small_pq():
 def test_chi_upper_q1_degenerates():
     e = ExponentPair(2.0, 1.0)
     assert chi_upper_small_pq(3, 100, e) == pytest.approx(3 * math.exp(2.0))
-
-
-def test_chi_upper_exponent_base_switch():
-    e = ExponentPair(2.0, 4 / 3)
-    vp = chi_upper_small_pq(3, 4, e, exp_base="p")
-    vq = chi_upper_small_pq(3, 4, e, exp_base="q")
-    assert vq > vp  # smaller base exponent means bigger e-power
 
 
 def test_lempoly_rhs():

@@ -1,9 +1,15 @@
+import contextlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrlab.cli import parse_exponent, run
 
@@ -40,6 +46,20 @@ def test_enumerate_many_variables(capsys):
     assert len(out.strip().splitlines()) == 2 + 1500
 
 
+def test_enumerate_lambda_k_many_variables(capsys):
+    code, out = capture(capsys, ["enumerate", "--set", "lambda_k", "--m", "1",
+                                 "--n", "1500", "--k", "1", "--format", "csv"])
+    assert code == 0
+    assert len(out.strip().splitlines()) == 2 + 1500
+
+
+def test_enumerate_j_long_tuples(capsys):
+    code, out = capture(capsys, ["enumerate", "--set", "j", "--m", "1200", "--n", "1",
+                                 "--format", "csv"])
+    assert code == 0
+    assert out.strip().splitlines()[2:] == [f"0,{';'.join(['1'] * 1200)},1"]
+
+
 def test_enumerate_j_json(capsys):
     code, out = capture(capsys, ["enumerate", "--m", "2", "--n", "2",
                                  "--set", "j", "--format", "json"])
@@ -71,6 +91,83 @@ def test_norm_roundtrip(tmp_path, capsys):
                                  "--restarts", "8"])
     assert code == 0
     assert json.loads(out)["result"]["value"] == pytest.approx(0.5, abs=1e-9)
+
+
+def test_poly_artifact_feeds_norm(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    assert run(["poly", "sign", "--m", "2", "--n", "2", "--out", str(f)]) == 0
+    code, out = capture(capsys, ["norm", "--poly", str(f), "--restarts", "8"])
+    assert code == 0
+    assert json.loads(out)["result"]["value"] > 0
+
+
+def test_series_artifact_feeds_wiener(tmp_path, capsys):
+    f = tmp_path / "s.json"
+    assert run(["poly", "random", "--n", "2", "--M", "2", "--out", str(f)]) == 0
+    code, out = capture(capsys, ["bohr", "wiener", "--series", str(f), "--p", "2",
+                                 "--restarts", "8", "--iters", "60"])
+    assert code == 0
+    assert [r["m"] for r in json.loads(out)["result"]["rows"]] == [1, 2]
+
+
+@pytest.mark.parametrize("argv, kind", [
+    (["poly", "sign", "--m", "1", "--n", "2"], "poly sign"),
+    (["bound", "region", "--p", "2", "--q", "2"], "bound region"),
+    (["witness", "search", "--m", "1", "--n", "2", "--p", "2", "--q", "2",
+      "--budget", "10", "--restarts", "2", "--iters", "5"], "witness search"),
+])
+def test_csv_on_json_only_kind_exits_2(capsys, argv, kind):
+    assert run(argv + ["--format", "csv"]) == 2
+    assert f"{kind} writes JSON only" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["enumerate", "--m", "1", "--n", "2", "--restarts", "4"],
+    ["bound", "jsum", "--m", "2", "--n", "2", "--p", "2", "--q", "2", "--iters", "4"],
+    ["bound", "jsum", "--m", "2", "--n", "2", "--p", "2", "--q", "2", "--method", "naive"],
+    ["poly", "sign", "--m", "1", "--n", "2", "--restarts", "4"],
+    ["selftest", "--seed", "1"],
+])
+def test_unread_flags_are_not_offered(capsys, argv):
+    assert run(argv) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["bound", "jsum", "--m", "300", "--n", "1000000", "--p", "2", "--q", "3/2"], 2),
+    (["bound", "envelope", "--m", "120", "--n", str(2**40), "--p", "2", "--q", "3/2"], 0),
+    (["bohr", "table", "--n-grid", "100000", "--p", "4", "--q", "4", "--mmax", "20",
+      "--budget", "0"], 0),
+    (["bohr", "table", "--n-grid", "100000", "--p", "2", "--q", "3/2", "--mmax", "20",
+      "--budget", "0"], 0),
+])
+def test_paper_range_closed_forms_answer_fast(capsys, argv, code):
+    t0 = time.perf_counter()
+    assert run(argv) == code
+    assert time.perf_counter() - t0 <= 2.0
+    res = capsys.readouterr()
+    if argv[1] == "jsum":  # the sum overflows a float; the message gives its log
+        assert "ln j_sum = 2017.11" in res.err
+    if argv[1] == "envelope":
+        assert json.loads(res.out)["result"]["value"] == pytest.approx(0.7383, abs=1e-4)
+
+
+EXPONENTS = st.sampled_from(["1", "5/4", "4/3", "3/2", "2", "3", "inf"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(["jsum", "envelope", "chiupper"]), m=st.integers(1, 400),
+       n=st.integers(1, 2**40), p=EXPONENTS, q=EXPONENTS)
+def test_closed_forms_answer_or_fail_fast(kind, m, n, p, q):
+    err = io.StringIO()
+    t0 = time.perf_counter()
+    with contextlib.redirect_stderr(err):
+        code = run(["bound", kind, "--m", str(m), "--n", str(n), "--p", p, "--q", q,
+                    "--out", os.devnull])
+    assert time.perf_counter() - t0 <= 2.0
+    assert code in (0, 2, 3), err.getvalue()
+    if kind == "jsum" and code == 2 and "beta must be finite" not in err.getvalue():
+        assert "ln j_sum = " in err.getvalue()
 
 
 def test_witness_bracket(capsys):

@@ -94,10 +94,15 @@ def test_k_bounded():
 
 def test_k_bounded_partitions_lambda():
     for m, n, k in [(4, 3, 2), (5, 2, 3), (3, 4, 1)]:
-        full = set(enumerate_lambda(m, n))
-        bounded = set(enumerate_lambda_k(m, n, k))
-        assert bounded == {a for a in full if is_k_bounded(a, k)}
-        assert bounded <= full
+        full = list(enumerate_lambda(m, n))
+        bounded = list(enumerate_lambda_k(m, n, k))
+        assert bounded == [a for a in full if is_k_bounded(a, k)]  # same order
+
+
+def test_enumerate_lambda_k_generates_only_bounded_items():
+    # filtering the C(39, 20) ~ 6.9e10 items of enumerate_lambda(20, 20) would not finish
+    assert list(enumerate_lambda_k(20, 20, 1)) == [(1,) * 20]
+    assert list(enumerate_lambda_k(7, 3, 2)) == []
 
 
 def test_multiplicity_floor_on_k_bounded():
