@@ -11,9 +11,9 @@ import math
 from bohrlab.bohr import k_m_bracket
 from bohrlab.bounds import ExponentPair
 from bohrlab.optimize import OptConfig
-from bohrlab.witness import SearchConfig, brute_chi, chi_bracket, sign_search
+from bohrlab.witness import brute_chi, chi_bracket, sign_search
 
-cfg = SearchConfig(seed=0, opt=OptConfig(restarts=8, iters=100))
+cfg = OptConfig(restarts=8, iters=100, seed=0)
 e = ExponentPair(2.0, 2.0)
 m, n = 2, 4
 

@@ -68,7 +68,6 @@ from .polynomial import (
 )
 from .witness import (
     BoundBracket,
-    SearchConfig,
     brute_chi,
     chi_bracket,
     chi_lower_flat,

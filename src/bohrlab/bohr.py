@@ -19,7 +19,7 @@ from .bounds import ExponentPair, log_chi_upper, rate, region_classify
 from .errors import BudgetExceededError
 from .optimize import OptConfig, bohr_sum, series_sup, sup_norm
 from .polynomial import HomPoly, TruncatedSeries, moebius_series
-from .witness import SearchConfig, chi_bracket
+from .witness import chi_bracket
 
 
 @dataclass(frozen=True)
@@ -38,19 +38,18 @@ class RadiusBracket:
 
 
 def k_m_bracket(m: int, n: int, e: ExponentPair,
-                cfg: SearchConfig | None = None, **chi_kw) -> RadiusBracket:
+                cfg: OptConfig | None = None, **chi_kw) -> RadiusBracket:
     """Bracket for the degree-m radius K_m = chi^(-1/m): the chi bracket
     endpoints pass through x -> x^(-1/m), which swaps their roles."""
     cb = chi_bracket(m, n, e, cfg, **chi_kw)
     lower = cb.upper ** (-1.0 / m)
     upper = min(1.0, cb.lower ** (-1.0 / m))
-    return RadiusBracket(lower, upper, m,
-                         f"chi upper: {cb.upper_src}",
+    return RadiusBracket(lower, upper, m, f"chi upper: {cb.upper_src}",
                          f"chi lower: {cb.lower_src}")
 
 
 def k_bracket(n: int, e: ExponentPair, M_max: int,
-              cfg: SearchConfig | None = None, **chi_kw) -> RadiusBracket:
+              cfg: OptConfig | None = None, **chi_kw) -> RadiusBracket:
     """Bracket for the full radius K.
 
     Lower: (1/3) / sup_m chi_upper(m)^(1/m), with the closed-form upper
@@ -77,17 +76,12 @@ def k_bracket(n: int, e: ExponentPair, M_max: int,
         if km.upper < upper:
             upper = km.upper
             upper_src = f"K_{m} upper ({km.upper_src})"
-    return RadiusBracket(
-        lower,
-        upper,
-        f"all m <= {M_max}",
-        f"chi-upper roots over m grid {grid}",
-        upper_src,
-    )
+    return RadiusBracket(lower, upper, f"all m <= {M_max}",
+                         f"chi-upper roots over m grid {grid}", upper_src)
 
 
 def k_table(n_grid, e: ExponentPair, M_max: int,
-            cfg: SearchConfig | None = None, **chi_kw) -> list[dict]:
+            cfg: OptConfig | None = None, **chi_kw) -> list[dict]:
     """Sweep rows (n, lower, upper, region, rate(n), provenance) for a grid of
     dimensions.  The provenance is "estimate-based" when either endpoint's
     source is, else "closed-form"."""
@@ -124,9 +118,12 @@ def _moebius_violation(r: float, M: int, cfg: OptConfig | None) -> bool:
     return False
 
 
-def bohr_1d_bracket(tol: float, cfg: OptConfig | None = None,
-                    M: int = 40, mc_series: int = 10_000,
-                    mc_degree: int = 12, seed: int = 0) -> RadiusBracket:
+MOEBIUS_DEGREE = 40  # truncation degree of the disk automorphisms
+MC_SERIES = 10_000  # random series checked at the lower endpoint
+MC_DEGREE = 12  # their degree
+
+
+def bohr_1d_bracket(tol: float, cfg: OptConfig | None = None, seed: int = 0) -> RadiusBracket:
     """Bracket for the one-variable radius (the classical 1/3).
 
     Upper endpoint: bisection on r against the truncated disk-automorphism
@@ -139,7 +136,7 @@ def bohr_1d_bracket(tol: float, cfg: OptConfig | None = None,
 
     lo, hi = 1.0 / 3.0, 1.0 / 3.0 + tol
     doublings = 0
-    while not _moebius_violation(hi, M, cfg):
+    while not _moebius_violation(hi, MOEBIUS_DEGREE, cfg):
         hi = 1.0 / 3.0 + (hi - 1.0 / 3.0) * 2.0
         doublings += 1
         if doublings > 20:
@@ -150,20 +147,20 @@ def bohr_1d_bracket(tol: float, cfg: OptConfig | None = None,
         if iters > 60:
             raise BudgetExceededError("bisection budget exhausted before target width")
         mid = 0.5 * (lo + hi)
-        if _moebius_violation(mid, M, cfg):
+        if _moebius_violation(mid, MOEBIUS_DEGREE, cfg):
             hi = mid
         else:
             lo = mid
 
     r_lo = 1.0 / 3.0 - tol
-    fails = _random_series_failures(r_lo, mc_series, mc_degree, seed)
+    fails = _random_series_failures(r_lo, MC_SERIES, MC_DEGREE, seed)
     if fails:
         raise RuntimeError(f"{fails} random series violated the Bohr sum at r={r_lo}")
     return RadiusBracket(
         r_lo,
         hi,
         "all m",
-        f"Monte Carlo: {mc_series} random degree-{mc_degree} series",
+        f"Monte Carlo: {MC_SERIES} random degree-{MC_DEGREE} series",
         "disk-automorphism truncations, Bohr sum > 1",
     )
 

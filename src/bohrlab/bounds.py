@@ -201,16 +201,16 @@ def bayart_bound(m: int, n: int, p: float) -> float:
     (log(m) m!)^(1-1/p) n^(1-1/p) for p <= 2 and
     (log(m) m!)^(1/2) n^(m(1/2-1/p)+1/2) for p >= 2.
 
-    For m = 1 the log factor is replaced by 1.
+    For m = 1 the log factor is replaced by 1.  Computed in logs; a ValueError
+    naming ln bayart_bound past the float range.
     """
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    logm = math.log(m) if m >= 2 else 1.0
-    core = logm * math.factorial(m)
+    if m < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+    log_core = (math.log(math.log(m)) if m >= 2 else 0.0) + math.lgamma(m + 1)
     ip = inv(p)
     if p <= 2:
-        return core ** (1.0 - ip) * n ** (1.0 - ip)
-    return core**0.5 * n ** (m * (0.5 - ip) + 0.5)
+        return _exp((1.0 - ip) * (log_core + math.log(n)), "bayart_bound")
+    return _exp(0.5 * log_core + (m * (0.5 - ip) + 0.5) * math.log(n), "bayart_bound")
 
 
 def coeff_chi_upper_generic(m: int, n: int, p: float) -> float:

@@ -98,10 +98,6 @@ def _opt_cfg(ns: argparse.Namespace) -> optimize.OptConfig:
     return optimize.OptConfig(restarts=ns.restarts, iters=ns.iters, seed=ns.seed)
 
 
-def _search_cfg(ns: argparse.Namespace) -> witness.SearchConfig:
-    return witness.SearchConfig(seed=ns.seed, opt=_opt_cfg(ns))
-
-
 # --- subcommand bodies -----------------------------------------------------
 
 
@@ -210,7 +206,7 @@ def cmd_bound(ns) -> int:
 
 def cmd_witness(ns) -> int:
     e = bounds.ExponentPair(ns.p, ns.q)
-    cfg = _search_cfg(ns)
+    cfg = _opt_cfg(ns)
     if ns.kind == "search":
         signs, est = witness.sign_search(ns.m, ns.n, ns.p, ns.budget, ns.seed, cfg)
         emit(ns, {
@@ -234,7 +230,7 @@ def cmd_witness(ns) -> int:
 def cmd_bohr(ns) -> int:
     if ns.kind == "bracket":
         e = bounds.ExponentPair(ns.p, ns.q)
-        br = bohr_mod.k_bracket(ns.n, e, ns.mmax, _search_cfg(ns),
+        br = bohr_mod.k_bracket(ns.n, e, ns.mmax, _opt_cfg(ns),
                                 sign_budget=ns.budget, samples=ns.samples)
         emit(ns, {"lower": br.lower, "upper": br.upper, "m": str(br.m),
                   "lower_src": br.lower_src, "upper_src": br.upper_src})
@@ -255,7 +251,7 @@ def cmd_bohr(ns) -> int:
         })
     else:  # table
         e = bounds.ExponentPair(ns.p, ns.q)
-        rows = bohr_mod.k_table(ns.n_grid, e, ns.mmax, _search_cfg(ns),
+        rows = bohr_mod.k_table(ns.n_grid, e, ns.mmax, _opt_cfg(ns),
                                 sign_budget=ns.budget, samples=ns.samples)
         if ns.format == "csv":
             out = [[str(r["n"]), fnum(r["lower"]), fnum(r["upper"]),
@@ -269,7 +265,7 @@ def cmd_bohr(ns) -> int:
 
 def cmd_sweep(ns) -> int:
     e = bounds.ExponentPair(ns.p, ns.q)
-    cfg = _search_cfg(ns)
+    cfg = _opt_cfg(ns)
     rows = []
     for m in ns.m_grid:
         for n in ns.n_grid:
@@ -317,7 +313,7 @@ def cmd_selftest(ns) -> int:
     checks.append(("disk automorphism Bohr sum = 1 at r = 1/(1+2a)",
                    1.0 - 1e-6 <= bs <= 1.0 + 1e-12))
 
-    scfg = witness.SearchConfig(seed=0, opt=optimize.OptConfig(restarts=8, iters=100))
+    scfg = optimize.OptConfig(restarts=8, iters=100)
     s1, _ = witness.sign_search(2, 2, math.inf, 200, 7, scfg)
     s2, _ = witness.sign_search(2, 2, math.inf, 200, 7, scfg)
     checks.append(("sign search deterministic", s1 == s2))
@@ -326,11 +322,8 @@ def cmd_selftest(ns) -> int:
                               sign_budget=200, samples=1000)
     checks.append(("K_1(p=q) bracket contains 1", km.lower <= 1.0 <= km.upper + 1e-9))
 
-    ok = True
-    lines = []
-    for name, passed in checks:
-        ok &= passed
-        lines.append(("ok   " if passed else "FAIL ") + name)
+    ok = all(passed for _, passed in checks)
+    lines = [("ok   " if passed else "FAIL ") + name for name, passed in checks]
     sys.stdout.write("\n".join(lines) + "\n")
     sys.stdout.write(("selftest: all %d checks passed\n" % len(checks)) if ok
                      else "selftest: FAILURES\n")

@@ -14,12 +14,13 @@ from typing import Callable
 
 import numpy as np
 
-from .polynomial import HomPoly, TruncatedSeries, eval_batch, grad_batch, scale
+from .polynomial import HomPoly, PolyBatch, TruncatedSeries, eval_batch, grad_batch
 
 
 STEP0 = 0.5  # first ascent step length
 TOL = 1e-13  # relative gain below which an accepted step counts as stalled
 BACKTRACKS = 40  # step halvings tried per iteration
+BATCH_ENTRIES = 2**20  # largest point array of one ascent (16 MB complex)
 
 
 @dataclass
@@ -56,8 +57,7 @@ def _proj_sphere(Z: np.ndarray, p: float, flat: np.ndarray) -> np.ndarray:
     phases.  For p = inf the moduli are all forced to 1 (torus)."""
     if p == math.inf:
         r = np.abs(Z)
-        out = np.where(r > 0, Z / np.where(r > 0, r, 1.0), 1.0 + 0j)
-        return out
+        return np.where(r > 0, Z / np.where(r > 0, r, 1.0), 1.0 + 0j)
     nrm = lp_norm(Z, p)
     dead = nrm == 0
     if dead.any():
@@ -67,37 +67,33 @@ def _proj_sphere(Z: np.ndarray, p: float, flat: np.ndarray) -> np.ndarray:
     return Z / nrm[:, None]
 
 
-def _ascend(
-    fval: Callable[[np.ndarray], np.ndarray],
-    fgrad: Callable[[np.ndarray], np.ndarray],
-    project: Callable[[np.ndarray], np.ndarray],
-    Z0: np.ndarray,
-    cfg: OptConfig,
-) -> tuple[np.ndarray, np.ndarray, bool]:
-    """Batched projected gradient ascent with Armijo backtracking.
+def _ascend(fval: Callable, fgrad: Callable, project: Callable, Z0: np.ndarray,
+            cfg: OptConfig, own=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Batched projected gradient ascent with Armijo backtracking.  fval and
+    fgrad take points and their owners: own[i] is the polynomial of Z0[i] (None: one).
 
-    Returns (final values, final points, all_converged)."""
+    Returns (final values, final points, converged flag of each point)."""
     Z = project(Z0)
-    f = fval(Z)
+    f = fval(Z, own)
     R = Z.shape[0]
     t = np.full(R, STEP0)
     stalled = np.zeros(R, dtype=np.int64)
     for _ in range(cfg.iters):
         if (stalled >= 4).all():
             break
-        G = fgrad(Z)
+        G = fgrad(Z, own)
         accepted = np.zeros(R, dtype=bool)
         for _ in range(BACKTRACKS):
             todo = ~accepted & (stalled < 4)
             if not todo.any():
                 break
+            idx = np.flatnonzero(todo)
             cand = project(Z[todo] + t[todo, None] * G[todo])
-            fc = fval(cand)
+            fc = fval(cand, None if own is None else own[idx])
             # sufficient increase along the projected displacement: the raw
             # gradient is radial-dominated on the sphere and would stall early
             disp = ((np.conj(G[todo]) * (cand - Z[todo])).sum(axis=1)).real
             ok = fc >= f[todo] + 1e-4 * np.maximum(disp, 0.0)
-            idx = np.flatnonzero(todo)
             good, bad = idx[ok], idx[~ok]
             Z[good] = cand[ok]
             rel = (fc[ok] - f[good]) / np.maximum(np.abs(f[good]), 1e-300)
@@ -107,7 +103,7 @@ def _ascend(
             t[good] = np.minimum(t[good] * 1.25, 1e3)
             t[bad] *= 0.5
         stalled[~accepted & (t < 1e-14)] = 4
-    return f, Z, bool((stalled >= 4).all())
+    return f, Z, stalled >= 4
 
 
 def _pick_best(values: np.ndarray, points: np.ndarray) -> int:
@@ -118,17 +114,17 @@ def _pick_best(values: np.ndarray, points: np.ndarray) -> int:
     return int(min(cand, key=lambda i: tuple(np.abs(points[i]))))
 
 
-def _check_cfg(cfg: OptConfig) -> None:
+def _check_cfg(cfg: OptConfig | None) -> OptConfig:
+    """cfg, or the default configuration; the budget must be positive."""
+    cfg = cfg or OptConfig()
     if cfg.restarts < 1 or cfg.iters < 1:
         raise ValueError("optimizer budget must be positive")
+    return cfg
 
 
-def _random_sphere_starts(rng, R: int, n: int, p: float) -> np.ndarray:
-    G = rng.standard_normal((R, n)) + 1j * rng.standard_normal((R, n))
-    if p == math.inf:
-        r = np.abs(G)
-        return np.where(r > 0, G / np.where(r > 0, r, 1.0), 1.0 + 0j)
-    return G
+def _moduli(C: np.ndarray) -> np.ndarray:
+    """|c| entrywise, rounded as abs(complex) rounds it (np.abs may not)."""
+    return np.hypot(C.real, C.imag)
 
 
 def _flat_point(n: int, p: float) -> np.ndarray:
@@ -137,100 +133,141 @@ def _flat_point(n: int, p: float) -> np.ndarray:
     return np.full(n, n ** (-1.0 / p), dtype=np.complex128)
 
 
-def _structured_starts(P: HomPoly, p: float) -> list[np.ndarray]:
-    """Coordinate vectors, the flat vector, the single-monomial maximizer of the
-    largest coefficient, and (degree 1) the exact Hoelder point."""
-    n = P.n
-    starts = list(np.eye(n, dtype=np.complex128))
-    starts.append(_flat_point(n, p))
-    if P.coeffs:
-        alpha = max(P.support(), key=lambda a: abs(P.coeffs[a]))
-        x = np.array(alpha, dtype=float)
+def _structured_starts(A: np.ndarray, C: np.ndarray, p: float) -> list[list[np.ndarray]]:
+    """Starts for each row c of C (coefficients over the rows of A): the
+    coordinate vectors, the flat vector, the single-monomial maximizer of the
+    largest |c| (lexicographically first alpha on ties), and (degree 1) the Hoelder point."""
+    n = A.shape[1]
+    common = [*np.eye(n, dtype=np.complex128), _flat_point(n, p)]
+    lex = np.lexsort(A.T[::-1])
+    tops = A[lex[_moduli(C[:, lex]).argmax(axis=1)]].astype(float)
+    linear = bool((A.sum(axis=1) == 1).all())
+    out = []
+    for c, x in zip(C, tops):
+        starts = list(common)
         if x.sum() > 0 and p != math.inf:
             # exact maximizer of a single monomial on the l_p sphere
             starts.append(((x / x.sum()) ** (1.0 / p)).astype(np.complex128))
-    if P.m == 1 and P.coeffs:
-        a = np.zeros(n, dtype=np.complex128)
-        for al, c in P.coeffs.items():
-            a[al.index(1)] = c
-        mod = np.abs(a)
-        phase = np.where(mod > 0, np.conj(a) / np.where(mod > 0, mod, 1.0), 1.0)
-        if p == math.inf:
-            starts.append(phase.astype(np.complex128))
-        else:
-            pc = math.inf if p == 1 else p / (p - 1.0)
-            if pc == math.inf:  # p = 1: best coordinate
-                x = np.zeros(n)
-                x[int(mod.argmax())] = 1.0
-            else:
-                x = mod ** (pc / p)
-                s = lp_norm(x, p)
-                x = x / s if s > 0 else x
+        if linear:
+            a = np.zeros(n, dtype=np.complex128)
+            a[A.argmax(axis=1)] = c
+            mod = np.abs(a)
+            phase = np.where(mod > 0, np.conj(a) / np.where(mod > 0, mod, 1.0), 1.0)
+            if p == math.inf:
+                x = np.ones(n)
+            elif p == 1:  # best coordinate
+                x = (np.arange(n) == mod.argmax()).astype(float)
+            else:  # the conjugate exponent's extremal point
+                x = mod ** (p / (p - 1.0) / p)
+                x = x / lp_norm(x, p)
             starts.append(phase * x)
-    return starts
+        out.append(starts)
+    return out
 
 
-def _estimate(F, p: float, starts: list[np.ndarray], cfg: OptConfig,
-              nonneg: bool) -> NormEstimate:
-    """Multi-start projected gradient ascent on the unit sphere of l_p^n from
-    the given starts plus random ones drawn from cfg.seed.
-
-    nonneg=False maximizes |F|^2 over the complex sphere (the torus for
-    p = inf); nonneg=True maximizes F, whose coefficients must be
-    nonnegative, over the nonnegative sphere.  The value is |F| at the
-    witness, which is scaled into the closed unit ball."""
-    n = F.n
+def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarray]],
+              cfg: OptConfig, nonneg: bool) -> list[NormEstimate]:
+    """Multi-start projected gradient ascent on the unit sphere of l_p^n for
+    each row c of C (coefficients over the rows of A) from starts[k] plus
+    random ones drawn from cfg.seed, the same for every row.  All rows run in
+    one _ascend call, split only where a point array would pass BATCH_ENTRIES
+    entries (no start's path depends on another).  nonneg=False maximizes
+    |F|^2 over the complex sphere (the torus for p = inf); nonneg=True
+    maximizes F (coefficients >= 0) over the nonnegative sphere.  A row's
+    value is |F| at its witness, scaled into the closed unit ball."""
+    K, (T, n) = len(C), A.shape
     rng = np.random.default_rng(cfg.seed)
-    n_rand = max(cfg.restarts - len(starts), 1)
+    n_rand = max(cfg.restarts - len(starts[0]), 1)
+    R = len(starts[0]) + n_rand
+    fresh = rng.standard_normal((n_rand, n))
+    F = PolyBatch(A, C)
     if nonneg:
         flat = _flat_point(n, p).real
-        fresh = np.abs(rng.standard_normal((n_rand, n)))
+        fresh = np.abs(fresh)
 
-        def fval(X):
-            return eval_batch(F, X.astype(np.complex128)).real
+        def fval(X, own):
+            return eval_batch(F, X.astype(np.complex128), own).real
 
-        def fgrad(X):
-            return grad_batch(F, X.astype(np.complex128))[1].real
+        def fgrad(X, own):
+            return grad_batch(F, X.astype(np.complex128), own)[1].real
 
         def project(X):
             return _proj_sphere(np.clip(X.real, 0.0, None), p, flat)
     else:
         flat = _flat_point(n, p)
-        fresh = _random_sphere_starts(rng, n_rand, n, p)
+        fresh = fresh + 1j * rng.standard_normal((n_rand, n))
 
-        def fval(Z):
-            return np.abs(eval_batch(F, Z)) ** 2
+        def fval(Z, own):
+            return np.abs(eval_batch(F, Z, own)) ** 2
 
-        def fgrad(Z):
-            vals, grads = grad_batch(F, Z)
+        def fgrad(Z, own):
+            vals, grads = grad_batch(F, Z, own)
             return 2.0 * vals[:, None] * np.conj(grads)
 
         def project(Z):
             return _proj_sphere(Z, p, flat)
 
-    Z0 = np.vstack([np.array(starts), fresh])
-    f, Z, conv = _ascend(fval, fgrad, project, Z0, cfg)
-    w = Z[_pick_best(f, Z)]
-    nw = lp_norm(w, p)
-    if nw > 1:
-        w = w / nw
-    value = float(abs(eval_batch(F, w[None, :].astype(np.complex128))[0]))
-    return NormEstimate(value, w, Z0.shape[0], conv)
+    group = max(1, BATCH_ENTRIES // (R * max(n, T)))
+    out = []
+    for k0 in range(0, K, group):
+        ks = range(k0, min(K, k0 + group))
+        Z0 = np.vstack([z for k in ks for z in (*starts[k], *fresh)])
+        own = None if K == 1 else np.repeat(np.array(ks), R)
+        f, Z, done = _ascend(fval, fgrad, project, Z0, cfg, own)
+        spans = [slice(j * R, (j + 1) * R) for j in range(len(ks))]
+        best = [s.start + _pick_best(f[s], Z[s]) for s in spans]
+        W = np.array([Z[b] / max(lp_norm(Z[b], p), 1.0) for b in best])
+        vals = eval_batch(F, W.astype(np.complex128), None if K == 1 else np.array(ks))
+        out += [NormEstimate(float(abs(v)), w, R, bool(done[s].all()))
+                for v, w, s in zip(vals, W, spans)]
+    return out
+
+
+def _nonzero_rows(C: np.ndarray, n: int, dtype, cfg: OptConfig, estimate) -> list[NormEstimate]:
+    """estimate(the rows of C with a nonzero entry); zero rows get the exact zero estimate."""
+    live = C.any(axis=1)
+    found = iter(estimate(C if live.all() else C[live]) if live.any() else ())
+    return [next(found) if ok else NormEstimate(0.0, np.zeros(n, dtype), cfg.restarts, True)
+            for ok in live]
+
+
+def sup_norms(A: np.ndarray, C: np.ndarray, p: float,
+              cfg: OptConfig | None = None) -> list[NormEstimate]:
+    """sup_norm of each row of C, coefficients over the rows of A (exponents of
+    one degree, as a HomPoly's support), in one ascent."""
+    cfg = _check_cfg(cfg)
+    if not (1 <= p):
+        raise ValueError(f"need p >= 1, got {p}")
+    if C.size and not np.all(np.isfinite(C)):
+        raise ValueError("non-finite coefficients")
+    return _nonzero_rows(C, A.shape[1], np.complex128, cfg, lambda L: _estimate(
+        A, L, p, _structured_starts(A, L, p), cfg, nonneg=False))
 
 
 def sup_norm(P: HomPoly, p: float, cfg: OptConfig | None = None) -> NormEstimate:
     """Estimate sup of |P| over the l_p unit ball by multi-start projected
     gradient ascent on |P|^2 (for p = inf the search lives on the torus)."""
-    cfg = cfg or OptConfig()
-    _check_cfg(cfg)
-    if not (1 <= p):
-        raise ValueError(f"need p >= 1, got {p}")
-    _, c = P.tables()
-    if c.size and not np.all(np.isfinite(c)):
-        raise ValueError("non-finite coefficients")
-    if not P.coeffs:
-        return NormEstimate(0.0, np.zeros(P.n, dtype=np.complex128), cfg.restarts, True)
-    return _estimate(P, p, _structured_starts(P, p), cfg, nonneg=False)
+    A, c = P.tables()
+    return sup_norms(A, c[None, :], p, cfg)[0]
+
+
+def majorant_sups(A: np.ndarray, C: np.ndarray, q: float,
+                  cfg: OptConfig | None = None) -> list[NormEstimate]:
+    """majorant_sup of each row of C, coefficients over the rows of A (exponents
+    of one degree, as a HomPoly's support), in one ascent."""
+    cfg = _check_cfg(cfg)
+    if not (1 <= q):
+        raise ValueError(f"need q >= 1, got {q}")
+    n = A.shape[1]
+
+    def estimate(L):
+        L = _moduli(L)
+        if q == math.inf:
+            return [NormEstimate(math.fsum(c), np.ones(n), cfg.restarts, True) for c in L]
+        starts = [[np.abs(s) for s in row] for row in _structured_starts(A, L, q)]
+        return _estimate(A, L, q, starts, cfg, nonneg=True)
+
+    return _nonzero_rows(C, n, float, cfg, estimate)
 
 
 def majorant_sup(P: HomPoly, q: float, cfg: OptConfig | None = None) -> NormEstimate:
@@ -238,19 +275,8 @@ def majorant_sup(P: HomPoly, q: float, cfg: OptConfig | None = None) -> NormEsti
 
     The objective is monotone in every coordinate, so for q = inf the exact
     answer is the all-ones point."""
-    cfg = cfg or OptConfig()
-    _check_cfg(cfg)
-    if not (1 <= q):
-        raise ValueError(f"need q >= 1, got {q}")
-    M = P.majorant()
-    n = P.n
-    if not M.coeffs:
-        return NormEstimate(0.0, np.zeros(n), cfg.restarts, True)
-    if q == math.inf:
-        value = math.fsum(abs(c) for c in M.coeffs.values())
-        return NormEstimate(value, np.ones(n), cfg.restarts, True)
-    starts = [np.abs(s).astype(float) for s in _structured_starts(M, q)]
-    return _estimate(M, q, starts, cfg, nonneg=True)
+    A, c = P.tables()
+    return majorant_sups(A, c[None, :], q, cfg)[0]
 
 
 def bohr_sum(F: TruncatedSeries, r: float, q: float, cfg: OptConfig | None = None) -> NormEstimate:
@@ -258,8 +284,7 @@ def bohr_sum(F: TruncatedSeries, r: float, q: float, cfg: OptConfig | None = Non
     l_q sphere, i.e. the coefficient-modulus sum over the radius-r ball.
 
     One variable is exact (closed form); q = inf is exact (all-ones point)."""
-    cfg = cfg or OptConfig()
-    _check_cfg(cfg)
+    cfg = _check_cfg(cfg)
     if r < 0:
         raise ValueError(f"need r >= 0, got {r}")
     n = F.n
@@ -267,26 +292,25 @@ def bohr_sum(F: TruncatedSeries, r: float, q: float, cfg: OptConfig | None = Non
     if r == 0 or not any(P.coeffs for P in F.parts):
         return NormEstimate(base, np.zeros(n), cfg.restarts, True)
     if n == 1 or q == math.inf:
-        value = base + math.fsum(
-            sum(abs(c) for c in P.coeffs.values()) * r**P.m for P in F.parts
-        )
+        value = base + math.fsum(sum(abs(c) for c in P.coeffs.values()) * r**P.m
+                                 for P in F.parts)
         return NormEstimate(value, np.full(n, r), cfg.restarts, True)
-    G = TruncatedSeries(n, base, [scale(P.majorant(), r**P.m) for P in F.parts])
-    starts = [np.full(n, n ** (-1.0 / q)), *np.eye(n)]
-    est = _estimate(G, q, starts, cfg, nonneg=True)
+    A, c = F.tables()
+    starts = [[np.full(n, n ** (-1.0 / q)), *np.eye(n)]]
+    est = _estimate(A, (_moduli(c) * r ** A.sum(axis=1))[None, :], q, starts, cfg, nonneg=True)[0]
     return replace(est, witness=r * est.witness)
 
 
 def series_sup(F: TruncatedSeries, p: float, cfg: OptConfig | None = None) -> NormEstimate:
     """Estimate sup of |F| over the l_p unit ball (attained on the sphere by
     subharmonicity; on the torus for p = inf)."""
-    cfg = cfg or OptConfig()
-    _check_cfg(cfg)
+    cfg = _check_cfg(cfg)
     n = F.n
     if not any(P.coeffs for P in F.parts):
         return NormEstimate(abs(F.a0), np.zeros(n, dtype=np.complex128), cfg.restarts, True)
-    starts = [*np.eye(n, dtype=np.complex128), _flat_point(n, p)]
-    return _estimate(F, p, starts, cfg, nonneg=False)
+    A, c = F.tables()
+    starts = [[*np.eye(n, dtype=np.complex128), _flat_point(n, p)]]
+    return _estimate(A, c[None, :], p, starts, cfg, nonneg=False)[0]
 
 
 # --- rearrangement / prefix-norm machinery --------------------------------

@@ -83,21 +83,42 @@ def monomials(Z: np.ndarray, A: np.ndarray) -> np.ndarray:
     return table.powers(Z)[:, table.support]
 
 
+class PolyBatch:
+    """K polynomials on one support as the kernel takes them: the exponent
+    matrix A (T, n) and the coefficient matrix C (K, T), one row per
+    polynomial; tables() gives C a trailing polynomial axis."""
+
+    def __init__(self, A: np.ndarray, C: np.ndarray):
+        self._tables = (A, C.T)
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        return self._tables
+
+
 def _compiled(P) -> tuple[MonomialTable, np.ndarray, np.ndarray, np.ndarray]:
-    """P's monomial table, its coefficient vector over the table's entries,
-    and the derivative matrix D: D[k, i] is the coefficient of entry rows[k]
-    in dP/dz_i.  Built once per object from P.tables()."""
+    """P's monomial table, its coefficients over the table's entries (K, size)
+    and the derivative tensor D (K, len(rows), n): D[j, k, i] is the
+    coefficient of entry rows[k] in dP_j/dz_i (K = 1 unless P is a
+    PolyBatch).  Built once per object from P.tables()."""
     if getattr(P, "_kernel", None) is None:
         A, c = P.tables()
         table = MonomialTable(A)
         idx, terms, var = table.lower
         rows, k = np.unique(idx, return_inverse=True)
-        cf = np.zeros(table.size, dtype=np.complex128)
-        np.add.at(cf, table.support, c)
-        D = np.zeros((rows.size, table.n), dtype=np.complex128)
-        np.add.at(D, (k.ravel(), var), c[terms] * A[terms, var])
+        C = np.atleast_2d(c.T)
+        cf = np.zeros((len(C), table.size), dtype=np.complex128)
+        np.add.at(cf, (slice(None), table.support), C)
+        D = np.zeros((len(C), rows.size, table.n), dtype=np.complex128)
+        np.add.at(D, (slice(None), k.ravel(), var), C[:, terms] * A[terms, var])
         P._kernel = (table, cf, rows, D)
     return P._kernel
+
+
+def _by_owner(M: np.ndarray, c: np.ndarray, own) -> np.ndarray:
+    """Row i of M times c[own[i]]; own is nondecreasing, so each polynomial
+    takes one slice of M."""
+    cut = (np.flatnonzero(np.diff(own)) + 1).tolist()
+    return np.concatenate([M[a:b] @ c[own[a]] for a, b in zip([0] + cut, cut + [len(own)])])
 
 
 def _eval_point(P, z) -> complex:
@@ -108,22 +129,27 @@ def _eval_point(P, z) -> complex:
     return complex(eval_batch(P, z[None, :])[0])
 
 
-def eval_batch(P, Z: np.ndarray) -> np.ndarray:
+def eval_batch(P, Z: np.ndarray, own=None) -> np.ndarray:
     """Evaluate P (anything with ``tables()``) at a batch of points, shape
-    (R, n) -> (R,)."""
+    (R, n) -> (R,).  For a PolyBatch of K polynomials, point i is evaluated
+    on polynomial own[i]."""
     table, c, _, _ = _compiled(P)
-    return table.powers(Z) @ c
+    M = table.powers(Z)
+    return M @ c[0] if own is None else _by_owner(M, c, own)
 
 
-def grad_batch(P, Z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Values and complex gradients of P at a batch of points.
+def grad_batch(P, Z: np.ndarray, own=None) -> tuple[np.ndarray, np.ndarray]:
+    """Values and complex gradients of P at a batch of points (of polynomial
+    own[i] at point i for a PolyBatch).
 
     Returns (vals (R,), grads (R, n)) with grads[r, i] = dP/dz_i.  Zero
     entries of Z are handled exactly (no division by coordinates).
     """
     table, c, rows, D = _compiled(P)
     M = table.powers(Z)
-    return M @ c, M[:, rows] @ D
+    if own is None:
+        return M @ c[0], M[:, rows] @ D[0]
+    return _by_owner(M, c, own), _by_owner(M[:, rows], D, own)
 
 
 class HomPoly:
@@ -195,10 +221,6 @@ class TruncatedSeries:
             if P.m != k:
                 raise ValueError(f"part at position {k} has degree {P.m}")
 
-    @property
-    def degree(self) -> int:
-        return len(self.parts)
-
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(exponent matrix, coefficient vector) of the whole series: the
         constant term (zero row) first, then each part's support in turn."""
@@ -249,20 +271,16 @@ def moebius_series(a: float, M: int) -> TruncatedSeries:
     return TruncatedSeries(1, a, parts)
 
 
-def random_series(
-    n: int,
-    M: int,
-    seed: int,
-    budget: int,
-    p: float = 2.0,
-    restarts: int = 48,
-    margin: float = 1e-2,
-) -> TruncatedSeries:
+NORM_RESTARTS = 48  # optimizer restarts of random_series' sup estimate
+NORM_MARGIN = 1e-2  # relative margin random_series leaves above that estimate
+
+
+def random_series(n: int, M: int, seed: int, budget: int, p: float = 2.0) -> TruncatedSeries:
     """Random truncated series with standard complex Gaussian coefficients,
     rescaled so its estimated sup-norm on the l_p unit ball is <= 1.
 
     The sup estimate is a lower bound, so the rescale leaves a relative
-    margin to keep the true sup below 1 as well.
+    margin (NORM_MARGIN) to keep the true sup below 1 as well.
 
     Deterministic for a fixed seed.  budget bounds the total coefficient
     count (constant term included)."""
@@ -284,9 +302,9 @@ def random_series(
 
     from .optimize import OptConfig, series_sup  # deferred: optimize imports us
 
-    est = series_sup(F, p, OptConfig(restarts=restarts, seed=seed)).value
+    est = series_sup(F, p, OptConfig(restarts=NORM_RESTARTS, seed=seed)).value
     if est > 0:
-        s = est * (1.0 + margin)
+        s = est * (1.0 + NORM_MARGIN)
         F = TruncatedSeries(n, a0 / s, [scale(P, 1.0 / s) for P in parts])
     return F
 

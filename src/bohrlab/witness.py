@@ -12,17 +12,17 @@ polynomial's norm, while the optimizer only certifies lower bounds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 from scipy.stats import norm as _gauss
 from scipy.stats import qmc
 
-from .bounds import ExponentPair, inv, log_chi_upper
+from .bounds import ExponentPair, inv, lempoly_rhs, log_chi_upper
 from .multiindex import enumerate_j, enumerate_lambda, lambda_card, multiplicity, tuple_to_alpha
-from .optimize import OptConfig, NormEstimate, lp_norm, majorant_sup, sup_norm
-from .polynomial import HomPoly, monomials, sign_polynomial
+from .optimize import OptConfig, NormEstimate, lp_norm, majorant_sups, sup_norm, sup_norms
+from .polynomial import HomPoly, monomials
 
 
 @dataclass(frozen=True)
@@ -33,20 +33,14 @@ class BoundBracket:
     upper: float
     lower_src: str
     upper_src: str
-    instance: tuple  # (m, n, p, q)
 
 
 MC_POINTS = 512  # quasi-random points scoring each sign pattern
 BRUTE_CAP = 50  # largest index set the brute oracle runs on
+SIGN_CAP = 20_000  # largest index set the sign search runs on
+TOP_K = 8  # cheap leaders re-scored with the optimizer
 SLACK = 1.05  # deflation of lower bounds whose denominator is an estimate
-
-
-@dataclass
-class SearchConfig:
-    seed: int = 0
-    sign_cap: int = 20_000
-    top_k: int = 8
-    opt: OptConfig = field(default_factory=lambda: OptConfig(restarts=16, iters=150))
+SEARCH_OPT = OptConfig(restarts=16, iters=150)  # optimizer settings when none are given
 
 
 def _mc_sphere_points(n: int, p: float, count: int, seed: int) -> np.ndarray:
@@ -66,14 +60,19 @@ def _mc_nonneg_points(n: int, q: float, count: int, seed: int) -> np.ndarray:
     u = qmc.Sobol(d=n, scramble=True, seed=seed).random(count)
     u = np.clip(u, 1e-12, 1 - 1e-12)
     x = np.abs(_gauss.ppf(u))
-    if q == math.inf:
-        return x / x.max(axis=1, keepdims=True)
     return x / lp_norm(x, q)[:, None]
 
 
-def _monomial_matrix(Z: np.ndarray, alphas: list[tuple[int, ...]]) -> np.ndarray:
-    """Matrix z_s^alpha_t of shape (points, terms)."""
-    return monomials(Z, np.array(alphas, dtype=np.int64).reshape(len(alphas), Z.shape[1]))
+def _monomial_matrix(Z: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """Matrix z_s^alpha_t of shape (points, terms) for the rows alpha_t of A."""
+    return monomials(Z, A)
+
+
+def _exponents(m: int, n: int) -> tuple[list, np.ndarray, np.ndarray]:
+    """The index set Lambda(m, n), its exponent matrix and its multiplicities."""
+    alphas = list(enumerate_lambda(m, n))
+    A = np.array(alphas, dtype=np.int64).reshape(len(alphas), n)
+    return alphas, A, np.array([float(multiplicity(a)) for a in alphas])
 
 
 def sign_search(
@@ -82,7 +81,7 @@ def sign_search(
     p: float,
     budget: int,
     seed: int,
-    cfg: SearchConfig | None = None,
+    cfg: OptConfig | None = None,
 ) -> tuple[dict, NormEstimate]:
     """Search sign patterns minimizing the sup-norm of the full multinomial
     polynomial sum of eps_alpha (m!/alpha!) z^alpha on the l_p ball.
@@ -90,19 +89,18 @@ def sign_search(
     Simulated annealing over single-sign flips (geometric cooling, one sweep
     per index-set size) scored by a fixed quasi-random point set; when the
     whole pattern space fits in the budget it is enumerated instead.  The
-    best few candidates are re-scored with the full optimizer and the
-    winner's estimate (a lower bound on its true norm) is returned.
+    best few candidates are re-scored together with the full optimizer (cfg)
+    and the winner's estimate (a lower bound on its true norm) is returned.
     """
-    cfg = cfg or SearchConfig(seed=seed)
+    cfg = cfg or SEARCH_OPT
     if budget <= 0:
         raise ValueError("budget must be positive")
     T = lambda_card(m, n)
-    if T > cfg.sign_cap:
-        raise ValueError(f"index set size {T} exceeds cap {cfg.sign_cap}")
-    alphas = list(enumerate_lambda(m, n))
-    mults = np.array([float(multiplicity(a)) for a in alphas])
-    Z = _mc_sphere_points(n, p, MC_POINTS, seed)
-    M = _monomial_matrix(Z, alphas) * mults[None, :]
+    if T > SIGN_CAP:
+        raise ValueError(f"index set size {T} exceeds cap {SIGN_CAP}")
+    alphas, A, mults = _exponents(m, n)
+    M = _monomial_matrix(_mc_sphere_points(n, p, MC_POINTS, seed), A)
+    M *= mults
 
     pool: dict[bytes, float] = {}
 
@@ -115,10 +113,7 @@ def sign_search(
     if T <= 1 or 2 ** (T - 1) <= budget:
         # exhaustive: global sign flips are norm-neutral, fix the first sign
         for bits in range(2 ** max(T - 1, 0)):
-            eps = np.ones(T)
-            for t in range(1, T):
-                if bits >> (t - 1) & 1:
-                    eps[t] = -1.0
+            eps = np.array([1.0] + [-1.0 if bits >> (t - 1) & 1 else 1.0 for t in range(1, T)])
             record(eps, float(np.abs(M @ eps).max()))
     else:
         eps = np.ones(T)
@@ -140,17 +135,12 @@ def sign_search(
                 energy = new_energy
                 record(eps, energy)
 
-    top = sorted(pool.items(), key=lambda kv: (kv[1], kv[0]))[: cfg.top_k]
-    best_est: NormEstimate | None = None
-    best_signs: dict | None = None
-    for key, _ in top:
-        eps = np.frombuffer(key, dtype=np.int8).astype(int)
-        signs = {a: int(s) for a, s in zip(alphas, eps)}
-        est = sup_norm(sign_polynomial(m, n, signs), p, cfg.opt)
-        if best_est is None or est.value < best_est.value:
-            best_est, best_signs = est, signs
-    assert best_est is not None and best_signs is not None
-    return best_signs, best_est
+    del M  # free the Monte Carlo matrix before the re-scoring ascent
+    top = sorted(pool.items(), key=lambda kv: (kv[1], kv[0]))[:TOP_K]
+    eps = np.array([np.frombuffer(key, dtype=np.int8) for key, _ in top])
+    ests = sup_norms(A, eps * mults, p, cfg)
+    i = min(range(len(ests)), key=lambda i: ests[i].value)
+    return {a: int(s) for a, s in zip(alphas, eps[i])}, ests[i]
 
 
 def chi_lower_flat(m: int, n: int, q: float, norm_p: float) -> float:
@@ -175,7 +165,7 @@ def brute_chi(
     e: ExponentPair,
     samples: int = 1000,
     seed: int = 0,
-    cfg: SearchConfig | None = None,
+    cfg: OptConfig | None = None,
 ) -> BruteChi:
     """Estimate chi as the sup over polynomials of (majorant sup on the l_q
     ball) / (sup-norm on the l_p ball) via random coefficient ensembles with
@@ -184,16 +174,15 @@ def brute_chi(
     Ensembles: standard complex Gaussian, Rademacher-times-multiplicity, the
     flat (all-ones and all-multiplicities) probes, and single-monomial probes.
     Draws are pre-scored on fixed quasi-random point sets; the leaders are
-    re-scored with the full optimizer.
+    re-scored together with the full optimizer (cfg).
     """
-    cfg = cfg or SearchConfig(seed=seed)
+    cfg = cfg or SEARCH_OPT
     T = lambda_card(m, n)
     if T > BRUTE_CAP:
         raise ValueError(f"index set size {T} exceeds brute cap {BRUTE_CAP}")
     if samples < 1000:
         raise ValueError("need samples >= 1000")
-    alphas = list(enumerate_lambda(m, n))
-    mults = np.array([float(multiplicity(a)) for a in alphas])
+    _, A, mults = _exponents(m, n)
 
     rng = np.random.default_rng(seed)
     half = samples // 2
@@ -203,10 +192,8 @@ def brute_chi(
     C = np.vstack([probes, gauss, rade.astype(complex)])
     n_probes = probes.shape[0]
 
-    Xq = _mc_nonneg_points(n, e.q, 256, seed + 1)
-    Zp = _mc_sphere_points(n, e.p, 256, seed + 2)
-    Mon_q = _monomial_matrix(Xq, alphas)
-    Mon_p = _monomial_matrix(Zp, alphas)
+    Mon_q = _monomial_matrix(_mc_nonneg_points(n, e.q, 256, seed + 1), A)
+    Mon_p = _monomial_matrix(_mc_sphere_points(n, e.p, 256, seed + 2), A)
 
     def cheap_ratio(coeffs: np.ndarray) -> np.ndarray:
         num = (np.abs(coeffs) @ Mon_q.T).max(axis=1)
@@ -230,22 +217,11 @@ def brute_chi(
             sigma *= 0.97
 
     order = np.argsort(est)[::-1]
-    refine = list(order[: cfg.top_k]) + list(range(n_probes))
-    seen = set()
-    best = 0.0
+    refine = list(order[:TOP_K]) + list(range(n_probes))
     candidates = [C[i] for i in dict.fromkeys(refine)] + [lead]
-    for coeffs in candidates:
-        key = coeffs.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        P = HomPoly(n, m, dict(zip(alphas, coeffs)))
-        if not P.coeffs:
-            continue
-        num = majorant_sup(P, e.q, cfg.opt).value
-        den = sup_norm(P, e.p, cfg.opt).value
-        if den > 0:
-            best = max(best, num / den)
+    rows = np.array(list({c.tobytes(): c for c in candidates}.values()))
+    nums, dens = majorant_sups(A, rows, e.q, cfg), sup_norms(A, rows, e.p, cfg)
+    best = max([a.value / b.value for a, b in zip(nums, dens) if b.value > 0], default=0.0)
     return BruteChi(best, best / SLACK)
 
 
@@ -253,10 +229,9 @@ def chi_bracket(
     m: int,
     n: int,
     e: ExponentPair,
-    cfg: SearchConfig | None = None,
+    cfg: OptConfig | None = None,
     sign_budget: int = 2000,
     samples: int = 1000,
-    use_brute: bool = True,
 ) -> BoundBracket:
     """Assemble the best available [lower, upper] bracket for chi.
 
@@ -264,24 +239,24 @@ def chi_bracket(
     the brute oracle on tiny instances (estimate-based candidates are
     slack-deflated).  Upper: bounds.log_chi_upper, the smaller closed form
     (inf past the float range).  sign_budget=0 skips the search
-    chain (as does an index set above the configured cap).
+    chain (as does an index set above SIGN_CAP).  Both searches use the
+    seed cfg.seed.
     """
-    cfg = cfg or SearchConfig()
+    cfg = cfg or SEARCH_OPT
     lower_cands: list[tuple[float, str]] = [(1.0, "trivial")]
-    if sign_budget > 0 and lambda_card(m, n) <= cfg.sign_cap:
+    if sign_budget > 0 and lambda_card(m, n) <= SIGN_CAP:
         _, est = sign_search(m, n, e.p, sign_budget, cfg.seed, cfg)
         if est.value > 0:
             flat = chi_lower_flat(m, n, e.q, est.value) / SLACK
-            lower_cands.append(
-                (flat, "sign-search flat point (estimate-based, slack-deflated)"))
-    if use_brute and lambda_card(m, n) <= BRUTE_CAP:
+            lower_cands.append((flat, "sign-search flat point (estimate-based, slack-deflated)"))
+    if lambda_card(m, n) <= BRUTE_CAP:
         bc = brute_chi(m, n, e, samples=samples, seed=cfg.seed, cfg=cfg)
         lower_cands.append((bc.deflated, "brute oracle (estimate-based, slack-deflated)"))
 
     lo, lo_src = max(lower_cands, key=lambda c: c[0])
     log_up, up_src = log_chi_upper(m, n, e)
     up = math.exp(log_up) if log_up < 709.0 else math.inf  # e^709.8 overflows
-    return BoundBracket(lo, up, lo_src, up_src, (m, n, e.p, e.q))
+    return BoundBracket(lo, up, lo_src, up_src)
 
 
 @dataclass(frozen=True)
@@ -308,8 +283,6 @@ def lempoly_check(P: HomPoly, p: float, slack: float = 1.05,
     The left side is exact from the coefficients; the norm on the right is
     the optimizer's certified lower bound, so the check is conservative and
     failures are reported, not raised."""
-    from .bounds import lempoly_rhs
-
     m, n = P.m, P.n
     if m < 2:
         raise ValueError("slice check needs m >= 2")
@@ -317,12 +290,8 @@ def lempoly_check(P: HomPoly, p: float, slack: float = 1.05,
     pc = math.inf if p == 1 else (1.0 if p == math.inf else p / (p - 1.0))
     rows = []
     for j in enumerate_j(m - 1, n):
-        last = j[-1] if j else 1
-        slice_mods = []
-        for k in range(last, n + 1):
-            alpha = tuple_to_alpha(j + (k,), n)
-            c = P.coeffs.get(alpha, 0.0)
-            slice_mods.append(abs(c))
+        slice_mods = [abs(P.coeffs.get(tuple_to_alpha(j + (k,), n), 0.0))
+                      for k in range(j[-1] if j else 1, n + 1)]
         if pc == math.inf:
             lhs = max(slice_mods)
         else:

@@ -30,7 +30,7 @@ from bohrlab.multiindex import (
 )
 from bohrlab.optimize import OptConfig
 from bohrlab.polynomial import HomPoly, moebius_series, random_series
-from bohrlab.witness import SearchConfig, brute_chi, chi_bracket, lempoly_check
+from bohrlab.witness import brute_chi, chi_bracket, lempoly_check
 
 
 def report(num, ok, detail=""):
@@ -50,7 +50,7 @@ def test_criterion_01_one_dim_bohr_radius(capsys):
 
 def test_criterion_02_linear_case_exactness(capsys):
     t0 = time.time()
-    cfg = SearchConfig(seed=0, top_k=2, opt=OptConfig(restarts=8, iters=80))
+    cfg = OptConfig(restarts=8, iters=80, seed=0)
     exps = [1.0, 4 / 3, 2.0, 4.0, math.inf]
     worst = 0.0
     ok = True
@@ -98,7 +98,7 @@ def test_criterion_04_jsum_oracle_equivalence(capsys):
 
 
 def test_criterion_05_bracket_soundness(capsys):
-    cfg = SearchConfig(seed=0, top_k=1, opt=OptConfig(restarts=4, iters=60))
+    cfg = OptConfig(restarts=4, iters=60, seed=0)
     exps = [4 / 3, 3 / 2, 2.0]
     violations = 0
     for p in exps:
@@ -108,8 +108,7 @@ def test_criterion_05_bracket_soundness(capsys):
             e = ExponentPair(p, q)
             for m in range(1, 5):
                 for n in (2, 4, 8, 16):
-                    br = chi_bracket(m, n, e, cfg, sign_budget=300,
-                                     samples=1000, use_brute=False)
+                    br = chi_bracket(m, n, e, cfg, sign_budget=300, samples=1000)
                     violations += br.lower > br.upper
                     if lambda_card(m, n) <= 50:
                         bc = brute_chi(m, n, e, seed=0, cfg=cfg)
@@ -192,7 +191,7 @@ def test_criterion_09_slice_inequality_suite(capsys):
 
 
 def test_criterion_10_k_below_third_and_km(capsys):
-    cfg = SearchConfig(seed=0, top_k=1, opt=OptConfig(restarts=6, iters=60))
+    cfg = OptConfig(restarts=6, iters=60, seed=0)
     kw = dict(sign_budget=500, samples=1000)
     bad = 0
     for p, q in [(math.inf, math.inf), (2.0, 2.0), (2.0, math.inf)]:

@@ -16,10 +16,9 @@ from bohrlab.bounds import ExponentPair
 from bohrlab.multiindex import enumerate_lambda
 from bohrlab.optimize import OptConfig, bohr_sum, series_sup
 from bohrlab.polynomial import HomPoly, TruncatedSeries, moebius_series, random_series
-from bohrlab.witness import SearchConfig, brute_chi
+from bohrlab.witness import brute_chi
 
 OPT = OptConfig(restarts=10, iters=100, seed=21)
-CFG = SearchConfig(seed=21, opt=OPT)
 KW = dict(sign_budget=400, samples=1000)
 
 
@@ -29,16 +28,16 @@ def test_radius_bracket_validation():
 
 
 def test_k_m_bracket_linear():
-    br = k_m_bracket(1, 3, ExponentPair(2.0, 2.0), CFG, **KW)
+    br = k_m_bracket(1, 3, ExponentPair(2.0, 2.0), OPT, **KW)
     assert br.lower <= 1.0 <= br.upper + 1e-9
-    br2 = k_m_bracket(1, 4, ExponentPair(2.0, math.inf), CFG, **KW)
+    br2 = k_m_bracket(1, 4, ExponentPair(2.0, math.inf), OPT, **KW)
     assert br2.lower <= 0.5 <= br2.upper + 1e-9
 
 
 def test_k_m_bracket_monotone_map():
     e = ExponentPair(math.inf, math.inf)
-    br = k_m_bracket(2, 2, e, CFG, **KW)
-    bc = brute_chi(2, 2, e, seed=CFG.seed, cfg=CFG)
+    br = k_m_bracket(2, 2, e, OPT, **KW)
+    bc = brute_chi(2, 2, e, seed=OPT.seed, cfg=OPT)
     assert br.lower <= bc.raw ** (-0.5) * 1.05
     assert bc.deflated ** (-0.5) <= br.upper * (1 + 1e-9)
 
@@ -51,14 +50,14 @@ def test_round_trip_identity():
 
 
 def test_k_bracket_disk():
-    br = k_bracket(1, ExponentPair(math.inf, math.inf), 3, CFG, **KW)
+    br = k_bracket(1, ExponentPair(math.inf, math.inf), 3, OPT, **KW)
     assert br.lower <= 1 / 3 <= br.upper + 1e-12
 
 
 def test_k_bracket_q1_lower_dimension_free():
     e = ExponentPair(2.0, 1.0)
     lows = [
-        k_bracket(n, e, 3, CFG, sign_budget=0, samples=1000, use_brute=False).lower
+        k_bracket(n, e, 3, OPT, sign_budget=0, samples=1000).lower
         for n in (2, 4, 8, 16, 32, 64)
     ]
     assert min(lows) >= 0.1  # bounded below, independent of n
@@ -68,21 +67,21 @@ def test_k_bracket_q1_lower_dimension_free():
 def test_k_bracket_upper_below_third():
     for (p, q) in [(math.inf, math.inf), (2.0, 2.0), (2.0, math.inf)]:
         for n in (1, 2, 4):
-            br = k_bracket(n, ExponentPair(p, q), 2, CFG, **KW)
+            br = k_bracket(n, ExponentPair(p, q), 2, OPT, **KW)
             assert br.upper <= 1 / 3 + 1e-9
 
 
 def test_k_below_k_m():
     e = ExponentPair(2.0, 2.0)
     for n in (2, 4):
-        kb = k_bracket(n, e, 3, CFG, **KW)
+        kb = k_bracket(n, e, 3, OPT, **KW)
         for m in (1, 2, 3):
-            km = k_m_bracket(m, n, e, CFG, **KW)
+            km = k_m_bracket(m, n, e, OPT, **KW)
             assert kb.upper <= km.upper + 1e-9
 
 
 def test_k_table_shape():
-    rows = k_table([2, 4], ExponentPair(2.0, 2.0), 2, CFG, **KW)
+    rows = k_table([2, 4], ExponentPair(2.0, 2.0), 2, OPT, **KW)
     assert [r["n"] for r in rows] == [2, 4]
     for r in rows:
         assert r["lower"] <= r["upper"]

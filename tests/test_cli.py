@@ -140,6 +140,8 @@ def test_unread_flags_are_not_offered(capsys, argv):
       "--budget", "0"], 0),
     (["bohr", "table", "--n-grid", "100000", "--p", "2", "--q", "3/2", "--mmax", "20",
       "--budget", "0"], 0),
+    (["bound", "bayart", "--m", "200", "--n", "10", "--p", "2"], 0),
+    (["bound", "bayart", "--m", "171", "--n", "10", "--p", "3"], 0),
 ])
 def test_paper_range_closed_forms_answer_fast(capsys, argv, code):
     t0 = time.perf_counter()
@@ -156,7 +158,7 @@ EXPONENTS = st.sampled_from(["1", "5/4", "4/3", "3/2", "2", "3", "inf"])
 
 
 @settings(max_examples=30, deadline=None)
-@given(kind=st.sampled_from(["jsum", "envelope", "chiupper"]), m=st.integers(1, 400),
+@given(kind=st.sampled_from(["jsum", "envelope", "chiupper", "bayart"]), m=st.integers(1, 400),
        n=st.integers(1, 2**40), p=EXPONENTS, q=EXPONENTS)
 def test_closed_forms_answer_or_fail_fast(kind, m, n, p, q):
     err = io.StringIO()
@@ -168,6 +170,8 @@ def test_closed_forms_answer_or_fail_fast(kind, m, n, p, q):
     assert code in (0, 2, 3), err.getvalue()
     if kind == "jsum" and code == 2 and "beta must be finite" not in err.getvalue():
         assert "ln j_sum = " in err.getvalue()
+    if kind == "bayart" and code == 2:
+        assert "ln bayart_bound = " in err.getvalue()
 
 
 def test_witness_bracket(capsys):

@@ -12,9 +12,11 @@ from bohrlab.optimize import (
     id_norm_q_to_xinfty,
     lp_norm,
     majorant_sup,
+    majorant_sups,
     series_sup,
     split_factorize,
     sup_norm,
+    sup_norms,
     x_infty_norm,
 )
 from bohrlab.polynomial import HomPoly, TruncatedSeries, moebius_series
@@ -76,9 +78,34 @@ def test_structured_starts_memory_is_quadratic():
     # the n coordinate starts may share one n x n identity, not hold one each
     n = 100
     P = HomPoly(n, 1, {tuple(int(i == k) for i in range(n)): 1.0 for k in range(n)})
-    starts = _structured_starts(P, 2.0)
+    A, c = P.tables()
+    starts = _structured_starts(A, c[None, :], 2.0)[0]
     held = {id(s.base): s.base.nbytes for s in starts if s.base is not None}
     assert sum(held.values()) <= n * n * 16
+
+
+@pytest.mark.parametrize("m, n", [(1, 4), (2, 3), (3, 3)])
+def test_batched_estimates_match_single(m, n):
+    # rows on the whole index set in colex order, with zero entries and a
+    # single-monomial row; each one-row call sees a sorted, zero-free support
+    rng = np.random.default_rng(100 * m + n)
+    alphas = list(enumerate_lambda(m, n))
+    A = np.array(alphas)
+    C = rng.standard_normal((5, len(alphas))) + 1j * rng.standard_normal((5, len(alphas)))
+    C[rng.random(C.shape) < 0.3] = 0
+    C[0, 0] = 1.0
+    C[1] = 0
+    C[1, len(alphas) // 2] = -2.0
+    single = [HomPoly(n, m, dict(zip(alphas, row))) for row in C]
+    for batched, one, exps in ((sup_norms, sup_norm, (1.0, 2.0, math.inf)),
+                               (majorant_sups, majorant_sup, (4 / 3, 2.0, math.inf))):
+        for p in exps:
+            for b, P in zip(batched(A, C, p, CFG), single):
+                s = one(P, p, CFG)
+                assert b.value == pytest.approx(s.value, rel=1e-12)
+                # |P| is invariant under a global phase: compare moduli
+                assert np.allclose(np.abs(b.witness), np.abs(s.witness))
+                assert (b.restarts, b.converged) == (s.restarts, s.converged)
 
 
 def test_majorant_sup():

@@ -7,10 +7,9 @@ import pytest
 from bohrlab.bounds import ExponentPair, chi_upper_small_pq
 from bohrlab.multiindex import enumerate_lambda, multiplicity
 from bohrlab.optimize import OptConfig, sup_norm
-from bohrlab import witness
+from bohrlab import polynomial, witness
 from bohrlab.polynomial import HomPoly, sign_polynomial
 from bohrlab.witness import (
-    SearchConfig,
     brute_chi,
     chi_bracket,
     chi_lower_flat,
@@ -18,7 +17,7 @@ from bohrlab.witness import (
     sign_search,
 )
 
-CFG = SearchConfig(seed=9, opt=OptConfig(restarts=12, iters=120))
+CFG = OptConfig(restarts=12, iters=120, seed=9)
 
 
 def exhaustive_min_norm(m, n, p):
@@ -26,7 +25,7 @@ def exhaustive_min_norm(m, n, p):
     best = math.inf
     for bits in itertools.product((1, -1), repeat=len(alphas) - 1):
         signs = dict(zip(alphas, (1,) + bits))
-        best = min(best, sup_norm(sign_polynomial(m, n, signs), p, CFG.opt).value)
+        best = min(best, sup_norm(sign_polynomial(m, n, signs), p, CFG).value)
     return best
 
 
@@ -51,9 +50,6 @@ def test_sign_search_deterministic():
 def test_sign_search_validation():
     with pytest.raises(ValueError):
         sign_search(2, 2, 2.0, 0, 0, CFG)
-    small_cap = SearchConfig(seed=0, sign_cap=2)
-    with pytest.raises(ValueError):
-        sign_search(2, 3, 2.0, 100, 0, small_cap)
 
 
 def test_chi_lower_flat():
@@ -105,6 +101,22 @@ def test_caps_checked_before_enumeration(monkeypatch):
         brute_chi(8, 40, ExponentPair(2.0, 2.0), cfg=CFG)
 
 
+def test_witnesses_compile_each_support_once(monkeypatch):
+    builds = []
+
+    class CountingTable(polynomial.MonomialTable):
+        def __init__(self, A):
+            builds.append(len(A))
+            super().__init__(A)
+
+    monkeypatch.setattr(polynomial, "MonomialTable", CountingTable)
+    sign_search(4, 8, 2.0, 200, 0, CFG)  # Monte Carlo matrix + one re-scoring ascent
+    assert len(builds) <= 2
+    builds.clear()
+    brute_chi(2, 4, ExponentPair(2.0, 1.5), seed=0, cfg=CFG)  # two point sets + two ascents
+    assert len(builds) <= 4
+
+
 def test_chi_bracket_linear_small_pq():
     br = chi_bracket(1, 4, ExponentPair(2.0, 2.0), CFG, sign_budget=200)
     assert br.lower == pytest.approx(1.0)
@@ -121,16 +133,15 @@ def test_chi_bracket_contains_brute():
 
 
 def test_chi_bracket_skips_search_above_cap():
-    cfg = SearchConfig(seed=0, sign_cap=3)
-    br = chi_bracket(2, 3, ExponentPair(2.0, 2.0), cfg, sign_budget=100,
-                     use_brute=False)
+    # C(47, 8) ~ 3.1e8 terms: above SIGN_CAP and BRUTE_CAP
+    br = chi_bracket(8, 40, ExponentPair(2.0, 2.0), CFG, sign_budget=100)
     assert br.lower == 1.0 and br.lower_src == "trivial"
 
 
 def test_lempoly_monomial():
     for p in (1.0, 2.0, math.inf):
         P = HomPoly(3, 3, {(3, 0, 0): 1.0})
-        rep = lempoly_check(P, p, 1.05, CFG.opt)
+        rep = lempoly_check(P, p, 1.05, CFG)
         assert rep.all_pass
         assert rep.norm == pytest.approx(1.0, abs=1e-9)
 
@@ -138,7 +149,7 @@ def test_lempoly_monomial():
 def test_lempoly_slice_lhs_exact():
     # P = 2 z1^2 + 3 z1 z2: slice at j=(1) has c_{(1,1)}=2, c_{(1,2)}=3
     P = HomPoly(2, 2, {(2, 0): 2.0, (1, 1): 3.0})
-    rep = lempoly_check(P, 2.0, 1.05, CFG.opt)
+    rep = lempoly_check(P, 2.0, 1.05, CFG)
     row = {r.j: r for r in rep.rows}
     assert row[(1,)].lhs == pytest.approx(math.sqrt(4 + 9))
     assert row[(2,)].lhs == pytest.approx(0.0)
@@ -150,13 +161,13 @@ def test_lempoly_random_suite():
     for _ in range(50):
         c = rng.standard_normal(len(alphas)) + 1j * rng.standard_normal(len(alphas))
         P = HomPoly(4, 3, dict(zip(alphas, c)))
-        assert lempoly_check(P, 2.0, 1.05, CFG.opt).all_pass
+        assert lempoly_check(P, 2.0, 1.05, CFG).all_pass
 
 
 def test_lempoly_adversarial_sign_minimizer():
     signs, _ = sign_search(3, 4, math.inf, 2000, 0, CFG)
     P = sign_polynomial(3, 4, signs)
-    assert lempoly_check(P, math.inf, 1.05, CFG.opt).all_pass
+    assert lempoly_check(P, math.inf, 1.05, CFG).all_pass
 
 
 def test_lempoly_m1_rejected():
