@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -280,50 +281,56 @@ def cmd_sweep(ns) -> int:
 
 
 def cmd_selftest(ns) -> int:
-    """Fast deterministic battery touching every module."""
-    checks: list[tuple[str, bool]] = []
-
-    total = sum(multiindex.multiplicity(a) for a in multiindex.enumerate_lambda(4, 3))
-    checks.append(("multinomial identity sum(m!/alpha!) = n^m", total == 3**4))
-    checks.append(("index set cardinality", sum(1 for _ in multiindex.enumerate_lambda(5, 4))
-                   == multiindex.lambda_card(5, 4)))
-    alpha = (2, 0, 1)
-    checks.append(("tuple/alpha roundtrip",
-                   multiindex.tuple_to_alpha(multiindex.alpha_to_tuple(alpha), 3) == alpha))
-
-    a = bounds.j_sum(4, 5, beta=1.0, method="naive")
-    b = bounds.j_sum(4, 5, beta=1.0)
-    checks.append(("multiplicity-sum routes agree", abs(a - b) <= 1e-12 * abs(b)))
-
-    checks.append(("region (inf,inf) -> II",
-                   bounds.region_classify(math.inf, math.inf).tag == "II"))
-    checks.append(("region q=1 -> Q1", bounds.region_classify(2, 1).tag == "Q1"))
-    checks.append(("region (4,4/3) -> I", bounds.region_classify(4, 4 / 3).tag == "I"))
-
-    P = polynomial.HomPoly(2, 2, {(1, 1): 1.0})
-    est = optimize.sup_norm(P, 2.0, optimize.OptConfig(restarts=8, seed=0))
-    checks.append(("sup |z1 z2| on l_2 ball = 1/2", abs(est.value - 0.5) <= 1e-9))
-    Q = polynomial.HomPoly(3, 3, {(3, 0, 0): 1.0})
-    checks.append(("sup |z1^3| = 1",
-                   abs(optimize.sup_norm(Q, math.inf).value - 1.0) <= 1e-12))
-
-    F = polynomial.moebius_series(0.5, 60)
-    r_eq = 1.0 / (1.0 + 2 * 0.5)
-    bs = optimize.bohr_sum(F, r_eq, 2.0).value
-    checks.append(("disk automorphism Bohr sum = 1 at r = 1/(1+2a)",
-                   1.0 - 1e-6 <= bs <= 1.0 + 1e-12))
-
+    """Fast deterministic battery touching every module.  Each check's wall
+    time goes to stderr, so the report on stdout stays byte-identical."""
     scfg = optimize.OptConfig(restarts=8, iters=100)
-    s1, _ = witness.sign_search(2, 2, math.inf, 200, 7, scfg)
-    s2, _ = witness.sign_search(2, 2, math.inf, 200, 7, scfg)
-    checks.append(("sign search deterministic", s1 == s2))
 
-    km = bohr_mod.k_m_bracket(1, 2, bounds.ExponentPair(2.0, 2.0), scfg,
-                              sign_budget=200, samples=1000)
-    checks.append(("K_1(p=q) bracket contains 1", km.lower <= 1.0 <= km.upper + 1e-9))
+    def routes_agree():
+        a = bounds.j_sum(4, 5, beta=1.0, method="naive")
+        b = bounds.j_sum(4, 5, beta=1.0)
+        return abs(a - b) <= 1e-12 * abs(b)
 
-    ok = all(passed for _, passed in checks)
-    lines = [("ok   " if passed else "FAIL ") + name for name, passed in checks]
+    def sup_z1z2():
+        P = polynomial.HomPoly(2, 2, {(1, 1): 1.0})
+        return abs(optimize.sup_norm(P, 2.0, optimize.OptConfig(restarts=8, seed=0)).value
+                   - 0.5) <= 1e-9
+
+    def automorphism():
+        F = polynomial.moebius_series(0.5, 60)
+        return 1.0 - 1e-6 <= optimize.bohr_sum(F, 1.0 / (1.0 + 2 * 0.5), 2.0).value <= 1.0 + 1e-12
+
+    def k1_bracket():
+        km = bohr_mod.k_m_bracket(1, 2, bounds.ExponentPair(2.0, 2.0), scfg,
+                                  sign_budget=200, samples=1000)
+        return km.lower <= 1.0 <= km.upper + 1e-9
+
+    checks = [
+        ("multinomial identity sum(m!/alpha!) = n^m",
+         lambda: sum(multiindex.multiplicity(a) for a in multiindex.enumerate_lambda(4, 3))
+         == 3**4),
+        ("index set cardinality",
+         lambda: sum(1 for _ in multiindex.enumerate_lambda(5, 4)) == multiindex.lambda_card(5, 4)),
+        ("tuple/alpha roundtrip",
+         lambda: multiindex.tuple_to_alpha(multiindex.alpha_to_tuple((2, 0, 1)), 3) == (2, 0, 1)),
+        ("multiplicity-sum routes agree", routes_agree),
+        ("region (inf,inf) -> II", lambda: bounds.region_classify(math.inf, math.inf).tag == "II"),
+        ("region q=1 -> Q1", lambda: bounds.region_classify(2, 1).tag == "Q1"),
+        ("region (4,4/3) -> I", lambda: bounds.region_classify(4, 4 / 3).tag == "I"),
+        ("sup |z1 z2| on l_2 ball = 1/2", sup_z1z2),
+        ("sup |z1^3| = 1", lambda: abs(optimize.sup_norm(
+            polynomial.HomPoly(3, 3, {(3, 0, 0): 1.0}), math.inf).value - 1.0) <= 1e-12),
+        ("disk automorphism Bohr sum = 1 at r = 1/(1+2a)", automorphism),
+        ("sign search deterministic", lambda: witness.sign_search(2, 2, math.inf, 200, 7, scfg)[0]
+         == witness.sign_search(2, 2, math.inf, 200, 7, scfg)[0]),
+        ("K_1(p=q) bracket contains 1", k1_bracket),
+    ]
+    lines, ok = [], True
+    for name, check in checks:
+        t0 = time.perf_counter()
+        passed = bool(check())
+        sys.stderr.write(f"{time.perf_counter() - t0:8.3f} s  {name}\n")
+        lines.append(("ok   " if passed else "FAIL ") + name)
+        ok &= passed
     sys.stdout.write("\n".join(lines) + "\n")
     sys.stdout.write(("selftest: all %d checks passed\n" % len(checks)) if ok
                      else "selftest: FAILURES\n")

@@ -20,6 +20,8 @@ from .polynomial import HomPoly, PolyBatch, TruncatedSeries, eval_batch, grad_ba
 STEP0 = 0.5  # first ascent step length
 TOL = 1e-13  # relative gain below which an accepted step counts as stalled
 BACKTRACKS = 40  # step halvings tried per iteration
+LADDER = 8  # most halvings tried in one kernel call after a failed first step
+HALVINGS = 0.5 ** np.arange(LADDER)  # exact powers of two: t * HALVINGS[j] is t halved j times
 BATCH_ENTRIES = 2**20  # largest point array of one ascent (16 MB complex)
 
 
@@ -67,51 +69,102 @@ def _proj_sphere(Z: np.ndarray, p: float, flat: np.ndarray) -> np.ndarray:
     return Z / nrm[:, None]
 
 
+def _sufficient(fc, f, G, cand, Z) -> np.ndarray:
+    """Armijo test of each candidate: sufficient increase along the projected
+    displacement (the raw gradient is radial-dominated on the sphere and
+    would stall early)."""
+    disp = ((np.conj(G) * (cand - Z)).sum(axis=1)).real
+    return fc >= f + 1e-4 * np.maximum(disp, 0.0)
+
+
 def _ascend(fval: Callable, fgrad: Callable, project: Callable, Z0: np.ndarray,
             cfg: OptConfig, own=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Batched projected gradient ascent with Armijo backtracking.  fval and
     fgrad take points and their owners: own[i] is the polynomial of Z0[i] (None: one).
 
+    Each iteration tries step t, then halves it up to BACKTRACKS - 1 times
+    and takes the first step that passes the Armijo test; an accepted step
+    grows t by 1.25, and 4 stalled steps (or a failed iteration with
+    t < 1e-14) end a start.  The working arrays hold only live starts, so a
+    start that has ended gets no more gradients or values.  When every live
+    start accepts its first step the arrays are updated whole; starts that
+    fail it try the next halvings in rungs of one kernel call each and take
+    the first that passes, the step the one-halving-at-a-time search accepts.
+    A rung holds as many halvings as the start has tried (at least one, at
+    most LADDER), so a start evaluates fewer than twice the halvings that
+    search evaluates, and a 39-halving tail takes 8 calls.  A rung call takes
+    at most R // L starts for rung length L (at least one), so its kernel
+    arrays are no larger than the first call's unless R < L.
+
     Returns (final values, final points, converged flag of each point)."""
-    Z = project(Z0)
-    f = fval(Z, own)
-    R = Z.shape[0]
+    Z_out = project(Z0)
+    f_out = fval(Z_out, own)
+    R = Z_out.shape[0]
+    done = np.zeros(R, dtype=bool)
+    live = np.arange(R)
+    Z, f, o = Z_out, f_out, own  # live rows are written back at their end
     t = np.full(R, STEP0)
     stalled = np.zeros(R, dtype=np.int64)
+
+    def accept(k, cz, fz, tk):
+        fk = f[k]
+        rel = (fz - fk) / np.maximum(np.abs(fk), 1e-300)
+        stalled[k] = np.where(rel < TOL, stalled[k] + 1, 0)
+        Z[k], f[k] = cz, fz
+        t[k] = np.minimum(tk * 1.25, 1e3)
+
+    def ladder(k, L):
+        """Try L halvings of t[k] in one kernel call, accept each start's
+        first passing step; returns the starts where none passed."""
+        steps = t[k, None] * HALVINGS[:L]
+        rows = np.repeat(k, L)
+        Zr, Gr = Z[rows], G[rows]
+        cz = project(Zr + steps.reshape(-1, 1) * Gr)
+        fz = fval(cz, None if o is None else o[rows])
+        ok = _sufficient(fz, f[rows], Gr, cz, Zr).reshape(-1, L)
+        hit = ok.any(axis=1)
+        pick = np.flatnonzero(hit) * L + ok.argmax(axis=1)[hit]
+        accept(k[hit], cz[pick], fz[pick], steps.ravel()[pick])
+        t[k[~hit]] = steps[~hit, -1] * 0.5
+        return k[~hit]
+
     for _ in range(cfg.iters):
-        if (stalled >= 4).all():
-            break
-        G = fgrad(Z, own)
-        accepted = np.zeros(R, dtype=bool)
-        for _ in range(BACKTRACKS):
-            todo = ~accepted & (stalled < 4)
-            if not todo.any():
+        G = fgrad(Z, o)
+        cand = project(Z + t[:, None] * G)
+        fc = fval(cand, o)
+        ok = _sufficient(fc, f, G, cand, Z)
+        if ok.all():
+            accept(slice(None), cand, fc, t)
+        else:
+            good, todo = np.flatnonzero(ok), np.flatnonzero(~ok)
+            accept(good, cand[good], fc[good], t[good])
+            t[todo] *= 0.5
+            h = 0  # halvings tried
+            while todo.size and h < BACKTRACKS - 1:
+                L = min(LADDER, max(h, 1), BACKTRACKS - 1 - h)
+                per = max(1, R // L)  # starts per rung call
+                todo = np.concatenate([ladder(todo[a:a + per], L)
+                                       for a in range(0, todo.size, per)])
+                h += L
+            stalled[todo[t[todo] < 1e-14]] = 4
+        end = stalled >= 4
+        if end.any():
+            gone, keep = live[end], ~end
+            Z_out[gone], f_out[gone], done[gone] = Z[end], f[end], True
+            live, Z, f, t, stalled = live[keep], Z[keep], f[keep], t[keep], stalled[keep]
+            o = None if own is None else own[live]
+            if not live.size:
                 break
-            idx = np.flatnonzero(todo)
-            cand = project(Z[todo] + t[todo, None] * G[todo])
-            fc = fval(cand, None if own is None else own[idx])
-            # sufficient increase along the projected displacement: the raw
-            # gradient is radial-dominated on the sphere and would stall early
-            disp = ((np.conj(G[todo]) * (cand - Z[todo])).sum(axis=1)).real
-            ok = fc >= f[todo] + 1e-4 * np.maximum(disp, 0.0)
-            good, bad = idx[ok], idx[~ok]
-            Z[good] = cand[ok]
-            rel = (fc[ok] - f[good]) / np.maximum(np.abs(f[good]), 1e-300)
-            stalled[good] = np.where(rel < TOL, stalled[good] + 1, 0)
-            f[good] = fc[ok]
-            accepted[good] = True
-            t[good] = np.minimum(t[good] * 1.25, 1e3)
-            t[bad] *= 0.5
-        stalled[~accepted & (t < 1e-14)] = 4
-    return f, Z, stalled >= 4
+    Z_out[live], f_out[live] = Z, f
+    return f_out, Z_out, done
 
 
-def _pick_best(values: np.ndarray, points: np.ndarray) -> int:
-    """Index of the maximum value; ties broken by lexicographically smallest
-    witness moduli so that results are scheduling-independent."""
+def pick_best(values: np.ndarray) -> int:
+    """Index of the maximum value; among values within 1e-12 (relative) of it
+    the lowest index, so that last-bit differences in the values do not
+    decide between near-equal maxima."""
     vmax = values.max()
-    cand = np.flatnonzero(values >= vmax - 1e-12 * max(1.0, abs(vmax)))
-    return int(min(cand, key=lambda i: tuple(np.abs(points[i]))))
+    return int(np.flatnonzero(values >= vmax - 1e-12 * max(1.0, abs(vmax)))[0])
 
 
 def _check_cfg(cfg: OptConfig | None) -> OptConfig:
@@ -215,7 +268,7 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarr
         own = None if K == 1 else np.repeat(np.array(ks), R)
         f, Z, done = _ascend(fval, fgrad, project, Z0, cfg, own)
         spans = [slice(j * R, (j + 1) * R) for j in range(len(ks))]
-        best = [s.start + _pick_best(f[s], Z[s]) for s in spans]
+        best = [s.start + pick_best(f[s]) for s in spans]
         W = np.array([Z[b] / max(lp_norm(Z[b], p), 1.0) for b in best])
         vals = eval_batch(F, W.astype(np.complex128), None if K == 1 else np.array(ks))
         out += [NormEstimate(float(abs(v)), w, R, bool(done[s].all()))

@@ -24,6 +24,9 @@ from .multiindex import (
 )
 
 
+GATHER_ENTRIES = 2**14  # largest parent gather of one power-table product
+
+
 class MonomialTable:
     """A support compiled into its down-closure, ordered by degree.
 
@@ -71,16 +74,23 @@ class MonomialTable:
         (R, size).  Zero coordinates are exact: nothing is divided."""
         M = Z[:, self.var]
         M[:, 0] = 1
+        step = max(1, GATHER_ENTRIES // max(len(M), 1))
         for lo, hi, par in self.levels:
-            M[:, lo:hi] *= M[:, par]
+            for a in range(lo, hi, step):  # the gathered parents stay small
+                b = min(a + step, hi)
+                M[:, a:b] *= M[:, par[a - lo:b - lo]]
         return M
 
 
 def monomials(Z: np.ndarray, A: np.ndarray) -> np.ndarray:
     """z^alpha for every point z (row of Z) and every row alpha of A, shape
-    (points, terms)."""
+    (points, terms).  When the support is one run of table entries (a whole
+    index set is) this is a view of the power table, not a second array."""
     table = MonomialTable(A)
-    return table.powers(Z)[:, table.support]
+    M, sup = table.powers(Z), table.support
+    if sup.size and (sup == np.arange(sup[0], sup[0] + sup.size)).all():
+        return M[:, sup[0]:sup[0] + sup.size]
+    return M[:, sup]
 
 
 class PolyBatch:

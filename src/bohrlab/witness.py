@@ -21,7 +21,8 @@ from scipy.stats import qmc
 
 from .bounds import ExponentPair, inv, lempoly_rhs, log_chi_upper
 from .multiindex import enumerate_j, enumerate_lambda, lambda_card, multiplicity, tuple_to_alpha
-from .optimize import OptConfig, NormEstimate, lp_norm, majorant_sups, sup_norm, sup_norms
+from .optimize import (OptConfig, NormEstimate, lp_norm, majorant_sups, pick_best, sup_norm,
+                       sup_norms)
 from .polynomial import HomPoly, monomials
 
 
@@ -139,7 +140,7 @@ def sign_search(
     top = sorted(pool.items(), key=lambda kv: (kv[1], kv[0]))[:TOP_K]
     eps = np.array([np.frombuffer(key, dtype=np.int8) for key, _ in top])
     ests = sup_norms(A, eps * mults, p, cfg)
-    i = min(range(len(ests)), key=lambda i: ests[i].value)
+    i = pick_best(-np.array([e.value for e in ests]))  # earliest of the least norms
     return {a: int(s) for a, s in zip(alphas, eps[i])}, ests[i]
 
 

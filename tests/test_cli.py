@@ -224,6 +224,20 @@ def test_console_script_installed():
     assert json.loads(res.stdout)["result"]["region"] == "Q1"
 
 
+def test_selftest_times_each_check_on_stderr(capsys):
+    code = run(["selftest"])
+    res = capsys.readouterr()
+    assert code == 0
+    checks = res.out.splitlines()[:-1]
+    timings = res.err.splitlines()
+    assert len(checks) == len(timings) > 0
+    for check, timing in zip(checks, timings):
+        seconds, name = timing.split(" s  ", 1)
+        assert float(seconds) >= 0
+        assert check == "ok   " + name
+    assert res.out.splitlines()[-1] == f"selftest: all {len(checks)} checks passed"
+
+
 def test_reruns_byte_identical(capsys):
     args = ["sweep", "--m-grid", "1,2", "--n-grid", "2", "--p", "2", "--q", "2",
             "--budget", "100", "--restarts", "6", "--iters", "60"]

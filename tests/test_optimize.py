@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from bohrlab import optimize
 from bohrlab.multiindex import enumerate_lambda
 from bohrlab.optimize import (
     OptConfig,
+    _ascend,
     _structured_starts,
     bohr_sum,
     dec_rearrange,
@@ -13,13 +15,21 @@ from bohrlab.optimize import (
     lp_norm,
     majorant_sup,
     majorant_sups,
+    pick_best,
     series_sup,
     split_factorize,
     sup_norm,
     sup_norms,
     x_infty_norm,
 )
-from bohrlab.polynomial import HomPoly, TruncatedSeries, moebius_series
+from bohrlab.polynomial import (
+    HomPoly,
+    PolyBatch,
+    TruncatedSeries,
+    eval_batch,
+    grad_batch,
+    moebius_series,
+)
 
 CFG = OptConfig(restarts=16, iters=150, seed=11)
 RNG = np.random.default_rng(42)
@@ -106,6 +116,200 @@ def test_batched_estimates_match_single(m, n):
                 # |P| is invariant under a global phase: compare moduli
                 assert np.allclose(np.abs(b.witness), np.abs(s.witness))
                 assert (b.restarts, b.converged) == (s.restarts, s.converged)
+
+
+def _ascend_reference(fval, fgrad, project, Z0, cfg, own=None):
+    """The one-halving-at-a-time driver that _ascend replaced, kept as the
+    reference whose accepted steps _ascend must reproduce."""
+    Z = project(Z0)
+    f = fval(Z, own)
+    R = Z.shape[0]
+    t = np.full(R, optimize.STEP0)
+    stalled = np.zeros(R, dtype=np.int64)
+    for _ in range(cfg.iters):
+        if (stalled >= 4).all():
+            break
+        G = fgrad(Z, own)
+        accepted = np.zeros(R, dtype=bool)
+        for _ in range(optimize.BACKTRACKS):
+            todo = ~accepted & (stalled < 4)
+            if not todo.any():
+                break
+            idx = np.flatnonzero(todo)
+            cand = project(Z[todo] + t[todo, None] * G[todo])
+            fc = fval(cand, None if own is None else own[idx])
+            disp = ((np.conj(G[todo]) * (cand - Z[todo])).sum(axis=1)).real
+            ok = fc >= f[todo] + 1e-4 * np.maximum(disp, 0.0)
+            good, bad = idx[ok], idx[~ok]
+            Z[good] = cand[ok]
+            rel = (fc[ok] - f[good]) / np.maximum(np.abs(f[good]), 1e-300)
+            stalled[good] = np.where(rel < optimize.TOL, stalled[good] + 1, 0)
+            f[good] = fc[ok]
+            accepted[good] = True
+            t[good] = np.minimum(t[good] * 1.25, 1e3)
+            t[bad] *= 0.5
+        stalled[~accepted & (t < 1e-14)] = 4
+    return f, Z, stalled >= 4
+
+
+def _ascents(monkeypatch, run):
+    """The arguments of every _ascend call that run() makes."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _ascend(*args)
+
+    monkeypatch.setattr(optimize, "_ascend", spy)
+    run()
+    monkeypatch.undo()
+    assert calls
+    return calls
+
+
+def _rowwise(fn):
+    """fn called on one point at a time: a point's value then does not depend
+    on the batch it sits in (batched BLAS may round it differently)."""
+
+    def one_by_one(X, own):
+        return np.concatenate([fn(X[i:i + 1], None if own is None else own[i:i + 1])
+                               for i in range(len(X))])
+
+    return one_by_one
+
+
+def _assert_same_ascent(args):
+    # with row-independent kernels every accepted step is the reference's,
+    # bit for bit; with batched kernels only last bits may differ
+    fval, fgrad, *rest = args
+    exact = (_rowwise(fval), _rowwise(fgrad), *rest)
+    for got, want in zip(_ascend(*exact), _ascend_reference(*exact)):
+        assert np.array_equal(got, want)
+    assert np.allclose(_ascend(*args)[0], _ascend_reference(*args)[0], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_ascend_matches_reference_estimators(monkeypatch, rows):
+    # |F|^2 on the complex sphere / torus and the nonnegative majorant sum,
+    # one polynomial (no owners) and a batch of them (owners)
+    rng = np.random.default_rng(7 + rows)
+    alphas = list(enumerate_lambda(3, 3))
+    A = np.array(alphas)
+    C = rng.standard_normal((rows, len(A))) + 1j * rng.standard_normal((rows, len(A)))
+    cfg = OptConfig(restarts=12, iters=200, seed=rows)
+    for p in (1.0, 2.0, math.inf):
+        for args in _ascents(monkeypatch, lambda: sup_norms(A, C, p, cfg)):
+            assert (args[5] is None) == (rows == 1)
+            _assert_same_ascent(args)
+    for q in (1.0, 4 / 3, 2.0):
+        for args in _ascents(monkeypatch, lambda: majorant_sups(A, C, q, cfg)):
+            _assert_same_ascent(args)
+
+
+def _kinked(scale):
+    """f(x) = -scale[own] * |x - 1/4| on the real line, with the subgradient
+    -scale at the maximum x = 1/4: there every step lowers f, so every
+    halving fails; far from it a large scale needs many halvings."""
+
+    def fval(X, own):
+        return -_scales(scale, own, len(X)) * np.abs(X[:, 0] - 0.25)
+
+    def fgrad(X, own):
+        s = _scales(scale, own, len(X))
+        return (-s * np.where(X[:, 0] >= 0.25, 1.0, -1.0))[:, None]
+
+    return fval, fgrad, lambda X: X + 0.0
+
+
+def _scales(scale, own, size):
+    return np.full(size, scale[0]) if own is None else scale[own]
+
+
+@pytest.mark.parametrize("owned", [False, True])
+def test_ascend_matches_reference_hard_starts(owned):
+    # per scale s: a start at the exact maximum (every halving fails until
+    # t * s drops below the rounding of x; at s = 1e11 the t < 1e-14 rule
+    # ends it in iteration 2); one whose 10th halving lands exactly on it
+    # (then t = 2^-10 * 1.25 and the failed iteration 2 leaves t ~ 1.1e-15);
+    # and starts whose first steps overshoot by up to s, which at s = 1e11
+    # need 33 to 37 halvings, all eight rungs
+    scale = np.array([1.0, 1e4, 1e11]) if owned else np.array([1e11])
+    own = np.repeat(np.arange(3), 5) if owned else None
+    Z0 = np.array([[x] for s in scale for x in (0.25, 0.25 - s / 1024, 0.0, 1.0, -3.0)])
+    fval, fgrad, project = _kinked(scale)
+    for iters in (1, 2, 3, 50):
+        _assert_same_ascent((fval, fgrad, project, Z0, OptConfig(iters=iters), own))
+    _, Z, done = _ascend(fval, fgrad, project, Z0, OptConfig(iters=2), own)
+    assert done[1::5].all() and (Z[1::5] == 0.25).all() and done[-5]
+    # the first iteration's accepted step t = (x1 - x0) / gradient
+    x1 = _ascend(fval, fgrad, project, Z0, OptConfig(iters=1), own)[1]
+    steps = (x1 - Z0)[:, 0] / fgrad(Z0, own)[:, 0]
+    assert steps[2::5].min() == optimize.STEP0 / 2**37
+
+
+def test_ascend_matches_reference_stall_counting():
+    # f = C + min(x, 10) with C = 6e12: the first step (t = 0.5) gains 8e-14
+    # relative, below TOL, and the next (t = 0.625) more, so a stall count
+    # rises and resets; on the flat part the gains round to 0 and the
+    # counts end the starts
+    def fval(X, own):
+        return 6e12 + np.minimum(X[:, 0], 10.0)
+
+    def fgrad(X, own):
+        return np.ones_like(X)
+
+    Z0 = np.array([[0.0], [5.0], [9.0]])
+    for iters in (5, 10, 60):
+        _assert_same_ascent((fval, fgrad, lambda X: X + 0.0, Z0, OptConfig(iters=iters), None))
+
+
+def test_ascend_grads_only_live_starts():
+    # each start is its own polynomial, so the owners that fgrad receives
+    # name the starts; call k + 1 must get exactly the starts that are still
+    # live after k iterations
+    rng = np.random.default_rng(3)
+    alphas = list(enumerate_lambda(2, 3))
+    A = np.array(alphas)
+    c = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
+    R = 10
+    F = PolyBatch(A, np.tile(c, (R, 1)))
+    flat = np.full(3, 3 ** -0.5, dtype=np.complex128)
+
+    def fval(Z, own):
+        return np.abs(eval_batch(F, Z, own)) ** 2
+
+    def fgrad(Z, own):
+        vals, grads = grad_batch(F, Z, own)
+        return 2.0 * vals[:, None] * np.conj(grads)
+
+    def project(Z):
+        return optimize._proj_sphere(Z, 2.0, flat)
+
+    got = []
+
+    def spy(Z, own):
+        got.append(own.tolist())
+        return fgrad(Z, own)
+
+    Z0 = rng.standard_normal((R, 3)) + 1j * rng.standard_normal((R, 3))
+    own = np.arange(R)
+    done = _ascend(fval, spy, project, Z0, OptConfig(iters=200), own)[2]
+    assert done.all() and len(got) < 200
+    ended_early = False
+    for k, owners in enumerate(got):
+        live = np.flatnonzero(~_ascend(fval, fgrad, project, Z0, OptConfig(iters=k), own)[2]) \
+            if k else own
+        assert owners == live.tolist()
+        ended_early |= 0 < len(live) < R
+    assert ended_early
+
+
+def test_pick_best_ties_take_lowest_index():
+    # exact and last-bit ties go to the lowest index, in either order of the tied values
+    values = np.array([1.0, 3.0, 2.0, 3.0, 3.0 * (1 - 1e-13)])
+    assert pick_best(values) == 1
+    assert pick_best(values[::-1]) == 0
+    assert pick_best(-values) == 0
 
 
 def test_majorant_sup():

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from bohrlab.polynomial import (
     eval_batch,
     grad_batch,
     moebius_series,
+    monomials,
     poly_dumps,
     poly_loads,
     random_series,
@@ -195,6 +197,30 @@ def test_batch_matches_scalar_and_grad(case):
     mon = _monomial_matrix(Z, [tuple(a) for a in A])
     assert mon.shape == (len(Z), len(A))
     assert np.abs(mon - (Z[:, None, :] ** A[None, :, :]).prod(axis=2)).max() <= tol
+
+
+def test_monomials_of_an_index_set_make_no_copy():
+    # a whole index set is one run of power-table entries: the result is a
+    # view of the table, not a second (points, terms) array
+    rng = np.random.default_rng(60)
+    A = np.array(list(enumerate_lambda(2, 60)))
+    Z = rng.standard_normal((512, 60)) + 1j * rng.standard_normal((512, 60))
+    tracemalloc.start()
+    try:
+        M = monomials(Z, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert M.shape == (512, len(A))
+    assert peak <= 1.1 * M.nbytes
+    assert np.allclose(M[:, ::37], (Z[:, None, :] ** A[None, ::37, :]).prod(axis=2))
+
+
+def test_monomials_of_a_scattered_support():
+    # mixed degrees out of order: the support entries are not one run
+    A = np.array([[2, 0], [0, 0], [1, 1], [0, 1]])
+    Z = np.random.default_rng(1).standard_normal((5, 2)) + 0.5j
+    assert np.allclose(monomials(Z, A), (Z[:, None, :] ** A[None, :, :]).prod(axis=2))
 
 
 def test_grad_batch_zero_entries():

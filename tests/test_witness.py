@@ -6,7 +6,7 @@ import pytest
 
 from bohrlab.bounds import ExponentPair, chi_upper_small_pq
 from bohrlab.multiindex import enumerate_lambda, multiplicity
-from bohrlab.optimize import OptConfig, sup_norm
+from bohrlab.optimize import NormEstimate, OptConfig, sup_norm
 from bohrlab import polynomial, witness
 from bohrlab.polynomial import HomPoly, sign_polynomial
 from bohrlab.witness import (
@@ -45,6 +45,22 @@ def test_sign_search_deterministic():
     s2, e2 = sign_search(2, 3, 2.0, 500, 13, CFG)
     assert s1 == s2
     assert e1.value == e2.value
+
+
+def test_sign_search_takes_earliest_of_tied_leaders(monkeypatch):
+    # every pattern of a linear form has norm n on the torus; the re-scored
+    # norms differ only in the last bits, the least one last
+    rescored = []
+
+    def last_bits(A, C, p, cfg):
+        rescored.append(C)
+        return [NormEstimate(5.0 - 1e-15 * k, np.ones(5), 1, True) for k in range(len(C))]
+
+    monkeypatch.setattr(witness, "sup_norms", last_bits)
+    signs, est = sign_search(1, 5, math.inf, 200, 3, CFG)
+    (C,) = rescored
+    assert len(C) == witness.TOP_K
+    assert list(signs.values()) == C[0].tolist() and est.value == 5.0
 
 
 def test_sign_search_validation():
