@@ -10,21 +10,17 @@ from .bohr import (
     k_bracket,
     k_m_bracket,
     k_table,
-    reduce_to_disk,
     wiener_check,
 )
 from .bounds import (
     ExponentPair,
     bayart_bound,
     chi_upper_small_pq,
-    coeff_chi_upper_generic,
     conjugate,
     envelope_constant,
     inv,
     j_sum,
-    j_sum_filtered,
     lempoly_rhs,
-    min_power_log,
     rate,
     region_classify,
     transfer_lower_pq,
@@ -32,8 +28,6 @@ from .bounds import (
 from .errors import BudgetExceededError
 from .multiindex import (
     alpha_to_tuple,
-    complement_card_bound,
-    derived_set,
     enumerate_j,
     enumerate_lambda,
     enumerate_lambda_k,
@@ -47,13 +41,10 @@ from .optimize import (
     NormEstimate,
     OptConfig,
     bohr_sum,
-    dec_rearrange,
-    id_norm_q_to_xinfty,
     majorant_sup,
     series_sup,
     split_factorize,
     sup_norm,
-    x_infty_norm,
 )
 from .polynomial import (
     HomPoly,

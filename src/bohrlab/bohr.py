@@ -18,7 +18,7 @@ import numpy as np
 from .bounds import ExponentPair, log_chi_upper, rate, region_classify
 from .errors import BudgetExceededError
 from .optimize import OptConfig, bohr_sum, series_sup, sup_norm
-from .polynomial import HomPoly, TruncatedSeries, moebius_series
+from .polynomial import TruncatedSeries, moebius_series
 from .witness import chi_bracket
 
 
@@ -181,14 +181,6 @@ def _random_series_failures(r: float, count: int, M: int, seed: int) -> int:
         sup = np.abs(coeffs @ theta.T).max(axis=1)
         fails += int((lhs > sup).sum())
     return fails
-
-
-def reduce_to_disk(F: TruncatedSeries, z) -> TruncatedSeries:
-    """One-variable auxiliary series g(w) = F(w * z): the degree-m
-    coefficient is the degree-m part evaluated at z."""
-    z = np.asarray(z, dtype=np.complex128)
-    parts = [HomPoly(1, P.m, {(P.m,): P.eval(z)}) for P in F.parts]
-    return TruncatedSeries(1, F.a0, parts)
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -136,18 +135,6 @@ def j_sum(m: int, n: int, e: ExponentPair | None = None, beta: float | None = No
     return math.fsum(float(multiplicity(a)) ** (-beta) for a in enumerate_lambda(m - 1, n))
 
 
-def j_sum_filtered(m: int, n: int, beta: float, keep) -> float:
-    """Like j_sum but restricted to multi-indices where keep(alpha) is true.
-    Used for the k-bounded / shell splitting checks."""
-    if m == 1:
-        return 1.0 if keep(()) else 0.0
-    return math.fsum(
-        float(multiplicity(a)) ** (-beta)
-        for a in enumerate_lambda(m - 1, n)
-        if keep(a)
-    )
-
-
 # --- chi upper bounds -----------------------------------------------------
 
 
@@ -211,34 +198,6 @@ def bayart_bound(m: int, n: int, p: float) -> float:
     if p <= 2:
         return _exp((1.0 - ip) * (log_core + math.log(n)), "bayart_bound")
     return _exp(0.5 * log_core + (m * (0.5 - ip) + 0.5) * math.log(n), "bayart_bound")
-
-
-def coeff_chi_upper_generic(m: int, n: int, p: float) -> float:
-    """Crude universal chi upper bound |Lambda(m,n)| * n^(m/p) from the
-    coefficient (Cauchy) estimate and the l_inf-to-l_p norm comparison."""
-    return _exp(_log_coeff_chi_upper(m, n, p), "coefficient bound")
-
-
-class PowerLogMin(NamedTuple):
-    x_star: float
-    value: float
-    int_value: float
-    int_arg: int
-
-
-def min_power_log(a: float, b: float, n: float) -> PowerLogMin:
-    """Minimize f(x) = x^a n^(b/x) over x > 0 (minimum at x = b log(n)/a),
-    plus the minimum over positive integers (checked at 1, floor, ceil)."""
-    if a <= 0 or b <= 0 or n < 2:
-        raise ValueError("need a, b > 0 and n >= 2")
-
-    def f(x: float) -> float:
-        return x**a * n ** (b / x)
-
-    x_star = b * math.log(n) / a
-    cands = sorted({1, max(1, math.floor(x_star)), max(1, math.ceil(x_star))})
-    best = min(cands, key=f)
-    return PowerLogMin(x_star, f(x_star), f(best), best)
 
 
 # --- envelope fitting -------------------------------------------------------

@@ -11,7 +11,7 @@ environment variable.
 from __future__ import annotations
 
 import argparse
-import io
+import contextlib
 import json
 import math
 import os
@@ -31,7 +31,7 @@ def parse_exponent(s: str) -> float:
         return math.inf
     try:
         v = float(Fraction(s))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise argparse.ArgumentTypeError(f"bad exponent {s!r}") from exc
     if v < 1:
         raise argparse.ArgumentTypeError(f"exponent must be >= 1, got {s}")
@@ -64,28 +64,22 @@ def config_line(ns: argparse.Namespace) -> dict:
 
 
 def emit(ns: argparse.Namespace, payload) -> None:
-    """Write the artifact (config header included) to --out or stdout."""
+    """Write the artifact (config header included) to --out or stdout, as it
+    is encoded: no copy of the whole text is held in memory."""
     if ns.format == "csv" and not isinstance(payload, tuple):
         kind = " ".join(filter(None, (ns.cmd, getattr(ns, "kind", None))))
         raise ValueError(f"{kind} writes JSON only; --format csv is not available")
-    buf = io.StringIO()
     cfg = config_line(ns)
-    if ns.format == "json":
-        buf.write(json.dumps({"config": cfg, "result": payload},
-                             sort_keys=True, indent=2))
-        buf.write("\n")
-    else:
-        header, rows = payload
-        buf.write("# config: " + " ".join(f"{k}={v}" for k, v in cfg.items()) + "\n")
-        buf.write(",".join(header) + "\n")
-        for row in rows:
-            buf.write(",".join(row) + "\n")
-    text = buf.getvalue()
-    if ns.out:
-        with open(ns.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with open(ns.out, "w") if ns.out else contextlib.nullcontext(sys.stdout) as fh:
+        if ns.format == "json":
+            json.dump({"config": cfg, "result": payload}, fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        else:
+            header, rows = payload
+            fh.write("# config: " + " ".join(f"{k}={v}" for k, v in cfg.items()) + "\n")
+            fh.write(",".join(header) + "\n")
+            for row in rows:
+                fh.write(",".join(row) + "\n")
 
 
 def _read_artifact(path: str) -> dict:
@@ -111,17 +105,19 @@ def cmd_enumerate(ns) -> int:
         items = multiindex.enumerate_lambda_k(ns.m, ns.n, ns.k)
     else:
         items = multiindex.enumerate_j(ns.m, ns.n)
-    rows = []
-    recs = []
-    for i, item in enumerate(items):
+
+    def mult(item) -> str:
         alpha = item if ns.set != "j" else multiindex.tuple_to_alpha(item, ns.n)
-        mult = multiindex.multiplicity(alpha)
-        rows.append([str(i), ";".join(str(v) for v in item), str(mult)])
-        recs.append({"index": i, "exponents": list(item), "multiplicity": str(mult)})
+        return str(multiindex.multiplicity(alpha))
+
+    # a whole list, not a stream: a budget error must come before any output
     if ns.format == "csv":
-        emit(ns, (["index", "exponents", "multiplicity"], rows))
+        emit(ns, (["index", "exponents", "multiplicity"],
+                  [[str(i), ";".join(str(v) for v in item), mult(item)]
+                   for i, item in enumerate(items)]))
     else:
-        emit(ns, recs)
+        emit(ns, [{"index": i, "exponents": list(item), "multiplicity": mult(item)}
+                  for i, item in enumerate(items)])
     return 0
 
 

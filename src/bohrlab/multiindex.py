@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import BudgetExceededError
 
@@ -145,29 +145,6 @@ def enumerate_lambda_k(
             first = 0 if r else i
 
     return _budgeted(colex(), budget)
-
-
-def complement_card_bound(m: int, n: int, k: int) -> int:
-    """Printed upper bound n*binom(n+m-k-3, m-k-2) for the non-k-bounded tuples
-    of length m-1 (a tuple outside the k-bounded set repeats some index k+1
-    times).  Exact integer; raises when m-k-2 < 0 (bound inapplicable)."""
-    if m - k - 2 < 0:
-        raise ValueError(f"bound inapplicable: m-k-2 = {m - k - 2} < 0")
-    return n * math.comb(n + m - k - 3, m - k - 2)
-
-
-def derived_set(J: Iterable[IndexTuple]) -> set[IndexTuple]:
-    """Length-(m-1) prefixes extendable inside J: { j' : (j', k) in J for some k }."""
-    J = set(J)
-    if not J:
-        return set()
-    lengths = {len(j) for j in J}
-    if len(lengths) != 1:
-        raise ValueError("all tuples must share the same length")
-    (m,) = lengths
-    if m < 1:
-        raise ValueError("tuples must have length >= 1")
-    return {j[:-1] for j in J}
 
 
 @dataclass(frozen=True)

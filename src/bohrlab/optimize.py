@@ -1,5 +1,5 @@
 """Numerical maximization of polynomial moduli and majorant sums over l_p
-balls, plus the rearrangement / prefix-norm machinery.
+balls, plus the entrywise split factorization of a point.
 
 Every estimate produced here is a certified LOWER bound on the true norm:
 the reported value is exactly the objective evaluated at the reported
@@ -364,41 +364,6 @@ def series_sup(F: TruncatedSeries, p: float, cfg: OptConfig | None = None) -> No
     A, c = F.tables()
     starts = [[*np.eye(n, dtype=np.complex128), _flat_point(n, p)]]
     return _estimate(A, c[None, :], p, starts, cfg, nonneg=False)[0]
-
-
-# --- rearrangement / prefix-norm machinery --------------------------------
-
-
-def dec_rearrange(z) -> np.ndarray:
-    """Moduli sorted nonincreasing."""
-    z = np.asarray(z)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("non-finite entries")
-    return np.sort(np.abs(z))[::-1]
-
-
-def x_infty_norm(z) -> float:
-    """max over k = 2..n of (prefix l_2 norm of the decreasing rearrangement)
-    divided by sqrt(log k).  Natural logarithm; needs length >= 2."""
-    zs = dec_rearrange(z)
-    n = len(zs)
-    if n < 2:
-        raise ValueError("need length >= 2")
-    prefix = np.cumsum(zs**2)
-    ks = np.arange(2, n + 1)
-    return float(np.max(np.sqrt(prefix[1:]) / np.sqrt(np.log(ks))))
-
-
-def id_norm_q_to_xinfty(n: int, q: float) -> float:
-    """Exact norm of the identity from l_q^n into the prefix-norm space:
-    max over k = 2..n of k^(1/2 - 1/q) / sqrt(log k).  Requires q >= 2."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    if q < 2:
-        raise ValueError("formula direction needs q >= 2")
-    iq = 0.0 if q == math.inf else 1.0 / q
-    ks = np.arange(2, n + 1, dtype=float)
-    return float(np.max(ks ** (0.5 - iq) / np.sqrt(np.log(ks))))
 
 
 def split_factorize(z, p: float) -> tuple[np.ndarray, np.ndarray]:

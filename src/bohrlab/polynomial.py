@@ -1,14 +1,11 @@
 """Sparse homogeneous polynomials, truncated power series, and the specific
 polynomial families used by the bound machinery.
 
-Coefficients are double-precision complex.  Sign polynomials additionally
-keep an exact integer shadow of each coefficient so that multinomial
-identities can be checked bit-exactly.
+Coefficients are double-precision complex.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -170,7 +167,6 @@ class HomPoly:
         n: int,
         m: int,
         coeffs: Mapping[MultiIndex, complex],
-        exact: Mapping[MultiIndex, int] | None = None,
     ):
         if n < 1 or m < 0:
             raise ValueError(f"need n >= 1 and m >= 0, got n={n}, m={m}")
@@ -179,7 +175,6 @@ class HomPoly:
         self.n = n
         self.m = m
         self.coeffs = {a: complex(c) for a, c in coeffs.items() if c != 0}
-        self.exact = dict(exact) if exact is not None else None
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
 
     def __repr__(self) -> str:
@@ -198,20 +193,6 @@ class HomPoly:
         return self._tables
 
     eval = __call__ = _eval_point
-
-    def majorant(self) -> "HomPoly":
-        """Polynomial with coefficients |a_alpha|."""
-        return HomPoly(self.n, self.m, {a: abs(c) for a, c in self.coeffs.items()})
-
-    def weight_restrict(self, w) -> "HomPoly":
-        """Restriction P_w with a_alpha(P_w) = a_alpha(P) * w^alpha, so that
-        P_w(z) = P(w*z) entrywise."""
-        w = np.asarray(w, dtype=np.complex128)
-        if w.shape != (self.n,):
-            raise ValueError(f"weight has shape {w.shape}, expected ({self.n},)")
-        A, c = self.tables()
-        wa = monomials(w[None, :], A)[0]
-        return HomPoly(self.n, self.m, dict(zip(self.support(), c * wa)))
 
 
 @dataclass
@@ -246,11 +227,9 @@ class TruncatedSeries:
 def sign_polynomial(m: int, n: int, signs: Mapping[MultiIndex, int]) -> HomPoly:
     """Polynomial sum of eps_alpha * (m!/alpha!) * z^alpha for eps_alpha = +-1.
 
-    Signs must be given on the whole degree-m index set; the exact integer
-    coefficients are retained alongside the float ones.
+    Signs must be given on the whole degree-m index set.
     """
     coeffs: dict[MultiIndex, complex] = {}
-    exact: dict[MultiIndex, int] = {}
     count = 0
     for alpha in enumerate_lambda(m, n):
         count += 1
@@ -260,11 +239,10 @@ def sign_polynomial(m: int, n: int, signs: Mapping[MultiIndex, int]) -> HomPoly:
         if s not in (1, -1):
             raise ValueError(f"sign for {alpha} must be +-1, got {s}")
         mult = multiplicity(alpha)
-        exact[alpha] = s * mult
         coeffs[alpha] = float(s * mult)
     if count != len(signs):
         raise ValueError("signs defined outside the index set")
-    return HomPoly(n, m, coeffs, exact=exact)
+    return HomPoly(n, m, coeffs)
 
 
 def moebius_series(a: float, M: int) -> TruncatedSeries:
@@ -355,11 +333,3 @@ def series_to_dict(F: TruncatedSeries) -> dict:
 def series_from_dict(d: dict) -> TruncatedSeries:
     a0 = complex(d["a0"]["re"], d["a0"]["im"])
     return TruncatedSeries(int(d["n"]), a0, [poly_from_dict(x) for x in d["parts"]])
-
-
-def poly_dumps(P: HomPoly) -> str:
-    return json.dumps(poly_to_dict(P), sort_keys=True)
-
-
-def poly_loads(s: str) -> HomPoly:
-    return poly_from_dict(json.loads(s))

@@ -9,7 +9,6 @@ from bohrlab.bohr import (
     k_bracket,
     k_m_bracket,
     k_table,
-    reduce_to_disk,
     wiener_check,
 )
 from bohrlab.bounds import ExponentPair
@@ -114,15 +113,6 @@ def test_random_series_pass_below_third():
     assert _random_series_failures(0.30, 2000, 12, seed=1) == 0
 
 
-def test_reduce_to_disk():
-    F = TruncatedSeries(2, 0.5, [HomPoly(2, 1, {(1, 0): 1.0, (0, 1): 2.0})])
-    z = np.array([0.1, 0.2])
-    g = reduce_to_disk(F, z)
-    assert g.n == 1
-    for w in (0.3, 0.7 + 0.1j):
-        assert g.eval([w]) == pytest.approx(F.eval(w * z))
-
-
 def test_wiener_moebius_equality_m1():
     # a truncated disk automorphism overshoots sup 1 by at most (1+a)a^M
     for a in (0.4, 0.7):
@@ -150,11 +140,12 @@ def test_wiener_random_sample():
 
 
 def test_wiener_reduction_consistency():
-    # the one-variable reduction of a normalized series is itself normalized
+    # the one-variable reduction g(w) = F(w z) of a normalized series, |z| = 1,
+    # is itself normalized: its degree-m coefficient is the part P_m at z
     rng = np.random.default_rng(6)
     F = random_series(3, 3, seed=17, budget=10**4, p=2.0)
     for _ in range(5):
         z = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         z = z / np.linalg.norm(z)
-        g = reduce_to_disk(F, z)
+        g = TruncatedSeries(1, F.a0, [HomPoly(1, P.m, {(P.m,): P.eval(z)}) for P in F.parts])
         assert series_sup(g, 2.0, OPT).value <= 1.0 + 1e-9

@@ -6,20 +6,18 @@ from bohrlab.bounds import (
     ExponentPair,
     bayart_bound,
     chi_upper_small_pq,
-    coeff_chi_upper_generic,
     conjugate,
     envelope_constant,
     inv,
     j_sum,
-    j_sum_filtered,
     lempoly_rhs,
-    min_power_log,
+    log_chi_upper,
     rate,
     region_classify,
     transfer_lower_pq,
 )
 from bohrlab.errors import BudgetExceededError
-from bohrlab.multiindex import is_k_bounded, lambda_card, partition_shapes
+from bohrlab.multiindex import lambda_card, partition_shapes
 
 
 def test_conjugates():
@@ -86,25 +84,6 @@ def test_j_sum_budget():
         j_sum(6, 8, beta=1.0, method="naive", budget=10)
 
 
-def test_split_inequalities():
-    # full = k-bounded + complement and full <= m * max over shells
-    for m in range(2, 7):
-        for n in range(2, 7):
-            for beta in (0.5, 1.0):
-                full = j_sum(m, n, beta=beta, method="naive")
-                qc = 2.0
-                for k in range(1, m):
-                    part = j_sum_filtered(m, n, beta, lambda a, k=k: is_k_bounded(a, k))
-                    comp = j_sum_filtered(m, n, beta, lambda a, k=k: not is_k_bounded(a, k))
-                    assert full == pytest.approx(part + comp, rel=1e-12)
-                    assert full ** (1 / qc) <= (2 * max(part, comp)) ** (1 / qc) + 1e-12
-                shells = [
-                    j_sum_filtered(m, n, beta, lambda a, k=k: max(a) == k)
-                    for k in range(1, m)
-                ]
-                assert full ** (1 / qc) <= (m * max(shells)) ** (1 / qc) + 1e-12
-
-
 def test_chi_upper_small_pq():
     e = ExponentPair(2.0, 2.0)
     assert chi_upper_small_pq(1, 4, e) == pytest.approx(math.e)
@@ -133,28 +112,28 @@ def test_bayart_bound():
     assert bayart_bound(4, 6, 2.0) == pytest.approx(bayart_bound(4, 6, 2.0 + 1e-12), rel=1e-9)
 
 
-def test_coeff_chi_upper_generic():
-    assert coeff_chi_upper_generic(1, 5, math.inf) == pytest.approx(5.0)
-    assert coeff_chi_upper_generic(2, 2, 2.0) == pytest.approx(6.0)
+def test_coefficient_chi_upper():
+    # |Lambda(m, n)| * n^(m/p), the source wherever the small-exponent lemma
+    # does not apply or is larger
+    for (m, n, e), value in [((1, 5, ExponentPair(math.inf, 2.0)), 5.0),
+                             ((2, 2, ExponentPair(2.0, 2.0)), 6.0)]:
+        log_value, src = log_chi_upper(m, n, e)
+        assert src == "coefficient bound"
+        assert math.exp(log_value) == pytest.approx(value)
 
 
 def test_linear_case_dominated():
     for n in (2, 8, 64):
-        for (p, q) in [(2.0, 2.0), (2.0, 4 / 3), (4 / 3, 4 / 3)]:
+        for (p, q) in [(2.0, 2.0), (2.0, 4 / 3), (4 / 3, 4 / 3), (4 / 3, 2.0), (2.0, 4.0)]:
             e = ExponentPair(p, q)
             exact = max(1.0, n ** (inv(e.q_conj) - inv(e.p_conj)))
-            assert chi_upper_small_pq(1, n, e) >= exact - 1e-12
-            assert coeff_chi_upper_generic(1, n, p) >= exact - 1e-12
-
-
-def test_min_power_log():
-    r = min_power_log(1.0, 1.0, math.e)
-    assert r.x_star == pytest.approx(1.0)
-    r2 = min_power_log(2.0, 1.0, math.e**4)
-    assert r2.x_star == pytest.approx(2.0)
-    assert r2.value == pytest.approx(4 * math.e**2)
-    for x in [0.1 * k for k in range(1, 101)]:
-        assert r2.value <= x**2.0 * (math.e**4) ** (1.0 / x) + 1e-9
+            log_value, src = log_chi_upper(1, n, e)
+            assert math.exp(log_value) >= exact - 1e-12
+            if q <= p:
+                assert src == "small-exponent lemma"
+                assert chi_upper_small_pq(1, n, e) >= exact - 1e-12
+            else:
+                assert src == "coefficient bound"
 
 
 def test_envelope_constant():

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -6,12 +7,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrlab.cli import parse_exponent, run
+from bohrlab.cli import config_line, emit, parse_exponent, run
 
 
 def capture(capsys, argv):
@@ -116,9 +118,11 @@ def test_series_artifact_feeds_wiener(tmp_path, capsys):
     (["witness", "search", "--m", "1", "--n", "2", "--p", "2", "--q", "2",
       "--budget", "10", "--restarts", "2", "--iters", "5"], "witness search"),
 ])
-def test_csv_on_json_only_kind_exits_2(capsys, argv, kind):
-    assert run(argv + ["--format", "csv"]) == 2
+def test_csv_on_json_only_kind_exits_2(tmp_path, capsys, argv, kind):
+    out = tmp_path / "artifact"
+    assert run(argv + ["--format", "csv", "--out", str(out)]) == 2
     assert f"{kind} writes JSON only" in capsys.readouterr().err
+    assert not out.exists()  # rejected before --out is opened
 
 
 @pytest.mark.parametrize("argv", [
@@ -194,7 +198,28 @@ def test_exit_codes(capsys):
     assert run(["bound", "region", "--p", "bogus", "--q", "2"]) == 2
     assert run(["no-such-command"]) == 2
     assert run(["poly", "random", "--n", "2", "--M", "3", "--budget", "0"]) == 3
+    assert run(["bound", "rate", "--p", "1e400", "--q", "2", "--n", "4"]) == 2
     capsys.readouterr()
+
+
+def test_emit_streams_the_artifact(tmp_path):
+    # shaped like `witness search` output: many signs, each with a long
+    # exponent list; about 5 MB of JSON
+    payload = {"signs": [{"alpha": [k % 3] * 199, "sign": 1 - 2 * (k % 2)}
+                         for k in range(2000)],
+               "norm": 1.5, "provenance": "estimate (certified lower bound)"}
+    ns = argparse.Namespace(cmd="witness", kind="search", format="json",
+                            out=str(tmp_path / "artifact"), seed=1)
+    tracemalloc.start()
+    try:
+        emit(ns, payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    text = (tmp_path / "artifact").read_text()
+    assert text == json.dumps({"config": config_line(ns), "result": payload},
+                              sort_keys=True, indent=2) + "\n"
+    assert peak < len(text) / 2
 
 
 def test_config_file(tmp_path, capsys):

@@ -1,0 +1,38 @@
+"""Every name a bohrlab module imports is read somewhere in that module.
+
+The package ``__init__`` is exempt: its imports are the public re-exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import bohrlab
+
+MODULES = sorted(p for p in Path(bohrlab.__file__).parent.glob("*.py")
+                 if p.name != "__init__.py")
+
+
+def unread_imports(source: str) -> list[str]:
+    """Names bound by the import statements of source that no expression reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            # "import a.b" binds a; "import a.b as c" and "from a import b as c" bind c
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in bound if name not in read]
+
+
+def test_unread_imports_are_found():
+    src = "from typing import Iterable, Iterator\nimport numpy as np\nx: Iterator = np.zeros(1)\n"
+    assert unread_imports(src) == ["Iterable"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_reads_every_import(path):
+    assert unread_imports(path.read_text()) == []

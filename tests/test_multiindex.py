@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from bohrlab.errors import BudgetExceededError
 from bohrlab.multiindex import (
     alpha_to_tuple,
-    complement_card_bound,
-    derived_set,
     enumerate_j,
     enumerate_lambda,
     enumerate_lambda_k,
@@ -113,34 +111,6 @@ def test_multiplicity_floor_on_k_bounded():
                 lhs_scale = math.factorial(k) ** math.ceil(m / k)
                 for a in enumerate_lambda_k(m, n, k):
                     assert multiplicity(a) * lhs_scale >= math.factorial(m)
-
-
-def test_complement_card_bound_values():
-    assert complement_card_bound(4, 3, 1) == 9
-    assert complement_card_bound(3, 2, 1) == 2
-    with pytest.raises(ValueError):
-        complement_card_bound(2, 3, 1)
-
-
-def test_complement_card_bound_dominates_exact():
-    for m in range(2, 9):
-        for n in range(1, 7):
-            for k in range(1, m - 1):
-                if m - k - 2 < 0:
-                    continue
-                exact = sum(
-                    1
-                    for j in enumerate_j(m - 1, n)
-                    if not is_k_bounded(tuple_to_alpha(j, n), k)
-                )
-                assert exact <= complement_card_bound(m, n, k)
-
-
-def test_derived_set():
-    assert derived_set({(1, 2)}) == {(1,)}
-    assert derived_set(set(enumerate_j(2, 2))) == set(enumerate_j(1, 2))
-    assert derived_set({(2, 2)}) == {(2,)}
-    assert derived_set(set()) == set()
 
 
 def test_partition_shapes():

@@ -14,8 +14,8 @@ from bohrlab.polynomial import (
     grad_batch,
     moebius_series,
     monomials,
-    poly_dumps,
-    poly_loads,
+    poly_from_dict,
+    poly_to_dict,
     random_series,
     series_from_dict,
     series_to_dict,
@@ -56,39 +56,12 @@ def test_eval_dimension_mismatch():
         P.eval([1.0, 2.0, 3.0])
 
 
-def test_majorant():
-    P = HomPoly(2, 1, {(1, 0): 1.0, (0, 1): -1.0})
-    assert P.majorant().coeffs == {(1, 0): 1.0, (0, 1): 1.0}
-    Q = HomPoly(1, 2, {(2,): complex(3, -4)})
-    assert Q.majorant().coeffs[(2,)] == pytest.approx(5.0)
-    M = P.majorant()
-    assert M.majorant().coeffs == M.coeffs  # idempotent
-
-
 def test_majorant_dominance():
     for _ in range(30):
         P = random_poly(3, 3)
         z = RNG.standard_normal(3) + 1j * RNG.standard_normal(3)
-        assert abs(P.eval(z)) <= P.majorant().eval(np.abs(z)).real + 1e-12
-
-
-def test_weight_restrict():
-    P = HomPoly(2, 2, {(1, 1): 1.0})
-    assert P.weight_restrict([2.0, 3.0]).coeffs[(1, 1)] == pytest.approx(6.0)
-    assert P.weight_restrict([1.0, 1.0]).coeffs == P.coeffs
-    assert P.weight_restrict([0.0, 0.0]).coeffs == {}
-
-
-def test_weight_restrict_commutes_with_eval():
-    for _ in range(100):
-        m = int(RNG.integers(1, 4))
-        n = int(RNG.integers(1, 4))
-        P = random_poly(m, n)
-        w = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
-        z = RNG.standard_normal(n) + 1j * RNG.standard_normal(n)
-        lhs = P.weight_restrict(w).eval(z)
-        rhs = P.eval(w * z)
-        assert abs(lhs - rhs) <= 1e-12 * max(abs(rhs), 1.0)
+        M = HomPoly(P.n, P.m, {a: abs(c) for a, c in P.coeffs.items()})
+        assert abs(P.eval(z)) <= M.eval(np.abs(z)).real + 1e-12
 
 
 def test_sign_polynomial():
@@ -97,7 +70,6 @@ def test_sign_polynomial():
     assert P.eval([1.0, 1.0, 1.0]) == pytest.approx(3.0)
     Q = sign_polynomial(2, 1, {(2,): -1})
     assert Q.coeffs[(2,)] == pytest.approx(-1.0)
-    assert Q.exact[(2,)] == -1
 
 
 def test_sign_polynomial_multinomial_identity():
@@ -234,7 +206,7 @@ def test_grad_batch_zero_entries():
 
 def test_json_roundtrip():
     P = random_poly(2, 3)
-    Q = poly_loads(poly_dumps(P))
+    Q = poly_from_dict(json.loads(json.dumps(poly_to_dict(P))))
     assert Q.n == P.n and Q.m == P.m and Q.coeffs == P.coeffs
     F = moebius_series(0.3, 3)
     G = series_from_dict(json.loads(json.dumps(series_to_dict(F))))
