@@ -6,8 +6,6 @@
 # closed-form coefficient bounds.  Witness values are slack-deflated
 # because the norm optimizer certifies only lower bounds.
 
-import math
-
 from bohrlab.bohr import k_m_bracket
 from bohrlab.bounds import ExponentPair
 from bohrlab.optimize import OptConfig

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -27,8 +28,13 @@ DEFAULT_STREAM_BUDGET = 10**8
 
 
 def validate_alpha(alpha: MultiIndex, m: int | None = None, n: int | None = None) -> None:
-    """Check that alpha is a valid multi-index (optionally of degree m, length n)."""
-    if any(a < 0 for a in alpha):
+    """Check that alpha is a valid multi-index: integer entries, none negative
+    (optionally of degree m, length n)."""
+    try:
+        low = min(map(operator.index, alpha), default=0)
+    except TypeError:
+        raise ValueError(f"multi-index has a non-integer entry: {alpha}") from None
+    if low < 0:
         raise ValueError(f"multi-index has negative entry: {alpha}")
     if n is not None and len(alpha) != n:
         raise ValueError(f"multi-index length {len(alpha)} != n={n}")

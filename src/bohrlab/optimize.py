@@ -77,16 +77,18 @@ def _sufficient(fc, f, G, cand, Z) -> np.ndarray:
     return fc >= f + 1e-4 * np.maximum(disp, 0.0)
 
 
-def _ascend(fval: Callable, fgrad: Callable, project: Callable, Z0: np.ndarray,
+def _ascend(fg: Callable, project: Callable, Z0: np.ndarray,
             cfg: OptConfig, own=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched projected gradient ascent with Armijo backtracking.  fval and
-    fgrad take points and their owners: own[i] is the polynomial of Z0[i] (None: one).
+    """Batched projected gradient ascent with Armijo backtracking.  fg takes
+    points and their owners (own[i] is the polynomial of Z0[i]; None: one)
+    and returns their values and ascent directions, so each point is
+    evaluated once: an accepted point brings its gradient with it.
 
     Each iteration tries step t, then halves it up to BACKTRACKS - 1 times
     and takes the first step that passes the Armijo test; an accepted step
     grows t by 1.25, and 4 stalled steps (or a failed iteration with
     t < 1e-14) end a start.  The working arrays hold only live starts, so a
-    start that has ended gets no more gradients or values.  When every live
+    start that has ended is evaluated no more.  When every live
     start accepts its first step the arrays are updated whole; starts that
     fail it try the next halvings in rungs of one kernel call each and take
     the first that passes, the step the one-halving-at-a-time search accepts.
@@ -98,7 +100,7 @@ def _ascend(fval: Callable, fgrad: Callable, project: Callable, Z0: np.ndarray,
 
     Returns (final values, final points, converged flag of each point)."""
     Z_out = project(Z0)
-    f_out = fval(Z_out, own)
+    f_out, G = fg(Z_out, own)
     R = Z_out.shape[0]
     done = np.zeros(R, dtype=bool)
     live = np.arange(R)
@@ -106,11 +108,11 @@ def _ascend(fval: Callable, fgrad: Callable, project: Callable, Z0: np.ndarray,
     t = np.full(R, STEP0)
     stalled = np.zeros(R, dtype=np.int64)
 
-    def accept(k, cz, fz, tk):
+    def accept(k, cz, fz, gz, tk):
         fk = f[k]
         rel = (fz - fk) / np.maximum(np.abs(fk), 1e-300)
         stalled[k] = np.where(rel < TOL, stalled[k] + 1, 0)
-        Z[k], f[k] = cz, fz
+        Z[k], f[k], G[k] = cz, fz, gz
         t[k] = np.minimum(tk * 1.25, 1e3)
 
     def ladder(k, L):
@@ -120,24 +122,23 @@ def _ascend(fval: Callable, fgrad: Callable, project: Callable, Z0: np.ndarray,
         rows = np.repeat(k, L)
         Zr, Gr = Z[rows], G[rows]
         cz = project(Zr + steps.reshape(-1, 1) * Gr)
-        fz = fval(cz, None if o is None else o[rows])
+        fz, gz = fg(cz, None if o is None else o[rows])
         ok = _sufficient(fz, f[rows], Gr, cz, Zr).reshape(-1, L)
         hit = ok.any(axis=1)
         pick = np.flatnonzero(hit) * L + ok.argmax(axis=1)[hit]
-        accept(k[hit], cz[pick], fz[pick], steps.ravel()[pick])
+        accept(k[hit], cz[pick], fz[pick], gz[pick], steps.ravel()[pick])
         t[k[~hit]] = steps[~hit, -1] * 0.5
         return k[~hit]
 
     for _ in range(cfg.iters):
-        G = fgrad(Z, o)
         cand = project(Z + t[:, None] * G)
-        fc = fval(cand, o)
+        fc, gc = fg(cand, o)
         ok = _sufficient(fc, f, G, cand, Z)
         if ok.all():
-            accept(slice(None), cand, fc, t)
+            accept(slice(None), cand, fc, gc, t)
         else:
             good, todo = np.flatnonzero(ok), np.flatnonzero(~ok)
-            accept(good, cand[good], fc[good], t[good])
+            accept(good, cand[good], fc[good], gc[good], t[good])
             t[todo] *= 0.5
             h = 0  # halvings tried
             while todo.size and h < BACKTRACKS - 1:
@@ -151,7 +152,7 @@ def _ascend(fval: Callable, fgrad: Callable, project: Callable, Z0: np.ndarray,
         if end.any():
             gone, keep = live[end], ~end
             Z_out[gone], f_out[gone], done[gone] = Z[end], f[end], True
-            live, Z, f, t, stalled = live[keep], Z[keep], f[keep], t[keep], stalled[keep]
+            live, Z, f, G, t, stalled = live[keep], Z[keep], f[keep], G[keep], t[keep], stalled[keep]
             o = None if own is None else own[live]
             if not live.size:
                 break
@@ -238,11 +239,9 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarr
         flat = _flat_point(n, p).real
         fresh = np.abs(fresh)
 
-        def fval(X, own):
-            return eval_batch(F, X.astype(np.complex128), own).real
-
-        def fgrad(X, own):
-            return grad_batch(F, X.astype(np.complex128), own)[1].real
+        def fg(X, own):
+            vals, grads = grad_batch(F, X.astype(np.complex128), own)
+            return vals.real, grads.real
 
         def project(X):
             return _proj_sphere(np.clip(X.real, 0.0, None), p, flat)
@@ -250,12 +249,9 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarr
         flat = _flat_point(n, p)
         fresh = fresh + 1j * rng.standard_normal((n_rand, n))
 
-        def fval(Z, own):
-            return np.abs(eval_batch(F, Z, own)) ** 2
-
-        def fgrad(Z, own):
+        def fg(Z, own):
             vals, grads = grad_batch(F, Z, own)
-            return 2.0 * vals[:, None] * np.conj(grads)
+            return np.abs(vals) ** 2, 2.0 * vals[:, None] * np.conj(grads)
 
         def project(Z):
             return _proj_sphere(Z, p, flat)
@@ -266,7 +262,7 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarr
         ks = range(k0, min(K, k0 + group))
         Z0 = np.vstack([z for k in ks for z in (*starts[k], *fresh)])
         own = None if K == 1 else np.repeat(np.array(ks), R)
-        f, Z, done = _ascend(fval, fgrad, project, Z0, cfg, own)
+        f, Z, done = _ascend(fg, project, Z0, cfg, own)
         spans = [slice(j * R, (j + 1) * R) for j in range(len(ks))]
         best = [s.start + pick_best(f[s]) for s in spans]
         W = np.array([Z[b] / max(lp_norm(Z[b], p), 1.0) for b in best])
@@ -278,6 +274,8 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarr
 
 def _nonzero_rows(C: np.ndarray, n: int, dtype, cfg: OptConfig, estimate) -> list[NormEstimate]:
     """estimate(the rows of C with a nonzero entry); zero rows get the exact zero estimate."""
+    if not np.isfinite(C).all():
+        raise ValueError("non-finite coefficients")
     live = C.any(axis=1)
     found = iter(estimate(C if live.all() else C[live]) if live.any() else ())
     return [next(found) if ok else NormEstimate(0.0, np.zeros(n, dtype), cfg.restarts, True)
@@ -291,8 +289,6 @@ def sup_norms(A: np.ndarray, C: np.ndarray, p: float,
     cfg = _check_cfg(cfg)
     if not (1 <= p):
         raise ValueError(f"need p >= 1, got {p}")
-    if C.size and not np.all(np.isfinite(C)):
-        raise ValueError("non-finite coefficients")
     return _nonzero_rows(C, A.shape[1], np.complex128, cfg, lambda L: _estimate(
         A, L, p, _structured_starts(A, L, p), cfg, nonneg=False))
 

@@ -6,6 +6,7 @@ Coefficients are double-precision complex.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -175,6 +176,8 @@ class HomPoly:
         self.n = n
         self.m = m
         self.coeffs = {a: complex(c) for a, c in coeffs.items() if c != 0}
+        if not np.isfinite(list(self.coeffs.values())).all():
+            raise ValueError("non-finite coefficient")
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
 
     def __repr__(self) -> str:
@@ -206,6 +209,8 @@ class TruncatedSeries:
 
     def __post_init__(self):
         self.a0 = complex(self.a0)
+        if not np.isfinite(self.a0):
+            raise ValueError(f"non-finite constant term {self.a0}")
         for k, P in enumerate(self.parts, start=1):
             if P.n != self.n:
                 raise ValueError(f"part {k} has n={P.n}, expected {self.n}")
@@ -318,8 +323,12 @@ def poly_to_dict(P: HomPoly) -> dict:
 
 
 def poly_from_dict(d: dict) -> HomPoly:
-    coeffs = {tuple(t["alpha"]): complex(t["re"], t["im"]) for t in d["terms"]}
-    return HomPoly(int(d["n"]), int(d["m"]), coeffs)
+    try:
+        coeffs = {tuple(t["alpha"]): complex(t["re"], t["im"]) for t in d["terms"]}
+        n, m = operator.index(d["n"]), operator.index(d["m"])
+    except (TypeError, KeyError, OverflowError) as exc:  # a field of the wrong shape or type
+        raise ValueError(f"malformed polynomial: {exc!r}") from None
+    return HomPoly(n, m, coeffs)
 
 
 def series_to_dict(F: TruncatedSeries) -> dict:
@@ -331,5 +340,9 @@ def series_to_dict(F: TruncatedSeries) -> dict:
 
 
 def series_from_dict(d: dict) -> TruncatedSeries:
-    a0 = complex(d["a0"]["re"], d["a0"]["im"])
-    return TruncatedSeries(int(d["n"]), a0, [poly_from_dict(x) for x in d["parts"]])
+    try:
+        a0, n = complex(d["a0"]["re"], d["a0"]["im"]), operator.index(d["n"])
+        parts = [poly_from_dict(x) for x in d["parts"]]
+    except (TypeError, KeyError, OverflowError) as exc:
+        raise ValueError(f"malformed series: {exc!r}") from None
+    return TruncatedSeries(n, a0, parts)

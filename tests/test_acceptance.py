@@ -1,7 +1,6 @@
 """Acceptance suite: one test per criterion, one pass/fail line each."""
 
 import itertools
-import json
 import math
 import time
 

@@ -12,7 +12,6 @@ from bohrlab.bohr import (
     wiener_check,
 )
 from bohrlab.bounds import ExponentPair
-from bohrlab.multiindex import enumerate_lambda
 from bohrlab.optimize import OptConfig, bohr_sum, series_sup
 from bohrlab.polynomial import HomPoly, TruncatedSeries, moebius_series, random_series
 from bohrlab.witness import brute_chi

@@ -194,11 +194,42 @@ def test_bohr_oned(capsys):
     assert doc["lower"] <= 1 / 3 <= doc["upper"]
 
 
-def test_exit_codes(capsys):
+def _poly_doc(**term):
+    """A one-term linear polynomial artifact; term overrides its fields."""
+    return {"n": 2, "m": 1, "terms": [{"alpha": [1, 0], "re": 1.0, "im": 0.0, **term}]}
+
+
+def _series_doc(a0=None, **term):
+    """A one-part series artifact; a0 and term override its fields."""
+    return {"n": 2, "a0": {"re": 0.1, "im": 0.0} if a0 is None else a0,
+            "parts": [_poly_doc(**{"re": 0.3, **term})]}
+
+
+def test_exit_codes(capsys, tmp_path):
     assert run(["bound", "region", "--p", "bogus", "--q", "2"]) == 2
     assert run(["no-such-command"]) == 2
     assert run(["poly", "random", "--n", "2", "--M", "3", "--budget", "0"]) == 3
     assert run(["bound", "rate", "--p", "1e400", "--q", "2", "--n", "4"]) == 2
+
+    def artifact(doc):
+        path = tmp_path / f"doc{len(list(tmp_path.iterdir()))}.json"
+        path.write_text(json.dumps(doc))  # writes NaN / Infinity for non-finite floats
+        return str(path)
+
+    # non-finite coefficients, in every estimator
+    for doc in (_poly_doc(re=math.inf), _poly_doc(im=math.nan)):
+        for how in (["--p", "2"], ["--majorant", "--q", "2"], ["--majorant", "--q", "inf"]):
+            assert run(["norm", "--poly", artifact(doc), *how]) == 2
+    for doc in (_series_doc(re=math.nan), _series_doc(a0={"re": math.nan, "im": 0.0})):
+        assert run(["bohr", "wiener", "--series", artifact(doc), "--p", "2"]) == 2
+    # malformed artifacts and fractional exponents
+    for doc in ([1, 2], _poly_doc(alpha=5), _poly_doc(re="x"), {"n": 2, "m": 1, "terms": None},
+                _poly_doc(alpha=[0.5, 0.5]), {**_poly_doc(), "n": 2.5}, _poly_doc(re=10**400)):
+        assert run(["norm", "--poly", artifact(doc), "--p", "2"]) == 2
+    assert run(["bohr", "wiener", "--series", artifact(_series_doc(a0=0.5)), "--p", "2"]) == 2
+    # the well-formed artifacts answer
+    assert run(["norm", "--poly", artifact(_poly_doc()), "--majorant", "--q", "2"]) == 0
+    assert run(["bohr", "wiener", "--series", artifact(_series_doc()), "--p", "2"]) == 0
     capsys.readouterr()
 
 

@@ -1,4 +1,5 @@
-"""Every name a bohrlab module imports is read somewhere in that module.
+"""Every name a bohrlab module, test file or demo imports is read somewhere
+in that file.
 
 The package ``__init__`` is exempt: its imports are the public re-exports.
 """
@@ -10,8 +11,10 @@ import pytest
 
 import bohrlab
 
-MODULES = sorted(p for p in Path(bohrlab.__file__).parent.glob("*.py")
-                 if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = Path(bohrlab.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py") + sorted(
+    [*(ROOT / "tests").glob("*.py"), *(ROOT / "demos").glob("*.py")])
 
 
 def unread_imports(source: str) -> list[str]:
@@ -33,6 +36,7 @@ def test_unread_imports_are_found():
     assert unread_imports(src) == ["Iterable"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES,
+                         ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_module_reads_every_import(path):
     assert unread_imports(path.read_text()) == []

@@ -23,7 +23,6 @@ from bohrlab.polynomial import (
     HomPoly,
     PolyBatch,
     TruncatedSeries,
-    eval_batch,
     grad_batch,
     moebius_series,
 )
@@ -74,9 +73,14 @@ def test_sup_norm_monotone_in_p():
 
 
 def test_sup_norm_validation():
-    P = HomPoly(1, 1, {(1,): float("nan")})
     with pytest.raises(ValueError):
-        sup_norm(P, 2.0, CFG)
+        HomPoly(1, 1, {(1,): float("nan")})
+    A = np.array([[1, 0], [0, 1]])
+    for bad in (math.nan, math.inf):
+        for estimates in (sup_norms, majorant_sups):
+            for q in (2.0, math.inf):
+                with pytest.raises(ValueError):
+                    estimates(A, np.array([[1.0, 0.0], [bad, 1.0]]), q, CFG)
     with pytest.raises(ValueError):
         sup_norm(HomPoly(1, 1, {(1,): 1.0}), 2.0, OptConfig(restarts=0))
 
@@ -164,25 +168,31 @@ def _ascents(monkeypatch, run):
     return calls
 
 
-def _rowwise(fn):
-    """fn called on one point at a time: a point's value then does not depend
-    on the batch it sits in (batched BLAS may round it differently)."""
+def _rowwise(fg):
+    """fg called on one point at a time: a point's value and gradient then do
+    not depend on the batch it sits in (batched BLAS may round them differently)."""
 
     def one_by_one(X, own):
-        return np.concatenate([fn(X[i:i + 1], None if own is None else own[i:i + 1])
-                               for i in range(len(X))])
+        out = [fg(X[i:i + 1], None if own is None else own[i:i + 1]) for i in range(len(X))]
+        return tuple(np.concatenate(part) for part in zip(*out))
 
     return one_by_one
+
+
+def _split(fg):
+    """fg as the reference driver takes it: (fval, fgrad)."""
+    return (lambda X, own: fg(X, own)[0]), (lambda X, own: fg(X, own)[1])
 
 
 def _assert_same_ascent(args):
     # with row-independent kernels every accepted step is the reference's,
     # bit for bit; with batched kernels only last bits may differ
-    fval, fgrad, *rest = args
-    exact = (_rowwise(fval), _rowwise(fgrad), *rest)
-    for got, want in zip(_ascend(*exact), _ascend_reference(*exact)):
+    fg, *rest = args
+    exact = _rowwise(fg)
+    for got, want in zip(_ascend(exact, *rest), _ascend_reference(*_split(exact), *rest)):
         assert np.array_equal(got, want)
-    assert np.allclose(_ascend(*args)[0], _ascend_reference(*args)[0], rtol=1e-12, atol=0)
+    assert np.allclose(_ascend(*args)[0], _ascend_reference(*_split(fg), *rest)[0],
+                       rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -196,7 +206,7 @@ def test_ascend_matches_reference_estimators(monkeypatch, rows):
     cfg = OptConfig(restarts=12, iters=200, seed=rows)
     for p in (1.0, 2.0, math.inf):
         for args in _ascents(monkeypatch, lambda: sup_norms(A, C, p, cfg)):
-            assert (args[5] is None) == (rows == 1)
+            assert (args[4] is None) == (rows == 1)
             _assert_same_ascent(args)
     for q in (1.0, 4 / 3, 2.0):
         for args in _ascents(monkeypatch, lambda: majorant_sups(A, C, q, cfg)):
@@ -208,14 +218,11 @@ def _kinked(scale):
     -scale at the maximum x = 1/4: there every step lowers f, so every
     halving fails; far from it a large scale needs many halvings."""
 
-    def fval(X, own):
-        return -_scales(scale, own, len(X)) * np.abs(X[:, 0] - 0.25)
-
-    def fgrad(X, own):
+    def fg(X, own):
         s = _scales(scale, own, len(X))
-        return (-s * np.where(X[:, 0] >= 0.25, 1.0, -1.0))[:, None]
+        return -s * np.abs(X[:, 0] - 0.25), (-s * np.where(X[:, 0] >= 0.25, 1.0, -1.0))[:, None]
 
-    return fval, fgrad, lambda X: X + 0.0
+    return fg, lambda X: X + 0.0
 
 
 def _scales(scale, own, size):
@@ -233,14 +240,14 @@ def test_ascend_matches_reference_hard_starts(owned):
     scale = np.array([1.0, 1e4, 1e11]) if owned else np.array([1e11])
     own = np.repeat(np.arange(3), 5) if owned else None
     Z0 = np.array([[x] for s in scale for x in (0.25, 0.25 - s / 1024, 0.0, 1.0, -3.0)])
-    fval, fgrad, project = _kinked(scale)
+    fg, project = _kinked(scale)
     for iters in (1, 2, 3, 50):
-        _assert_same_ascent((fval, fgrad, project, Z0, OptConfig(iters=iters), own))
-    _, Z, done = _ascend(fval, fgrad, project, Z0, OptConfig(iters=2), own)
+        _assert_same_ascent((fg, project, Z0, OptConfig(iters=iters), own))
+    _, Z, done = _ascend(fg, project, Z0, OptConfig(iters=2), own)
     assert done[1::5].all() and (Z[1::5] == 0.25).all() and done[-5]
     # the first iteration's accepted step t = (x1 - x0) / gradient
-    x1 = _ascend(fval, fgrad, project, Z0, OptConfig(iters=1), own)[1]
-    steps = (x1 - Z0)[:, 0] / fgrad(Z0, own)[:, 0]
+    x1 = _ascend(fg, project, Z0, OptConfig(iters=1), own)[1]
+    steps = (x1 - Z0)[:, 0] / fg(Z0, own)[1][:, 0]
     assert steps[2::5].min() == optimize.STEP0 / 2**37
 
 
@@ -249,22 +256,31 @@ def test_ascend_matches_reference_stall_counting():
     # relative, below TOL, and the next (t = 0.625) more, so a stall count
     # rises and resets; on the flat part the gains round to 0 and the
     # counts end the starts
-    def fval(X, own):
-        return 6e12 + np.minimum(X[:, 0], 10.0)
-
-    def fgrad(X, own):
-        return np.ones_like(X)
+    def fg(X, own):
+        return 6e12 + np.minimum(X[:, 0], 10.0), np.ones_like(X)
 
     Z0 = np.array([[0.0], [5.0], [9.0]])
     for iters in (5, 10, 60):
-        _assert_same_ascent((fval, fgrad, lambda X: X + 0.0, Z0, OptConfig(iters=iters), None))
+        _assert_same_ascent((fg, lambda X: X + 0.0, Z0, OptConfig(iters=iters), None))
+
+
+def _spied(fg, calls):
+    """fg that records the owners of every call in calls."""
+
+    def spy(X, own):
+        calls.append(own.tolist())
+        return fg(X, own)
+
+    return spy
 
 
 def test_ascend_grads_only_live_starts():
-    # each start is its own polynomial, so the owners that fgrad receives
-    # name the starts; call k + 1 must get exactly the starts that are still
-    # live after k iterations
-    rng = np.random.default_rng(3)
+    # each start is its own polynomial, so the owners that fg receives name
+    # the starts.  The calls of a run of k iterations are the first calls of
+    # a longer run; the next call opens iteration k + 1 and must get exactly
+    # the starts still live after k iterations, and no later call (halving
+    # rungs included) may get a start that has ended
+    rng = np.random.default_rng(4)
     alphas = list(enumerate_lambda(2, 3))
     A = np.array(alphas)
     c = rng.standard_normal(len(A)) + 1j * rng.standard_normal(len(A))
@@ -272,33 +288,47 @@ def test_ascend_grads_only_live_starts():
     F = PolyBatch(A, np.tile(c, (R, 1)))
     flat = np.full(3, 3 ** -0.5, dtype=np.complex128)
 
-    def fval(Z, own):
-        return np.abs(eval_batch(F, Z, own)) ** 2
-
-    def fgrad(Z, own):
+    def fg(Z, own):
         vals, grads = grad_batch(F, Z, own)
-        return 2.0 * vals[:, None] * np.conj(grads)
+        return np.abs(vals) ** 2, 2.0 * vals[:, None] * np.conj(grads)
 
     def project(Z):
         return optimize._proj_sphere(Z, 2.0, flat)
 
-    got = []
-
-    def spy(Z, own):
-        got.append(own.tolist())
-        return fgrad(Z, own)
-
     Z0 = rng.standard_normal((R, 3)) + 1j * rng.standard_normal((R, 3))
     own = np.arange(R)
-    done = _ascend(fval, spy, project, Z0, OptConfig(iters=200), own)[2]
-    assert done.all() and len(got) < 200
-    ended_early = False
-    for k, owners in enumerate(got):
-        live = np.flatnonzero(~_ascend(fval, fgrad, project, Z0, OptConfig(iters=k), own)[2]) \
-            if k else own
-        assert owners == live.tolist()
-        ended_early |= 0 < len(live) < R
-    assert ended_early
+    got: list = []
+    assert _ascend(_spied(fg, got), project, Z0, OptConfig(iters=200), own)[2].all()
+    openers, first_end = [], None
+    for k in range(200):
+        head: list = []
+        live = np.flatnonzero(~_ascend(_spied(fg, head), project, Z0, OptConfig(iters=k), own)[2])
+        assert got[:len(head)] == head
+        if len(head) == len(got):
+            break
+        assert got[len(head)] == live.tolist()
+        assert all(set(owners) <= set(live.tolist()) for owners in got[len(head):])
+        openers.append(len(head))
+        if first_end is None and len(live) < R:
+            first_end = len(head)
+    assert not live.size
+    # some starts ended while others went on, and a halving rung came after that
+    assert first_end is not None
+    assert any(j not in openers for j in range(first_end, len(got)))
+
+
+@pytest.mark.parametrize("iters", [1, 2, 7, 30])
+def test_ascend_evaluates_once_per_iteration(iters):
+    # f = x on the real line: every first step passes and gains, so each
+    # iteration is one call and only the projected starts add one more
+    def fg(X, own):
+        return X[:, 0] + 0.0, np.ones_like(X)
+
+    calls: list = []
+    Z0 = np.array([[1.0], [2.0], [3.0]])
+    own = np.arange(3)
+    done = _ascend(_spied(fg, calls), lambda X: X + 0.0, Z0, OptConfig(iters=iters), own)[2]
+    assert calls == [[0, 1, 2]] * (iters + 1) and not done.any()
 
 
 def test_pick_best_ties_take_lowest_index():
