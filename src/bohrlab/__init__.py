@@ -10,6 +10,7 @@ from .bohr import (
     k_bracket,
     k_m_bracket,
     k_table,
+    random_series,
     wiener_check,
 )
 from .bounds import (
@@ -52,7 +53,6 @@ from .polynomial import (
     moebius_series,
     poly_from_dict,
     poly_to_dict,
-    random_series,
     series_from_dict,
     series_to_dict,
     sign_polynomial,

@@ -1,7 +1,7 @@
 """Bohr-radius brackets: the homogeneous radius from unconditionality
 brackets, the full radius via the 1/3 comparison, the one-dimensional
 radius-1/3 reproduction, and the degreewise coefficient-norm (Wiener)
-checker.
+checker with the seeded random normalized series it is run on.
 
 Endpoint direction discipline: a certified K lower bound may only consume
 chi upper bounds, and a K upper bound only chi lower bounds.  Estimate-based
@@ -17,8 +17,9 @@ import numpy as np
 
 from .bounds import ExponentPair, log_chi_upper, rate, region_classify
 from .errors import BudgetExceededError
-from .optimize import OptConfig, bohr_sum, series_sup, sup_norm
-from .polynomial import TruncatedSeries, moebius_series
+from .multiindex import enumerate_lambda, lambda_card
+from .optimize import OptConfig, bohr_sum, series_part_sups, series_sup
+from .polynomial import HomPoly, TruncatedSeries, moebius_series, scale
 from .witness import chi_bracket
 
 
@@ -131,8 +132,8 @@ def bohr_1d_bracket(tol: float, cfg: OptConfig | None = None, seed: int = 0) -> 
     endpoint: 1/3 - tol, supported by checking the coefficient sum against
     the circle sup on a Monte Carlo suite of random truncated series.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol <= 1.0 / 3.0:  # NaN fails too
+        raise ValueError(f"need 0 < tol <= 1/3, got {tol}")
 
     lo, hi = 1.0 / 3.0, 1.0 / 3.0 + tol
     doublings = 0
@@ -183,6 +184,41 @@ def _random_series_failures(r: float, count: int, M: int, seed: int) -> int:
     return fails
 
 
+NORM_RESTARTS = 48  # optimizer restarts of random_series' sup estimate
+NORM_MARGIN = 1e-2  # relative margin random_series leaves above that estimate
+
+
+def random_series(n: int, M: int, seed: int, budget: int, p: float = 2.0) -> TruncatedSeries:
+    """Random truncated series with standard complex Gaussian coefficients,
+    rescaled so its estimated sup-norm on the l_p unit ball is <= 1.
+
+    The sup estimate is a lower bound, so the rescale leaves a relative
+    margin (NORM_MARGIN) to keep the true sup below 1 as well.
+
+    Deterministic for a fixed seed.  budget bounds the total coefficient
+    count (constant term included)."""
+    total = 1 + sum(lambda_card(k, n) for k in range(1, M + 1))
+    if total > budget:
+        raise BudgetExceededError(f"series needs {total} coefficients, budget {budget}")
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
+
+    a0 = complex(draw(1)[0])
+    parts = []
+    for k in range(1, M + 1):
+        alphas = list(enumerate_lambda(k, n))
+        cs = draw(len(alphas))
+        parts.append(HomPoly(n, k, dict(zip(alphas, cs))))
+    F = TruncatedSeries(n, a0, parts)
+    est = series_sup(F, p, OptConfig(restarts=NORM_RESTARTS, seed=seed)).value
+    if est > 0:
+        s = est * (1.0 + NORM_MARGIN)
+        F = TruncatedSeries(n, a0 / s, [scale(P, 1.0 / s) for P in parts])
+    return F
+
+
 @dataclass(frozen=True)
 class WienerRow:
     m: int
@@ -207,12 +243,10 @@ def wiener_check(F: TruncatedSeries, p: float, slack: float = 1.0,
     passing; it can still certify failures.  Raises on unnormalized input
     (detected when even the estimated sup exceeds 1 + norm_tol; loosen
     norm_tol for inputs whose truncation tail pushes the sup slightly over)."""
-    est = series_sup(F, p, cfg).value
-    if est > 1.0 + norm_tol:
-        raise ValueError(f"series is not normalized: estimated sup {est} > 1")
+    est, *parts = series_part_sups(F, p, cfg)  # one ascent
+    if est.value > 1.0 + norm_tol:
+        raise ValueError(f"series is not normalized: estimated sup {est.value} > 1")
     cap = slack * (1.0 - abs(F.a0) ** 2)
-    rows = []
-    for P in F.parts:
-        nm = sup_norm(P, p, cfg).value if P.coeffs else 0.0
-        rows.append(WienerRow(P.m, nm, cap, nm <= cap + 1e-12))
-    return WienerReport(tuple(rows), all(r.ok for r in rows), abs(F.a0))
+    rows = tuple(WienerRow(P.m, e.value, cap, e.value <= cap + 1e-12)
+                 for P, e in zip(F.parts, parts))
+    return WienerReport(rows, all(r.ok for r in rows), abs(F.a0))

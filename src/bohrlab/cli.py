@@ -126,7 +126,7 @@ def cmd_poly(ns) -> int:
         F = polynomial.moebius_series(ns.a, ns.M)
         emit(ns, polynomial.series_to_dict(F))
     elif ns.kind == "random":
-        F = polynomial.random_series(ns.n, ns.M, ns.seed, ns.budget, p=ns.p)
+        F = bohr_mod.random_series(ns.n, ns.M, ns.seed, ns.budget, p=ns.p)
         emit(ns, polynomial.series_to_dict(F))
     else:  # sign
         rng = np.random.default_rng(ns.seed)

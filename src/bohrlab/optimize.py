@@ -187,24 +187,30 @@ def _flat_point(n: int, p: float) -> np.ndarray:
     return np.full(n, n ** (-1.0 / p), dtype=np.complex128)
 
 
+def _common_starts(n: int, p: float) -> list[np.ndarray]:
+    """The coordinate vectors (rows of one n x n identity) and the flat vector."""
+    return [*np.eye(n, dtype=np.complex128), _flat_point(n, p)]
+
+
 def _structured_starts(A: np.ndarray, C: np.ndarray, p: float) -> list[list[np.ndarray]]:
     """Starts for each row c of C (coefficients over the rows of A): the
-    coordinate vectors, the flat vector, the single-monomial maximizer of the
-    largest |c| (lexicographically first alpha on ties), and (degree 1) the Hoelder point."""
+    common starts, the single-monomial maximizer of the largest |c|
+    (lexicographically first alpha on ties), and, when every nonzero entry
+    of c has degree 1, the Hoelder point."""
     n = A.shape[1]
-    common = [*np.eye(n, dtype=np.complex128), _flat_point(n, p)]
+    common = _common_starts(n, p)
     lex = np.lexsort(A.T[::-1])
     tops = A[lex[_moduli(C[:, lex]).argmax(axis=1)]].astype(float)
-    linear = bool((A.sum(axis=1) == 1).all())
     out = []
     for c, x in zip(C, tops):
         starts = list(common)
         if x.sum() > 0 and p != math.inf:
             # exact maximizer of a single monomial on the l_p sphere
             starts.append(((x / x.sum()) ** (1.0 / p)).astype(np.complex128))
-        if linear:
+        nz = c != 0
+        if (A[nz].sum(axis=1) == 1).all():
             a = np.zeros(n, dtype=np.complex128)
-            a[A.argmax(axis=1)] = c
+            a[A[nz].argmax(axis=1)] = c[nz]
             mod = np.abs(a)
             phase = np.where(mod > 0, np.conj(a) / np.where(mod > 0, mod, 1.0), 1.0)
             if p == math.inf:
@@ -223,21 +229,29 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarr
               cfg: OptConfig, nonneg: bool) -> list[NormEstimate]:
     """Multi-start projected gradient ascent on the unit sphere of l_p^n for
     each row c of C (coefficients over the rows of A) from starts[k] plus
-    random ones drawn from cfg.seed, the same for every row.  All rows run in
-    one _ascend call, split only where a point array would pass BATCH_ENTRIES
-    entries (no start's path depends on another).  nonneg=False maximizes
-    |F|^2 over the complex sphere (the torus for p = inf); nonneg=True
-    maximizes F (coefficients >= 0) over the nonnegative sphere.  A row's
-    value is |F| at its witness, scaled into the closed unit ball."""
+    max(cfg.restarts - len(starts[k]), 1) random ones, drawn from cfg.seed
+    as a one-row call draws them (rows may carry different start lists).
+    All rows run in one _ascend call, split only where a point array would
+    pass BATCH_ENTRIES entries (no start's path depends on another).
+    nonneg=False maximizes |F|^2 over the complex sphere (the torus for
+    p = inf); nonneg=True maximizes F (coefficients >= 0) over the
+    nonnegative sphere.  A row's value is |F| at its witness, scaled into
+    the closed unit ball."""
     K, (T, n) = len(C), A.shape
-    rng = np.random.default_rng(cfg.seed)
-    n_rand = max(cfg.restarts - len(starts[0]), 1)
-    R = len(starts[0]) + n_rand
-    fresh = rng.standard_normal((n_rand, n))
+    draws: dict[int, np.ndarray] = {}
+
+    def fresh(k):
+        count = max(cfg.restarts - len(starts[k]), 1)
+        if count not in draws:
+            rng = np.random.default_rng(cfg.seed)
+            x = rng.standard_normal((count, n))
+            draws[count] = np.abs(x) if nonneg else x + 1j * rng.standard_normal((count, n))
+        return draws[count]
+
+    R = np.array([len(starts[k]) + len(fresh(k)) for k in range(K)])
     F = PolyBatch(A, C)
     if nonneg:
         flat = _flat_point(n, p).real
-        fresh = np.abs(fresh)
 
         def fg(X, own):
             vals, grads = grad_batch(F, X.astype(np.complex128), own)
@@ -247,7 +261,6 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarr
             return _proj_sphere(np.clip(X.real, 0.0, None), p, flat)
     else:
         flat = _flat_point(n, p)
-        fresh = fresh + 1j * rng.standard_normal((n_rand, n))
 
         def fg(Z, own):
             vals, grads = grad_batch(F, Z, own)
@@ -256,19 +269,23 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarr
         def project(Z):
             return _proj_sphere(Z, p, flat)
 
-    group = max(1, BATCH_ENTRIES // (R * max(n, T)))
-    out = []
-    for k0 in range(0, K, group):
-        ks = range(k0, min(K, k0 + group))
-        Z0 = np.vstack([z for k in ks for z in (*starts[k], *fresh)])
-        own = None if K == 1 else np.repeat(np.array(ks), R)
+    cap = BATCH_ENTRIES // max(n, T)  # most starts in one ascent
+    out: list[NormEstimate] = []
+    k0 = 0
+    while k0 < K:
+        k1 = k0 + max(1, int(np.searchsorted(np.cumsum(R[k0:]), cap, side="right")))
+        ks = np.arange(k0, k1)
+        Z0 = np.vstack([z for k in ks for z in (*starts[k], *fresh(k))])
+        own = None if K == 1 else np.repeat(ks, R[ks])
         f, Z, done = _ascend(fg, project, Z0, cfg, own)
-        spans = [slice(j * R, (j + 1) * R) for j in range(len(ks))]
+        ends = np.cumsum(R[ks]).tolist()
+        spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
         best = [s.start + pick_best(f[s]) for s in spans]
         W = np.array([Z[b] / max(lp_norm(Z[b], p), 1.0) for b in best])
-        vals = eval_batch(F, W.astype(np.complex128), None if K == 1 else np.array(ks))
-        out += [NormEstimate(float(abs(v)), w, R, bool(done[s].all()))
-                for v, w, s in zip(vals, W, spans)]
+        vals = eval_batch(F, W.astype(np.complex128), None if K == 1 else ks)
+        out += [NormEstimate(float(abs(v)), w, int(r), bool(done[s].all()))
+                for v, w, r, s in zip(vals, W, R[ks], spans)]
+        k0 = k1
     return out
 
 
@@ -284,8 +301,8 @@ def _nonzero_rows(C: np.ndarray, n: int, dtype, cfg: OptConfig, estimate) -> lis
 
 def sup_norms(A: np.ndarray, C: np.ndarray, p: float,
               cfg: OptConfig | None = None) -> list[NormEstimate]:
-    """sup_norm of each row of C, coefficients over the rows of A (exponents of
-    one degree, as a HomPoly's support), in one ascent."""
+    """sup_norm of each row of C, coefficients over the rows of A, in one
+    ascent; each row gets the starts of a one-row call on its own entries."""
     cfg = _check_cfg(cfg)
     if not (1 <= p):
         raise ValueError(f"need p >= 1, got {p}")
@@ -302,8 +319,8 @@ def sup_norm(P: HomPoly, p: float, cfg: OptConfig | None = None) -> NormEstimate
 
 def majorant_sups(A: np.ndarray, C: np.ndarray, q: float,
                   cfg: OptConfig | None = None) -> list[NormEstimate]:
-    """majorant_sup of each row of C, coefficients over the rows of A (exponents
-    of one degree, as a HomPoly's support), in one ascent."""
+    """majorant_sup of each row of C, coefficients over the rows of A, in one
+    ascent; each row gets the starts of a one-row call on its own entries."""
     cfg = _check_cfg(cfg)
     if not (1 <= q):
         raise ValueError(f"need q >= 1, got {q}")
@@ -358,8 +375,30 @@ def series_sup(F: TruncatedSeries, p: float, cfg: OptConfig | None = None) -> No
     if not any(P.coeffs for P in F.parts):
         return NormEstimate(abs(F.a0), np.zeros(n, dtype=np.complex128), cfg.restarts, True)
     A, c = F.tables()
-    starts = [[*np.eye(n, dtype=np.complex128), _flat_point(n, p)]]
-    return _estimate(A, c[None, :], p, starts, cfg, nonneg=False)[0]
+    return _estimate(A, c[None, :], p, [_common_starts(n, p)], cfg, nonneg=False)[0]
+
+
+def series_part_sups(F: TruncatedSeries, p: float,
+                     cfg: OptConfig | None = None) -> list[NormEstimate]:
+    """series_sup(F) and then sup_norm of each homogeneous part of F, in one
+    ascent on the series' table: row 0 holds F's coefficients and row k the
+    same vector with every entry outside degree k set to zero.  Each row
+    keeps the starts and random draws of its one-row call, so each estimate
+    is that call's up to the last-bit rounding of batched matrix products;
+    an all-zero part gets the exact zero estimate."""
+    cfg = _check_cfg(cfg)
+    if not (1 <= p):
+        raise ValueError(f"need p >= 1, got {p}")
+    n = F.n
+    if not any(P.coeffs for P in F.parts):  # exact: |a0|, then zeros
+        return [NormEstimate(v, np.zeros(n, dtype=np.complex128), cfg.restarts, True)
+                for v in [abs(F.a0)] + [0.0] * len(F.parts)]
+    A, c = F.tables()
+    deg = A.sum(axis=1)
+    C = np.array([c] + [np.where(deg == P.m, c, 0) for P in F.parts])
+    # some part is nonzero, so row 0 is live and comes first
+    return _nonzero_rows(C, n, np.complex128, cfg, lambda L: _estimate(
+        A, L, p, [_common_starts(n, p), *_structured_starts(A, L[1:], p)], cfg, nonneg=False))
 
 
 def split_factorize(z, p: float) -> tuple[np.ndarray, np.ndarray]:

@@ -12,11 +12,9 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import BudgetExceededError
 from .multiindex import (
     MultiIndex,
     enumerate_lambda,
-    lambda_card,
     multiplicity,
     validate_alpha,
 )
@@ -122,11 +120,22 @@ def _compiled(P) -> tuple[MonomialTable, np.ndarray, np.ndarray, np.ndarray]:
     return P._kernel
 
 
-def _by_owner(M: np.ndarray, c: np.ndarray, own) -> np.ndarray:
-    """Row i of M times c[own[i]]; own is nondecreasing, so each polynomial
-    takes one slice of M."""
-    cut = (np.flatnonzero(np.diff(own)) + 1).tolist()
-    return np.concatenate([M[a:b] @ c[own[a]] for a, b in zip([0] + cut, cut + [len(own)])])
+def _runs(own, R: int) -> list[tuple[int, int, int]]:
+    """(first, end, polynomial) of each run of equal owners among R points;
+    one run of polynomial 0 when own is None."""
+    if own is None:
+        return [(0, R, 0)]
+    cut = (np.flatnonzero(own[1:] != own[:-1]) + 1).tolist()
+    first = [0] + cut
+    return list(zip(first, cut + [R], own[first].tolist()))
+
+
+def _by_owner(M: np.ndarray, c: np.ndarray, runs) -> np.ndarray:
+    """Rows first:end of M times c[k] for each run (first, end, k): each
+    polynomial takes one slice of M per run, and one run is one product."""
+    if len(runs) == 1:
+        return M @ c[runs[0][2]]
+    return np.concatenate([M[a:b] @ c[k] for a, b, k in runs])
 
 
 def _eval_point(P, z) -> complex:
@@ -143,7 +152,7 @@ def eval_batch(P, Z: np.ndarray, own=None) -> np.ndarray:
     on polynomial own[i]."""
     table, c, _, _ = _compiled(P)
     M = table.powers(Z)
-    return M @ c[0] if own is None else _by_owner(M, c, own)
+    return _by_owner(M, c, _runs(own, len(M)))
 
 
 def grad_batch(P, Z: np.ndarray, own=None) -> tuple[np.ndarray, np.ndarray]:
@@ -155,9 +164,8 @@ def grad_batch(P, Z: np.ndarray, own=None) -> tuple[np.ndarray, np.ndarray]:
     """
     table, c, rows, D = _compiled(P)
     M = table.powers(Z)
-    if own is None:
-        return M @ c[0], M[:, rows] @ D[0]
-    return _by_owner(M, c, own), _by_owner(M[:, rows], D, own)
+    runs = _runs(own, len(M))  # found once, shared by values and gradients
+    return _by_owner(M, c, runs), _by_owner(M[:, rows], D, runs)
 
 
 class HomPoly:
@@ -262,44 +270,6 @@ def moebius_series(a: float, M: int) -> TruncatedSeries:
         raise ValueError(f"need M >= 1, got M={M}")
     parts = [HomPoly(1, k, {(k,): -(1 - a * a) * a ** (k - 1)}) for k in range(1, M + 1)]
     return TruncatedSeries(1, a, parts)
-
-
-NORM_RESTARTS = 48  # optimizer restarts of random_series' sup estimate
-NORM_MARGIN = 1e-2  # relative margin random_series leaves above that estimate
-
-
-def random_series(n: int, M: int, seed: int, budget: int, p: float = 2.0) -> TruncatedSeries:
-    """Random truncated series with standard complex Gaussian coefficients,
-    rescaled so its estimated sup-norm on the l_p unit ball is <= 1.
-
-    The sup estimate is a lower bound, so the rescale leaves a relative
-    margin (NORM_MARGIN) to keep the true sup below 1 as well.
-
-    Deterministic for a fixed seed.  budget bounds the total coefficient
-    count (constant term included)."""
-    total = 1 + sum(lambda_card(k, n) for k in range(1, M + 1))
-    if total > budget:
-        raise BudgetExceededError(f"series needs {total} coefficients, budget {budget}")
-    rng = np.random.default_rng(seed)
-
-    def draw(size):
-        return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / np.sqrt(2)
-
-    a0 = complex(draw(1)[0])
-    parts = []
-    for k in range(1, M + 1):
-        alphas = list(enumerate_lambda(k, n))
-        cs = draw(len(alphas))
-        parts.append(HomPoly(n, k, dict(zip(alphas, cs))))
-    F = TruncatedSeries(n, a0, parts)
-
-    from .optimize import OptConfig, series_sup  # deferred: optimize imports us
-
-    est = series_sup(F, p, OptConfig(restarts=NORM_RESTARTS, seed=seed)).value
-    if est > 0:
-        s = est * (1.0 + NORM_MARGIN)
-        F = TruncatedSeries(n, a0 / s, [scale(P, 1.0 / s) for P in parts])
-    return F
 
 
 def scale(P: HomPoly, factor: complex) -> HomPoly:

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from bohrlab.bohr import bohr_1d_bracket, k_bracket, k_m_bracket, wiener_check
+from bohrlab.bohr import bohr_1d_bracket, k_bracket, k_m_bracket, random_series, wiener_check
 from bohrlab.bounds import (
     ExponentPair,
     chi_upper_small_pq,
@@ -28,7 +28,7 @@ from bohrlab.multiindex import (
     tuple_to_alpha,
 )
 from bohrlab.optimize import OptConfig
-from bohrlab.polynomial import HomPoly, moebius_series, random_series
+from bohrlab.polynomial import HomPoly, moebius_series
 from bohrlab.witness import brute_chi, chi_bracket, lempoly_check
 
 

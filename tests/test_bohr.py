@@ -9,11 +9,14 @@ from bohrlab.bohr import (
     k_bracket,
     k_m_bracket,
     k_table,
+    random_series,
     wiener_check,
 )
+from bohrlab import optimize
 from bohrlab.bounds import ExponentPair
-from bohrlab.optimize import OptConfig, bohr_sum, series_sup
-from bohrlab.polynomial import HomPoly, TruncatedSeries, moebius_series, random_series
+from bohrlab.multiindex import enumerate_lambda
+from bohrlab.optimize import OptConfig, bohr_sum, series_part_sups, series_sup, sup_norm
+from bohrlab.polynomial import HomPoly, TruncatedSeries, moebius_series
 from bohrlab.witness import brute_chi
 
 OPT = OptConfig(restarts=10, iters=100, seed=21)
@@ -93,8 +96,9 @@ def test_bohr_1d_bracket():
 
 
 def test_bohr_1d_validation():
-    with pytest.raises(ValueError):
-        bohr_1d_bracket(0.0, OPT)
+    for tol in (0.0, -1e-3, math.nan, math.inf, 0.5, 1.0):
+        with pytest.raises(ValueError):
+            bohr_1d_bracket(tol, OPT)
 
 
 def test_moebius_equality_radius():
@@ -148,3 +152,64 @@ def test_wiener_reduction_consistency():
         z = z / np.linalg.norm(z)
         g = TruncatedSeries(1, F.a0, [HomPoly(1, P.m, {(P.m,): P.eval(z)}) for P in F.parts])
         assert series_sup(g, 2.0, OPT).value <= 1.0 + 1e-9
+
+
+def _normalized_series(seed, n, M, p, a0=None, zero_part=None):
+    """A random series scaled so its estimated sup on the l_p ball is 1/2
+    (the estimate moves with the scale, so 1/2 leaves room), optionally with
+    a0 = 0 or one all-zero part."""
+    rng = np.random.default_rng(seed)
+    parts = []
+    for k in range(1, M + 1):
+        alphas = [] if k == zero_part else list(enumerate_lambda(k, n))
+        c = rng.standard_normal(len(alphas)) + 1j * rng.standard_normal(len(alphas))
+        parts.append(HomPoly(n, k, dict(zip(alphas, c))))
+    F = TruncatedSeries(n, complex(*rng.standard_normal(2)) if a0 is None else a0, parts)
+    s = 2.0 * series_sup(F, p, OPT).value
+    return TruncatedSeries(n, F.a0 / s, [HomPoly(n, P.m, {a: c / s for a, c in P.coeffs.items()})
+                                         for P in parts])
+
+
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, math.inf])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_wiener_batch_matches_one_row_calls(n, p):
+    # the series row against series_sup and each part's row against sup_norm:
+    # values within 1e-12, the same restart counts and convergence flags
+    cases = [(M, {}) for M in (1, 2, 3, 4)]
+    cases += [(3, {"zero_part": 2}), (2, {"a0": 0.0}), (4, {"a0": 0.0, "zero_part": 1})]
+    for i, (M, kw) in enumerate(cases):
+        F = _normalized_series(100 * n + i, n, M, p, **kw)
+        series, *parts = series_part_sups(F, p, OPT)
+        want = series_sup(F, p, OPT)
+        assert series.value == pytest.approx(want.value, rel=1e-12)
+        assert (series.restarts, series.converged) == (want.restarts, want.converged)
+        rep = wiener_check(F, p, 1.0, OPT)
+        assert [r.m for r in rep.rows] == list(range(1, M + 1))
+        for P, est, row in zip(F.parts, parts, rep.rows):
+            assert row.norm_est == est.value
+            if not P.coeffs:
+                assert est.value == 0.0 and est.converged
+                continue
+            one = sup_norm(P, p, OPT)
+            assert est.value == pytest.approx(one.value, rel=1e-12)
+            assert (est.restarts, est.converged) == (one.restarts, one.converged)
+            assert type(est.restarts) is int
+
+
+def test_wiener_check_is_one_ascent(monkeypatch):
+    ascend, calls = optimize._ascend, []
+
+    def spy(*args):
+        calls.append(args)
+        return ascend(*args)
+
+    def forbidden(*args, **kw):
+        raise AssertionError("wiener_check called a one-row estimator")
+
+    monkeypatch.setattr(optimize, "_ascend", spy)
+    monkeypatch.setattr(optimize, "sup_norm", forbidden)
+    monkeypatch.setattr(optimize, "series_sup", forbidden)
+    rep = wiener_check(moebius_series(0.4, 40), 2.0, 1.0, OPT, norm_tol=1e-5)
+    assert len(calls) == 1 and len(rep.rows) == 40
+    # the series and its 40 parts, each with its own start list
+    assert len(np.unique(calls[0][4])) == 41

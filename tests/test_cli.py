@@ -210,6 +210,9 @@ def test_exit_codes(capsys, tmp_path):
     assert run(["no-such-command"]) == 2
     assert run(["poly", "random", "--n", "2", "--M", "3", "--budget", "0"]) == 3
     assert run(["bound", "rate", "--p", "1e400", "--q", "2", "--n", "4"]) == 2
+    # a tolerance outside (0, 1/3] fails before any search
+    for tol in ("nan", "inf", "5", "0.5", "0.7", "1", "0", "-1e-3"):
+        assert run(["bohr", "oned", "--tol", tol]) == 2
 
     def artifact(doc):
         path = tmp_path / f"doc{len(list(tmp_path.iterdir()))}.json"

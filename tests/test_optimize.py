@@ -119,6 +119,30 @@ def test_batched_estimates_match_single(m, n):
                 assert (b.restarts, b.converged) == (s.restarts, s.converged)
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_mixed_degree_rows_match_single(n):
+    # degree-1 and degree-2 rows on one table: each row still gets the starts
+    # (the Hoelder point for the degree-1 rows) and random draws of a one-row
+    # call on its own support
+    rng = np.random.default_rng(30 + n)
+    alphas = list(enumerate_lambda(2, n)) + list(enumerate_lambda(1, n))
+    A = np.array(alphas)
+    deg = A.sum(axis=1)
+    C = rng.standard_normal((4, len(A))) + 1j * rng.standard_normal((4, len(A)))
+    C[[0, 2]] *= deg == 1
+    C[[1, 3]] *= deg == 2
+    C[2, 0 if n == 1 else -1] = 0  # a zero entry among the degree-1 ones
+    single = [HomPoly(n, int(deg[row != 0][0]), {a: c for a, c in zip(alphas, row) if c})
+              for row in C]
+    for batched, one, exps in ((sup_norms, sup_norm, (1.0, 2.0, math.inf)),
+                               (majorant_sups, majorant_sup, (4 / 3, 2.0))):
+        for p in exps:
+            for b, P in zip(batched(A, C, p, CFG), single):
+                s = one(P, p, CFG)
+                assert b.value == pytest.approx(s.value, rel=1e-12)
+                assert (b.restarts, b.converged) == (s.restarts, s.converged)
+
+
 def _ascend_reference(fval, fgrad, project, Z0, cfg, own=None):
     """The one-halving-at-a-time driver that _ascend replaced, kept as the
     reference whose accepted steps _ascend must reproduce."""

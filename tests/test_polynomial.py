@@ -4,10 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bohrlab.bohr import random_series
 from bohrlab.errors import BudgetExceededError
 from bohrlab.multiindex import enumerate_lambda
 from bohrlab.polynomial import (
     HomPoly,
+    PolyBatch,
     TruncatedSeries,
     eval_batch,
     grad_batch,
@@ -15,7 +17,6 @@ from bohrlab.polynomial import (
     monomials,
     poly_from_dict,
     poly_to_dict,
-    random_series,
     series_from_dict,
     series_to_dict,
     sign_polynomial,
@@ -168,6 +169,50 @@ def test_batch_matches_scalar_and_grad(case):
     mon = _monomial_matrix(Z, [tuple(a) for a in A])
     assert mon.shape == (len(Z), len(A))
     assert np.abs(mon - (Z[:, None, :] ** A[None, :, :]).prod(axis=2)).max() <= tol
+
+
+@pytest.mark.parametrize("owners", [[0, 0, 1, 1, 0], [2, 2, 2, 2, 2], [1, 0, 2, 3, 4]])
+def test_batch_owners_match_single_polynomials(owners):
+    # runs of equal owners in any order, a single owner, one point per owner
+    rng = np.random.default_rng(70)
+    alphas = list(enumerate_lambda(3, 3))
+    A = np.array(alphas)
+    C = rng.standard_normal((5, len(A))) + 1j * rng.standard_normal((5, len(A)))
+    C[1, ::2] = 0
+    batch = PolyBatch(A, C)
+    Z = _points(5, 3, zero_rows=1)
+    own = np.array(owners)
+    vals = eval_batch(batch, Z, own)
+    v2, grads = grad_batch(batch, Z, own)
+    for i, k in enumerate(owners):
+        P = HomPoly(3, 3, dict(zip(alphas, C[k])))
+        want_v, want_g = grad_batch(P, Z[i:i + 1])
+        tol = 1e-12 * max(1.0, abs(want_v[0]), np.abs(want_g).max())
+        assert abs(vals[i] - want_v[0]) <= tol and abs(v2[i] - want_v[0]) <= tol
+        assert np.abs(grads[i] - want_g[0]).max() <= tol
+
+
+def test_owner_products_need_no_per_point_gather():
+    # K = 8 polynomials on Lambda(2, 60): evaluating points on their owners
+    # costs about what one owner costs; gathering each point's coefficient
+    # and derivative rows would hold points x rows x n entries
+    rng = np.random.default_rng(61)
+    A = np.array(list(enumerate_lambda(2, 60)))
+    batch = PolyBatch(A, rng.standard_normal((8, len(A))) + 0j)
+    Z = rng.standard_normal((64, 60)) + 1j * rng.standard_normal((64, 60))
+    grad_batch(batch, Z[:1], np.zeros(1, dtype=np.int64))  # compile the tables
+
+    def peak(own):
+        tracemalloc.start()
+        try:
+            grad_batch(batch, Z, own)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    one = peak(np.zeros(64, dtype=np.int64))
+    assert peak(np.repeat(np.arange(8), 8)) <= 1.5 * one
+    assert peak(np.arange(64) % 8) <= 1.5 * one
 
 
 def test_monomials_of_an_index_set_make_no_copy():
