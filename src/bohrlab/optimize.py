@@ -289,24 +289,30 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarr
     return out
 
 
-def _nonzero_rows(C: np.ndarray, n: int, dtype, cfg: OptConfig, estimate) -> list[NormEstimate]:
-    """estimate(the rows of C with a nonzero entry); zero rows get the exact zero estimate."""
+def _nonzero_rows(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig | None, dtype,
+                  estimate) -> list[NormEstimate]:
+    """Check cfg, the exponent p and the coefficients C (rows over the rows
+    of A), then estimate(the rows of C with a nonzero entry of positive
+    degree, cfg); every other row is constant and gets the modulus of its
+    constant entry, exactly, at the origin."""
+    cfg = _check_cfg(cfg)
+    if not (1 <= p):
+        raise ValueError(f"need p >= 1, got {p}")
     if not np.isfinite(C).all():
         raise ValueError("non-finite coefficients")
-    live = C.any(axis=1)
-    found = iter(estimate(C if live.all() else C[live]) if live.any() else ())
-    return [next(found) if ok else NormEstimate(0.0, np.zeros(n, dtype), cfg.restarts, True)
-            for ok in live]
+    n, deg = A.shape[1], A.sum(axis=1)
+    live = C[:, deg > 0].any(axis=1)
+    found = iter(estimate(C if live.all() else C[live], cfg) if live.any() else ())
+    const = _moduli(C[:, deg == 0]).sum(axis=1)
+    return [next(found) if ok else NormEstimate(float(a), np.zeros(n, dtype), cfg.restarts, True)
+            for ok, a in zip(live, const)]
 
 
 def sup_norms(A: np.ndarray, C: np.ndarray, p: float,
               cfg: OptConfig | None = None) -> list[NormEstimate]:
     """sup_norm of each row of C, coefficients over the rows of A, in one
     ascent; each row gets the starts of a one-row call on its own entries."""
-    cfg = _check_cfg(cfg)
-    if not (1 <= p):
-        raise ValueError(f"need p >= 1, got {p}")
-    return _nonzero_rows(C, A.shape[1], np.complex128, cfg, lambda L: _estimate(
+    return _nonzero_rows(A, C, p, cfg, np.complex128, lambda L, cfg: _estimate(
         A, L, p, _structured_starts(A, L, p), cfg, nonneg=False))
 
 
@@ -321,19 +327,16 @@ def majorant_sups(A: np.ndarray, C: np.ndarray, q: float,
                   cfg: OptConfig | None = None) -> list[NormEstimate]:
     """majorant_sup of each row of C, coefficients over the rows of A, in one
     ascent; each row gets the starts of a one-row call on its own entries."""
-    cfg = _check_cfg(cfg)
-    if not (1 <= q):
-        raise ValueError(f"need q >= 1, got {q}")
     n = A.shape[1]
 
-    def estimate(L):
+    def estimate(L, cfg):
         L = _moduli(L)
         if q == math.inf:
             return [NormEstimate(math.fsum(c), np.ones(n), cfg.restarts, True) for c in L]
         starts = [[np.abs(s) for s in row] for row in _structured_starts(A, L, q)]
         return _estimate(A, L, q, starts, cfg, nonneg=True)
 
-    return _nonzero_rows(C, n, float, cfg, estimate)
+    return _nonzero_rows(A, C, q, cfg, float, estimate)
 
 
 def majorant_sup(P: HomPoly, q: float, cfg: OptConfig | None = None) -> NormEstimate:
@@ -350,32 +353,30 @@ def bohr_sum(F: TruncatedSeries, r: float, q: float, cfg: OptConfig | None = Non
     l_q sphere, i.e. the coefficient-modulus sum over the radius-r ball.
 
     One variable is exact (closed form); q = inf is exact (all-ones point)."""
-    cfg = _check_cfg(cfg)
-    if r < 0:
+    if not r >= 0:
         raise ValueError(f"need r >= 0, got {r}")
     n = F.n
-    base = abs(F.a0)
-    if r == 0 or not any(P.coeffs for P in F.parts):
-        return NormEstimate(base, np.zeros(n), cfg.restarts, True)
-    if n == 1 or q == math.inf:
-        value = base + math.fsum(sum(abs(c) for c in P.coeffs.values()) * r**P.m
-                                 for P in F.parts)
-        return NormEstimate(value, np.full(n, r), cfg.restarts, True)
     A, c = F.tables()
-    starts = [[np.full(n, n ** (-1.0 / q)), *np.eye(n)]]
-    est = _estimate(A, (_moduli(c) * r ** A.sum(axis=1))[None, :], q, starts, cfg, nonneg=True)[0]
-    return replace(est, witness=r * est.witness)
+
+    def estimate(L, cfg):
+        if n == 1 or q == math.inf:
+            value = abs(F.a0) + math.fsum(sum(abs(v) for v in P.coeffs.values()) * r**P.m
+                                          for P in F.parts)
+            return [NormEstimate(value, np.full(n, r), cfg.restarts, True)]
+        starts = [[np.full(n, n ** (-1.0 / q)), *np.eye(n)]]
+        est = _estimate(A, L, q, starts, cfg, nonneg=True)[0]
+        return [replace(est, witness=r * est.witness)]
+
+    return _nonzero_rows(A, (_moduli(c) * float(r) ** A.sum(axis=1))[None, :], q, cfg, float,
+                         estimate)[0]
 
 
 def series_sup(F: TruncatedSeries, p: float, cfg: OptConfig | None = None) -> NormEstimate:
     """Estimate sup of |F| over the l_p unit ball (attained on the sphere by
     subharmonicity; on the torus for p = inf)."""
-    cfg = _check_cfg(cfg)
-    n = F.n
-    if not any(P.coeffs for P in F.parts):
-        return NormEstimate(abs(F.a0), np.zeros(n, dtype=np.complex128), cfg.restarts, True)
     A, c = F.tables()
-    return _estimate(A, c[None, :], p, [_common_starts(n, p)], cfg, nonneg=False)[0]
+    return _nonzero_rows(A, c[None, :], p, cfg, np.complex128, lambda L, cfg: _estimate(
+        A, L, p, [_common_starts(F.n, p)], cfg, nonneg=False))[0]
 
 
 def series_part_sups(F: TruncatedSeries, p: float,
@@ -386,18 +387,12 @@ def series_part_sups(F: TruncatedSeries, p: float,
     keeps the starts and random draws of its one-row call, so each estimate
     is that call's up to the last-bit rounding of batched matrix products;
     an all-zero part gets the exact zero estimate."""
-    cfg = _check_cfg(cfg)
-    if not (1 <= p):
-        raise ValueError(f"need p >= 1, got {p}")
     n = F.n
-    if not any(P.coeffs for P in F.parts):  # exact: |a0|, then zeros
-        return [NormEstimate(v, np.zeros(n, dtype=np.complex128), cfg.restarts, True)
-                for v in [abs(F.a0)] + [0.0] * len(F.parts)]
     A, c = F.tables()
     deg = A.sum(axis=1)
     C = np.array([c] + [np.where(deg == P.m, c, 0) for P in F.parts])
-    # some part is nonzero, so row 0 is live and comes first
-    return _nonzero_rows(C, n, np.complex128, cfg, lambda L: _estimate(
+    # when any part is nonzero, row 0 is live and comes first
+    return _nonzero_rows(A, C, p, cfg, np.complex128, lambda L, cfg: _estimate(
         A, L, p, [_common_starts(n, p), *_structured_starts(A, L[1:], p)], cfg, nonneg=False))
 
 

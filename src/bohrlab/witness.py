@@ -16,10 +16,8 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.stats import norm as _gauss
-from scipy.stats import qmc
 
-from .bounds import ExponentPair, inv, lempoly_rhs, log_chi_upper
+from .bounds import ExponentPair, conjugate, inv, lempoly_rhs, log_chi_upper
 from .multiindex import enumerate_j, enumerate_lambda, lambda_card, multiplicity, tuple_to_alpha
 from .optimize import (OptConfig, NormEstimate, lp_norm, majorant_sups, pick_best, sup_norm,
                        sup_norms)
@@ -36,7 +34,7 @@ class BoundBracket:
     upper_src: str
 
 
-MC_POINTS = 512  # quasi-random points scoring each sign pattern
+MC_POINTS = 512  # seeded random points scoring each sign pattern
 BRUTE_CAP = 50  # largest index set the brute oracle runs on
 SIGN_CAP = 20_000  # largest index set the sign search runs on
 TOP_K = 8  # cheap leaders re-scored with the optimizer
@@ -45,22 +43,17 @@ SEARCH_OPT = OptConfig(restarts=16, iters=150)  # optimizer settings when none a
 
 
 def _mc_sphere_points(n: int, p: float, count: int, seed: int) -> np.ndarray:
-    """Fixed quasi-random points on the l_p sphere (torus for p = inf)."""
+    """Seeded random points on the l_p sphere (torus for p = inf)."""
+    rng = np.random.default_rng(seed)
     if p == math.inf:
-        u = qmc.Sobol(d=n, scramble=True, seed=seed).random(count)
-        return np.exp(2j * np.pi * u)
-    u = qmc.Sobol(d=2 * n, scramble=True, seed=seed).random(count)
-    u = np.clip(u, 1e-12, 1 - 1e-12)
-    g = _gauss.ppf(u)
-    z = g[:, :n] + 1j * g[:, n:]
+        return np.exp(2j * np.pi * rng.random((count, n)))
+    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
     return z / lp_norm(z, p)[:, None]
 
 
 def _mc_nonneg_points(n: int, q: float, count: int, seed: int) -> np.ndarray:
-    """Fixed quasi-random points on the nonnegative l_q sphere."""
-    u = qmc.Sobol(d=n, scramble=True, seed=seed).random(count)
-    u = np.clip(u, 1e-12, 1 - 1e-12)
-    x = np.abs(_gauss.ppf(u))
+    """Seeded random points on the nonnegative l_q sphere."""
+    x = np.abs(np.random.default_rng(seed).standard_normal((count, n)))
     return x / lp_norm(x, q)[:, None]
 
 
@@ -88,7 +81,7 @@ def sign_search(
     polynomial sum of eps_alpha (m!/alpha!) z^alpha on the l_p ball.
 
     Simulated annealing over single-sign flips (geometric cooling, one sweep
-    per index-set size) scored by a fixed quasi-random point set; when the
+    per index-set size) scored by a seeded random point set; when the
     whole pattern space fits in the budget it is enumerated instead.  The
     best few candidates are re-scored together with the full optimizer (cfg)
     and the winner's estimate (a lower bound on its true norm) is returned.
@@ -174,7 +167,7 @@ def brute_chi(
 
     Ensembles: standard complex Gaussian, Rademacher-times-multiplicity, the
     flat (all-ones and all-multiplicities) probes, and single-monomial probes.
-    Draws are pre-scored on fixed quasi-random point sets; the leaders are
+    Draws are pre-scored on seeded random point sets; the leaders are
     re-scored together with the full optimizer (cfg).
     """
     cfg = cfg or SEARCH_OPT
@@ -288,7 +281,7 @@ def lempoly_check(P: HomPoly, p: float, slack: float = 1.05,
     if m < 2:
         raise ValueError("slice check needs m >= 2")
     norm = sup_norm(P, p, cfg).value
-    pc = math.inf if p == 1 else (1.0 if p == math.inf else p / (p - 1.0))
+    pc = conjugate(p)
     rows = []
     for j in enumerate_j(m - 1, n):
         slice_mods = [abs(P.coeffs.get(tuple_to_alpha(j + (k,), n), 0.0))

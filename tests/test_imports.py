@@ -1,10 +1,14 @@
 """Every name a bohrlab module, test file or demo imports is read somewhere
-in that file.
+in that file, and importing bohrlab loads numpy only, not scipy.
 
-The package ``__init__`` is exempt: its imports are the public re-exports.
+The package ``__init__`` is exempt from the first check: its imports are the
+public re-exports.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -40,3 +44,12 @@ def test_unread_imports_are_found():
                          ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_module_reads_every_import(path):
     assert unread_imports(path.read_text()) == []
+
+
+def test_import_loads_no_scipy():
+    # a fresh interpreter, so no other test's imports count
+    code = "import sys, bohrlab; print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"

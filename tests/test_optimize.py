@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bohrlab import optimize
+from bohrlab.bohr import random_series
 from bohrlab.multiindex import enumerate_lambda
 from bohrlab.optimize import (
     OptConfig,
@@ -83,6 +84,24 @@ def test_sup_norm_validation():
                     estimates(A, np.array([[1.0, 0.0], [bad, 1.0]]), q, CFG)
     with pytest.raises(ValueError):
         sup_norm(HomPoly(1, 1, {(1,): 1.0}), 2.0, OptConfig(restarts=0))
+    # every estimator checks its exponent, the radius and the coefficients
+    F = random_series(2, 2, seed=1, budget=100)
+    bad_calls = [lambda: series_sup(F, 0.5), lambda: series_sup(F, math.nan),
+                 lambda: bohr_sum(F, 0.3, 0.5), lambda: bohr_sum(F, 0.3, math.nan),
+                 lambda: bohr_sum(F, math.nan, 2.0), lambda: bohr_sum(F, math.inf, 2.0),
+                 lambda: bohr_sum(moebius_series(0.5, 3), math.nan, 2.0)]
+    for call in bad_calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+def test_constant_rows_are_exact():
+    # no entry of positive degree: the modulus of the constant, at the origin
+    est = sup_norm(HomPoly(2, 0, {(0, 0): 3 - 4j}), 2.0, CFG)
+    assert est.value == 5.0 and not est.witness.any()
+    assert series_sup(TruncatedSeries(2, -2.0, [HomPoly(2, 1, {})]), 2.0, CFG).value == 2.0
+    F = random_series(2, 2, seed=1, budget=100)
+    assert bohr_sum(F, 0.0, 2.0, CFG).value == abs(F.a0)
 
 
 def test_structured_starts_memory_is_quadratic():

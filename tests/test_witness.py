@@ -6,7 +6,7 @@ import pytest
 
 from bohrlab.bounds import ExponentPair, chi_upper_small_pq
 from bohrlab.multiindex import enumerate_lambda, multiplicity
-from bohrlab.optimize import NormEstimate, OptConfig, sup_norm
+from bohrlab.optimize import NormEstimate, OptConfig, lp_norm, sup_norm
 from bohrlab import polynomial, witness
 from bohrlab.polynomial import HomPoly, sign_polynomial
 from bohrlab.witness import (
@@ -27,6 +27,25 @@ def exhaustive_min_norm(m, n, p):
         signs = dict(zip(alphas, (1,) + bits))
         best = min(best, sup_norm(sign_polynomial(m, n, signs), p, CFG).value)
     return best
+
+
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, math.inf])
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_scoring_points(n, p):
+    Z = witness._mc_sphere_points(n, p, 64, seed=5)
+    assert Z.shape == (64, n)
+    assert np.array_equal(Z, witness._mc_sphere_points(n, p, 64, seed=5))
+    assert not np.array_equal(Z, witness._mc_sphere_points(n, p, 64, seed=6))
+    if p == math.inf:
+        assert np.abs(np.abs(Z) - 1.0).max() <= 1e-12
+    else:
+        assert np.abs(lp_norm(Z, p) - 1.0).max() <= 1e-12
+    X = witness._mc_nonneg_points(n, p, 64, seed=5)
+    assert X.shape == (64, n) and (X >= 0).all()
+    assert np.array_equal(X, witness._mc_nonneg_points(n, p, 64, seed=5))
+    if n > 1:  # the nonnegative l_q sphere of one variable is the point 1
+        assert not np.array_equal(X, witness._mc_nonneg_points(n, p, 64, seed=6))
+    assert np.abs(lp_norm(X, p) - 1.0).max() <= 1e-12
 
 
 def test_sign_search_linear_flat():
