@@ -6,12 +6,10 @@
 # coefficient sums at 1/3 - tol stay below their circle sups.
 
 from bohrlab.bohr import bohr_1d_bracket
-from bohrlab.optimize import OptConfig, bohr_sum
+from bohrlab.optimize import bohr_sum
 from bohrlab.polynomial import moebius_series
 
-cfg = OptConfig(restarts=8, iters=80, seed=0)
-
-br = bohr_1d_bracket(1e-3, cfg)
+br = bohr_1d_bracket(1e-3)
 print(f"one-variable Bohr radius bracket: [{br.lower:.6f}, {br.upper:.6f}]")
 print(f"  width {br.upper - br.lower:.2e}, contains 1/3: "
       f"{br.lower <= 1 / 3 <= br.upper}")
@@ -22,5 +20,5 @@ print(f"  width {br.upper - br.lower:.2e}, contains 1/3: "
 print("\nequality radii of the disk-automorphism family:")
 for a in (0.5, 0.8, 0.95):
     r = 1.0 / (1.0 + 2.0 * a)
-    v = bohr_sum(moebius_series(a, 80), r, 2.0, cfg).value
+    v = bohr_sum(moebius_series(a, 80), r, 2.0).value
     print(f"  a={a:.2f}  r=1/(1+2a)={r:.4f}  Bohr sum at r = {v:.8f}")

@@ -1,17 +1,20 @@
 """Command-line front end.
 
 Subcommands: enumerate, poly, norm, bound, witness, bohr, sweep, selftest.
+poly, bound, witness and bohr take a kind ("bohr table") with a parser and a
+function of its own; every parser offers only the flags its function reads,
+so an artifact's config header lists exactly the inputs that made it.
 Exit status 0 on success, 2 on validation/usage errors, 3 on budget
 exhaustion.  Exponents are accepted as exact rationals ("4/3") or the
-literal "inf".  Outputs embed their run configuration so identical configs
-give byte-identical artifacts; the seed defaults to the BOHRLAB_SEED
-environment variable.
+literal "inf".  Identical configs give byte-identical artifacts; the seed
+defaults to the BOHRLAB_SEED environment variable.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -121,18 +124,21 @@ def cmd_enumerate(ns) -> int:
     return 0
 
 
-def cmd_poly(ns) -> int:
-    if ns.kind == "moebius":
-        F = polynomial.moebius_series(ns.a, ns.M)
-        emit(ns, polynomial.series_to_dict(F))
-    elif ns.kind == "random":
-        F = bohr_mod.random_series(ns.n, ns.M, ns.seed, ns.budget, p=ns.p)
-        emit(ns, polynomial.series_to_dict(F))
-    else:  # sign
-        rng = np.random.default_rng(ns.seed)
-        signs = {a: int(rng.choice([-1, 1]))
-                 for a in multiindex.enumerate_lambda(ns.m, ns.n)}
-        emit(ns, polynomial.poly_to_dict(polynomial.sign_polynomial(ns.m, ns.n, signs)))
+def cmd_poly_moebius(ns) -> int:
+    emit(ns, polynomial.series_to_dict(polynomial.moebius_series(ns.a, ns.M)))
+    return 0
+
+
+def cmd_poly_random(ns) -> int:
+    F = bohr_mod.random_series(ns.n, ns.M, ns.seed, ns.budget, p=ns.p)
+    emit(ns, polynomial.series_to_dict(F))
+    return 0
+
+
+def cmd_poly_sign(ns) -> int:
+    rng = np.random.default_rng(ns.seed)
+    signs = {a: int(rng.choice([-1, 1])) for a in multiindex.enumerate_lambda(ns.m, ns.n)}
+    emit(ns, polynomial.poly_to_dict(polynomial.sign_polynomial(ns.m, ns.n, signs)))
     return 0
 
 
@@ -155,108 +161,125 @@ def cmd_norm(ns) -> int:
     return 0
 
 
-def cmd_bound(ns) -> int:
-    if ns.n is None and ns.kind != "region":
-        raise ValueError(f"--n is required for {ns.kind}")
-    if ns.q is None and ns.kind in ("chiupper", "envelope", "region", "rate"):
-        raise ValueError(f"--q is required for {ns.kind}")
-    e = bounds.ExponentPair(ns.p, ns.q) if ns.q is not None else None
-    regime = ""
-    flags: tuple = ()
-    prov = "closed-form"
-    if ns.kind == "jsum":
-        value = bounds.j_sum(ns.m, ns.n, e, beta=ns.beta_override)
-        prov = "exact-sum"
-    elif ns.kind == "chiupper":
-        value = bounds.chi_upper_small_pq(ns.m, ns.n, e)
-    elif ns.kind == "envelope":
-        rep = bounds.envelope_constant(ns.m, ns.n, e)
-        value, regime = rep.value, "+".join(rep.regimes)
-        flags = ("no-constant",)
-    elif ns.kind == "region":
-        rep = bounds.region_classify(ns.p, ns.q)
-        if (rep.n_exponent, rep.log_exponent) == (0.5, 0.5):
-            rate_str = "sqrt(log n)/sqrt(n)"
-        elif (rep.n_exponent, rep.log_exponent) == (0.0, 0.0):
-            rate_str = "1"
-        else:
-            rate_str = f"log(n)^{rep.log_exponent:g}/n^{rep.n_exponent:g}"
-        emit(ns, {"region": rep.tag, "rate": rate_str,
-                  "flags": list(rep.flags) + ["no-constant"]})
-        return 0
-    elif ns.kind == "rate":
-        value = bounds.rate(ns.p, ns.q, ns.n)
-        regime = bounds.region_classify(ns.p, ns.q).tag
-        flags = ("no-constant",)
-    else:  # bayart
-        value = bounds.bayart_bound(ns.m, ns.n, ns.p)
-        flags = ("no-constant",)
+def _bound_row(ns, value: float, regime: str = "", flags: tuple = (),
+               prov: str = "closed-form"):
+    """The artifact payload of one bound value.  An input the kind does not
+    take (or a --q left out of jsum) is null, an empty cell in CSV."""
+    m, n, p, q = (getattr(ns, k, None) for k in "mnpq")
     if ns.format == "csv":
-        row = [str(ns.m), str(ns.n), str(ns.p), str(ns.q), fnum(value),
-               regime, "+".join(flags), prov]
-        emit(ns, (["m", "n", "p", "q", "value", "regime", "flags", "provenance"], [row]))
+        cells = ["" if v is None else str(v) for v in (m, n, p, q)]
+        return (["m", "n", "p", "q", "value", "regime", "flags", "provenance"],
+                [cells + [fnum(value), regime, "+".join(flags), prov]])
+    return {"m": m, "n": n, "p": p, "q": q, "value": value,
+            "regime": regime, "flags": list(flags), "provenance": prov}
+
+
+def cmd_bound_jsum(ns) -> int:
+    e = bounds.ExponentPair(ns.p, ns.q) if ns.q is not None else None
+    value = bounds.j_sum(ns.m, ns.n, e, beta=ns.beta_override)
+    emit(ns, _bound_row(ns, value, prov="exact-sum"))
+    return 0
+
+
+def cmd_bound_chiupper(ns) -> int:
+    value = bounds.chi_upper_small_pq(ns.m, ns.n, bounds.ExponentPair(ns.p, ns.q))
+    emit(ns, _bound_row(ns, value))
+    return 0
+
+
+def cmd_bound_envelope(ns) -> int:
+    rep = bounds.envelope_constant(ns.m, ns.n, bounds.ExponentPair(ns.p, ns.q))
+    emit(ns, _bound_row(ns, rep.value, "+".join(rep.regimes), ("no-constant",)))
+    return 0
+
+
+def cmd_bound_region(ns) -> int:
+    rep = bounds.region_classify(ns.p, ns.q)
+    if (rep.n_exponent, rep.log_exponent) == (0.5, 0.5):
+        rate_str = "sqrt(log n)/sqrt(n)"
+    elif (rep.n_exponent, rep.log_exponent) == (0.0, 0.0):
+        rate_str = "1"
     else:
-        emit(ns, {"m": ns.m, "n": ns.n, "p": ns.p, "q": ns.q, "value": value,
-                  "regime": regime, "flags": list(flags), "provenance": prov})
+        rate_str = f"log(n)^{rep.log_exponent:g}/n^{rep.n_exponent:g}"
+    emit(ns, {"region": rep.tag, "rate": rate_str,
+              "flags": list(rep.flags) + ["no-constant"]})
     return 0
 
 
-def cmd_witness(ns) -> int:
-    e = bounds.ExponentPair(ns.p, ns.q)
-    cfg = _opt_cfg(ns)
-    if ns.kind == "search":
-        signs, est = witness.sign_search(ns.m, ns.n, ns.p, ns.budget, ns.seed, cfg)
-        emit(ns, {
-            "signs": [{"alpha": list(a), "sign": s} for a, s in sorted(signs.items())],
-            "norm": est.value,
-            "provenance": "estimate (certified lower bound)",
-        })
-    elif ns.kind == "brute":
-        bc = witness.brute_chi(ns.m, ns.n, e, samples=ns.samples, seed=ns.seed, cfg=cfg)
-        emit(ns, {"raw": bc.raw, "deflated": bc.deflated,
-                  "provenance": "estimate-based"})
-    else:  # bracket
-        br = witness.chi_bracket(ns.m, ns.n, e, cfg, sign_budget=ns.budget,
-                                 samples=ns.samples)
-        flags = ["estimate-based"] if "estimate-based" in br.lower_src else []
-        emit(ns, {"lower": br.lower, "lower_src": br.lower_src,
-                  "upper": br.upper, "upper_src": br.upper_src, "flags": flags})
+def cmd_bound_rate(ns) -> int:
+    value = bounds.rate(ns.p, ns.q, ns.n)
+    emit(ns, _bound_row(ns, value, bounds.region_classify(ns.p, ns.q).tag, ("no-constant",)))
     return 0
 
 
-def cmd_bohr(ns) -> int:
-    if ns.kind == "bracket":
-        e = bounds.ExponentPair(ns.p, ns.q)
-        br = bohr_mod.k_bracket(ns.n, e, ns.mmax, _opt_cfg(ns),
-                                sign_budget=ns.budget, samples=ns.samples)
-        emit(ns, {"lower": br.lower, "upper": br.upper, "m": str(br.m),
-                  "lower_src": br.lower_src, "upper_src": br.upper_src})
-    elif ns.kind == "oned":
-        br = bohr_mod.bohr_1d_bracket(ns.tol, _opt_cfg(ns), seed=ns.seed)
-        emit(ns, {"lower": br.lower, "upper": br.upper,
-                  "lower_src": br.lower_src, "upper_src": br.upper_src})
-    elif ns.kind == "wiener":
-        if ns.series is None:
-            raise ValueError("--series is required for bohr wiener")
-        F = polynomial.series_from_dict(_read_artifact(ns.series))
-        rep = bohr_mod.wiener_check(F, ns.p, ns.slack, _opt_cfg(ns))
-        emit(ns, {
-            "all_pass": rep.all_pass,
-            "a0_mod": rep.a0_mod,
-            "rows": [{"m": r.m, "norm_est": r.norm_est, "bound": r.bound,
-                      "ok": r.ok} for r in rep.rows],
-        })
-    else:  # table
-        e = bounds.ExponentPair(ns.p, ns.q)
-        rows = bohr_mod.k_table(ns.n_grid, e, ns.mmax, _opt_cfg(ns),
-                                sign_budget=ns.budget, samples=ns.samples)
-        if ns.format == "csv":
-            out = [[str(r["n"]), fnum(r["lower"]), fnum(r["upper"]),
-                    r["region"], fnum(r["rate"]), r["provenance"]]
-                   for r in rows]
-            emit(ns, (["n", "lower", "upper", "region", "rate", "provenance"], out))
-        else:
-            emit(ns, rows)
+def cmd_bound_bayart(ns) -> int:
+    emit(ns, _bound_row(ns, bounds.bayart_bound(ns.m, ns.n, ns.p), flags=("no-constant",)))
+    return 0
+
+
+def cmd_witness_search(ns) -> int:
+    signs, est = witness.sign_search(ns.m, ns.n, ns.p, ns.budget, ns.seed, _opt_cfg(ns))
+    emit(ns, {
+        "signs": [{"alpha": list(a), "sign": s} for a, s in sorted(signs.items())],
+        "norm": est.value,
+        "provenance": "estimate (certified lower bound)",
+    })
+    return 0
+
+
+def cmd_witness_brute(ns) -> int:
+    bc = witness.brute_chi(ns.m, ns.n, bounds.ExponentPair(ns.p, ns.q), samples=ns.samples,
+                           seed=ns.seed, cfg=_opt_cfg(ns))
+    emit(ns, {"raw": bc.raw, "deflated": bc.deflated, "provenance": "estimate-based"})
+    return 0
+
+
+def cmd_witness_bracket(ns) -> int:
+    br = witness.chi_bracket(ns.m, ns.n, bounds.ExponentPair(ns.p, ns.q), _opt_cfg(ns),
+                             sign_budget=ns.budget, samples=ns.samples)
+    flags = ["estimate-based"] if "estimate-based" in br.lower_src else []
+    emit(ns, {"lower": br.lower, "lower_src": br.lower_src,
+              "upper": br.upper, "upper_src": br.upper_src, "flags": flags})
+    return 0
+
+
+def cmd_bohr_bracket(ns) -> int:
+    br = bohr_mod.k_bracket(ns.n, bounds.ExponentPair(ns.p, ns.q), ns.mmax, _opt_cfg(ns),
+                            sign_budget=ns.budget, samples=ns.samples)
+    emit(ns, {"lower": br.lower, "upper": br.upper, "m": str(br.m),
+              "lower_src": br.lower_src, "upper_src": br.upper_src})
+    return 0
+
+
+def cmd_bohr_oned(ns) -> int:
+    br = bohr_mod.bohr_1d_bracket(ns.tol, seed=ns.seed)
+    emit(ns, {"lower": br.lower, "upper": br.upper,
+              "lower_src": br.lower_src, "upper_src": br.upper_src})
+    return 0
+
+
+def cmd_bohr_wiener(ns) -> int:
+    F = polynomial.series_from_dict(_read_artifact(ns.series))
+    rep = bohr_mod.wiener_check(F, ns.p, ns.slack, _opt_cfg(ns))
+    emit(ns, {
+        "all_pass": rep.all_pass,
+        "a0_mod": rep.a0_mod,
+        "rows": [{"m": r.m, "norm_est": r.norm_est, "bound": r.bound,
+                  "ok": r.ok} for r in rep.rows],
+    })
+    return 0
+
+
+def cmd_bohr_table(ns) -> int:
+    rows = bohr_mod.k_table(ns.n_grid, bounds.ExponentPair(ns.p, ns.q), ns.mmax, _opt_cfg(ns),
+                            sign_budget=ns.budget, samples=ns.samples)
+    if ns.format == "csv":
+        out = [[str(r["n"]), fnum(r["lower"]), fnum(r["upper"]),
+                r["region"], fnum(r["rate"]), r["provenance"]]
+               for r in rows]
+        emit(ns, (["n", "lower", "upper", "region", "rate", "provenance"], out))
+    else:
+        emit(ns, rows)
     return 0
 
 
@@ -336,83 +359,119 @@ def cmd_selftest(ns) -> int:
 # --- parser ----------------------------------------------------------------
 
 
-def _common(sp, seed=True, opt=True):
+def _common(sp, flags: dict | None = None) -> None:
+    """Each of flags (a name without its dashes, mapped to its add_argument
+    keywords), then --format and --out."""
+    for flag, spec in (flags or {}).items():
+        sp.add_argument("--" + flag, **spec)
     sp.add_argument("--format", choices=("csv", "json"), default="json")
     sp.add_argument("--out", default=None)
-    if seed:
-        sp.add_argument("--seed", type=int, default=default_seed())
-    if opt:
-        sp.add_argument("--restarts", type=int, default=32)
-        sp.add_argument("--iters", type=int, default=200)
 
 
+def _kinds(sub, cmd: str, flags: dict, kinds) -> dict:
+    """cmd with one sub-parser per kind, which offers only the flags its
+    function reads: kinds holds (name, function, those flags), each declared
+    as the flags table declares it.  Returns the sub-parsers by kind.  No
+    abbreviations, so a flag a kind lacks is not read as a longer one it
+    has ("bohr table --n" is not --n-grid)."""
+    per_kind = sub.add_parser(cmd).add_subparsers(dest="kind", required=True)
+    parsers = {}
+    for name, func, names in kinds:
+        sp = parsers[name] = per_kind.add_parser(name, allow_abbrev=False)
+        _common(sp, {flag: flags[flag] for flag in names.split()})
+        sp.set_defaults(func=func)
+    return parsers
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; the --seed default (None) is
+    resolved from BOHRLAB_SEED each time run parses."""
     ap = argparse.ArgumentParser(prog="bohrlab")
     sub = ap.add_subparsers(dest="cmd", required=True)
+    exponent = dict(type=parse_exponent, required=True)
+    opt = {"seed": dict(type=int, default=None),  # the flags _opt_cfg reads
+           "restarts": dict(type=int, default=32),
+           "iters": dict(type=int, default=200)}
 
     sp = sub.add_parser("enumerate")
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--set", choices=("lambda", "j", "lambda_k"), default="lambda")
     sp.add_argument("--k", type=int, default=None)
-    _common(sp, seed=False, opt=False)
+    _common(sp)
     sp.set_defaults(func=cmd_enumerate)
 
-    sp = sub.add_parser("poly")
-    sp.add_argument("kind", choices=("random", "moebius", "sign"))
-    sp.add_argument("--n", type=int, default=1)
-    sp.add_argument("--m", type=int, default=1)
-    sp.add_argument("--M", type=int, default=4)
-    sp.add_argument("--a", type=float, default=0.5)
-    sp.add_argument("--p", type=parse_exponent, default=2.0)
-    sp.add_argument("--budget", type=int, default=10**6)
-    _common(sp, opt=False)
-    sp.set_defaults(func=cmd_poly)
+    _kinds(sub, "poly", {
+        "n": dict(type=int, default=1),
+        "m": dict(type=int, default=1),
+        "M": dict(type=int, default=4),
+        "a": dict(type=float, default=0.5),
+        "p": dict(type=parse_exponent, default=2.0),
+        "budget": dict(type=int, default=10**6),
+        "seed": opt["seed"],
+    }, [
+        ("moebius", cmd_poly_moebius, "a M"),
+        ("random", cmd_poly_random, "n M p budget seed"),
+        ("sign", cmd_poly_sign, "m n seed"),
+    ])
 
     sp = sub.add_parser("norm")
     sp.add_argument("--poly", required=True)
     sp.add_argument("--p", type=parse_exponent, default=2.0)
     sp.add_argument("--q", type=parse_exponent, default=None)
     sp.add_argument("--majorant", action="store_true")
-    _common(sp)
+    _common(sp, opt)
     sp.set_defaults(func=cmd_norm)
 
-    sp = sub.add_parser("bound")
-    sp.add_argument("kind", choices=("jsum", "chiupper", "envelope",
-                                     "region", "rate", "bayart"))
-    sp.add_argument("--m", type=int, default=2)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--p", type=parse_exponent, required=True)
-    sp.add_argument("--q", type=parse_exponent, default=None)
-    sp.add_argument("--beta-override", type=float, default=None)
-    _common(sp, seed=False, opt=False)
-    sp.set_defaults(func=cmd_bound)
+    bound = _kinds(sub, "bound", {
+        "m": dict(type=int, default=2),
+        "n": dict(type=int, required=True),
+        "p": exponent,
+        "q": exponent,
+        "beta-override": dict(type=float, default=None),
+    }, [
+        ("jsum", cmd_bound_jsum, "m n p beta-override"),
+        ("chiupper", cmd_bound_chiupper, "m n p q"),
+        ("envelope", cmd_bound_envelope, "m n p q"),
+        ("region", cmd_bound_region, "p q"),
+        ("rate", cmd_bound_rate, "n p q"),
+        ("bayart", cmd_bound_bayart, "m n p"),
+    ])
+    bound["jsum"].add_argument("--q", type=parse_exponent, default=None)  # or --beta-override
 
-    sp = sub.add_parser("witness")
-    sp.add_argument("kind", choices=("search", "bracket", "brute"))
-    sp.add_argument("--m", type=int, required=True)
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--p", type=parse_exponent, required=True)
-    sp.add_argument("--q", type=parse_exponent, required=True)
-    sp.add_argument("--budget", type=int, default=2000)
-    sp.add_argument("--samples", type=int, default=1000)
-    _common(sp)
-    sp.set_defaults(func=cmd_witness)
+    _kinds(sub, "witness", {
+        "m": dict(type=int, required=True),
+        "n": dict(type=int, required=True),
+        "p": exponent,
+        "q": exponent,
+        "budget": dict(type=int, default=2000),
+        "samples": dict(type=int, default=1000),
+        **opt,
+    }, [
+        ("search", cmd_witness_search, "m n p budget seed restarts iters"),
+        ("brute", cmd_witness_brute, "m n p q samples seed restarts iters"),
+        ("bracket", cmd_witness_bracket, "m n p q budget samples seed restarts iters"),
+    ])
 
-    sp = sub.add_parser("bohr")
-    sp.add_argument("kind", choices=("bracket", "oned", "wiener", "table"))
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--n-grid", type=parse_grid, default=[2, 4, 8])
-    sp.add_argument("--p", type=parse_exponent, default=math.inf)
-    sp.add_argument("--q", type=parse_exponent, default=math.inf)
-    sp.add_argument("--mmax", type=int, default=3)
-    sp.add_argument("--tol", type=float, default=1e-3)
-    sp.add_argument("--series", default=None)
-    sp.add_argument("--slack", type=float, default=1.0)
-    sp.add_argument("--budget", type=int, default=2000)
-    sp.add_argument("--samples", type=int, default=1000)
-    _common(sp)
-    sp.set_defaults(func=cmd_bohr)
+    _kinds(sub, "bohr", {
+        "n": dict(type=int, default=2),
+        "n-grid": dict(type=parse_grid, default=[2, 4, 8]),
+        "p": dict(type=parse_exponent, default=math.inf),
+        "q": dict(type=parse_exponent, default=math.inf),
+        "mmax": dict(type=int, default=3),
+        "tol": dict(type=float, default=1e-3),
+        "series": dict(required=True),
+        "slack": dict(type=float, default=1.0),
+        "budget": dict(type=int, default=2000),
+        "samples": dict(type=int, default=1000),
+        **opt,
+    }, [
+        ("bracket", cmd_bohr_bracket, "n p q mmax budget samples seed restarts iters"),
+        ("oned", cmd_bohr_oned, "tol seed"),
+        ("wiener", cmd_bohr_wiener, "series p slack seed restarts iters"),
+        ("table", cmd_bohr_table, "n-grid p q mmax budget samples seed restarts iters"),
+    ])
 
     sp = sub.add_parser("sweep")
     sp.add_argument("--m-grid", type=parse_grid, default=[1, 2, 3])
@@ -421,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=parse_exponent, required=True)
     sp.add_argument("--budget", type=int, default=2000)
     sp.add_argument("--samples", type=int, default=1000)
-    _common(sp)
+    _common(sp, opt)
     sp.set_defaults(func=cmd_sweep)
     sp.set_defaults(format="csv")
 
@@ -460,11 +519,12 @@ def run(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config_file(argv)
-        ap = build_parser()
         try:
-            ns = ap.parse_args(argv)
+            ns = build_parser().parse_args(argv)
         except SystemExit as exc:
             return 0 if exc.code == 0 else 2
+        if vars(ns).get("seed", 0) is None:  # read per run: the parser is cached
+            ns.seed = default_seed()
         return ns.func(ns)
     except BudgetExceededError as exc:
         sys.stderr.write(f"budget exhausted: {exc}\n")

@@ -40,7 +40,7 @@ def report(num, ok, detail=""):
 
 def test_criterion_01_one_dim_bohr_radius(capsys):
     t0 = time.time()
-    br = bohr_1d_bracket(1e-3, OptConfig(restarts=8, iters=80, seed=0))
+    br = bohr_1d_bracket(1e-3)
     dt = time.time() - t0
     ok = br.lower <= 1 / 3 <= br.upper and br.upper - br.lower <= 2e-3 and dt <= 60
     with capsys.disabled():

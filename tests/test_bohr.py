@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,7 +91,7 @@ def test_k_table_shape():
 
 
 def test_bohr_1d_bracket():
-    br = bohr_1d_bracket(1e-3, OPT)
+    br = bohr_1d_bracket(1e-3)
     assert br.lower <= 1 / 3 <= br.upper
     assert br.upper - br.lower <= 2e-3
 
@@ -98,7 +99,7 @@ def test_bohr_1d_bracket():
 def test_bohr_1d_validation():
     for tol in (0.0, -1e-3, math.nan, math.inf, 0.5, 1.0):
         with pytest.raises(ValueError):
-            bohr_1d_bracket(tol, OPT)
+            bohr_1d_bracket(tol)
 
 
 def test_moebius_equality_radius():
@@ -114,6 +115,19 @@ def test_random_series_pass_below_third():
     from bohrlab.bohr import _random_series_failures
 
     assert _random_series_failures(0.30, 2000, 12, seed=1) == 0
+
+
+def test_random_series_check_evaluates_in_row_chunks():
+    # one block of 512 series on 4096 circle points is 32 MB of values
+    from bohrlab.bohr import _random_series_failures
+
+    tracemalloc.start()
+    try:
+        _random_series_failures(0.30, 512, 12, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def test_wiener_moebius_equality_m1():

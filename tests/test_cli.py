@@ -1,5 +1,7 @@
 import argparse
+import ast
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrlab.cli import config_line, emit, parse_exponent, run
+from bohrlab.cli import build_parser, config_line, emit, parse_exponent, run
 
 
 def capture(capsys, argv):
@@ -115,7 +117,7 @@ def test_series_artifact_feeds_wiener(tmp_path, capsys):
 @pytest.mark.parametrize("argv, kind", [
     (["poly", "sign", "--m", "1", "--n", "2"], "poly sign"),
     (["bound", "region", "--p", "2", "--q", "2"], "bound region"),
-    (["witness", "search", "--m", "1", "--n", "2", "--p", "2", "--q", "2",
+    (["witness", "search", "--m", "1", "--n", "2", "--p", "2",
       "--budget", "10", "--restarts", "2", "--iters", "5"], "witness search"),
 ])
 def test_csv_on_json_only_kind_exits_2(tmp_path, capsys, argv, kind):
@@ -131,10 +133,65 @@ def test_csv_on_json_only_kind_exits_2(tmp_path, capsys, argv, kind):
     ["bound", "jsum", "--m", "2", "--n", "2", "--p", "2", "--q", "2", "--method", "naive"],
     ["poly", "sign", "--m", "1", "--n", "2", "--restarts", "4"],
     ["selftest", "--seed", "1"],
+    ["bohr", "oned", "--mmax", "3"],
+    ["bohr", "oned", "--restarts", "4"],
+    ["bohr", "wiener", "--series", "s.json", "--n-grid", "2"],
+    ["bohr", "table", "--tol", "0.1"],
+    ["bohr", "table", "--n", "2"],  # not read as an abbreviated --n-grid
+    ["bohr", "bracket", "--series", "x"],
+    ["witness", "search", "--m", "1", "--n", "2", "--p", "2", "--q", "2"],
+    ["witness", "brute", "--m", "1", "--n", "2", "--p", "2", "--q", "2", "--budget", "10"],
+    ["poly", "moebius", "--seed", "1"],
+    ["poly", "random", "--a", "0.5"],
+    ["poly", "sign", "--M", "2"],
+    ["bound", "region", "--p", "2", "--q", "2", "--n", "4"],
+    ["bound", "rate", "--n", "4", "--p", "2", "--q", "2", "--m", "2"],
+    ["bound", "bayart", "--m", "2", "--n", "2", "--p", "2", "--q", "2"],
+    ["bound", "envelope", "--m", "2", "--n", "2", "--p", "2", "--q", "2",
+     "--beta-override", "1"],
 ])
 def test_unread_flags_are_not_offered(capsys, argv):
     assert run(argv) == 2
     capsys.readouterr()
+
+
+def _leaf_parsers(parser, path=()):
+    """(command path, parser) for every parser that runs a function."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, sp in action.choices.items():
+            yield from _leaf_parsers(sp, path + (name,))
+
+
+def _names_read(func) -> set[str]:
+    """The attributes func reads from ns; _opt_cfg(ns) reads seed, restarts
+    and iters, and emit(ns, ...) reads format and out."""
+    read = set()
+    for node in ast.walk(ast.parse(inspect.getsource(func))):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id == "ns":
+            read.add(node.attr)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.args \
+                and isinstance(node.args[0], ast.Name) and node.args[0].id == "ns":
+            read |= {"_opt_cfg": {"seed", "restarts", "iters"},
+                     "emit": {"format", "out"}}.get(node.func.id, set())
+    return read
+
+
+LEAVES = list(_leaf_parsers(build_parser()))
+
+
+def test_leaf_parsers_cover_every_kind():
+    assert len(LEAVES) == 20  # 4 commands without kinds, 16 kinds
+    assert {"bohr oned", "bound jsum", "poly sign", "witness brute", "selftest"} <= dict(LEAVES).keys()
+
+
+@pytest.mark.parametrize("path, parser", LEAVES, ids=[path for path, _ in LEAVES])
+def test_every_offered_flag_is_read(path, parser):
+    offered = {a.dest for a in parser._actions if a.option_strings and a.dest != "help"}
+    assert offered <= _names_read(parser.get_default("func")), path
 
 
 @pytest.mark.parametrize("argv, code", [
@@ -146,6 +203,11 @@ def test_unread_flags_are_not_offered(capsys, argv):
       "--budget", "0"], 0),
     (["bound", "bayart", "--m", "200", "--n", "10", "--p", "2"], 0),
     (["bound", "bayart", "--m", "171", "--n", "10", "--p", "3"], 0),
+    # the largest degree's budget error comes first
+    (["bohr", "table", "--n-grid", "64", "--p", "2", "--q", "4/3", "--mmax", "1000",
+      "--budget", "0"], 3),
+    (["bohr", "table", "--n-grid", "1099511627776", "--p", "2", "--q", "4/3", "--mmax", "1000",
+      "--budget", "0"], 3),
 ])
 def test_paper_range_closed_forms_answer_fast(capsys, argv, code):
     t0 = time.perf_counter()
@@ -168,8 +230,8 @@ def test_closed_forms_answer_or_fail_fast(kind, m, n, p, q):
     err = io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stderr(err):
-        code = run(["bound", kind, "--m", str(m), "--n", str(n), "--p", p, "--q", q,
-                    "--out", os.devnull])
+        code = run(["bound", kind, "--m", str(m), "--n", str(n), "--p", p,
+                    *(["--q", q] if kind != "bayart" else []), "--out", os.devnull])
     assert time.perf_counter() - t0 <= 2.0
     assert code in (0, 2, 3), err.getvalue()
     if kind == "jsum" and code == 2 and "beta must be finite" not in err.getvalue():
@@ -270,6 +332,11 @@ def test_config_file(tmp_path, capsys):
 
 
 def test_seed_env(tmp_path, capsys, monkeypatch):
+    monkeypatch.delenv("BOHRLAB_SEED", raising=False)
+    code, out = capture(capsys, ["poly", "sign", "--m", "1", "--n", "2"])
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == "0"
+    # the parser is built once per process; the seed default is read per run
     monkeypatch.setenv("BOHRLAB_SEED", "123")
     code, out = capture(capsys, ["poly", "sign", "--m", "1", "--n", "2"])
     assert code == 0
