@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import ExponentPair, log_chi_upper, rate, region_classify
+from .bounds import ExponentPair, log_chi_uppers, rate, region_classify
 from .errors import BudgetExceededError
 from .multiindex import enumerate_lambda, lambda_card
 from .optimize import OptConfig, bohr_sum, series_part_sups, series_sup
@@ -55,8 +55,10 @@ def k_bracket(n: int, e: ExponentPair, M_max: int,
 
     Lower: (1/3) / sup_m chi_upper(m)^(1/m), with the closed-form upper
     bounds evaluated for every m <= M_max and on a geometric tail grid up to
-    10*M_max; the report claims only the grid it evaluated.  Upper:
-    min(1/3, min over m <= M_max of the K_m upper endpoint), since
+    10*M_max; the report claims only the grid it evaluated.  The whole grid
+    takes one log_chi_uppers call, so its multiplicity sums come from one
+    powering at the largest m, whose budget is checked before any work.
+    Upper: min(1/3, min over m <= M_max of the K_m upper endpoint), since
     restricting to one variable embeds the disk.
     """
     if M_max < 1:
@@ -67,8 +69,7 @@ def k_bracket(n: int, e: ExponentPair, M_max: int,
         mm = max(mm + 1, int(mm * 1.5))
         grid.append(min(mm, 10 * M_max))
     grid = sorted(set(grid))
-    # largest m first: a budget error there comes before the cheap degrees
-    sup_root = max(math.exp(log_chi_upper(m, n, e)[0] / m) for m in reversed(grid))
+    sup_root = max(math.exp(v / m) for m, (v, _) in zip(grid, log_chi_uppers(grid, n, e)))
     lower = (1.0 / 3.0) / max(sup_root, 1.0)
 
     upper = 1.0 / 3.0
@@ -168,25 +169,52 @@ def bohr_1d_bracket(tol: float, seed: int = 0) -> RadiusBracket:
     )
 
 
+CIRCLE_POINTS = 4096  # equally spaced points the circle sup is sampled on
+
+
+def _random_coeffs(rng: np.random.Generator, count: int, M: int) -> np.ndarray:
+    """count standard complex Gaussian coefficient rows of length M + 1."""
+    return (rng.standard_normal((count, M + 1))
+            + 1j * rng.standard_normal((count, M + 1))) / np.sqrt(2)
+
+
+def _circle_sup(coeffs: np.ndarray) -> np.ndarray:
+    """Per row, the max of |sum_k c_k w^k| over the CIRCLE_POINTS roots of
+    unity w.  Rows are evaluated 64 at a time, so the values on the circle
+    take 4 MB whatever the row count."""
+    k = np.arange(coeffs.shape[1])
+    theta = np.exp(2j * np.pi * np.outer(np.arange(CIRCLE_POINTS) / CIRCLE_POINTS, k))
+    return np.concatenate([np.abs(coeffs[i:i + 64] @ theta.T).max(axis=1)
+                           for i in range(0, len(coeffs), 64)])
+
+
 def _random_series_failures(r: float, count: int, M: int, seed: int) -> int:
     """Number of random 1-D truncated series whose coefficient sum at radius r
-    exceeds their circle sup (sampled on 4096 points).  The series are drawn
-    512 at a time and evaluated 64 at a time, so the values on the circle
-    take 4 MB, not 32."""
+    exceeds their circle sup (sampled on CIRCLE_POINTS points), drawn 512 at
+    a time.
+
+    A Parseval screen settles most rows without the circle.  For degree
+    M < N = CIRCLE_POINTS the sampled values satisfy
+    (1/N) sum_j |F(w_j)|^2 = sum_k |c_k|^2 exactly, so the sampled max is at
+    least sqrt(sum_k |c_k|^2).  The computed values differ from the exact
+    ones by about 1e-13 * sum_k |c_k| (theta's phases reach 2 pi M, so its
+    entries are off by ~1e-14; the M + 1 term product adds a few eps each),
+    and the screen's sums are off by a few eps relative.  So a row with
+    lhs <= sqrt(sum |c_k|^2) - 1e-9 * sum |c_k| would also pass the dense
+    check, and only the other rows go through _circle_sup: the count is the
+    dense count on any seed, not only on the tested ones."""
     rng = np.random.default_rng(seed)
-    k = np.arange(M + 1)
-    rk = r**k
-    theta = np.exp(2j * np.pi * np.outer(np.arange(4096) / 4096.0, k))
-    fails = 0
+    rk = r ** np.arange(M + 1)
+    rows, sums = [], []
     for lo in range(0, count, 512):
-        b = min(512, count - lo)
-        coeffs = (rng.standard_normal((b, M + 1))
-                  + 1j * rng.standard_normal((b, M + 1))) / np.sqrt(2)
-        lhs = np.abs(coeffs) @ rk
-        sup = np.concatenate([np.abs(coeffs[i:i + 64] @ theta.T).max(axis=1)
-                              for i in range(0, b, 64)])
-        fails += int((lhs > sup).sum())
-    return fails
+        coeffs = _random_coeffs(rng, min(512, count - lo), M)
+        mod = np.abs(coeffs)
+        lhs = mod @ rk
+        unsettled = lhs > np.sqrt((mod * mod).sum(axis=1)) - 1e-9 * mod.sum(axis=1)
+        rows.append(coeffs[unsettled])
+        sums.append(lhs[unsettled])
+    rows, lhs = np.concatenate(rows), np.concatenate(sums)
+    return int((lhs > _circle_sup(rows)).sum()) if len(rows) else 0
 
 
 NORM_RESTARTS = 48  # optimizer restarts of random_series' sup estimate

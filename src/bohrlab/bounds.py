@@ -83,26 +83,37 @@ def _log_series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def log_j_sum(m: int, n: int, beta: float, budget: int = 10**8) -> float:
-    """ln j_sum(m, n) from (k!)^(-beta) [x^k] (sum_{j<=k} (j!)^beta x^j)^n, k = m-1:
-    binary powering of truncated log-coefficient series, positive terms only,
-    no overflow, m^2 * bit_length(n) terms of work (at most budget)."""
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
+def log_j_sums(M: int, n: int, beta: float, budget: int = 10**8) -> np.ndarray:
+    """ln j_sum(m, n) for m = 1..M (entry m - 1), from
+    j_sum(m, n) = (k!)^(-beta) [x^k] (sum_{j<=k} (j!)^beta x^j)^n, k = m-1:
+    one binary powering of truncated log-coefficient series, positive terms
+    only, no overflow, M^2 * bit_length(n) terms of work (at most budget,
+    checked before any).
+
+    Entry t of a truncated product reads only entries <= t of its factors,
+    so entry m - 1 here is bit for bit the value a powering truncated at
+    degree m - 1 gives: one powering at the largest m serves every smaller m."""
+    if M < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got m={M}, n={n}")
     if not math.isfinite(beta):
         raise ValueError(f"beta must be finite, got {beta}")
-    work = m * m * n.bit_length()
+    work = M * M * n.bit_length()
     if work > budget:
         raise BudgetExceededError(f"generating function needs {work} terms, budget {budget}")
-    log_fact = np.array([math.lgamma(j + 1) for j in range(m)])
+    log_fact = np.array([math.lgamma(j + 1) for j in range(M)])
     power, base = None, beta * log_fact
     while True:
         if n & 1:
             power = base if power is None else _log_series_mul(power, base)
         n >>= 1
         if not n:
-            return float(power[-1] - beta * log_fact[-1])
+            return power - beta * log_fact
         base = _log_series_mul(base, base)
+
+
+def log_j_sum(m: int, n: int, beta: float, budget: int = 10**8) -> float:
+    """ln j_sum(m, n): the last entry of log_j_sums(m, n, beta, budget)."""
+    return float(log_j_sums(m, n, beta, budget)[-1])
 
 
 def _exp(log_value: float, what: str) -> float:
@@ -138,37 +149,51 @@ def j_sum(m: int, n: int, e: ExponentPair | None = None, beta: float | None = No
 # --- chi upper bounds -----------------------------------------------------
 
 
-def _log_chi_upper_small_pq(m: int, n: int, e: ExponentPair) -> float:
+def _log_chi_uppers_small_pq(ms: list[int], n: int, e: ExponentPair) -> list[float]:
+    """ln of the small-exponent lemma's bound at each m of ms, from one
+    powering at the largest (its budget error comes before any other work)."""
     if not (1 <= e.q <= e.p <= 2):
         raise ValueError(f"need 1 <= q <= p <= 2, got ({e.p}, {e.q})")
-    if m < 1:
-        raise ValueError(f"need m >= 1, got {m}")
-    log_factor = math.log(m) + 1.0 + (m - 1) * inv(e.p)
+    if min(ms) < 1:
+        raise ValueError(f"need m >= 1, got {min(ms)}")
+    log_factors = [math.log(m) + 1.0 + (m - 1) * inv(e.p) for m in ms]
     if e.q == 1:
         # q' = inf: the l_q' aggregate degenerates to a sup, and every
         # multiplicity^(1/p - 1) is at most 1.
-        return log_factor
-    return log_factor + log_j_sum(m, n, e.beta) * inv(e.q_conj)
+        return log_factors
+    log_sums = log_j_sums(max(ms), n, e.beta).tolist()
+    return [f + log_sums[m - 1] * inv(e.q_conj) for f, m in zip(log_factors, ms)]
 
 
 def chi_upper_small_pq(m: int, n: int, e: ExponentPair) -> float:
     """Upper bound m * e^(1 + (m-1)/p) * (multiplicity sum)^(1/q') on the
     mixed unconditionality constant, valid for 1 <= q <= p <= 2."""
-    return _exp(_log_chi_upper_small_pq(m, n, e), "chi_upper")
+    return _exp(_log_chi_uppers_small_pq([m], n, e)[0], "chi_upper")
 
 
 def _log_coeff_chi_upper(m: int, n: int, p: float) -> float:
     return math.log(lambda_card(m, n)) + m * inv(p) * math.log(n)
 
 
+def log_chi_uppers(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, str]]:
+    """For each m of ms, ln of the best closed-form upper bound on
+    chi(m, n; p, q) and its source: the coefficient bound, or the
+    small-exponent lemma where it applies (1 <= q <= p <= 2) and is smaller.
+    The lemma's multiplicity sums come from one powering at the largest m."""
+    lemma = (_log_chi_uppers_small_pq(ms, n, e) if 1 <= e.q <= e.p <= 2
+             else [None] * len(ms))
+    out = []
+    for m, small in zip(ms, lemma):
+        cands = [(_log_coeff_chi_upper(m, n, e.p), "coefficient bound")]
+        if small is not None:
+            cands.append((small, "small-exponent lemma"))
+        out.append(min(cands, key=lambda c: c[0]))
+    return out
+
+
 def log_chi_upper(m: int, n: int, e: ExponentPair) -> tuple[float, str]:
-    """ln of the best closed-form upper bound on chi(m, n; p, q) and its
-    source: the coefficient bound, or the small-exponent lemma where it
-    applies (1 <= q <= p <= 2) and is smaller."""
-    cands = [(_log_coeff_chi_upper(m, n, e.p), "coefficient bound")]
-    if 1 <= e.q <= e.p <= 2:
-        cands.append((_log_chi_upper_small_pq(m, n, e), "small-exponent lemma"))
-    return min(cands, key=lambda c: c[0])
+    """log_chi_uppers at the one degree m."""
+    return log_chi_uppers([m], n, e)[0]
 
 
 def lempoly_rhs(m: int, n: int, p: float, j: tuple[int, ...]) -> float:

@@ -318,6 +318,13 @@ def cmd_selftest(ns) -> int:
         F = polynomial.moebius_series(0.5, 60)
         return 1.0 - 1e-6 <= optimize.bohr_sum(F, 1.0 / (1.0 + 2 * 0.5), 2.0).value <= 1.0 + 1e-12
 
+    def screen_keeps_count():
+        # 512 series at r = 0.9, where some fail: the dense count on every row
+        coeffs = bohr_mod._random_coeffs(np.random.default_rng(0), 512, 12)
+        lhs = np.abs(coeffs) @ 0.9 ** np.arange(13)
+        dense = int((lhs > bohr_mod._circle_sup(coeffs)).sum())
+        return 0 < dense == bohr_mod._random_series_failures(0.9, 512, 12, seed=0)
+
     def k1_bracket():
         km = bohr_mod.k_m_bracket(1, 2, bounds.ExponentPair(2.0, 2.0), scfg,
                                   sign_budget=200, samples=1000)
@@ -339,6 +346,7 @@ def cmd_selftest(ns) -> int:
         ("sup |z1^3| = 1", lambda: abs(optimize.sup_norm(
             polynomial.HomPoly(3, 3, {(3, 0, 0): 1.0}), math.inf).value - 1.0) <= 1e-12),
         ("disk automorphism Bohr sum = 1 at r = 1/(1+2a)", automorphism),
+        ("Parseval screen keeps the random-series failure count", screen_keeps_count),
         ("sign search deterministic", lambda: witness.sign_search(2, 2, math.inf, 200, 7, scfg)[0]
          == witness.sign_search(2, 2, math.inf, 200, 7, scfg)[0]),
         ("K_1(p=q) bracket contains 1", k1_bracket),
@@ -374,7 +382,7 @@ def _kinds(sub, cmd: str, flags: dict, kinds) -> dict:
     as the flags table declares it.  Returns the sub-parsers by kind.  No
     abbreviations, so a flag a kind lacks is not read as a longer one it
     has ("bohr table --n" is not --n-grid)."""
-    per_kind = sub.add_parser(cmd).add_subparsers(dest="kind", required=True)
+    per_kind = sub.add_parser(cmd, allow_abbrev=False).add_subparsers(dest="kind", required=True)
     parsers = {}
     for name, func, names in kinds:
         sp = parsers[name] = per_kind.add_parser(name, allow_abbrev=False)
@@ -386,15 +394,17 @@ def _kinds(sub, cmd: str, flags: dict, kinds) -> dict:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process; the --seed default (None) is
-    resolved from BOHRLAB_SEED each time run parses."""
-    ap = argparse.ArgumentParser(prog="bohrlab")
+    resolved from BOHRLAB_SEED each time run parses.  No parser takes
+    abbreviations: "sweep --n" is not read as --n-grid, nor "norm --maj" as
+    --majorant."""
+    ap = argparse.ArgumentParser(prog="bohrlab", allow_abbrev=False)
     sub = ap.add_subparsers(dest="cmd", required=True)
     exponent = dict(type=parse_exponent, required=True)
     opt = {"seed": dict(type=int, default=None),  # the flags _opt_cfg reads
            "restarts": dict(type=int, default=32),
            "iters": dict(type=int, default=200)}
 
-    sp = sub.add_parser("enumerate")
+    sp = sub.add_parser("enumerate", allow_abbrev=False)
     sp.add_argument("--m", type=int, required=True)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--set", choices=("lambda", "j", "lambda_k"), default="lambda")
@@ -416,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("sign", cmd_poly_sign, "m n seed"),
     ])
 
-    sp = sub.add_parser("norm")
+    sp = sub.add_parser("norm", allow_abbrev=False)
     sp.add_argument("--poly", required=True)
     sp.add_argument("--p", type=parse_exponent, default=2.0)
     sp.add_argument("--q", type=parse_exponent, default=None)
@@ -473,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("table", cmd_bohr_table, "n-grid p q mmax budget samples seed restarts iters"),
     ])
 
-    sp = sub.add_parser("sweep")
+    sp = sub.add_parser("sweep", allow_abbrev=False)
     sp.add_argument("--m-grid", type=parse_grid, default=[1, 2, 3])
     sp.add_argument("--n-grid", type=parse_grid, default=[2, 4, 8])
     sp.add_argument("--p", type=parse_exponent, required=True)
@@ -484,7 +494,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_sweep)
     sp.set_defaults(format="csv")
 
-    sp = sub.add_parser("selftest")
+    sp = sub.add_parser("selftest", allow_abbrev=False)
     sp.set_defaults(func=cmd_selftest)
 
     return ap

@@ -4,8 +4,12 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bohrlab import bohr
 from bohrlab.bohr import (
+    MC_DEGREE,
+    MC_SERIES,
     RadiusBracket,
+    _random_series_failures,
     bohr_1d_bracket,
     k_bracket,
     k_m_bracket,
@@ -112,22 +116,85 @@ def test_moebius_equality_radius():
 
 
 def test_random_series_pass_below_third():
-    from bohrlab.bohr import _random_series_failures
-
     assert _random_series_failures(0.30, 2000, 12, seed=1) == 0
+
+
+def _dense_failures(r: float, count: int, M: int, seed: int) -> int:
+    """The check without the Parseval screen: every series on the circle."""
+    rng = np.random.default_rng(seed)
+    k = np.arange(M + 1)
+    rk = r**k
+    theta = np.exp(2j * np.pi * np.outer(np.arange(4096) / 4096.0, k))
+    fails = 0
+    for lo in range(0, count, 512):
+        b = min(512, count - lo)
+        coeffs = (rng.standard_normal((b, M + 1))
+                  + 1j * rng.standard_normal((b, M + 1))) / np.sqrt(2)
+        lhs = np.abs(coeffs) @ rk
+        sup = np.concatenate([np.abs(coeffs[i:i + 64] @ theta.T).max(axis=1)
+                              for i in range(0, b, 64)])
+        fails += int((lhs > sup).sum())
+    return fails
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7, 11])
+@pytest.mark.parametrize("r", [1 / 3 - 1e-3, 0.5, 0.7, 0.8, 0.9, 1.0])
+def test_parseval_screen_keeps_the_dense_count(r, seed):
+    # at r = 0.8 the screen settles about 1 row in 9 and a few rows fail
+    fails = _random_series_failures(r, MC_SERIES, MC_DEGREE, seed)
+    assert fails == _dense_failures(r, MC_SERIES, MC_DEGREE, seed)
+    if r <= 0.7:
+        assert fails == 0
+    if r == 1.0:  # sum |c_k| > sup |F| on the circle for every such series
+        assert fails == MC_SERIES
+
+
+def _dense_rows(monkeypatch) -> list[int]:
+    """The number of rows each _circle_sup call evaluates, from now on."""
+    rows, circle_sup = [], bohr._circle_sup
+
+    def spy(coeffs):
+        rows.append(len(coeffs))
+        return circle_sup(coeffs)
+
+    monkeypatch.setattr(bohr, "_circle_sup", spy)
+    return rows
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_no_series_reaches_the_circle_at_the_default_radius(monkeypatch, seed):
+    rows = _dense_rows(monkeypatch)
+    br = bohr_1d_bracket(1e-3, seed)  # bohr oned's default --tol
+    assert br.lower == 1 / 3 - 1e-3
+    assert sum(rows) == 0
+
+
+def test_screen_sends_the_unsettled_rows_to_the_circle(monkeypatch):
+    rows = _dense_rows(monkeypatch)
+    assert _random_series_failures(0.7, MC_SERIES, MC_DEGREE, 1) == 0
+    assert 0 < sum(rows) < MC_SERIES // 4
+    rows.clear()
+    assert _random_series_failures(1.0, MC_SERIES, MC_DEGREE, 1) == MC_SERIES
+    assert sum(rows) == MC_SERIES
+
+
+def _peak_bytes(r: float) -> int:
+    tracemalloc.start()
+    try:
+        _random_series_failures(r, 512, 12, seed=1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_random_series_check_evaluates_in_row_chunks():
     # one block of 512 series on 4096 circle points is 32 MB of values
-    from bohrlab.bohr import _random_series_failures
+    assert _peak_bytes(0.30) < 10 * 2**20
 
-    tracemalloc.start()
-    try:
-        _random_series_failures(0.30, 512, 12, seed=1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 10 * 2**20
+
+def test_random_series_check_evaluates_in_row_chunks_when_every_row_is_open():
+    # at r = 1.0 the screen settles no row, so all 512 go to the circle
+    assert _peak_bytes(1.0) < 10 * 2**20
 
 
 def test_wiener_moebius_equality_m1():

@@ -1,7 +1,11 @@
+import ast
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bohrlab.bohr import k_bracket
 from bohrlab.bounds import (
     ExponentPair,
     bayart_bound,
@@ -12,6 +16,9 @@ from bohrlab.bounds import (
     j_sum,
     lempoly_rhs,
     log_chi_upper,
+    log_chi_uppers,
+    log_j_sum,
+    log_j_sums,
     rate,
     region_classify,
     transfer_lower_pq,
@@ -71,6 +78,39 @@ def test_j_sum_matches_partition_shape_sum():
             for beta in (0.0, 0.5, 2 / 3, 1.0, 2.0):
                 ref = math.fsum(a * float(mult) ** (-beta) for a, mult in shapes)
                 assert j_sum(m, n, beta=beta) == pytest.approx(ref, rel=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), M=st.integers(1, 60), n=st.integers(1, 2**40),
+       beta=st.floats(-2.0, 2.0, allow_nan=False))
+def test_one_powering_gives_every_smaller_degree(data, M, n, beta):
+    # entry t of a truncated product reads only entries <= t of its factors
+    sums = log_j_sums(M, n, beta)
+    assert len(sums) == M
+    for m in {1, M, data.draw(st.integers(1, M))}:
+        assert sums[m - 1] == log_j_sum(m, n, beta)
+
+
+def test_log_j_sums_budget_checked_first():
+    with pytest.raises(BudgetExceededError):
+        log_j_sums(10**4, 2**40, 1.0, budget=10**9)
+    for bad in [(0, 4, 1.0), (3, 0, 1.0), (3, 4, math.inf)]:
+        with pytest.raises(ValueError):
+            log_j_sums(*bad)
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 4 / 3), (1.5, 1.25), (2.0, 2.0), (2.0, 1.0),
+                                  (4.0, 4.0), (math.inf, 2.0)])
+@pytest.mark.parametrize("n", [64, 1039, 2**40])
+@pytest.mark.parametrize("M", [1, 4, 7])
+def test_k_bracket_lower_is_the_one_degree_at_a_time_value(p, q, n, M):
+    e = ExponentPair(p, q)
+    br = k_bracket(n, e, M, sign_budget=0)
+    grid = ast.literal_eval(br.lower_src.removeprefix("chi-upper roots over m grid "))
+    assert grid[:M] == list(range(1, M + 1)) and grid[-1] == 10 * M
+    assert log_chi_uppers(grid, n, e) == [log_chi_upper(m, n, e) for m in grid]
+    sup_root = max(math.exp(log_chi_upper(m, n, e)[0] / m) for m in grid)
+    assert br.lower == (1 / 3) / max(1.0, sup_root)
 
 
 def test_j_sum_beta_zero_is_card():

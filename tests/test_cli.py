@@ -194,6 +194,13 @@ def test_every_offered_flag_is_read(path, parser):
     assert offered <= _names_read(parser.get_default("func")), path
 
 
+@pytest.mark.parametrize("path, parser", LEAVES, ids=[path for path, _ in LEAVES])
+def test_no_parser_takes_abbreviations(path, parser):
+    # else a flag the command lacks is read as a longer one it has
+    assert parser.allow_abbrev is False, path
+    assert build_parser().allow_abbrev is False
+
+
 @pytest.mark.parametrize("argv, code", [
     (["bound", "jsum", "--m", "300", "--n", "1000000", "--p", "2", "--q", "3/2"], 2),
     (["bound", "envelope", "--m", "120", "--n", str(2**40), "--p", "2", "--q", "3/2"], 0),
@@ -294,6 +301,10 @@ def test_exit_codes(capsys, tmp_path):
     assert run(["bohr", "wiener", "--series", artifact(_series_doc(a0=0.5)), "--p", "2"]) == 2
     # the well-formed artifacts answer
     assert run(["norm", "--poly", artifact(_poly_doc()), "--majorant", "--q", "2"]) == 0
+    # abbreviated flags are refused, not read as the longer ones
+    assert run(["sweep", "--m-grid", "1", "--n", "2", "--p", "2", "--q", "2"]) == 2
+    assert run(["norm", "--poly", "X", "--maj"]) == 2
+    assert run(["norm", "--poly", artifact(_poly_doc()), "--maj", "--q", "2"]) == 2
     assert run(["bohr", "wiener", "--series", artifact(_series_doc()), "--p", "2"]) == 0
     capsys.readouterr()
 
