@@ -71,8 +71,11 @@ def _proj_sphere(Z: np.ndarray, p: float, flat: np.ndarray) -> np.ndarray:
 
 def _sufficient(fc, f, G, cand, Z) -> np.ndarray:
     """Armijo test of each candidate: sufficient increase along the projected
-    displacement (the raw gradient is radial-dominated on the sphere and
-    would stall early)."""
+    displacement cand - Z, not along t * G.  On the l_p sphere (p < inf) G
+    keeps a radial part, which dominates near a maximum and which the
+    projection throws away, so a test along t * G would ask for gains the
+    step cannot make and stall early.  On the torus G is tangent already
+    (see _estimate)."""
     disp = ((np.conj(G) * (cand - Z)).sum(axis=1)).real
     return fc >= f + 1e-4 * np.maximum(disp, 0.0)
 
@@ -88,15 +91,15 @@ def _ascend(fg: Callable, project: Callable, Z0: np.ndarray,
     and takes the first step that passes the Armijo test; an accepted step
     grows t by 1.25, and 4 stalled steps (or a failed iteration with
     t < 1e-14) end a start.  The working arrays hold only live starts, so a
-    start that has ended is evaluated no more.  When every live
-    start accepts its first step the arrays are updated whole; starts that
-    fail it try the next halvings in rungs of one kernel call each and take
-    the first that passes, the step the one-halving-at-a-time search accepts.
-    A rung holds as many halvings as the start has tried (at least one, at
-    most LADDER), so a start evaluates fewer than twice the halvings that
-    search evaluates, and a 39-halving tail takes 8 calls.  A rung call takes
-    at most R // L starts for rung length L (at least one), so its kernel
-    arrays are no larger than the first call's unless R < L.
+    start that has ended is evaluated no more.  When every live start
+    accepts its first step the candidates become the working arrays; starts
+    that fail it try the next halvings in rungs of one kernel call each and
+    take the first that passes, the step the one-halving-at-a-time search
+    accepts.  A rung holds as many halvings as the start has tried (at
+    least one, at most LADDER), so a start evaluates fewer than twice the
+    halvings that search evaluates, and a 39-halving tail takes 8 calls.  A
+    rung call takes at most R // L starts for rung length L (at least one),
+    so its kernel arrays are no larger than the first call's unless R < L.
 
     Returns (final values, final points, converged flag of each point)."""
     Z_out = project(Z0)
@@ -108,12 +111,16 @@ def _ascend(fg: Callable, project: Callable, Z0: np.ndarray,
     t = np.full(R, STEP0)
     stalled = np.zeros(R, dtype=np.int64)
 
-    def accept(k, cz, fz, gz, tk):
-        fk = f[k]
+    def moved(fk, fz, tk, sk):
+        """Stall counts and next steps of starts that move from fk to fz
+        with steps tk: a relative gain below TOL counts as a stall, and the
+        step grows by 1.25 up to 1e3."""
         rel = (fz - fk) / np.maximum(np.abs(fk), 1e-300)
-        stalled[k] = np.where(rel < TOL, stalled[k] + 1, 0)
+        return np.where(rel < TOL, sk + 1, 0), np.minimum(tk * 1.25, 1e3)
+
+    def accept(k, cz, fz, gz, tk):
+        stalled[k], t[k] = moved(f[k], fz, tk, stalled[k])
         Z[k], f[k], G[k] = cz, fz, gz
-        t[k] = np.minimum(tk * 1.25, 1e3)
 
     def ladder(k, L):
         """Try L halvings of t[k] in one kernel call, accept each start's
@@ -135,7 +142,8 @@ def _ascend(fg: Callable, project: Callable, Z0: np.ndarray,
         fc, gc = fg(cand, o)
         ok = _sufficient(fc, f, G, cand, Z)
         if ok.all():
-            accept(slice(None), cand, fc, gc, t)
+            stalled, t = moved(f, fc, t, stalled)
+            Z, f, G = cand, fc, gc
         else:
             good, todo = np.flatnonzero(ok), np.flatnonzero(~ok)
             accept(good, cand[good], fc[good], gc[good], t[good])
@@ -236,7 +244,16 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarr
     nonneg=False maximizes |F|^2 over the complex sphere (the torus for
     p = inf); nonneg=True maximizes F (coefficients >= 0) over the
     nonnegative sphere.  A row's value is |F| at its witness, scaled into
-    the closed unit ball."""
+    the closed unit ball.
+
+    On the torus the direction is the tangent part of G = 2 F conj(grad F):
+    coordinate j loses Re(w) z_j, its component along z_j, where
+    w = conj(z_j) G_j.  Near a maximum |F| grows outward, so Re(w)
+    dominates; kept, it makes the step angle of normalize(z_j + t G_j),
+    atan(t Im(w) / (1 + t Re(w))), saturate near Im(w) / Re(w) whatever t
+    is, and the step search no longer controls the step.  For p < inf the
+    direction keeps its radial part: removing the component normal to the
+    l_2 sphere made those ascents longer."""
     K, (T, n) = len(C), A.shape
     draws: dict[int, np.ndarray] = {}
 
@@ -264,7 +281,10 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarr
 
         def fg(Z, own):
             vals, grads = grad_batch(F, Z, own)
-            return np.abs(vals) ** 2, 2.0 * vals[:, None] * np.conj(grads)
+            G = 2.0 * vals[:, None] * np.conj(grads)
+            if p == math.inf:  # |z_j| = 1: keep only the tangent part
+                G -= (np.conj(Z) * G).real * Z
+            return np.abs(vals) ** 2, G
 
         def project(Z):
             return _proj_sphere(Z, p, flat)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bohrlab import optimize
-from bohrlab.bohr import random_series
+from bohrlab.bohr import random_series, wiener_check
 from bohrlab.multiindex import enumerate_lambda
 from bohrlab.optimize import (
     OptConfig,
@@ -15,6 +15,7 @@ from bohrlab.optimize import (
     majorant_sup,
     majorant_sups,
     pick_best,
+    series_part_sups,
     series_sup,
     split_factorize,
     sup_norm,
@@ -254,6 +255,12 @@ def test_ascend_matches_reference_estimators(monkeypatch, rows):
     for q in (1.0, 4 / 3, 2.0):
         for args in _ascents(monkeypatch, lambda: majorant_sups(A, C, q, cfg)):
             _assert_same_ascent(args)
+    # a series and its four parts on the series' mixed-degree table: five owners
+    F = _series(20 + rows, 3, 4)
+    for p in (2.0, math.inf):
+        for args in _ascents(monkeypatch, lambda: series_part_sups(F, p, cfg)):
+            assert args[4] is not None and len(set(args[4].tolist())) == 5
+            _assert_same_ascent(args)
 
 
 def _kinked(scale):
@@ -372,6 +379,56 @@ def test_ascend_evaluates_once_per_iteration(iters):
     own = np.arange(3)
     done = _ascend(_spied(fg, calls), lambda X: X + 0.0, Z0, OptConfig(iters=iters), own)[2]
     assert calls == [[0, 1, 2]] * (iters + 1) and not done.any()
+
+
+def test_torus_directions_are_tangent(monkeypatch):
+    # for p = inf the ascent direction has no radial part at a torus point:
+    # Re(conj(z_j) G_j) = 0 in every coordinate
+    rng = np.random.default_rng(8)
+    alphas = list(enumerate_lambda(3, 3))
+    A = np.array(alphas)
+    C = rng.standard_normal((3, len(A))) + 1j * rng.standard_normal((3, len(A)))
+    calls = _ascents(monkeypatch, lambda: sup_norms(A, C, math.inf, CFG))
+    calls += _ascents(monkeypatch, lambda: series_part_sups(_series(9, 3, 4), math.inf, CFG))
+    for fg, *_, own in calls:
+        Z = np.exp(2j * math.pi * rng.random((64, 3)))
+        owners = None if own is None else np.sort(rng.choice(own, 64))
+        G = fg(Z, owners)[1]
+        assert np.abs((np.conj(Z) * G).real).max() <= 1e-12 * np.abs(G).max()
+
+
+def _suite_series(seed, index):
+    """Series `index` of the Wiener-type suite drawn from seed: series i has
+    n = 1 + i // 2 % 3 variables and degree M = 1 + i // 6 % 4; its constant
+    term and then each part's coefficients, in enumerate_lambda order, are
+    (normal + 1j normal) / sqrt(2)."""
+    rng = np.random.default_rng(seed)
+
+    def draw(size):
+        return (rng.standard_normal(size) + 1j * rng.standard_normal(size)) / math.sqrt(2)
+
+    for i in range(index + 1):
+        n, M = 1 + i // 2 % 3, 1 + i // 6 % 4
+        a0, parts = complex(draw(1)[0]), []
+        for k in range(1, M + 1):
+            alphas = list(enumerate_lambda(k, n))
+            parts.append(dict(zip(alphas, draw(len(alphas)))))
+    return n, a0, parts
+
+
+def test_torus_sup_normalizes_suite_series():
+    # series 47 of seed 11 (n = 3, M = 4, p = inf): an ascent whose torus
+    # steps kept their radial part found 16.4949 here, 5.4% under the sup,
+    # so the series normalized by it was not normalized
+    n, a0, parts = _suite_series(11, 47)
+
+    def build(s):
+        return TruncatedSeries(n, a0 / s, [HomPoly(n, k, {a: c / s for a, c in part.items()})
+                                           for k, part in enumerate(parts, start=1)])
+
+    sup = series_sup(build(1.0), math.inf, OptConfig(48, 300, 11)).value
+    assert sup >= 17.44
+    assert wiener_check(build(1.01 * sup), math.inf, 1.0, OptConfig(8, 80, 11)).all_pass
 
 
 def test_pick_best_ties_take_lowest_index():
