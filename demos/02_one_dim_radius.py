@@ -3,16 +3,18 @@
 # Upper endpoint: bisection against truncated disk automorphisms
 # z -> (a - z) / (1 - a z), whose Bohr sums exceed 1 just above 1/3.
 # Lower endpoint: a Monte Carlo suite of random truncated series whose
-# coefficient sums at 1/3 - tol stay below their circle sups.
+# coefficient sums at 1/3 - tol stay below their circle sups.  Each end is
+# an Endpoint: its value, and the source it comes from.
 
 from bohrlab.bohr import bohr_1d_bracket
 from bohrlab.optimize import bohr_sum
 from bohrlab.polynomial import moebius_series
 
 br = bohr_1d_bracket(1e-3)
-print(f"one-variable Bohr radius bracket: [{br.lower:.6f}, {br.upper:.6f}]")
-print(f"  width {br.upper - br.lower:.2e}, contains 1/3: "
-      f"{br.lower <= 1 / 3 <= br.upper}")
+print(f"one-variable Bohr radius bracket: [{br.lower.value:.6f}, {br.upper.value:.6f}]")
+print(f"  width {br.upper.value - br.lower.value:.2e}, contains 1/3: "
+      f"{br.lower.value <= 1 / 3 <= br.upper.value}")
+print(f"  lower from: {br.lower.source}\n  upper from: {br.upper.source}")
 
 # The extremal family at a glance: for the automorphism with parameter a,
 # the Bohr sum hits 1 exactly at r = 1/(1 + 2a), which tends to 1/3 as

@@ -4,7 +4,9 @@
 # Lower endpoints come from explicit witness polynomials (sign patterns
 # found by annealing, flat coefficients, random ensembles); uppers from
 # closed-form coefficient bounds.  Witness values are slack-deflated
-# because the norm optimizer certifies only lower bounds.
+# because the norm optimizer certifies only lower bounds, and the endpoint
+# they set is marked estimate.  K_m's ends keep the marks of the chi ends
+# they come from.
 
 from bohrlab.bohr import k_m_bracket
 from bohrlab.bounds import ExponentPair
@@ -17,9 +19,9 @@ m, n = 2, 4
 
 br = chi_bracket(m, n, e, cfg, sign_budget=2000, samples=1000)
 print(f"chi bracket for m={m}, n={n}, p=q=2:")
-print(f"  [{br.lower:.6f}, {br.upper:.6f}]")
-print(f"  lower from: {br.lower_src}")
-print(f"  upper from: {br.upper_src}")
+print(f"  [{br.lower.value:.6f}, {br.upper.value:.6f}]")
+print(f"  lower from: {br.lower.source} (estimate: {br.lower.estimate})")
+print(f"  upper from: {br.upper.source} (estimate: {br.upper.estimate})")
 
 bc = brute_chi(m, n, e, seed=0, cfg=cfg)
 print(f"\nrandom-ensemble search: raw {bc.raw:.6f}, "
@@ -32,6 +34,7 @@ print(f"sign witness: {neg}/{len(eps)} negative signs, "
 
 km = k_m_bracket(m, n, e, cfg, sign_budget=2000, samples=1000)
 print(f"\ndegree-{m} radius K_{m} = chi^(-1/{m}):")
-print(f"  [{km.lower:.6f}, {km.upper:.6f}]  (1/3 reference: {1 / 3:.6f})")
+print(f"  [{km.lower.value:.6f}, {km.upper.value:.6f}]  (1/3 reference: {1 / 3:.6f})")
+print(f"  upper from: {km.upper.source} (estimate: {km.upper.estimate})")
 bc1 = brute_chi(1, n, e, seed=0, cfg=cfg)
 print(f"  exact linear-case sanity: chi(1) = {bc1.raw:.6f} vs closed form 1")

@@ -4,7 +4,6 @@ polynomials, sup-norm estimation, closed-form analytic bounds, randomized
 lower-bound witnesses, and bracket assembly."""
 
 from .bohr import (
-    RadiusBracket,
     WienerReport,
     bohr_1d_bracket,
     k_bracket,
@@ -59,6 +58,7 @@ from .polynomial import (
 )
 from .witness import (
     BoundBracket,
+    Endpoint,
     brute_chi,
     chi_bracket,
     chi_lower_flat,

@@ -4,14 +4,14 @@ radius-1/3 reproduction, and the degreewise coefficient-norm (Wiener)
 checker with the seeded random normalized series it is run on.
 
 Endpoint direction discipline: a certified K lower bound may only consume
-chi upper bounds, and a K upper bound only chi lower bounds.  Estimate-based
-endpoints inherit the "estimate-based" marker in their provenance.
+chi upper bounds, and a K upper bound only chi lower bounds.  A K end made
+from a chi end keeps that end's estimate flag.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,37 +20,23 @@ from .errors import BudgetExceededError
 from .multiindex import enumerate_lambda, lambda_card
 from .optimize import OptConfig, bohr_sum, series_part_sups, series_sup
 from .polynomial import HomPoly, TruncatedSeries, moebius_series, scale
-from .witness import chi_bracket
-
-
-@dataclass(frozen=True)
-class RadiusBracket:
-    """[lower, upper] for a Bohr radius, with the degree(s) it refers to."""
-
-    lower: float
-    upper: float
-    m: object  # an int for K_m, a string like "all m <= M" for K
-    lower_src: str
-    upper_src: str
-
-    def __post_init__(self):
-        if not (0 <= self.lower <= self.upper <= 1):
-            raise ValueError(f"invalid bracket [{self.lower}, {self.upper}]")
+from .witness import BoundBracket, Endpoint, chi_bracket
 
 
 def k_m_bracket(m: int, n: int, e: ExponentPair,
-                cfg: OptConfig | None = None, **chi_kw) -> RadiusBracket:
+                cfg: OptConfig | None = None, **chi_kw) -> BoundBracket:
     """Bracket for the degree-m radius K_m = chi^(-1/m): the chi bracket
-    endpoints pass through x -> x^(-1/m), which swaps their roles."""
+    endpoints (>= 1) pass through x -> x^(-1/m) into [0, 1], swapping roles."""
     cb = chi_bracket(m, n, e, cfg, **chi_kw)
-    lower = cb.upper ** (-1.0 / m)
-    upper = min(1.0, cb.lower ** (-1.0 / m))
-    return RadiusBracket(lower, upper, m, f"chi upper: {cb.upper_src}",
-                         f"chi lower: {cb.lower_src}")
+    lower = replace(cb.upper, value=cb.upper.value ** (-1.0 / m),
+                    source=f"chi upper: {cb.upper.source}")
+    upper = replace(cb.lower, value=min(1.0, cb.lower.value ** (-1.0 / m)),
+                    source=f"chi lower: {cb.lower.source}")
+    return BoundBracket(lower, upper, m)
 
 
 def k_bracket(n: int, e: ExponentPair, M_max: int,
-              cfg: OptConfig | None = None, **chi_kw) -> RadiusBracket:
+              cfg: OptConfig | None = None, **chi_kw) -> BoundBracket:
     """Bracket for the full radius K.
 
     Lower: (1/3) / sup_m chi_upper(m)^(1/m), with the closed-form upper
@@ -70,35 +56,32 @@ def k_bracket(n: int, e: ExponentPair, M_max: int,
         grid.append(min(mm, 10 * M_max))
     grid = sorted(set(grid))
     sup_root = max(math.exp(v / m) for m, (v, _) in zip(grid, log_chi_uppers(grid, n, e)))
-    lower = (1.0 / 3.0) / max(sup_root, 1.0)
+    lower = Endpoint((1.0 / 3.0) / max(sup_root, 1.0), f"chi-upper roots over m grid {grid}")
 
-    upper = 1.0 / 3.0
-    upper_src = "K(disk) = 1/3 one-variable restriction"
+    upper = Endpoint(1.0 / 3.0, "K(disk) = 1/3 one-variable restriction")
     for m in range(1, M_max + 1):
         km = k_m_bracket(m, n, e, cfg, **chi_kw)
-        if km.upper < upper:
-            upper = km.upper
-            upper_src = f"K_{m} upper ({km.upper_src})"
-    return RadiusBracket(lower, upper, f"all m <= {M_max}",
-                         f"chi-upper roots over m grid {grid}", upper_src)
+        if km.upper.value < upper.value:
+            upper = replace(km.upper, source=f"K_{m} upper ({km.upper.source})")
+    return BoundBracket(lower, upper, f"all m <= {M_max}")
 
 
 def k_table(n_grid, e: ExponentPair, M_max: int,
             cfg: OptConfig | None = None, **chi_kw) -> list[dict]:
     """Sweep rows (n, lower, upper, region, rate(n), provenance) for a grid of
-    dimensions.  The provenance is "estimate-based" when either endpoint's
-    source is, else "closed-form"."""
+    dimensions.  The provenance is "estimate-based" when either endpoint is
+    an estimate, else "closed-form"; the rate is None for n < 2."""
     rep = region_classify(e.p, e.q)
     rows = []
     for n in n_grid:
         br = k_bracket(n, e, M_max, cfg, **chi_kw)
         rows.append({
             "n": n,
-            "lower": br.lower,
-            "upper": br.upper,
+            "lower": br.lower.value,
+            "upper": br.upper.value,
             "region": rep.tag,
-            "rate": rate(e.p, e.q, n) if n >= 2 else float("nan"),
-            "provenance": ("estimate-based" if "estimate-based" in br.lower_src + br.upper_src
+            "rate": rate(e.p, e.q, n) if n >= 2 else None,
+            "provenance": ("estimate-based" if br.lower.estimate or br.upper.estimate
                            else "closed-form"),
         })
     return rows
@@ -126,7 +109,7 @@ MC_SERIES = 10_000  # random series checked at the lower endpoint
 MC_DEGREE = 12  # their degree
 
 
-def bohr_1d_bracket(tol: float, seed: int = 0) -> RadiusBracket:
+def bohr_1d_bracket(tol: float, seed: int = 0) -> BoundBracket:
     """Bracket for the one-variable radius (the classical 1/3).
 
     Upper endpoint: bisection on r against the truncated disk-automorphism
@@ -160,13 +143,9 @@ def bohr_1d_bracket(tol: float, seed: int = 0) -> RadiusBracket:
     fails = _random_series_failures(r_lo, MC_SERIES, MC_DEGREE, seed)
     if fails:
         raise RuntimeError(f"{fails} random series violated the Bohr sum at r={r_lo}")
-    return RadiusBracket(
-        r_lo,
-        hi,
-        "all m",
-        f"Monte Carlo: {MC_SERIES} random degree-{MC_DEGREE} series",
-        "disk-automorphism truncations, Bohr sum > 1",
-    )
+    return BoundBracket(
+        Endpoint(r_lo, f"Monte Carlo: {MC_SERIES} random degree-{MC_DEGREE} series"),
+        Endpoint(hi, "disk-automorphism truncations, Bohr sum > 1"), "all m")
 
 
 CIRCLE_POINTS = 4096  # equally spaced points the circle sup is sampled on

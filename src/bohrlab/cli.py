@@ -69,9 +69,6 @@ def config_line(ns: argparse.Namespace) -> dict:
 def emit(ns: argparse.Namespace, payload) -> None:
     """Write the artifact (config header included) to --out or stdout, as it
     is encoded: no copy of the whole text is held in memory."""
-    if ns.format == "csv" and not isinstance(payload, tuple):
-        kind = " ".join(filter(None, (ns.cmd, getattr(ns, "kind", None))))
-        raise ValueError(f"{kind} writes JSON only; --format csv is not available")
     cfg = config_line(ns)
     with open(ns.out, "w") if ns.out else contextlib.nullcontext(sys.stdout) as fh:
         if ns.format == "json":
@@ -237,24 +234,25 @@ def cmd_witness_brute(ns) -> int:
 def cmd_witness_bracket(ns) -> int:
     br = witness.chi_bracket(ns.m, ns.n, bounds.ExponentPair(ns.p, ns.q), _opt_cfg(ns),
                              sign_budget=ns.budget, samples=ns.samples)
-    flags = ["estimate-based"] if "estimate-based" in br.lower_src else []
-    emit(ns, {"lower": br.lower, "lower_src": br.lower_src,
-              "upper": br.upper, "upper_src": br.upper_src, "flags": flags})
+    up = br.upper.value  # inf past the float range; JSON has no inf, so null
+    emit(ns, {"lower": br.lower.value, "lower_src": br.lower.source,
+              "upper": up if math.isfinite(up) else None, "upper_src": br.upper.source,
+              "flags": ["estimate-based"] if br.lower.estimate else []})
     return 0
 
 
 def cmd_bohr_bracket(ns) -> int:
     br = bohr_mod.k_bracket(ns.n, bounds.ExponentPair(ns.p, ns.q), ns.mmax, _opt_cfg(ns),
                             sign_budget=ns.budget, samples=ns.samples)
-    emit(ns, {"lower": br.lower, "upper": br.upper, "m": str(br.m),
-              "lower_src": br.lower_src, "upper_src": br.upper_src})
+    emit(ns, {"lower": br.lower.value, "upper": br.upper.value, "m": str(br.m),
+              "lower_src": br.lower.source, "upper_src": br.upper.source})
     return 0
 
 
 def cmd_bohr_oned(ns) -> int:
     br = bohr_mod.bohr_1d_bracket(ns.tol, seed=ns.seed)
-    emit(ns, {"lower": br.lower, "upper": br.upper,
-              "lower_src": br.lower_src, "upper_src": br.upper_src})
+    emit(ns, {"lower": br.lower.value, "upper": br.upper.value,
+              "lower_src": br.lower.source, "upper_src": br.upper.source})
     return 0
 
 
@@ -274,8 +272,8 @@ def cmd_bohr_table(ns) -> int:
     rows = bohr_mod.k_table(ns.n_grid, bounds.ExponentPair(ns.p, ns.q), ns.mmax, _opt_cfg(ns),
                             sign_budget=ns.budget, samples=ns.samples)
     if ns.format == "csv":
-        out = [[str(r["n"]), fnum(r["lower"]), fnum(r["upper"]),
-                r["region"], fnum(r["rate"]), r["provenance"]]
+        out = [[str(r["n"]), fnum(r["lower"]), fnum(r["upper"]), r["region"],
+                "" if r["rate"] is None else fnum(r["rate"]), r["provenance"]]
                for r in rows]
         emit(ns, (["n", "lower", "upper", "region", "rate", "provenance"], out))
     else:
@@ -292,8 +290,8 @@ def cmd_sweep(ns) -> int:
             br = witness.chi_bracket(m, n, e, cfg, sign_budget=ns.budget,
                                      samples=ns.samples)
             rows.append([str(m), str(n), str(ns.p), str(ns.q),
-                         fnum(br.lower), fnum(br.upper),
-                         br.lower_src, br.upper_src])
+                         fnum(br.lower.value), fnum(br.upper.value),
+                         br.lower.source, br.upper.source])
     emit(ns, (["m", "n", "p", "q", "lower", "upper",
                "lower_src", "upper_src"], rows))
     return 0
@@ -328,7 +326,7 @@ def cmd_selftest(ns) -> int:
     def k1_bracket():
         km = bohr_mod.k_m_bracket(1, 2, bounds.ExponentPair(2.0, 2.0), scfg,
                                   sign_budget=200, samples=1000)
-        return km.lower <= 1.0 <= km.upper + 1e-9
+        return km.lower.value <= 1.0 <= km.upper.value + 1e-9
 
     checks = [
         ("multinomial identity sum(m!/alpha!) = n^m",
@@ -369,10 +367,11 @@ def cmd_selftest(ns) -> int:
 
 def _common(sp, flags: dict | None = None) -> None:
     """Each of flags (a name without its dashes, mapped to its add_argument
-    keywords), then --format and --out."""
+    keywords), then --out.  A kind that writes CSV lists "format" among its
+    flags; every other writes JSON."""
+    sp.set_defaults(format="json")
     for flag, spec in (flags or {}).items():
         sp.add_argument("--" + flag, **spec)
-    sp.add_argument("--format", choices=("csv", "json"), default="json")
     sp.add_argument("--out", default=None)
 
 
@@ -400,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="bohrlab", allow_abbrev=False)
     sub = ap.add_subparsers(dest="cmd", required=True)
     exponent = dict(type=parse_exponent, required=True)
+    fmt = dict(choices=("csv", "json"), default="json")  # only where CSV exists
     opt = {"seed": dict(type=int, default=None),  # the flags _opt_cfg reads
            "restarts": dict(type=int, default=32),
            "iters": dict(type=int, default=200)}
@@ -409,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--set", choices=("lambda", "j", "lambda_k"), default="lambda")
     sp.add_argument("--k", type=int, default=None)
-    _common(sp)
+    _common(sp, {"format": fmt})
     sp.set_defaults(func=cmd_enumerate)
 
     _kinds(sub, "poly", {
@@ -440,13 +440,14 @@ def build_parser() -> argparse.ArgumentParser:
         "p": exponent,
         "q": exponent,
         "beta-override": dict(type=float, default=None),
+        "format": fmt,
     }, [
-        ("jsum", cmd_bound_jsum, "m n p beta-override"),
-        ("chiupper", cmd_bound_chiupper, "m n p q"),
-        ("envelope", cmd_bound_envelope, "m n p q"),
+        ("jsum", cmd_bound_jsum, "m n p beta-override format"),
+        ("chiupper", cmd_bound_chiupper, "m n p q format"),
+        ("envelope", cmd_bound_envelope, "m n p q format"),
         ("region", cmd_bound_region, "p q"),
-        ("rate", cmd_bound_rate, "n p q"),
-        ("bayart", cmd_bound_bayart, "m n p"),
+        ("rate", cmd_bound_rate, "n p q format"),
+        ("bayart", cmd_bound_bayart, "m n p format"),
     ])
     bound["jsum"].add_argument("--q", type=parse_exponent, default=None)  # or --beta-override
 
@@ -475,12 +476,13 @@ def build_parser() -> argparse.ArgumentParser:
         "slack": dict(type=float, default=1.0),
         "budget": dict(type=int, default=2000),
         "samples": dict(type=int, default=1000),
+        "format": fmt,
         **opt,
     }, [
         ("bracket", cmd_bohr_bracket, "n p q mmax budget samples seed restarts iters"),
         ("oned", cmd_bohr_oned, "tol seed"),
         ("wiener", cmd_bohr_wiener, "series p slack seed restarts iters"),
-        ("table", cmd_bohr_table, "n-grid p q mmax budget samples seed restarts iters"),
+        ("table", cmd_bohr_table, "n-grid p q mmax budget samples seed restarts iters format"),
     ])
 
     sp = sub.add_parser("sweep", allow_abbrev=False)
@@ -490,9 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--q", type=parse_exponent, required=True)
     sp.add_argument("--budget", type=int, default=2000)
     sp.add_argument("--samples", type=int, default=1000)
-    _common(sp, opt)
+    _common(sp, {**opt, "format": {**fmt, "default": "csv"}})
     sp.set_defaults(func=cmd_sweep)
-    sp.set_defaults(format="csv")
 
     sp = sub.add_parser("selftest", allow_abbrev=False)
     sp.set_defaults(func=cmd_selftest)

@@ -7,6 +7,7 @@ checker.
 Lower bounds built from optimizer output are published both raw and
 slack-deflated: the chain needs a true upper bound on the search
 polynomial's norm, while the optimizer only certifies lower bounds.
+Bracket ends built on such output are Endpoints marked estimate.
 """
 
 from __future__ import annotations
@@ -25,13 +26,28 @@ from .polynomial import HomPoly, monomials
 
 
 @dataclass(frozen=True)
-class BoundBracket:
-    """[lower, upper] for a chi value with per-endpoint provenance."""
+class Endpoint:
+    """One end of a bracket: its value, the closed form or witness it comes
+    from, and whether it rests on an optimizer estimate."""
 
-    lower: float
-    upper: float
-    lower_src: str
-    upper_src: str
+    value: float
+    source: str
+    estimate: bool = False
+
+
+@dataclass(frozen=True)
+class BoundBracket:
+    """[lower, upper] for chi, K_m, K or the one-variable radius, with the
+    degree(s) it refers to: an int, or a string like "all m <= M"."""
+
+    lower: Endpoint
+    upper: Endpoint
+    m: object
+
+    def __post_init__(self):
+        if not self.lower.value <= self.upper.value:  # NaN fails too
+            raise ValueError(f"invalid bracket: lower {self.lower.value} ({self.lower.source}) "
+                             f"is not <= upper {self.upper.value} ({self.upper.source})")
 
 
 MC_POINTS = 512  # seeded random points scoring each sign pattern
@@ -231,26 +247,27 @@ def chi_bracket(
 
     Lower: max of 1, the flat-point chain through a sign-pattern search, and
     the brute oracle on tiny instances (estimate-based candidates are
-    slack-deflated).  Upper: bounds.log_chi_upper, the smaller closed form
-    (inf past the float range).  sign_budget=0 skips the search
-    chain (as does an index set above SIGN_CAP).  Both searches use the
-    seed cfg.seed.
+    slack-deflated and marked estimate).  Upper: bounds.log_chi_upper, the
+    smaller closed form (inf past the float range).  sign_budget=0 skips the
+    search chain (as does an index set above SIGN_CAP).  Both searches use
+    the seed cfg.seed; samples < 1000 fails before either runs.
     """
+    if samples < 1000:  # checked here too, so no search runs first
+        raise ValueError("need samples >= 1000")
     cfg = cfg or SEARCH_OPT
-    lower_cands: list[tuple[float, str]] = [(1.0, "trivial")]
+    lower_cands, deflated = [Endpoint(1.0, "trivial")], "(estimate-based, slack-deflated)"
     if sign_budget > 0 and lambda_card(m, n) <= SIGN_CAP:
         _, est = sign_search(m, n, e.p, sign_budget, cfg.seed, cfg)
         if est.value > 0:
             flat = chi_lower_flat(m, n, e.q, est.value) / SLACK
-            lower_cands.append((flat, "sign-search flat point (estimate-based, slack-deflated)"))
+            lower_cands.append(Endpoint(flat, f"sign-search flat point {deflated}", True))
     if lambda_card(m, n) <= BRUTE_CAP:
         bc = brute_chi(m, n, e, samples=samples, seed=cfg.seed, cfg=cfg)
-        lower_cands.append((bc.deflated, "brute oracle (estimate-based, slack-deflated)"))
+        lower_cands.append(Endpoint(bc.deflated, f"brute oracle {deflated}", True))
 
-    lo, lo_src = max(lower_cands, key=lambda c: c[0])
     log_up, up_src = log_chi_upper(m, n, e)
     up = math.exp(log_up) if log_up < 709.0 else math.inf  # e^709.8 overflows
-    return BoundBracket(lo, up, lo_src, up_src)
+    return BoundBracket(max(lower_cands, key=lambda c: c.value), Endpoint(up, up_src), m)
 
 
 @dataclass(frozen=True)

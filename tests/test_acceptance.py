@@ -42,9 +42,10 @@ def test_criterion_01_one_dim_bohr_radius(capsys):
     t0 = time.time()
     br = bohr_1d_bracket(1e-3)
     dt = time.time() - t0
-    ok = br.lower <= 1 / 3 <= br.upper and br.upper - br.lower <= 2e-3 and dt <= 60
+    lo, up = br.lower.value, br.upper.value
+    ok = lo <= 1 / 3 <= up and up - lo <= 2e-3 and dt <= 60
     with capsys.disabled():
-        report(1, ok, f"bracket [{br.lower:.6f}, {br.upper:.6f}] in {dt:.1f}s")
+        report(1, ok, f"bracket [{lo:.6f}, {up:.6f}] in {dt:.1f}s")
 
 
 def test_criterion_02_linear_case_exactness(capsys):
@@ -60,7 +61,7 @@ def test_criterion_02_linear_case_exactness(capsys):
             bc = brute_chi(1, n, e, seed=0, cfg=cfg)
             worst = max(worst, abs(bc.raw - exact) / exact)
             km = k_m_bracket(1, n, e, cfg, sign_budget=200, samples=1000)
-            ok &= km.lower <= 1.0 / exact <= km.upper + 1e-12
+            ok &= km.lower.value <= 1.0 / exact <= km.upper.value + 1e-12
     dt = time.time() - t0
     ok &= worst <= 0.01 and dt <= 300
     with capsys.disabled():
@@ -108,7 +109,7 @@ def test_criterion_05_bracket_soundness(capsys):
             for m in range(1, 5):
                 for n in (2, 4, 8, 16):
                     br = chi_bracket(m, n, e, cfg, sign_budget=300, samples=1000)
-                    violations += br.lower > br.upper
+                    violations += br.lower.value > br.upper.value
                     if lambda_card(m, n) <= 50:
                         bc = brute_chi(m, n, e, seed=0, cfg=cfg)
                         violations += bc.deflated > chi_upper_small_pq(m, n, e)
@@ -197,10 +198,10 @@ def test_criterion_10_k_below_third_and_km(capsys):
         e = ExponentPair(p, q)
         for n in (1, 2, 4):
             kb = k_bracket(n, e, 3, cfg, **kw)
-            bad += kb.upper > 1 / 3 + 1e-9
+            bad += kb.upper.value > 1 / 3 + 1e-9
             for m in (1, 2, 3):
                 km = k_m_bracket(m, n, e, cfg, **kw)
-                bad += kb.upper > km.upper + 1e-9
+                bad += kb.upper.value > km.upper.value + 1e-9
     with capsys.disabled():
         report(10, bad == 0, f"{bad} ordering violations on the sweep grid")
 

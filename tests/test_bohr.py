@@ -3,12 +3,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrlab import bohr
 from bohrlab.bohr import (
     MC_DEGREE,
     MC_SERIES,
-    RadiusBracket,
     _random_series_failures,
     bohr_1d_bracket,
     k_bracket,
@@ -22,30 +23,49 @@ from bohrlab.bounds import ExponentPair
 from bohrlab.multiindex import enumerate_lambda
 from bohrlab.optimize import OptConfig, bohr_sum, series_part_sups, series_sup, sup_norm
 from bohrlab.polynomial import HomPoly, TruncatedSeries, moebius_series
-from bohrlab.witness import brute_chi
+from bohrlab.witness import BoundBracket, Endpoint, brute_chi
 
 OPT = OptConfig(restarts=10, iters=100, seed=21)
 KW = dict(sign_budget=400, samples=1000)
 
 
 def test_radius_bracket_validation():
-    with pytest.raises(ValueError):
-        RadiusBracket(0.5, 0.4, 1, "", "")
+    with pytest.raises(ValueError, match=r"lower 0\.5 \(a\) is not <= upper 0\.4 \(b\)"):
+        BoundBracket(Endpoint(0.5, "a"), Endpoint(0.4, "b"), 1)
+    with pytest.raises(ValueError):  # NaN fails too
+        BoundBracket(Endpoint(math.nan, "a"), Endpoint(0.4, "b"), 1)
+    BoundBracket(Endpoint(0.4, "a"), Endpoint(0.4, "b"), 1)
+
+
+@settings(max_examples=15, deadline=None)
+@given(m=st.integers(1, 3), n=st.integers(1, 4), p=st.sampled_from([1.0, 4 / 3, 2.0, math.inf]),
+       q=st.sampled_from([1.0, 4 / 3, 2.0, math.inf]), seed=st.integers(0, 2**16),
+       sign_budget=st.integers(0, 100))
+def test_k_ends_keep_direction_and_strength(m, n, p, q, seed, sign_budget):
+    # K lower ends come from chi upper ends (closed forms), K upper ends from
+    # chi lower ends; an end's estimate flag agrees with its rendered source
+    e, cfg = ExponentPair(p, q), OptConfig(4, 20, seed)
+    km = k_m_bracket(m, n, e, cfg, sign_budget=sign_budget, samples=1000)
+    assert km.lower.source.startswith("chi upper: ") and not km.lower.estimate
+    assert km.upper.source.startswith("chi lower: ")
+    kb = k_bracket(n, e, m, cfg, sign_budget=sign_budget, samples=1000)
+    for end in (km.lower, km.upper, kb.lower, kb.upper):
+        assert end.estimate == ("estimate-based" in end.source), end
 
 
 def test_k_m_bracket_linear():
     br = k_m_bracket(1, 3, ExponentPair(2.0, 2.0), OPT, **KW)
-    assert br.lower <= 1.0 <= br.upper + 1e-9
+    assert br.lower.value <= 1.0 <= br.upper.value + 1e-9
     br2 = k_m_bracket(1, 4, ExponentPair(2.0, math.inf), OPT, **KW)
-    assert br2.lower <= 0.5 <= br2.upper + 1e-9
+    assert br2.lower.value <= 0.5 <= br2.upper.value + 1e-9
 
 
 def test_k_m_bracket_monotone_map():
     e = ExponentPair(math.inf, math.inf)
     br = k_m_bracket(2, 2, e, OPT, **KW)
     bc = brute_chi(2, 2, e, seed=OPT.seed, cfg=OPT)
-    assert br.lower <= bc.raw ** (-0.5) * 1.05
-    assert bc.deflated ** (-0.5) <= br.upper * (1 + 1e-9)
+    assert br.lower.value <= bc.raw ** (-0.5) * 1.05
+    assert bc.deflated ** (-0.5) <= br.upper.value * (1 + 1e-9)
 
 
 def test_round_trip_identity():
@@ -57,13 +77,13 @@ def test_round_trip_identity():
 
 def test_k_bracket_disk():
     br = k_bracket(1, ExponentPair(math.inf, math.inf), 3, OPT, **KW)
-    assert br.lower <= 1 / 3 <= br.upper + 1e-12
+    assert br.lower.value <= 1 / 3 <= br.upper.value + 1e-12
 
 
 def test_k_bracket_q1_lower_dimension_free():
     e = ExponentPair(2.0, 1.0)
     lows = [
-        k_bracket(n, e, 3, OPT, sign_budget=0, samples=1000).lower
+        k_bracket(n, e, 3, OPT, sign_budget=0, samples=1000).lower.value
         for n in (2, 4, 8, 16, 32, 64)
     ]
     assert min(lows) >= 0.1  # bounded below, independent of n
@@ -74,7 +94,7 @@ def test_k_bracket_upper_below_third():
     for (p, q) in [(math.inf, math.inf), (2.0, 2.0), (2.0, math.inf)]:
         for n in (1, 2, 4):
             br = k_bracket(n, ExponentPair(p, q), 2, OPT, **KW)
-            assert br.upper <= 1 / 3 + 1e-9
+            assert br.upper.value <= 1 / 3 + 1e-9
 
 
 def test_k_below_k_m():
@@ -83,7 +103,7 @@ def test_k_below_k_m():
         kb = k_bracket(n, e, 3, OPT, **KW)
         for m in (1, 2, 3):
             km = k_m_bracket(m, n, e, OPT, **KW)
-            assert kb.upper <= km.upper + 1e-9
+            assert kb.upper.value <= km.upper.value + 1e-9
 
 
 def test_k_table_shape():
@@ -96,8 +116,8 @@ def test_k_table_shape():
 
 def test_bohr_1d_bracket():
     br = bohr_1d_bracket(1e-3)
-    assert br.lower <= 1 / 3 <= br.upper
-    assert br.upper - br.lower <= 2e-3
+    assert br.lower.value <= 1 / 3 <= br.upper.value
+    assert br.upper.value - br.lower.value <= 2e-3
 
 
 def test_bohr_1d_validation():
@@ -165,7 +185,7 @@ def _dense_rows(monkeypatch) -> list[int]:
 def test_no_series_reaches_the_circle_at_the_default_radius(monkeypatch, seed):
     rows = _dense_rows(monkeypatch)
     br = bohr_1d_bracket(1e-3, seed)  # bohr oned's default --tol
-    assert br.lower == 1 / 3 - 1e-3
+    assert br.lower.value == 1 / 3 - 1e-3
     assert sum(rows) == 0
 
 

@@ -106,11 +106,11 @@ def test_log_j_sums_budget_checked_first():
 def test_k_bracket_lower_is_the_one_degree_at_a_time_value(p, q, n, M):
     e = ExponentPair(p, q)
     br = k_bracket(n, e, M, sign_budget=0)
-    grid = ast.literal_eval(br.lower_src.removeprefix("chi-upper roots over m grid "))
+    grid = ast.literal_eval(br.lower.source.removeprefix("chi-upper roots over m grid "))
     assert grid[:M] == list(range(1, M + 1)) and grid[-1] == 10 * M
     assert log_chi_uppers(grid, n, e) == [log_chi_upper(m, n, e) for m in grid]
     sup_root = max(math.exp(log_chi_upper(m, n, e)[0] / m) for m in grid)
-    assert br.lower == (1 / 3) / max(1.0, sup_root)
+    assert br.lower.value == (1 / 3) / max(1.0, sup_root)
 
 
 def test_j_sum_beta_zero_is_card():

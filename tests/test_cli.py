@@ -123,8 +123,15 @@ def test_series_artifact_feeds_wiener(tmp_path, capsys):
 def test_csv_on_json_only_kind_exits_2(tmp_path, capsys, argv, kind):
     out = tmp_path / "artifact"
     assert run(argv + ["--format", "csv", "--out", str(out)]) == 2
-    assert f"{kind} writes JSON only" in capsys.readouterr().err
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
     assert not out.exists()  # rejected before --out is opened
+    assert "format" not in {a.dest for a in dict(LEAVES)[kind]._actions}
+
+
+def test_format_is_offered_only_where_csv_exists():
+    offering = {path for path, sp in LEAVES if any(a.dest == "format" for a in sp._actions)}
+    assert offering == {"enumerate", "bound jsum", "bound chiupper", "bound envelope",
+                        "bound rate", "bound bayart", "bohr table", "sweep"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -149,6 +156,7 @@ def test_csv_on_json_only_kind_exits_2(tmp_path, capsys, argv, kind):
     ["bound", "bayart", "--m", "2", "--n", "2", "--p", "2", "--q", "2"],
     ["bound", "envelope", "--m", "2", "--n", "2", "--p", "2", "--q", "2",
      "--beta-override", "1"],
+    ["bound", "region", "--p", "2", "--q", "2", "--format", "json"],  # JSON is all it writes
 ])
 def test_unread_flags_are_not_offered(capsys, argv):
     assert run(argv) == 2
@@ -255,6 +263,28 @@ def test_witness_bracket(capsys):
     assert doc["lower"] <= doc["upper"]
     assert doc["upper"] == pytest.approx(math.e)
 
+    def strict_json(text: str):
+        """json.loads refusing the NaN / Infinity tokens that RFC 8259 lacks."""
+        def refuse(token):
+            raise ValueError(f"not JSON: {token}")
+        return json.loads(text, parse_constant=refuse)
+
+    # non-finite values are written as null: chi's closed-form upper bound
+    # is past the float range
+    code, out = capture(capsys, ["witness", "bracket", "--m", "300", "--n", "100000",
+                                 "--p", "4", "--q", "4", "--budget", "0"])
+    assert code == 0
+    doc = strict_json(out)["result"]
+    assert doc["upper"] is None and doc["lower"] == 1.0
+    # rate(n) is defined for n >= 2 only
+    base = ["bohr", "table", "--n-grid", "1", "--mmax", "2", "--budget", "0"]
+    code, out = capture(capsys, base)
+    assert code == 0
+    assert strict_json(out)["result"][0]["rate"] is None
+    code, out = capture(capsys, base + ["--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[2].split(",")[4] == ""
+
 
 def test_bohr_oned(capsys):
     code, out = capture(capsys, ["bohr", "oned", "--tol", "1e-3"])
@@ -306,6 +336,10 @@ def test_exit_codes(capsys, tmp_path):
     assert run(["norm", "--poly", "X", "--maj"]) == 2
     assert run(["norm", "--poly", artifact(_poly_doc()), "--maj", "--q", "2"]) == 2
     assert run(["bohr", "wiener", "--series", artifact(_series_doc()), "--p", "2"]) == 0
+    # too few samples fails before any search, whatever the index-set size
+    assert run(["witness", "bracket", "--m", "2", "--n", "20", "--p", "2", "--q", "2",
+                "--samples", "10"]) == 2
+    assert run(["bohr", "table", "--n-grid", "64", "--samples", "10", "--budget", "0"]) == 2
     capsys.readouterr()
 
 

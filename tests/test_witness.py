@@ -154,23 +154,23 @@ def test_witnesses_compile_each_support_once(monkeypatch):
 
 def test_chi_bracket_linear_small_pq():
     br = chi_bracket(1, 4, ExponentPair(2.0, 2.0), CFG, sign_budget=200)
-    assert br.lower == pytest.approx(1.0)
-    assert br.upper == pytest.approx(math.e)
+    assert br.lower.value == pytest.approx(1.0)
+    assert br.upper.value == pytest.approx(math.e)
 
 
 def test_chi_bracket_contains_brute():
     e = ExponentPair(2.0, 2.0)
     br = chi_bracket(2, 2, e, CFG, sign_budget=500)
     bc = brute_chi(2, 2, e, seed=CFG.seed, cfg=CFG)
-    assert br.lower <= bc.raw * 1.06  # deflation slack
-    assert bc.raw <= br.upper * (1 + 1e-9)
-    assert br.lower <= br.upper
+    assert br.lower.value <= bc.raw * 1.06  # deflation slack
+    assert bc.raw <= br.upper.value * (1 + 1e-9)
+    assert br.lower.value <= br.upper.value
 
 
 def test_chi_bracket_skips_search_above_cap():
     # C(47, 8) ~ 3.1e8 terms: above SIGN_CAP and BRUTE_CAP
     br = chi_bracket(8, 40, ExponentPair(2.0, 2.0), CFG, sign_budget=100)
-    assert br.lower == 1.0 and br.lower_src == "trivial"
+    assert br.lower.value == 1.0 and br.lower.source == "trivial"
 
 
 def test_lempoly_monomial():
