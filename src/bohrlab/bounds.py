@@ -233,8 +233,6 @@ ENVELOPE_LOG_RANGE_C = 2.0  # the "some c > 1" of the middle m-regime
 @dataclass(frozen=True)
 class EnvelopeReport:
     value: float
-    m: int
-    n: int
     regimes: tuple[str, ...]  # subset of ("large-m", "small-m", "log-window")
 
 
@@ -266,7 +264,7 @@ def envelope_constant(m: int, n: int, e: ExponentPair) -> EnvelopeReport:
     c = ENVELOPE_LOG_RANGE_C
     if logn ** (1.0 / c) <= m <= logn**c:
         regimes.append("log-window")
-    return EnvelopeReport(value, m, n, tuple(regimes))
+    return EnvelopeReport(value, tuple(regimes))
 
 
 # --- region map -------------------------------------------------------------

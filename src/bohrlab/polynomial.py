@@ -1,7 +1,8 @@
-"""Sparse homogeneous polynomials, truncated power series, and the specific
-polynomial families used by the bound machinery.
+"""Sparse homogeneous polynomials, truncated power series, the specific
+polynomial families used by the bound machinery, and the evaluation kernel.
 
-Coefficients are double-precision complex.
+HomPoly and TruncatedSeries hold no compiled state: the kernel takes a
+PolyBatch, compiled when built.  Coefficients are double-precision complex.
 """
 
 from __future__ import annotations
@@ -98,34 +99,24 @@ def monomials(Z: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 
 class PolyBatch:
-    """K polynomials on one support as the kernel takes them: the exponent
-    matrix A (T, n) and the coefficient matrix C (K, T), one row per
-    polynomial; tables() gives C a trailing polynomial axis."""
+    """K polynomials on one support, compiled for the kernel once, when built:
+    exponents A (T, n), coefficients C (K, T) and cf (K, size) over the
+    monomial table's entries, and the derivative tensor D (K, len(rows), n),
+    D[j, k, i] the coefficient of entry rows[k] in dP_j/dz_i."""
 
     def __init__(self, A: np.ndarray, C: np.ndarray):
-        self._tables = (A, C.T)
+        self.A, self.C = A, C
+        self.table = table = MonomialTable(A)
+        idx, terms, var = table.lower
+        self.rows, k = np.unique(idx, return_inverse=True)
+        self.cf = np.zeros((len(C), table.size), dtype=np.complex128)
+        np.add.at(self.cf, (slice(None), table.support), C)
+        self.D = np.zeros((len(C), self.rows.size, table.n), dtype=np.complex128)
+        np.add.at(self.D, (slice(None), k.ravel(), var), C[:, terms] * A[terms, var])
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        return self._tables
-
-
-def _compiled(P) -> tuple[MonomialTable, np.ndarray, np.ndarray, np.ndarray]:
-    """P's monomial table, its coefficients over the table's entries (K, size)
-    and the derivative tensor D (K, len(rows), n): D[j, k, i] is the
-    coefficient of entry rows[k] in dP_j/dz_i (K = 1 unless P is a
-    PolyBatch).  Built once per object from P.tables()."""
-    if getattr(P, "_kernel", None) is None:
-        A, c = P.tables()
-        table = MonomialTable(A)
-        idx, terms, var = table.lower
-        rows, k = np.unique(idx, return_inverse=True)
-        C = np.atleast_2d(c.T)
-        cf = np.zeros((len(C), table.size), dtype=np.complex128)
-        np.add.at(cf, (slice(None), table.support), C)
-        D = np.zeros((len(C), rows.size, table.n), dtype=np.complex128)
-        np.add.at(D, (slice(None), k.ravel(), var), C[:, terms] * A[terms, var])
-        P._kernel = (table, cf, rows, D)
-    return P._kernel
+        """(A, C.T): the coefficients with a trailing polynomial axis."""
+        return self.A, self.C.T
 
 
 def _runs(own, R: int) -> list[tuple[int, int, int]]:
@@ -147,33 +138,31 @@ def _by_owner(M: np.ndarray, c: np.ndarray, runs) -> np.ndarray:
 
 
 def _eval_point(P, z) -> complex:
-    """Evaluate at a single point."""
+    """Evaluate at a single point, through a one-row PolyBatch built anew."""
     z = np.asarray(z, dtype=np.complex128)
     if z.shape != (P.n,):
         raise ValueError(f"point has shape {z.shape}, expected ({P.n},)")
-    return complex(eval_batch(P, z[None, :])[0])
+    A, c = P.tables()
+    return complex(eval_batch(PolyBatch(A, c[None, :]), z[None, :])[0])
 
 
-def eval_batch(P, Z: np.ndarray, own=None) -> np.ndarray:
-    """Evaluate P (anything with ``tables()``) at a batch of points, shape
-    (R, n) -> (R,).  For a PolyBatch of K polynomials, point i is evaluated
-    on polynomial own[i]."""
-    table, c, _, _ = _compiled(P)
-    M = table.powers(Z)
-    return _by_owner(M, c, _runs(own, len(M)))
+def eval_batch(F: PolyBatch, Z: np.ndarray, own=None) -> np.ndarray:
+    """Evaluate F at a batch of points, shape (R, n) -> (R,): point i on
+    polynomial own[i] (polynomial 0 when own is None)."""
+    M = F.table.powers(Z)
+    return _by_owner(M, F.cf, _runs(own, len(M)))
 
 
-def grad_batch(P, Z: np.ndarray, own=None) -> tuple[np.ndarray, np.ndarray]:
-    """Values and complex gradients of P at a batch of points (of polynomial
-    own[i] at point i for a PolyBatch).
+def grad_batch(F: PolyBatch, Z: np.ndarray, own=None) -> tuple[np.ndarray, np.ndarray]:
+    """Values and complex gradients of F at a batch of points (of polynomial
+    own[i] at point i, polynomial 0 when own is None).
 
     Returns (vals (R,), grads (R, n)) with grads[r, i] = dP/dz_i.  Zero
     entries of Z are handled exactly (no division by coordinates).
     """
-    table, c, rows, D = _compiled(P)
-    M = table.powers(Z)
+    M = F.table.powers(Z)
     runs = _runs(own, len(M))  # found once, shared by values and gradients
-    return _by_owner(M, c, runs), _by_owner(_columns(M, rows), D, runs)
+    return _by_owner(M, F.cf, runs), _by_owner(_columns(M, F.rows), F.D, runs)
 
 
 class HomPoly:
@@ -194,7 +183,6 @@ class HomPoly:
         self.coeffs = {a: complex(c) for a, c in coeffs.items() if c != 0}
         if not np.isfinite(list(self.coeffs.values())).all():
             raise ValueError("non-finite coefficient")
-        self._tables: tuple[np.ndarray, np.ndarray] | None = None
 
     def __repr__(self) -> str:
         return f"HomPoly(n={self.n}, m={self.m}, {len(self.coeffs)} terms)"
@@ -203,13 +191,10 @@ class HomPoly:
         return sorted(self.coeffs)
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exponent matrix, coefficient vector) over the sorted support."""
-        if self._tables is None:
-            sup = self.support()
-            A = np.array(sup, dtype=np.int64).reshape(len(sup), self.n)
-            c = np.array([self.coeffs[a] for a in sup], dtype=np.complex128)
-            self._tables = (A, c)
-        return self._tables
+        """(exponent matrix, coefficient vector) over the current sorted support."""
+        sup = self.support()
+        A = np.array(sup, dtype=np.int64).reshape(len(sup), self.n)
+        return A, np.array([self.coeffs[a] for a in sup], dtype=np.complex128)
 
     eval = __call__ = _eval_point
 
@@ -221,7 +206,6 @@ class TruncatedSeries:
     n: int
     a0: complex
     parts: list[HomPoly] = field(default_factory=list)
-    _tables: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.a0 = complex(self.a0)
@@ -234,13 +218,11 @@ class TruncatedSeries:
                 raise ValueError(f"part at position {k} has degree {P.m}")
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(exponent matrix, coefficient vector) of the whole series: the
+        """(exponent matrix, coefficient vector) of the current series: the
         constant term (zero row) first, then each part's support in turn."""
-        if self._tables is None:
-            parts = [P.tables() for P in self.parts]
-            A = np.vstack([np.zeros((1, self.n), dtype=np.int64)] + [a for a, _ in parts])
-            self._tables = (A, np.concatenate([[self.a0]] + [c for _, c in parts]))
-        return self._tables
+        parts = [P.tables() for P in self.parts]
+        A = np.vstack([np.zeros((1, self.n), dtype=np.int64)] + [a for a, _ in parts])
+        return A, np.concatenate([[self.a0]] + [c for _, c in parts])
 
     eval = __call__ = _eval_point
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import ExponentPair, conjugate, inv, lempoly_rhs, log_chi_upper
+from .bounds import ExponentPair, _exp, conjugate, inv, lempoly_rhs, log_chi_upper
 from .multiindex import enumerate_j, enumerate_lambda, lambda_card, multiplicity, tuple_to_alpha
 from .optimize import (OptConfig, NormEstimate, lp_norm, majorant_sups, pick_best, sup_norm,
                        sup_norms)
@@ -53,6 +53,7 @@ class BoundBracket:
 MC_POINTS = 512  # seeded random points scoring each sign pattern
 BRUTE_CAP = 50  # largest index set the brute oracle runs on
 SIGN_CAP = 20_000  # largest index set the sign search runs on
+STEP_MAX = 1e3  # largest step length of the projected ascent (optimize._ascend)
 TOP_K = 8  # cheap leaders re-scored with the optimizer
 SLACK = 1.05  # deflation of lower bounds whose denominator is an estimate
 SEARCH_OPT = OptConfig(restarts=16, iters=150)  # optimizer settings when none are given
@@ -76,6 +77,21 @@ def _mc_nonneg_points(n: int, q: float, count: int, seed: int) -> np.ndarray:
 def _monomial_matrix(Z: np.ndarray, A: np.ndarray) -> np.ndarray:
     """Matrix z_s^alpha_t of shape (points, terms) for the rows alpha_t of A."""
     return monomials(Z, A)
+
+
+def _search_refusal(m: int, n: int, p: float) -> str | None:
+    """Why sign_search refuses Lambda(m, n) at p, or None: past SIGN_CAP
+    terms, or past the float range.  Its largest numbers are c_alpha alpha_i
+    <= m n^m and, as |F| <= n^(sm), |dF/dz_i| <= m n^(s(m-1)) on the unit
+    sphere (s = 1 - 1/p), a step's entries 1 + STEP_MAX |2 F dF/dz_i| <= r =
+    4 STEP_MAX m n^(s(2m-1)) and lp_norm's sum n r^p of them (r at p = inf)."""
+    if (T := lambda_card(m, n)) > SIGN_CAP:
+        return f"index set size {T} exceeds cap {SIGN_CAP}"
+    s, log_n, log_m = 1.0 - inv(p), math.log(n), math.log(max(m, 1))
+    log_r = math.log(4 * STEP_MAX) + log_m + s * (2 * m - 1) * log_n
+    if max(log_m + m * log_n, log_r if p == math.inf else log_n + p * log_r) >= 709.0:
+        return f"Lambda({m}, {n}) at p = {p:g} takes the sign search past the float range"
+    return None
 
 
 def _exponents(m: int, n: int) -> tuple[list, np.ndarray, np.ndarray]:
@@ -105,10 +121,10 @@ def sign_search(
     cfg = cfg or SEARCH_OPT
     if budget <= 0:
         raise ValueError("budget must be positive")
-    T = lambda_card(m, n)
-    if T > SIGN_CAP:
-        raise ValueError(f"index set size {T} exceeds cap {SIGN_CAP}")
+    if refusal := _search_refusal(m, n, p):
+        raise ValueError(refusal)
     alphas, A, mults = _exponents(m, n)
+    T = len(alphas)
     M = _monomial_matrix(_mc_sphere_points(n, p, MC_POINTS, seed), A)
     M *= mults
 
@@ -155,10 +171,13 @@ def sign_search(
 
 def chi_lower_flat(m: int, n: int, q: float, norm_p: float) -> float:
     """Flat-point chain: chi >= n^(m(1-1/q)) / norm_p, where norm_p upper
-    bounds the norm of a full multinomial sign polynomial on the l_p ball."""
+    bounds the norm of a full multinomial sign polynomial on the l_p ball.
+    A ValueError naming ln chi_lower_flat past the float range."""
     if norm_p <= 0:
         raise ValueError("norm must be positive")
-    return n ** (m * (1.0 - inv(q))) / norm_p
+    power = m * (1.0 - inv(q))
+    value = _exp(power * math.log(n) - math.log(norm_p), "chi_lower_flat")
+    return n ** power / norm_p if power * math.log(n) < 700 else value  # rounds as before
 
 
 class BruteChi(NamedTuple):
@@ -249,14 +268,14 @@ def chi_bracket(
     the brute oracle on tiny instances (estimate-based candidates are
     slack-deflated and marked estimate).  Upper: bounds.log_chi_upper, the
     smaller closed form (inf past the float range).  sign_budget=0 skips the
-    search chain (as does an index set above SIGN_CAP).  Both searches use
-    the seed cfg.seed; samples < 1000 fails before either runs.
+    search chain (as does an index set sign_search refuses).  Both searches
+    use the seed cfg.seed; m < 1 or samples < 1000 fails before either runs.
     """
-    if samples < 1000:  # checked here too, so no search runs first
-        raise ValueError("need samples >= 1000")
+    if m < 1 or samples < 1000:  # samples checked here too, so no search runs first
+        raise ValueError(f"need m >= 1 and samples >= 1000, got m={m}, samples={samples}")
     cfg = cfg or SEARCH_OPT
     lower_cands, deflated = [Endpoint(1.0, "trivial")], "(estimate-based, slack-deflated)"
-    if sign_budget > 0 and lambda_card(m, n) <= SIGN_CAP:
+    if sign_budget > 0 and _search_refusal(m, n, e.p) is None:
         _, est = sign_search(m, n, e.p, sign_budget, cfg.seed, cfg)
         if est.value > 0:
             flat = chi_lower_flat(m, n, e.q, est.value) / SLACK

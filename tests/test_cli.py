@@ -284,6 +284,12 @@ def test_witness_bracket(capsys):
     code, out = capture(capsys, base + ["--format", "csv"])
     assert code == 0
     assert out.splitlines()[2].split(",")[4] == ""
+    # the sign search would leave the float range: the trivial lower end
+    code, out = capture(capsys, ["witness", "bracket", "--m", "1100", "--n", "2", "--p", "2",
+                                 "--q", "inf", "--budget", "10", "--restarts", "1",
+                                 "--iters", "1"])
+    assert code == 0
+    assert strict_json(out)["result"]["lower"] == 1.0
 
 
 def test_bohr_oned(capsys):
@@ -309,6 +315,10 @@ def test_exit_codes(capsys, tmp_path):
     assert run(["no-such-command"]) == 2
     assert run(["poly", "random", "--n", "2", "--M", "3", "--budget", "0"]) == 3
     assert run(["bound", "rate", "--p", "1e400", "--q", "2", "--n", "4"]) == 2
+    # a sign search past the float range, and a bracket for m = 0
+    assert run(["witness", "search", "--m", "505", "--n", "2", "--p", "2", "--budget", "10",
+                "--restarts", "1", "--iters", "1"]) == 2
+    assert run(["witness", "bracket", "--m", "0", "--n", "2", "--p", "2", "--q", "inf"]) == 2
     # a tolerance outside (0, 1/3] fails before any search
     for tol in ("nan", "inf", "5", "0.5", "0.7", "1", "0", "-1e-3"):
         assert run(["bohr", "oned", "--tol", tol]) == 2

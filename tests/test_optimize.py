@@ -44,6 +44,49 @@ def test_sup_norm_z1z2():
     assert sup_norm(P, 2.0, CFG).value == pytest.approx(0.5, abs=1e-9)
 
 
+def _same_estimate(a, b):
+    return a.value == b.value and np.array_equal(a.witness, b.witness)
+
+
+def test_homogeneous_estimates_follow_changed_coefficients():
+    # HomPoly holds no compiled state: after an evaluation and an estimate,
+    # a changed coefficient reaches P(z) and sup_norm, which then agree
+    # bitwise with the same polynomial built fresh
+    cfg = OptConfig(8, 50)
+    P = HomPoly(2, 2, {(1, 1): 1.0})
+    assert P([1, 1]) == 1
+    assert sup_norm(P, 2.0, cfg).value == pytest.approx(0.5)
+    P.coeffs[(2, 0)] = 5.0
+    assert P([1, 1]) == 6
+    fresh = HomPoly(2, 2, {(1, 1): 1.0, (2, 0): 5.0})
+    assert _same_estimate(sup_norm(P, 2.0, cfg), sup_norm(fresh, 2.0, cfg))
+    assert sup_norm(P, 2.0, cfg).value > 5.0
+
+
+def test_series_estimates_follow_changed_terms():
+    # TruncatedSeries holds no compiled state either: a new constant term,
+    # a changed part and an appended part each reach F(z), series_sup and
+    # bohr_sum, which agree bitwise with the same series built fresh
+    cfg = OptConfig(8, 50)
+    F = TruncatedSeries(2, 0.5, [HomPoly(2, 1, {(1, 0): 0.25})])
+    z = np.array([0.3, -0.4j])
+
+    def values(G):
+        return G(z), series_sup(G, 2.0, cfg), bohr_sum(G, 0.5, 2.0, cfg)
+
+    changes = [lambda: setattr(F, "a0", -0.75 + 0j),
+               lambda: F.parts[0].coeffs.update({(0, 1): 1j}),
+               lambda: F.parts.append(HomPoly(2, 2, {(1, 1): 2.0}))]
+    for change in changes:
+        before = values(F)
+        change()
+        got = values(F)
+        want = values(TruncatedSeries(2, F.a0, [HomPoly(2, P.m, P.coeffs) for P in F.parts]))
+        assert got[0] == want[0] != before[0]
+        for g, w, b in zip(got[1:], want[1:], before[1:]):
+            assert _same_estimate(g, w) and g.value != b.value
+
+
 def test_sup_norm_monomial():
     for p in (1.0, 2.0, math.inf):
         P = HomPoly(3, 4, {(4, 0, 0): 1.0})

@@ -157,14 +157,15 @@ def test_batch_matches_scalar_and_grad(case):
     A, c = P.tables()
     ref_vals, ref_grads = power_table(A, c, Z)
     tol = 1e-12 * max(1.0, np.abs(ref_vals).max(), np.abs(ref_grads).max())
-    vals = eval_batch(P, Z)
-    v2, grads = grad_batch(P, Z)
+    F = PolyBatch(A, c[None, :])
+    vals = eval_batch(F, Z)
+    v2, grads = grad_batch(F, Z)
     assert np.abs(vals - ref_vals).max() <= tol
     assert np.abs(v2 - ref_vals).max() <= tol
     assert np.abs(grads - ref_grads).max() <= tol
     for i in range(len(Z)):
         assert abs(P.eval(Z[i]) - vals[i]) <= tol
-    fd = (eval_batch(P, Z + 1e-7 * np.eye(P.n)[0]) - vals) / 1e-7
+    fd = (eval_batch(F, Z + 1e-7 * np.eye(P.n)[0]) - vals) / 1e-7
     assert np.allclose(fd, grads[:, 0], rtol=1e-4, atol=1e-4)
     mon = _monomial_matrix(Z, [tuple(a) for a in A])
     assert mon.shape == (len(Z), len(A))
@@ -185,8 +186,7 @@ def test_batch_owners_match_single_polynomials(owners):
     vals = eval_batch(batch, Z, own)
     v2, grads = grad_batch(batch, Z, own)
     for i, k in enumerate(owners):
-        P = HomPoly(3, 3, dict(zip(alphas, C[k])))
-        want_v, want_g = grad_batch(P, Z[i:i + 1])
+        want_v, want_g = grad_batch(PolyBatch(A, C[k:k + 1]), Z[i:i + 1])
         tol = 1e-12 * max(1.0, abs(want_v[0]), np.abs(want_g).max())
         assert abs(vals[i] - want_v[0]) <= tol and abs(v2[i] - want_v[0]) <= tol
         assert np.abs(grads[i] - want_g[0]).max() <= tol
@@ -200,7 +200,6 @@ def test_owner_products_need_no_per_point_gather():
     A = np.array(list(enumerate_lambda(2, 60)))
     batch = PolyBatch(A, rng.standard_normal((8, len(A))) + 0j)
     Z = rng.standard_normal((64, 60)) + 1j * rng.standard_normal((64, 60))
-    grad_batch(batch, Z[:1], np.zeros(1, dtype=np.int64))  # compile the tables
 
     def peak(own):
         tracemalloc.start()
@@ -240,9 +239,9 @@ def test_monomials_of_a_scattered_support():
 
 
 def test_grad_batch_zero_entries():
-    P = HomPoly(2, 3, {(2, 1): 1.0, (0, 3): 2.0})
+    A, c = HomPoly(2, 3, {(2, 1): 1.0, (0, 3): 2.0}).tables()
     Z = np.array([[0.0 + 0j, 1.0 + 0j], [1.0, 0.0]])
-    _, grads = grad_batch(P, Z)
+    _, grads = grad_batch(PolyBatch(A, c[None, :]), Z)
     assert np.all(np.isfinite(grads))
     # d/dz1 (z1^2 z2) = 2 z1 z2 = 0 at z1=0; d/dz2 (2 z2^3) = 6 z2^2 = 6
     assert grads[0, 1] == pytest.approx(6.0)

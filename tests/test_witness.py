@@ -92,6 +92,37 @@ def test_chi_lower_flat():
     assert chi_lower_flat(3, 5, 1.0, 2.0) == pytest.approx(0.5)  # numerator 1
     with pytest.raises(ValueError):
         chi_lower_flat(2, 2, 2.0, 0.0)
+    # 2^1100 is past the float range, 2^1100 / 2^300 is not
+    assert chi_lower_flat(1100, 2, math.inf, 2.0**300) == pytest.approx(2.0**800, rel=1e-12)
+    with pytest.raises(ValueError, match="chi_lower_flat"):
+        chi_lower_flat(1100, 2, math.inf, 2.0)
+
+
+@pytest.mark.parametrize("p", [1.0, 4 / 3, 2.0, math.inf])
+def test_sign_search_stays_in_the_float_range(monkeypatch, p):
+    # Lambda(480, 2) answers for every p with no overflow (the test suite
+    # turns RuntimeWarnings into errors); 16 scoring points keep it small
+    monkeypatch.setattr(witness, "MC_POINTS", 16)
+    _, est = sign_search(480, 2, p, 10, 0, OptConfig(1, 1))
+    assert 0 < est.value < math.inf
+
+
+def test_sign_search_refuses_past_the_float_range(monkeypatch):
+    # Lambda(505, 2) at p = 2: lp_norm of a step would square numbers
+    # near 2^525, so the search fails before it enumerates
+    def enumerate_lambda(*args, **kwargs):
+        raise AssertionError("index set enumerated before the range check")
+
+    monkeypatch.setattr(witness, "enumerate_lambda", enumerate_lambda)
+    for m, p in ((505, 2.0), (505, math.inf), (1100, 1.0)):
+        with pytest.raises(ValueError, match="float range"):
+            sign_search(m, 2, p, 10, 0, CFG)
+    # chi_bracket skips the chain there, and fails on m < 1 before any search
+    br = chi_bracket(1100, 2, ExponentPair(2.0, math.inf), CFG, sign_budget=10)
+    assert br.lower == witness.Endpoint(1.0, "trivial")
+    monkeypatch.setattr(witness, "sign_search", enumerate_lambda)
+    with pytest.raises(ValueError, match="m >= 1"):
+        chi_bracket(0, 2, ExponentPair(2.0, math.inf), CFG, sign_budget=10)
 
 
 def test_chi_lower_flat_exhaustive_m2_n2():
