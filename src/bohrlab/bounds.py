@@ -116,6 +116,9 @@ def log_j_sum(m: int, n: int, beta: float, budget: int = 10**8) -> float:
     return float(log_j_sums(m, n, beta, budget)[-1])
 
 
+LOG_FLOAT_MAX = 709.0  # math.exp is finite below it (it overflows past ln(max float) = 709.78)
+
+
 def _exp(log_value: float, what: str) -> float:
     try:
         return math.exp(log_value)

@@ -19,6 +19,7 @@ from .polynomial import HomPoly, PolyBatch, TruncatedSeries, eval_batch, grad_ba
 
 STEP0 = 0.5  # first ascent step length
 TOL = 1e-13  # relative gain below which an accepted step counts as stalled
+STEP_MAX = 1e3  # largest step length: an accepted step grows t by 1.25 up to it
 BACKTRACKS = 40  # step halvings tried per iteration
 LADDER = 8  # most halvings tried in one kernel call after a failed first step
 HALVINGS = 0.5 ** np.arange(LADDER)  # exact powers of two: t * HALVINGS[j] is t halved j times
@@ -114,9 +115,9 @@ def _ascend(fg: Callable, project: Callable, Z0: np.ndarray,
     def moved(fk, fz, tk, sk):
         """Stall counts and next steps of starts that move from fk to fz
         with steps tk: a relative gain below TOL counts as a stall, and the
-        step grows by 1.25 up to 1e3."""
+        step grows by 1.25 up to STEP_MAX."""
         rel = (fz - fk) / np.maximum(np.abs(fk), 1e-300)
-        return np.where(rel < TOL, sk + 1, 0), np.minimum(tk * 1.25, 1e3)
+        return np.where(rel < TOL, sk + 1, 0), np.minimum(tk * 1.25, STEP_MAX)
 
     def accept(k, cz, fz, gz, tk):
         stalled[k], t[k] = moved(f[k], fz, tk, stalled[k])
@@ -174,14 +175,6 @@ def pick_best(values: np.ndarray) -> int:
     decide between near-equal maxima."""
     vmax = values.max()
     return int(np.flatnonzero(values >= vmax - 1e-12 * max(1.0, abs(vmax)))[0])
-
-
-def _check_cfg(cfg: OptConfig | None) -> OptConfig:
-    """cfg, or the default configuration; the budget must be positive."""
-    cfg = cfg or OptConfig()
-    if cfg.restarts < 1 or cfg.iters < 1:
-        raise ValueError("optimizer budget must be positive")
-    return cfg
 
 
 def _moduli(C: np.ndarray) -> np.ndarray:
@@ -309,21 +302,36 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarr
     return out
 
 
-def _nonzero_rows(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig | None, dtype,
-                  estimate) -> list[NormEstimate]:
-    """Check cfg, the exponent p and the coefficients C (rows over the rows
-    of A), then estimate(the rows of C with a nonzero entry of positive
-    degree, cfg); every other row is constant and gets the modulus of its
-    constant entry, exactly, at the origin."""
-    cfg = _check_cfg(cfg)
+def _estimates(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig | None, nonneg: bool,
+               starts: Callable) -> list[NormEstimate]:
+    """The one front end of every estimate: one NormEstimate per row c of C
+    (coefficients over the rows of A) on the unit ball of l_p^n.  It checks
+    cfg (default OptConfig(); the budget must be positive), the exponent p
+    and the coefficients.  nonneg=False estimates sup |F|; nonneg=True the
+    majorant, the sum of |c_alpha| x^alpha over the nonnegative sphere, so
+    it works on the moduli of C.  A row with no nonzero entry of positive
+    degree is constant and gets the modulus of its constant entry, exactly,
+    at the origin.  The majorant is monotone in every coordinate, so at
+    p = inf it is exact: the modulus sum at the all-ones point.  Every other
+    row runs in one _estimate call, from the start lists starts(those rows)."""
+    cfg = cfg or OptConfig()
+    if cfg.restarts < 1 or cfg.iters < 1:
+        raise ValueError("optimizer budget must be positive")
     if not (1 <= p):
         raise ValueError(f"need p >= 1, got {p}")
     if not np.isfinite(C).all():
         raise ValueError("non-finite coefficients")
+    if nonneg:
+        C = _moduli(C)
     n, deg = A.shape[1], A.sum(axis=1)
     live = C[:, deg > 0].any(axis=1)
-    found = iter(estimate(C if live.all() else C[live], cfg) if live.any() else ())
+    L = C if live.all() else C[live]
+    if nonneg and p == math.inf:
+        found = iter([NormEstimate(math.fsum(c), np.ones(n), cfg.restarts, True) for c in L])
+    else:
+        found = iter(_estimate(A, L, p, starts(L), cfg, nonneg) if len(L) else ())
     const = _moduli(C[:, deg == 0]).sum(axis=1)
+    dtype = float if nonneg else np.complex128
     return [next(found) if ok else NormEstimate(float(a), np.zeros(n, dtype), cfg.restarts, True)
             for ok, a in zip(live, const)]
 
@@ -332,8 +340,7 @@ def sup_norms(A: np.ndarray, C: np.ndarray, p: float,
               cfg: OptConfig | None = None) -> list[NormEstimate]:
     """sup_norm of each row of C, coefficients over the rows of A, in one
     ascent; each row gets the starts of a one-row call on its own entries."""
-    return _nonzero_rows(A, C, p, cfg, np.complex128, lambda L, cfg: _estimate(
-        A, L, p, _structured_starts(A, L, p), cfg, nonneg=False))
+    return _estimates(A, C, p, cfg, False, lambda L: _structured_starts(A, L, p))
 
 
 def sup_norm(P: HomPoly, p: float, cfg: OptConfig | None = None) -> NormEstimate:
@@ -347,16 +354,7 @@ def majorant_sups(A: np.ndarray, C: np.ndarray, q: float,
                   cfg: OptConfig | None = None) -> list[NormEstimate]:
     """majorant_sup of each row of C, coefficients over the rows of A, in one
     ascent; each row gets the starts of a one-row call on its own entries."""
-    n = A.shape[1]
-
-    def estimate(L, cfg):
-        L = _moduli(L)
-        if q == math.inf:
-            return [NormEstimate(math.fsum(c), np.ones(n), cfg.restarts, True) for c in L]
-        starts = [[np.abs(s) for s in row] for row in _structured_starts(A, L, q)]
-        return _estimate(A, L, q, starts, cfg, nonneg=True)
-
-    return _nonzero_rows(A, C, q, cfg, float, estimate)
+    return _estimates(A, C, q, cfg, True, lambda L: _structured_starts(A, L, q))
 
 
 def majorant_sup(P: HomPoly, q: float, cfg: OptConfig | None = None) -> NormEstimate:
@@ -369,34 +367,26 @@ def majorant_sup(P: HomPoly, q: float, cfg: OptConfig | None = None) -> NormEsti
 
 
 def bohr_sum(F: TruncatedSeries, r: float, q: float, cfg: OptConfig | None = None) -> NormEstimate:
-    """Maximize |a0| + sum_m r^m * (majorant of part m) over the nonnegative
-    l_q sphere, i.e. the coefficient-modulus sum over the radius-r ball.
-
-    One variable is exact (closed form); q = inf is exact (all-ones point)."""
+    """Maximize sum |c_alpha z^alpha| over the radius-r ball of l_q^n.  With
+    z = r w this is the majorant of the r-scaled coefficients
+    |c_alpha| r^|alpha| over the unit ball: one majorant_sups row, whose
+    witness is scaled by r.  Exact at q = inf, and in one variable, where
+    the nonnegative l_q sphere is the point 1 for every q >= 1, so the
+    q = inf rule applies."""
     if not r >= 0:
         raise ValueError(f"need r >= 0, got {r}")
-    n = F.n
     A, c = F.tables()
-
-    def estimate(L, cfg):
-        if n == 1 or q == math.inf:
-            value = abs(F.a0) + math.fsum(sum(abs(v) for v in P.coeffs.values()) * r**P.m
-                                          for P in F.parts)
-            return [NormEstimate(value, np.full(n, r), cfg.restarts, True)]
-        starts = [[np.full(n, n ** (-1.0 / q)), *np.eye(n)]]
-        est = _estimate(A, L, q, starts, cfg, nonneg=True)[0]
-        return [replace(est, witness=r * est.witness)]
-
-    return _nonzero_rows(A, (_moduli(c) * float(r) ** A.sum(axis=1))[None, :], q, cfg, float,
-                         estimate)[0]
+    # only a valid q is replaced: majorant_sups rejects q < 1 and NaN for any n
+    q = math.inf if F.n == 1 and q >= 1 else q
+    est = majorant_sups(A, (_moduli(c) * float(r) ** A.sum(axis=1))[None, :], q, cfg)[0]
+    return replace(est, witness=r * est.witness)
 
 
 def series_sup(F: TruncatedSeries, p: float, cfg: OptConfig | None = None) -> NormEstimate:
     """Estimate sup of |F| over the l_p unit ball (attained on the sphere by
     subharmonicity; on the torus for p = inf)."""
     A, c = F.tables()
-    return _nonzero_rows(A, c[None, :], p, cfg, np.complex128, lambda L, cfg: _estimate(
-        A, L, p, [_common_starts(F.n, p)], cfg, nonneg=False))[0]
+    return _estimates(A, c[None, :], p, cfg, False, lambda L: [_common_starts(F.n, p)])[0]
 
 
 def series_part_sups(F: TruncatedSeries, p: float,
@@ -407,13 +397,12 @@ def series_part_sups(F: TruncatedSeries, p: float,
     keeps the starts and random draws of its one-row call, so each estimate
     is that call's up to the last-bit rounding of batched matrix products;
     an all-zero part gets the exact zero estimate."""
-    n = F.n
     A, c = F.tables()
     deg = A.sum(axis=1)
     C = np.array([c] + [np.where(deg == P.m, c, 0) for P in F.parts])
     # when any part is nonzero, row 0 is live and comes first
-    return _nonzero_rows(A, C, p, cfg, np.complex128, lambda L, cfg: _estimate(
-        A, L, p, [_common_starts(n, p), *_structured_starts(A, L[1:], p)], cfg, nonneg=False))
+    return _estimates(A, C, p, cfg, False,
+                      lambda L: [_common_starts(F.n, p), *_structured_starts(A, L[1:], p)])
 
 
 def split_factorize(z, p: float) -> tuple[np.ndarray, np.ndarray]:

@@ -18,10 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import ExponentPair, _exp, conjugate, inv, lempoly_rhs, log_chi_upper
+from .bounds import (LOG_FLOAT_MAX, ExponentPair, _exp, conjugate, inv, lempoly_rhs,
+                     log_chi_upper)
 from .multiindex import enumerate_j, enumerate_lambda, lambda_card, multiplicity, tuple_to_alpha
-from .optimize import (OptConfig, NormEstimate, lp_norm, majorant_sups, pick_best, sup_norm,
-                       sup_norms)
+from .optimize import (STEP_MAX, OptConfig, NormEstimate, lp_norm, majorant_sups, pick_best,
+                       sup_norm, sup_norms)
 from .polynomial import HomPoly, monomials
 
 
@@ -53,7 +54,6 @@ class BoundBracket:
 MC_POINTS = 512  # seeded random points scoring each sign pattern
 BRUTE_CAP = 50  # largest index set the brute oracle runs on
 SIGN_CAP = 20_000  # largest index set the sign search runs on
-STEP_MAX = 1e3  # largest step length of the projected ascent (optimize._ascend)
 TOP_K = 8  # cheap leaders re-scored with the optimizer
 SLACK = 1.05  # deflation of lower bounds whose denominator is an estimate
 SEARCH_OPT = OptConfig(restarts=16, iters=150)  # optimizer settings when none are given
@@ -89,7 +89,7 @@ def _search_refusal(m: int, n: int, p: float) -> str | None:
         return f"index set size {T} exceeds cap {SIGN_CAP}"
     s, log_n, log_m = 1.0 - inv(p), math.log(n), math.log(max(m, 1))
     log_r = math.log(4 * STEP_MAX) + log_m + s * (2 * m - 1) * log_n
-    if max(log_m + m * log_n, log_r if p == math.inf else log_n + p * log_r) >= 709.0:
+    if max(log_m + m * log_n, log_r if p == math.inf else log_n + p * log_r) >= LOG_FLOAT_MAX:
         return f"Lambda({m}, {n}) at p = {p:g} takes the sign search past the float range"
     return None
 
@@ -285,7 +285,7 @@ def chi_bracket(
         lower_cands.append(Endpoint(bc.deflated, f"brute oracle {deflated}", True))
 
     log_up, up_src = log_chi_upper(m, n, e)
-    up = math.exp(log_up) if log_up < 709.0 else math.inf  # e^709.8 overflows
+    up = math.exp(log_up) if log_up < LOG_FLOAT_MAX else math.inf
     return BoundBracket(max(lower_cands, key=lambda c: c.value), Endpoint(up, up_src), m)
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bohrlab import optimize
+from bohrlab import optimize, witness
 from bohrlab.bohr import random_series, wiener_check
 from bohrlab.multiindex import enumerate_lambda
 from bohrlab.optimize import (
@@ -133,7 +133,11 @@ def test_sup_norm_validation():
     bad_calls = [lambda: series_sup(F, 0.5), lambda: series_sup(F, math.nan),
                  lambda: bohr_sum(F, 0.3, 0.5), lambda: bohr_sum(F, 0.3, math.nan),
                  lambda: bohr_sum(F, math.nan, 2.0), lambda: bohr_sum(F, math.inf, 2.0),
-                 lambda: bohr_sum(moebius_series(0.5, 3), math.nan, 2.0)]
+                 lambda: bohr_sum(moebius_series(0.5, 3), math.nan, 2.0),
+                 # one variable: q is checked, though every valid q gives the same sum
+                 lambda: bohr_sum(moebius_series(0.5, 3), 0.3, 0.5),
+                 lambda: bohr_sum(moebius_series(0.5, 3), 0.3, math.nan),
+                 lambda: series_sup(moebius_series(0.5, 3), 0.5)]
     for call in bad_calls:
         with pytest.raises(ValueError):
             call()
@@ -502,6 +506,44 @@ def test_majorant_dominates_sup():
         a = majorant_sup(M, q, CFG).value
         b = sup_norm(M, q, CFG).value
         assert a == pytest.approx(b, rel=1e-6)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_bohr_sum_is_the_majorant_of_the_scaled_row(n):
+    # sum |c_alpha z^alpha| over the radius-r ball is the majorant of the
+    # row |c_alpha| r^|alpha| over the unit ball, at the witness scaled by
+    # r; in one variable the nonnegative l_q sphere is the point 1, so every
+    # q gives the exact q = inf sum
+    cfg = OptConfig(8, 80, n)
+    for seed in (60, 61):
+        F = _series(seed, n, 3)
+        A, c = F.tables()
+        moduli = np.array([abs(x) for x in c])
+        for q in (1.0, 4 / 3, 2.0, math.inf):
+            for r in (0.0, 0.3, 1.0):
+                got = bohr_sum(F, r, q, cfg)
+                row = (moduli * r ** A.sum(axis=1))[None, :]
+                want = majorant_sups(A, row, math.inf if n == 1 else q, cfg)[0]
+                assert got.value == want.value
+                assert np.array_equal(got.witness, r * want.witness)
+
+
+def test_step_cap_has_one_home(monkeypatch):
+    # the sign search's float-range bound rests on the ascent's step cap
+    assert witness.STEP_MAX is optimize.STEP_MAX
+    # f = x on the real line: every first step passes, so the accepted steps
+    # grow by 1.25 from STEP0 until the cap holds them
+    monkeypatch.setattr(optimize, "STEP_MAX", 2.0)
+    points = []
+
+    def fg(X, own):
+        points.append(X[0, 0])
+        return X[:, 0] + 0.0, np.ones_like(X)
+
+    _ascend(fg, lambda X: X + 0.0, np.array([[0.0]]), OptConfig(iters=12), None)
+    steps = np.diff(points)
+    assert len(steps) == 12 and (np.diff(steps) >= 0).all()
+    assert steps.max() == 2.0 and (steps[-5:] == 2.0).all()
 
 
 def test_bohr_sum_moebius_closed_form():
