@@ -84,7 +84,9 @@ def _search_refusal(m: int, n: int, p: float) -> str | None:
     terms, or past the float range.  Its largest numbers are c_alpha alpha_i
     <= m n^m and, as |F| <= n^(sm), |dF/dz_i| <= m n^(s(m-1)) on the unit
     sphere (s = 1 - 1/p), a step's entries 1 + STEP_MAX |2 F dF/dz_i| <= r =
-    4 STEP_MAX m n^(s(2m-1)) and lp_norm's sum n r^p of them (r at p = inf)."""
+    4 STEP_MAX m n^(s(2m-1)) and lp_norm's sum n r^p of them.  At p = inf
+    the ascent steps in torus angles and forms no such entries; r is still
+    the bound there, a margin over the m n^m that the torus ascent reaches."""
     if (T := lambda_card(m, n)) > SIGN_CAP:
         return f"index set size {T} exceeds cap {SIGN_CAP}"
     s, log_n, log_m = 1.0 - inv(p), math.log(n), math.log(max(m, 1))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from bohrlab.polynomial import (
     HomPoly,
     PolyBatch,
     TruncatedSeries,
+    eval_batch,
     grad_batch,
     moebius_series,
 )
@@ -211,36 +213,64 @@ def test_mixed_degree_rows_match_single(n):
 
 
 def _ascend_reference(fval, fgrad, project, Z0, cfg, own=None):
-    """The one-halving-at-a-time driver that _ascend replaced, kept as the
-    reference whose accepted steps _ascend must reproduce."""
-    Z = project(Z0)
+    """The one-halving-at-a-time driver, every start in lockstep, kept as
+    the reference whose accepted steps _ascend must reproduce.  With a
+    projection it is projected gradient ascent: the step t G grows by 1.25
+    after an accepted step.  Without one (project None) it is the
+    quasi-Newton ascent on a logarithm: the step is t H G with
+    H G = (H * G[:, None, :]).sum(axis=2), H starts as the identity and is
+    updated by optimize._bfgs after each accepted step (it stays the
+    identity when the R matrices would hold more than BATCH_ENTRIES
+    entries), t starts at 1 and returns to 1, a gain counts as a difference,
+    and a start whose step promises G . H G < TOL, before an iteration or
+    after the last, has converged."""
+    qn = project is None
+    Z = Z0.copy() if qn else project(Z0)
     f = fval(Z, own)
-    R = Z.shape[0]
-    t = np.full(R, optimize.STEP0)
+    R, n = Z.shape
+    t = np.full(R, 1.0 if qn else optimize.STEP0)
+    H = np.tile(np.eye(n), (R, 1, 1))
+    kept = R * n * n <= optimize.BATCH_ENTRIES
     stalled = np.zeros(R, dtype=np.int64)
+
+    def promise():
+        G = fgrad(Z, own)
+        D = (H * G[:, None, :]).sum(axis=2) if qn else G
+        if qn:
+            stalled[(G * D).sum(axis=1) < optimize.TOL] = 4
+        return G, D
+
     for _ in range(cfg.iters):
+        G, D = promise()
         if (stalled >= 4).all():
             break
-        G = fgrad(Z, own)
         accepted = np.zeros(R, dtype=bool)
         for _ in range(optimize.BACKTRACKS):
             todo = ~accepted & (stalled < 4)
             if not todo.any():
                 break
             idx = np.flatnonzero(todo)
-            cand = project(Z[todo] + t[todo, None] * G[todo])
+            cand = Z[todo] + t[todo, None] * D[todo]
+            cand = cand if qn else project(cand)
             fc = fval(cand, None if own is None else own[idx])
             disp = ((np.conj(G[todo]) * (cand - Z[todo])).sum(axis=1)).real
             ok = fc >= f[todo] + 1e-4 * np.maximum(disp, 0.0)
             good, bad = idx[ok], idx[~ok]
+            if qn and kept and good.size:
+                gc = fgrad(cand[ok], None if own is None else own[good])
+                H[good] = optimize._bfgs(H[good], cand[ok] - Z[good], G[good] - gc)
+            if qn:
+                rel = fc[ok] - f[good]
+            else:
+                rel = (fc[ok] - f[good]) / np.maximum(np.abs(f[good]), 1e-300)
             Z[good] = cand[ok]
-            rel = (fc[ok] - f[good]) / np.maximum(np.abs(f[good]), 1e-300)
             stalled[good] = np.where(rel < optimize.TOL, stalled[good] + 1, 0)
             f[good] = fc[ok]
             accepted[good] = True
-            t[good] = np.minimum(t[good] * 1.25, 1e3)
+            t[good] = 1.0 if qn else np.minimum(t[good] * 1.25, 1e3)
             t[bad] *= 0.5
         stalled[~accepted & (t < 1e-14)] = 4
+    promise()
     return f, Z, stalled >= 4
 
 
@@ -288,8 +318,10 @@ def _assert_same_ascent(args):
 
 @pytest.mark.parametrize("rows", [1, 3])
 def test_ascend_matches_reference_estimators(monkeypatch, rows):
-    # |F|^2 on the complex sphere / torus and the nonnegative majorant sum,
-    # one polynomial (no owners) and a batch of them (owners)
+    # |F|^2 on the complex sphere and the nonnegative majorant sum
+    # (projected ascents), ln |F|^2 in torus angles (quasi-Newton, the
+    # reference's project-None case), one polynomial (no owners) and a
+    # batch of them (owners)
     rng = np.random.default_rng(7 + rows)
     alphas = list(enumerate_lambda(3, 3))
     A = np.array(alphas)
@@ -307,6 +339,27 @@ def test_ascend_matches_reference_estimators(monkeypatch, rows):
     for p in (2.0, math.inf):
         for args in _ascents(monkeypatch, lambda: series_part_sups(F, p, cfg)):
             assert args[4] is not None and len(set(args[4].tolist())) == 5
+            _assert_same_ascent(args)
+
+
+def test_ascend_matches_reference_without_bfgs_matrices(monkeypatch):
+    # past BATCH_ENTRIES entries the torus ascent keeps no BFGS matrices and
+    # steps along its gradient, t back to 1 after each move; the reference
+    # keeps its H as the identity by the same rule.  BATCH_ENTRIES = 100 is
+    # below R n^2 = 288 for the 32 starts (TORUS_STARTS) of a row in 3
+    # variables, and splits the rows into ascents of one row each
+    rng = np.random.default_rng(12)
+    A = np.array(list(enumerate_lambda(3, 3)))
+    C = rng.standard_normal((2, len(A))) + 1j * rng.standard_normal((2, len(A)))
+    cfg = OptConfig(restarts=12, iters=200, seed=5)
+    F = _series(31, 3, 3)
+    for run in (lambda: sup_norms(A, C, math.inf, cfg),
+                lambda: series_part_sups(F, math.inf, cfg)):
+        monkeypatch.setattr(optimize, "BATCH_ENTRIES", 100)
+        calls = _ascents(monkeypatch, run)  # which undoes the setting
+        monkeypatch.setattr(optimize, "BATCH_ENTRIES", 100)
+        for args in calls:
+            assert args[1] is None and args[2].shape == (optimize.TORUS_STARTS, 3)
             _assert_same_ascent(args)
 
 
@@ -372,11 +425,37 @@ def _spied(fg, calls):
 
 
 def test_ascend_grads_only_live_starts():
-    # each start is its own polynomial, so the owners that fg receives name
-    # the starts.  The calls of a run of k iterations are the first calls of
-    # a longer run; the next call opens iteration k + 1 and must get exactly
-    # the starts still live after k iterations, and no later call (halving
-    # rungs included) may get a start that has ended
+    # start i climbs f = min(x, cap_i) from 0 with slope 1 below its cap and
+    # 0 from it on: steps 0.5 * 1.25^j all pass, the step that crosses the
+    # cap (at turn k_i, midway) gains, and the next 4 steps gain nothing, so
+    # the start ends after turn k_i + 4, or after its iters-th turn.  Call 0
+    # holds the starts, call j turn j, and each start is its own polynomial,
+    # so call j must name exactly the starts with j <= min(k_i + 4, iters)
+    x = np.cumsum(0.5 * 1.25 ** np.arange(30))
+    k = np.array([1, 5, 2, 9, 3, 14, 7])
+    cap = (x[k - 2] + x[k - 1]) / 2
+    cap[k == 1] = 0.25
+
+    def fg(X, own):
+        c = cap[own]
+        return np.minimum(X[:, 0], c), (X[:, 0] < c).astype(float)[:, None]
+
+    own = np.arange(len(k))
+    for iters in (6, 12, 50):
+        calls: list = []
+        _, _, done = _ascend(_spied(fg, calls), lambda X: X + 0.0, np.zeros((len(k), 1)),
+                             OptConfig(iters=iters), own)
+        last = np.minimum(k + 4, iters)
+        assert calls == [own[j <= last].tolist() for j in range(last.max() + 1)]
+        assert (done == (k + 4 <= iters)).all()
+
+
+def test_ascend_turns_share_one_call():
+    # on the sphere, with halving rungs: each call names the live starts in
+    # start order, a start's rung side by side; a start sits in a prefix of
+    # the calls (it never skips a turn, never comes back after it ended);
+    # no call holds more points than the first; and some starts end while
+    # others go on, with rungs of several halvings after that
     rng = np.random.default_rng(4)
     alphas = list(enumerate_lambda(2, 3))
     A = np.array(alphas)
@@ -393,25 +472,14 @@ def test_ascend_grads_only_live_starts():
         return optimize._proj_sphere(Z, 2.0, flat)
 
     Z0 = rng.standard_normal((R, 3)) + 1j * rng.standard_normal((R, 3))
-    own = np.arange(R)
-    got: list = []
-    assert _ascend(_spied(fg, got), project, Z0, OptConfig(iters=200), own)[2].all()
-    openers, first_end = [], None
-    for k in range(200):
-        head: list = []
-        live = np.flatnonzero(~_ascend(_spied(fg, head), project, Z0, OptConfig(iters=k), own)[2])
-        assert got[:len(head)] == head
-        if len(head) == len(got):
-            break
-        assert got[len(head)] == live.tolist()
-        assert all(set(owners) <= set(live.tolist()) for owners in got[len(head):])
-        openers.append(len(head))
-        if first_end is None and len(live) < R:
-            first_end = len(head)
-    assert not live.size
-    # some starts ended while others went on, and a halving rung came after that
-    assert first_end is not None
-    assert any(j not in openers for j in range(first_end, len(got)))
+    calls: list = []
+    assert _ascend(_spied(fg, calls), project, Z0, OptConfig(iters=200), np.arange(R))[2].all()
+    assert calls[0] == list(range(R))
+    assert all(len(c) <= R and c == sorted(c) for c in calls)
+    held = np.array([[i in c for i in range(R)] for c in calls])
+    assert (held[1:] <= held[:-1]).all()  # once out, never back
+    ended = np.flatnonzero(held.sum(axis=1) < R)[0]
+    assert any(len(c) > len(set(c)) for c in calls[ended:])
 
 
 @pytest.mark.parametrize("iters", [1, 2, 7, 30])
@@ -428,20 +496,89 @@ def test_ascend_evaluates_once_per_iteration(iters):
     assert calls == [[0, 1, 2]] * (iters + 1) and not done.any()
 
 
-def test_torus_directions_are_tangent(monkeypatch):
-    # for p = inf the ascent direction has no radial part at a torus point:
-    # Re(conj(z_j) G_j) = 0 in every coordinate
+def test_torus_gradient_is_the_angle_derivative(monkeypatch):
+    # at p = inf every ascent runs in angles theta (no projection) on
+    # ln |F(e^(i theta))|^2; its values are that function, evaluated apart
+    # from the ascent, and its gradient a central difference of it
     rng = np.random.default_rng(8)
-    alphas = list(enumerate_lambda(3, 3))
-    A = np.array(alphas)
+    A = np.array(list(enumerate_lambda(3, 3)))
     C = rng.standard_normal((3, len(A))) + 1j * rng.standard_normal((3, len(A)))
-    calls = _ascents(monkeypatch, lambda: sup_norms(A, C, math.inf, CFG))
-    calls += _ascents(monkeypatch, lambda: series_part_sups(_series(9, 3, 4), math.inf, CFG))
-    for fg, *_, own in calls:
-        Z = np.exp(2j * math.pi * rng.random((64, 3)))
-        owners = None if own is None else np.sort(rng.choice(own, 64))
-        G = fg(Z, owners)[1]
-        assert np.abs((np.conj(Z) * G).real).max() <= 1e-12 * np.abs(G).max()
+    F = _series(9, 3, 4)
+    cases = [(lambda: sup_norms(A, C, math.inf, CFG), A, C),
+             (lambda: series_sup(F, math.inf, CFG), *F.tables())]
+    for run, A_, C_ in cases:
+        K = PolyBatch(A_, np.atleast_2d(C_))
+        for fg, project, _, _, own in _ascents(monkeypatch, run):
+            assert project is None
+            T = 2 * math.pi * rng.random((64, 3))
+            owners = None if own is None else np.sort(rng.choice(own, 64))
+
+            def lnf(X):
+                return 2 * np.log(np.abs(eval_batch(K, np.exp(1j * X), owners)))
+
+            f, g = fg(T, owners)
+            assert np.allclose(f, lnf(T), rtol=1e-13, atol=1e-13)
+            h = 1e-6
+            for j in range(3):
+                E = np.zeros_like(T)
+                E[:, j] = h
+                fd = (lnf(T + E) - lnf(T - E)) / (2 * h)
+                assert np.allclose(g[:, j], fd, rtol=1e-6, atol=1e-6)
+
+
+def test_torus_ascent_passes_zeros_of_f():
+    # z1 - z2 vanishes at the flat torus point, where ln |F|^2 has no value:
+    # that start stays at the floor, promises no gain and ends without a
+    # warning (the suite turns RuntimeWarnings into errors), and the other
+    # starts find 2
+    P = HomPoly(2, 1, {(1, 0): 1.0, (0, 1): -1.0})
+    assert sup_norm(P, math.inf, CFG).value == pytest.approx(2.0, rel=1e-12)
+    F = TruncatedSeries(2, 0.0, [P])
+    est = series_sup(F, math.inf, CFG)
+    assert est.value == pytest.approx(2.0, rel=1e-12) and est.converged
+
+
+def test_torus_ascent_memory_is_bounded_at_large_n():
+    # TORUS_STARTS = 32 starts in n = 2000 variables: their BFGS matrices
+    # would hold 128M entries (1 GB); past BATCH_ENTRIES the torus ascent
+    # keeps none and steps along its gradient, and the Hoelder start of a
+    # linear form still gives the exact sum of moduli
+    n = 2000
+    rng = np.random.default_rng(6)
+    A = np.eye(n, dtype=np.int64)
+    c = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    tracemalloc.start()
+    try:
+        est = sup_norms(A, c[None, :], math.inf, OptConfig(16, 20, 1))[0]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.value == pytest.approx(np.abs(c).sum(), rel=1e-12)
+    assert peak < 64 * 2**20
+
+
+def test_torus_starts_are_distinct(monkeypatch):
+    # every coordinate start lies on the flat torus point, so a p = inf row
+    # starts from that point once and from random draws; a degree-1 row with
+    # positive coefficients has its Hoelder point there too.  No two starts
+    # of one row are equal, and each row has its budget of them:
+    # cfg.restarts, and at least TORUS_STARTS
+    A = np.array(list(enumerate_lambda(1, 3)) + list(enumerate_lambda(2, 3)))
+    C = np.zeros((3, len(A)), dtype=np.complex128)
+    C[0, :3] = [1.0, 2.0, 0.5]  # degree 1, real positive: Hoelder point = flat point
+    C[1, :3] = [1.0, -2.0, 1j]
+    C[2] = np.arange(1, len(A) + 1)
+    for cfg, budget in ((OptConfig(8, 20, 3), optimize.TORUS_STARTS), (OptConfig(40, 20, 3), 40)):
+        runs = [lambda: sup_norms(A, C, math.inf, cfg),
+                lambda: series_sup(_series(5, 3, 2), math.inf, cfg),
+                lambda: series_part_sups(_series(5, 3, 2), math.inf, cfg)]
+        for run in runs:
+            for _, _, T0, _, own in _ascents(monkeypatch, run):
+                owners = np.zeros(len(T0), dtype=int) if own is None else own
+                for k in np.unique(owners):
+                    Z = np.exp(1j * T0[owners == k])
+                    assert len(Z) == budget
+                    assert len(np.unique(Z.round(12), axis=0)) == len(Z)
 
 
 def _suite_series(seed, index):
@@ -463,19 +600,69 @@ def _suite_series(seed, index):
     return n, a0, parts
 
 
+def _suite(seed, index, scale=1.0):
+    """_suite_series(seed, index) as a TruncatedSeries, coefficients times scale."""
+    n, a0, parts = _suite_series(seed, index)
+    return TruncatedSeries(n, a0 * scale, [HomPoly(n, k, {a: c * scale for a, c in part.items()})
+                                           for k, part in enumerate(parts, start=1)])
+
+
 def test_torus_sup_normalizes_suite_series():
     # series 47 of seed 11 (n = 3, M = 4, p = inf): an ascent whose torus
     # steps kept their radial part found 16.4949 here, 5.4% under the sup,
     # so the series normalized by it was not normalized
-    n, a0, parts = _suite_series(11, 47)
-
-    def build(s):
-        return TruncatedSeries(n, a0 / s, [HomPoly(n, k, {a: c / s for a, c in part.items()})
-                                           for k, part in enumerate(parts, start=1)])
-
-    sup = series_sup(build(1.0), math.inf, OptConfig(48, 300, 11)).value
+    sup = series_sup(_suite(11, 47), math.inf, OptConfig(48, 300, 11)).value
     assert sup >= 17.44
-    assert wiener_check(build(1.01 * sup), math.inf, 1.0, OptConfig(8, 80, 11)).all_pass
+    assert wiener_check(_suite(11, 47, 1 / (1.01 * sup)), math.inf, 1.0,
+                        OptConfig(8, 80, 11)).all_pass
+
+
+def test_torus_sup_finds_the_top_basin_of_suite_series_95():
+    # series 95 of seed 3 (n = 3, M = 4): 48 restarts of the projected
+    # tangent ascent found 14.954, 2.5% under the 15.33399 that more
+    # restarts reach
+    assert series_sup(_suite(3, 95), math.inf, OptConfig(48, 300, 3)).value >= 15.3339
+
+
+@pytest.mark.parametrize("seed, index, row, floor", [(12, 71, 0, 17.196038), (6, 21, 0, 8.2517),
+                                                      (11, 41, 3, 5.380315), (3, 47, 0, 15.385801)])
+def test_torus_part_rows_find_the_top_basin(seed, index, row, floor):
+    # wiener_check's series_part_sups rows at 8 restarts: 8 quasi-Newton
+    # starts end in lower basins here (13.200, 6.424, 4.632 and 13.647);
+    # the TORUS_STARTS floor reaches the top ones
+    est = series_part_sups(_suite(seed, index), math.inf, OptConfig(8, 80, seed))[row]
+    assert est.value >= floor
+
+
+@pytest.mark.parametrize("c", [2.0**-20, 2.0**-3, 2.0**5, 2.0**30])
+def test_torus_estimates_are_scale_free(c):
+    # the torus ascent runs on ln |F|^2, whose angle gradient does not see
+    # the coefficient scale: every p = inf estimate of cF is c times F's
+    F, cF = _suite(11, 47), _suite(11, 47, c)
+    cfg, small = OptConfig(48, 300, 11), OptConfig(8, 80, 11)
+    pairs = [(series_sup(cF, math.inf, cfg), series_sup(F, math.inf, cfg)),
+             (sup_norm(cF.parts[-1], math.inf, small), sup_norm(F.parts[-1], math.inf, small)),
+             *zip(series_part_sups(cF, math.inf, small), series_part_sups(F, math.inf, small))]
+    for got, base in pairs:
+        assert got.value == pytest.approx(c * base.value, rel=1e-9)
+
+
+def test_suite_series_call_budget(monkeypatch):
+    # grad_batch calls of one normalizing estimate: every live start puts
+    # its next tries into one shared call per turn, and at p = inf the
+    # quasi-Newton steps converge in few turns (the projected tangent
+    # ascent took 505 calls at p = inf and the per-rung calls 343 at p = 2)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return grad_batch(*args)
+
+    monkeypatch.setattr(optimize, "grad_batch", counted)
+    for p, budget in ((math.inf, 250), (2.0, 343)):
+        calls.clear()
+        series_sup(_suite(11, 47), p, OptConfig(48, 300, 11))
+        assert len(calls) <= budget
 
 
 def test_pick_best_ties_take_lowest_index():
