@@ -47,6 +47,8 @@ def k_bracket(n: int, e: ExponentPair, M_max: int,
     Upper: min(1/3, min over m <= M_max of the K_m upper endpoint), since
     restricting to one variable embeds the disk.
     """
+    if n < 1:
+        raise ValueError(f"need n >= 1, got {n}")
     if M_max < 1:
         raise ValueError(f"need M_max >= 1, got {M_max}")
     grid = list(range(1, M_max + 1))
@@ -55,7 +57,11 @@ def k_bracket(n: int, e: ExponentPair, M_max: int,
         mm = max(mm + 1, int(mm * 1.5))
         grid.append(min(mm, 10 * M_max))
     grid = sorted(set(grid))
-    sup_root = max(math.exp(v / m) for m, (v, _) in zip(grid, log_chi_uppers(grid, n, e)))
+    log_root = max(v / m for m, (v, _) in zip(grid, log_chi_uppers(grid, n, e)))
+    try:
+        sup_root = math.exp(log_root)
+    except OverflowError:  # past the float range, where 1/3 of its reciprocal rounds to 0
+        sup_root = math.inf
     lower = Endpoint((1.0 / 3.0) / max(sup_root, 1.0), f"chi-upper roots over m grid {grid}")
 
     upper = Endpoint(1.0 / 3.0, "K(disk) = 1/3 one-variable restriction")

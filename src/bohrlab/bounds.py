@@ -10,6 +10,7 @@ the conjugate of 1 is inf.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -310,7 +311,10 @@ def rate(p: float, q: float, n: int) -> float:
     if n < 2:
         raise ValueError(f"need n >= 2, got {n}")
     rep = region_classify(p, q)
-    return math.log(n) ** rep.log_exponent / n**rep.n_exponent
+    if n <= sys.float_info.max:
+        return math.log(n) ** rep.log_exponent / n**rep.n_exponent
+    # n**x would convert n to a float: the same rate in logarithms
+    return _exp(rep.log_exponent * math.log(math.log(n)) - rep.n_exponent * math.log(n), "rate")
 
 
 def transfer_lower_pq(n: int, e: ExponentPair, k_diag: float) -> float:

@@ -52,6 +52,11 @@ def fnum(x: float) -> str:
     return f"{x:.17g}"
 
 
+def jnum(x: float) -> float | None:
+    """x for a JSON artifact: JSON has no inf or NaN, so a non-finite x is null."""
+    return x if math.isfinite(x) else None
+
+
 def default_seed() -> int:
     return int(os.environ.get("BOHRLAB_SEED", "0"))
 
@@ -234,9 +239,8 @@ def cmd_witness_brute(ns) -> int:
 def cmd_witness_bracket(ns) -> int:
     br = witness.chi_bracket(ns.m, ns.n, bounds.ExponentPair(ns.p, ns.q), _opt_cfg(ns),
                              sign_budget=ns.budget, samples=ns.samples)
-    up = br.upper.value  # inf past the float range; JSON has no inf, so null
     emit(ns, {"lower": br.lower.value, "lower_src": br.lower.source,
-              "upper": up if math.isfinite(up) else None, "upper_src": br.upper.source,
+              "upper": jnum(br.upper.value), "upper_src": br.upper.source,
               "flags": ["estimate-based"] if br.lower.estimate else []})
     return 0
 
@@ -282,18 +286,23 @@ def cmd_bohr_table(ns) -> int:
 
 
 def cmd_sweep(ns) -> int:
+    """One chi bracket per (m, n) cell: a CSV row, or a JSON record whose
+    non-finite numbers (p or q = inf, an upper end past the float range)
+    are null."""
     e = bounds.ExponentPair(ns.p, ns.q)
     cfg = _opt_cfg(ns)
-    rows = []
-    for m in ns.m_grid:
-        for n in ns.n_grid:
-            br = witness.chi_bracket(m, n, e, cfg, sign_budget=ns.budget,
-                                     samples=ns.samples)
-            rows.append([str(m), str(n), str(ns.p), str(ns.q),
-                         fnum(br.lower.value), fnum(br.upper.value),
-                         br.lower.source, br.upper.source])
-    emit(ns, (["m", "n", "p", "q", "lower", "upper",
-               "lower_src", "upper_src"], rows))
+    cells = [(m, n, witness.chi_bracket(m, n, e, cfg, sign_budget=ns.budget, samples=ns.samples))
+             for m in ns.m_grid for n in ns.n_grid]
+    if ns.format == "csv":
+        emit(ns, (["m", "n", "p", "q", "lower", "upper", "lower_src", "upper_src"],
+                  [[str(m), str(n), str(ns.p), str(ns.q), fnum(br.lower.value),
+                    fnum(br.upper.value), br.lower.source, br.upper.source]
+                   for m, n, br in cells]))
+    else:
+        emit(ns, [{"m": m, "n": n, "p": jnum(ns.p), "q": jnum(ns.q),
+                   "lower": br.lower.value, "upper": jnum(br.upper.value),
+                   "lower_src": br.lower.source, "upper_src": br.upper.source}
+                  for m, n, br in cells])
     return 0
 
 

@@ -34,7 +34,8 @@ TORUS_STARTS = 32  # fewest starts of a complex row at p = inf (see _estimate)
 @dataclass
 class OptConfig:
     """Multi-start ascent configuration: starts per row (at least
-    TORUS_STARTS for a complex row at p = inf), iterations per start, seed."""
+    TORUS_STARTS for a complex row at p = inf or in one variable),
+    iterations per start, seed."""
 
     restarts: int = 64
     iters: int = 300
@@ -244,22 +245,16 @@ def _flat_point(n: int, p: float) -> np.ndarray:
     return np.full(n, n ** (-1.0 / p), dtype=np.complex128)
 
 
-def _common_starts(n: int, p: float) -> list[np.ndarray]:
-    """The coordinate vectors (rows of one n x n identity) and the flat
-    vector; at p = inf only the flat vector, the torus point that every
-    coordinate vector projects to."""
-    if p == math.inf:
-        return [_flat_point(n, p)]
-    return [*np.eye(n, dtype=np.complex128), _flat_point(n, p)]
-
-
 def _structured_starts(A: np.ndarray, C: np.ndarray, p: float) -> list[list[np.ndarray]]:
     """Starts for each row c of C (coefficients over the rows of A): the
-    common starts, the single-monomial maximizer of the largest |c|
-    (lexicographically first alpha on ties), and, when every nonzero entry
+    coordinate vectors (rows of one n x n identity) and the flat vector, at
+    p = inf only the flat vector (the torus point every coordinate vector
+    projects to); the single-monomial maximizer of the largest |c|
+    (lexicographically first alpha on ties); and, when every nonzero entry
     of c has degree 1, the Hoelder point."""
     n = A.shape[1]
-    common = _common_starts(n, p)
+    flat = _flat_point(n, p)
+    common = [flat] if p == math.inf else [*np.eye(n, dtype=np.complex128), flat]
     lex = np.lexsort(A.T[::-1])
     tops = A[lex[_moduli(C[:, lex]).argmax(axis=1)]].astype(float)
     out = []
@@ -287,13 +282,13 @@ def _structured_starts(A: np.ndarray, C: np.ndarray, p: float) -> list[list[np.n
     return out
 
 
-def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarray]],
-              cfg: OptConfig, nonneg: bool) -> list[NormEstimate]:
+def _estimate(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig,
+              nonneg: bool) -> list[NormEstimate]:
     """Multi-start ascent on the unit sphere of l_p^n for each row c of C
-    (coefficients over the rows of A) from starts[k] plus
-    max(budget - len(starts[k]), 1) random ones, drawn from cfg.seed as a
-    one-row call draws them (rows may carry different start lists).  The
-    budget is cfg.restarts, and at least TORUS_STARTS on the torus.
+    (coefficients over the rows of A) from the _structured_starts of its
+    own entries plus max(budget - their number, 1) random ones, drawn from
+    cfg.seed as a one-row call draws them.  The budget is cfg.restarts,
+    and at least TORUS_STARTS on the torus.
     All rows run in one _ascend call, split only where a point array would
     pass BATCH_ENTRIES entries (no start's path depends on another).
     nonneg=False maximizes |F|^2 over the complex sphere; nonneg=True
@@ -317,6 +312,7 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarr
     K, (T, n) = len(C), A.shape
     torus = p == math.inf and not nonneg
     budget = max(cfg.restarts, TORUS_STARTS) if torus else cfg.restarts
+    starts = _structured_starts(A, C, p)
     draws: dict[int, np.ndarray] = {}
 
     def fresh(k):
@@ -379,34 +375,38 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, starts: list[list[np.ndarr
     return out
 
 
-def _estimates(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig | None, nonneg: bool,
-               starts: Callable) -> list[NormEstimate]:
+def _estimates(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig | None,
+               nonneg: bool) -> list[NormEstimate]:
     """The one front end of every estimate: one NormEstimate per row c of C
     (coefficients over the rows of A) on the unit ball of l_p^n.  It checks
     cfg (default OptConfig(); the budget must be positive), the exponent p
-    and the coefficients.  nonneg=False estimates sup |F|; nonneg=True the
-    majorant, the sum of |c_alpha| x^alpha over the nonnegative sphere, so
-    it works on the moduli of C.  A row with no nonzero entry of positive
-    degree is constant and gets the modulus of its constant entry, exactly,
-    at the origin.  The majorant is monotone in every coordinate, so at
-    p = inf it is exact: the modulus sum at the all-ones point.  Every other
-    row runs in one _estimate call, from the start lists starts(those rows)."""
+    and the coefficients.  In one variable the unit ball of l_p^1 is the
+    closed disk for every p, so there p is taken as inf: one algorithm for
+    one set.  nonneg=False estimates sup |F|; nonneg=True the majorant, the
+    sum of |c_alpha| x^alpha over the nonnegative sphere, so it works on
+    the moduli of C.  A row with no nonzero entry of positive degree is
+    constant and gets the modulus of its constant entry, exactly, at the
+    origin.  The majorant is monotone in every coordinate, so at p = inf it
+    is exact: the modulus sum at the all-ones point.  Every other row runs
+    in one _estimate call, from the _structured_starts of its own entries,
+    whichever estimator asked."""
     cfg = cfg or OptConfig()
     if cfg.restarts < 1 or cfg.iters < 1:
         raise ValueError("optimizer budget must be positive")
     if not (1 <= p):
         raise ValueError(f"need p >= 1, got {p}")
+    n, deg = A.shape[1], A.sum(axis=1)
+    p = math.inf if n == 1 else p
     if not np.isfinite(C).all():
         raise ValueError("non-finite coefficients")
     if nonneg:
         C = _moduli(C)
-    n, deg = A.shape[1], A.sum(axis=1)
     live = C[:, deg > 0].any(axis=1)
     L = C if live.all() else C[live]
     if nonneg and p == math.inf:
         found = iter([NormEstimate(math.fsum(c), np.ones(n), cfg.restarts, True) for c in L])
     else:
-        found = iter(_estimate(A, L, p, starts(L), cfg, nonneg) if len(L) else ())
+        found = iter(_estimate(A, L, p, cfg, nonneg) if len(L) else ())
     const = _moduli(C[:, deg == 0]).sum(axis=1)
     dtype = float if nonneg else np.complex128
     return [next(found) if ok else NormEstimate(float(a), np.zeros(n, dtype), cfg.restarts, True)
@@ -417,7 +417,7 @@ def sup_norms(A: np.ndarray, C: np.ndarray, p: float,
               cfg: OptConfig | None = None) -> list[NormEstimate]:
     """sup_norm of each row of C, coefficients over the rows of A, in one
     ascent; each row gets the starts of a one-row call on its own entries."""
-    return _estimates(A, C, p, cfg, False, lambda L: _structured_starts(A, L, p))
+    return _estimates(A, C, p, cfg, False)
 
 
 def sup_norm(P: HomPoly, p: float, cfg: OptConfig | None = None) -> NormEstimate:
@@ -432,7 +432,7 @@ def majorant_sups(A: np.ndarray, C: np.ndarray, q: float,
                   cfg: OptConfig | None = None) -> list[NormEstimate]:
     """majorant_sup of each row of C, coefficients over the rows of A, in one
     ascent; each row gets the starts of a one-row call on its own entries."""
-    return _estimates(A, C, q, cfg, True, lambda L: _structured_starts(A, L, q))
+    return _estimates(A, C, q, cfg, True)
 
 
 def majorant_sup(P: HomPoly, q: float, cfg: OptConfig | None = None) -> NormEstimate:
@@ -448,39 +448,35 @@ def bohr_sum(F: TruncatedSeries, r: float, q: float, cfg: OptConfig | None = Non
     """Maximize sum |c_alpha z^alpha| over the radius-r ball of l_q^n.  With
     z = r w this is the majorant of the r-scaled coefficients
     |c_alpha| r^|alpha| over the unit ball: one majorant_sups row, whose
-    witness is scaled by r.  Exact at q = inf, and in one variable, where
-    the nonnegative l_q sphere is the point 1 for every q >= 1, so the
-    q = inf rule applies."""
+    witness is scaled by r.  Exact at q = inf, and so in one variable for
+    every q (the front end's one-variable rule)."""
     if not r >= 0:
         raise ValueError(f"need r >= 0, got {r}")
     A, c = F.tables()
-    # only a valid q is replaced: majorant_sups rejects q < 1 and NaN for any n
-    q = math.inf if F.n == 1 and q >= 1 else q
     est = majorant_sups(A, (_moduli(c) * float(r) ** A.sum(axis=1))[None, :], q, cfg)[0]
     return replace(est, witness=r * est.witness)
 
 
 def series_sup(F: TruncatedSeries, p: float, cfg: OptConfig | None = None) -> NormEstimate:
     """Estimate sup of |F| over the l_p unit ball (attained on the sphere by
-    subharmonicity; on the torus for p = inf)."""
+    subharmonicity; on the torus for p = inf and in one variable): the
+    sup_norms row of F's own table, with its starts."""
     A, c = F.tables()
-    return _estimates(A, c[None, :], p, cfg, False, lambda L: [_common_starts(F.n, p)])[0]
+    return sup_norms(A, c[None, :], p, cfg)[0]
 
 
 def series_part_sups(F: TruncatedSeries, p: float,
                      cfg: OptConfig | None = None) -> list[NormEstimate]:
     """series_sup(F) and then sup_norm of each homogeneous part of F, in one
     ascent on the series' table: row 0 holds F's coefficients and row k the
-    same vector with every entry outside degree k set to zero.  Each row
-    keeps the starts and random draws of its one-row call, so each estimate
-    is that call's up to the last-bit rounding of batched matrix products;
-    an all-zero part gets the exact zero estimate."""
+    same vector with every entry outside degree k set to zero: the
+    sup_norms rows of that matrix.  Each row keeps the starts and random
+    draws of its one-row call, so row 0 is series_sup(F) and row k the
+    sup_norm of part k, each up to the last-bit rounding of batched matrix
+    products; an all-zero part gets the exact zero estimate."""
     A, c = F.tables()
     deg = A.sum(axis=1)
-    C = np.array([c] + [np.where(deg == P.m, c, 0) for P in F.parts])
-    # when any part is nonzero, row 0 is live and comes first
-    return _estimates(A, C, p, cfg, False,
-                      lambda L: [_common_starts(F.n, p), *_structured_starts(A, L[1:], p)])
+    return sup_norms(A, np.array([c] + [np.where(deg == P.m, c, 0) for P in F.parts]), p, cfg)
 
 
 def split_factorize(z, p: float) -> tuple[np.ndarray, np.ndarray]:

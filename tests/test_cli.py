@@ -263,24 +263,18 @@ def test_witness_bracket(capsys):
     assert doc["lower"] <= doc["upper"]
     assert doc["upper"] == pytest.approx(math.e)
 
-    def strict_json(text: str):
-        """json.loads refusing the NaN / Infinity tokens that RFC 8259 lacks."""
-        def refuse(token):
-            raise ValueError(f"not JSON: {token}")
-        return json.loads(text, parse_constant=refuse)
-
     # non-finite values are written as null: chi's closed-form upper bound
     # is past the float range
     code, out = capture(capsys, ["witness", "bracket", "--m", "300", "--n", "100000",
                                  "--p", "4", "--q", "4", "--budget", "0"])
     assert code == 0
-    doc = strict_json(out)["result"]
+    doc = _strict_json(out)["result"]
     assert doc["upper"] is None and doc["lower"] == 1.0
     # rate(n) is defined for n >= 2 only
     base = ["bohr", "table", "--n-grid", "1", "--mmax", "2", "--budget", "0"]
     code, out = capture(capsys, base)
     assert code == 0
-    assert strict_json(out)["result"][0]["rate"] is None
+    assert _strict_json(out)["result"][0]["rate"] is None
     code, out = capture(capsys, base + ["--format", "csv"])
     assert code == 0
     assert out.splitlines()[2].split(",")[4] == ""
@@ -289,7 +283,57 @@ def test_witness_bracket(capsys):
                                  "--q", "inf", "--budget", "10", "--restarts", "1",
                                  "--iters", "1"])
     assert code == 0
-    assert strict_json(out)["result"]["lower"] == 1.0
+    assert _strict_json(out)["result"]["lower"] == 1.0
+
+
+def _strict_json(text: str):
+    """json.loads refusing the NaN / Infinity tokens that RFC 8259 lacks."""
+    def refuse(token):
+        raise ValueError(f"not JSON: {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_sweep_json_is_one_record_per_cell(capsys):
+    # the CSV table's cells, typed: numbers as numbers, inf as null
+    base = ["sweep", "--m-grid", "1,2", "--n-grid", "2,3", "--p", "2", "--q", "inf",
+            "--budget", "50", "--restarts", "4", "--iters", "20"]
+    code, out = capture(capsys, base + ["--format", "csv"])
+    assert code == 0
+    header, *rows = [line.split(",") for line in out.splitlines()[1:]]
+    code, out = capture(capsys, base + ["--format", "json"])
+    assert code == 0
+    records = _strict_json(out)["result"]
+    assert [sorted(r) for r in records] == [sorted(header)] * 4
+    for rec, row in zip(records, rows):
+        assert (rec["m"], rec["n"], rec["p"], rec["q"]) == (int(row[0]), int(row[1]), 2.0, None)
+        assert (rec["lower"], rec["upper"]) == (float(row[4]), float(row[5]))
+        # the CSV does not quote a source's own commas
+        assert ",".join(row[6:]) == rec["lower_src"] + "," + rec["upper_src"]
+    # an upper end past the float range is null too
+    code, out = capture(capsys, ["sweep", "--m-grid", "300", "--n-grid", "100000", "--p", "4",
+                                 "--q", "4", "--budget", "0", "--format", "json"])
+    assert code == 0
+    assert _strict_json(out)["result"][0]["upper"] is None
+
+
+def test_huge_dimensions_answer(capsys):
+    # n past the float range answers (the rate and the chi-upper roots are
+    # taken in logarithms); the lower end of K is then 0, below every float
+    huge = str(10**309)
+    code, out = capture(capsys, ["bound", "rate", "--n", huge, "--p", "2", "--q", "2"])
+    assert code == 0
+    assert _strict_json(out)["result"]["value"] == pytest.approx(
+        math.sqrt(309 * math.log(10)) / 10**154.5, rel=1e-12)
+    code, out = capture(capsys, ["bohr", "table", "--n-grid", huge, "--p", "2", "--q", "2"])
+    assert code == 0
+    assert 0 < _strict_json(out)["result"][0]["rate"] < 1e-150
+    code, out = capture(capsys, ["bohr", "bracket", "--n", huge, "--p", "inf", "--q", "inf",
+                                 "--mmax", "1", "--budget", "0"])
+    assert code == 0
+    assert _strict_json(out)["result"]["lower"] == 0.0
+    # a dimension below 1 is named as given, not through the m-grid
+    assert run(["bohr", "table", "--n-grid", "0"]) == 2
+    assert capsys.readouterr().err == "error: need n >= 1, got 0\n"
 
 
 def test_bohr_oned(capsys):

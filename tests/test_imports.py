@@ -1,5 +1,7 @@
 """Every name a bohrlab module, test file or demo imports is read somewhere
-in that file, and importing bohrlab loads numpy only, not scipy.
+in that file, every module-level private function or class of bohrlab is
+read by some bohrlab module, and importing bohrlab loads numpy only, not
+scipy.
 
 The package ``__init__`` is exempt from the first check: its imports are the
 public re-exports.
@@ -44,6 +46,45 @@ def test_unread_imports_are_found():
                          ids=lambda p: p.name if p.parent == PACKAGE else f"{p.parent.name}/{p.name}")
 def test_module_reads_every_import(path):
     assert unread_imports(path.read_text()) == []
+
+
+# "module.name" -> why that private definition stays though no bohrlab
+# module reads it (for example, a name the bench tracer looks up)
+UNREAD_PRIVATE_EXEMPT: dict[str, str] = {}
+
+
+def unread_privates(sources: dict[str, str]) -> list[str]:
+    """"module.name" of each module-level private function or class of
+    sources (module name -> text) that no other top-level statement of any
+    of them reads, as a name or an attribute: a helper calling only itself
+    counts as unread."""
+    defined, read = [], set()
+    for mod, text in sources.items():
+        for stmt in ast.parse(text).body:
+            own = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            if own is not None and own.startswith("_"):
+                defined.append(f"{mod}.{own}")
+            for node in ast.walk(stmt):
+                name = (node.id if isinstance(node, ast.Name)
+                        else node.attr if isinstance(node, ast.Attribute) else None)
+                if name is not None and name != own:
+                    read.add(name)
+    return [d for d in defined if d.partition(".")[2] not in read]
+
+
+def test_unread_privates_are_found():
+    sources = {"a": "def _used():\n    pass\n\ndef _loop(k):\n    return _loop(k - 1)\n",
+               "b": "import a\nclass _Gone:\n    pass\nx = a._used()\n"}
+    assert unread_privates(sources) == ["a._loop", "b._Gone"]
+
+
+def test_package_reads_every_private_definition():
+    sources = {p.stem: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    unread = unread_privates(sources)
+    assert sorted(set(unread) - set(UNREAD_PRIVATE_EXEMPT)) == []
+    # an exemption gives its reason and names a definition still there and still unread
+    assert all(UNREAD_PRIVATE_EXEMPT.values())
+    assert set(UNREAD_PRIVATE_EXEMPT) <= set(unread)
 
 
 def test_import_loads_no_scipy():

@@ -186,6 +186,11 @@ def test_batched_estimates_match_single(m, n):
                 # |P| is invariant under a global phase: compare moduli
                 assert np.allclose(np.abs(b.witness), np.abs(s.witness))
                 assert (b.restarts, b.converged) == (s.restarts, s.converged)
+    # a series is one row of its own table, with the same starts
+    F = _series(m, n, m)
+    A, c = F.tables()
+    for p in (1.0, 2.0, math.inf):
+        assert _same_estimate(series_sup(F, p, CFG), sup_norms(A, c[None, :], p, CFG)[0])
 
 
 @pytest.mark.parametrize("n", [1, 3])
@@ -562,16 +567,22 @@ def test_torus_starts_are_distinct(monkeypatch):
     # starts from that point once and from random draws; a degree-1 row with
     # positive coefficients has its Hoelder point there too.  No two starts
     # of one row are equal, and each row has its budget of them:
-    # cfg.restarts, and at least TORUS_STARTS
+    # cfg.restarts, and at least TORUS_STARTS.  A one-variable row is on the
+    # torus at every p (its coordinate, flat and monomial starts are all 1)
     A = np.array(list(enumerate_lambda(1, 3)) + list(enumerate_lambda(2, 3)))
     C = np.zeros((3, len(A)), dtype=np.complex128)
     C[0, :3] = [1.0, 2.0, 0.5]  # degree 1, real positive: Hoelder point = flat point
     C[1, :3] = [1.0, -2.0, 1j]
     C[2] = np.arange(1, len(A) + 1)
+    A1 = np.array([[1], [2], [3]])
+    C1 = np.array([[2.0, 0, 0], [1j, 0, 0], [0, 1.0, -3.0]])
     for cfg, budget in ((OptConfig(8, 20, 3), optimize.TORUS_STARTS), (OptConfig(40, 20, 3), 40)):
         runs = [lambda: sup_norms(A, C, math.inf, cfg),
                 lambda: series_sup(_series(5, 3, 2), math.inf, cfg),
-                lambda: series_part_sups(_series(5, 3, 2), math.inf, cfg)]
+                lambda: series_part_sups(_series(5, 3, 2), math.inf, cfg),
+                lambda: sup_norms(A1, C1, 2.0, cfg),
+                lambda: series_sup(_series(5, 1, 3), 2.0, cfg),
+                lambda: series_part_sups(_series(5, 1, 3), 2.0, cfg)]
         for run in runs:
             for _, _, T0, _, own in _ascents(monkeypatch, run):
                 owners = np.zeros(len(T0), dtype=int) if own is None else own
@@ -770,10 +781,29 @@ def test_bohr_sum_monotone_in_r_and_q():
 
 
 def test_series_sup_one_dim():
-    F = moebius_series(0.5, 30)
-    # automorphism has modulus 1 on the circle; truncation slightly below
+    a, M = 0.5, 30
+    F = moebius_series(a, M)
+    # the automorphism has modulus 1 on the circle, and the truncation
+    # drops a tail of modulus at most (1 - a^2) a^M / (1 - a) = a^M (1 + a)
+    # there, so the sup lies within that of 1, on either side
     v = series_sup(F, 2.0, OptConfig(restarts=32, seed=0)).value
-    assert 0.95 <= v <= 1.0 + 1e-9
+    assert 0.95 <= v <= 1.0 + a**M * (1 + a)
+
+
+def test_one_variable_ball_is_the_disk_for_every_p():
+    # the unit ball of l_p^1 is the closed disk for every p: one algorithm
+    # (the torus ascent; the exact modulus sum for the majorant) answers for
+    # every exponent, so the estimates agree bitwise
+    P = HomPoly(1, 3, {(3,): 2 - 1j})
+    F = _series(70, 1, 4)
+    A, c = F.tables()
+    for est in (lambda p: sup_norm(P, p, CFG), lambda p: series_sup(F, p, CFG),
+                lambda p: sup_norms(A, c[None, :], p, CFG)[0]):
+        base = est(math.inf)
+        assert all(_same_estimate(est(p), base) for p in (1.0, 4 / 3, 2.0))
+    for Q in (P, F.parts[-1], HomPoly(1, 0, {(0,): -3.0})):
+        want = math.fsum(abs(x) for x in Q.coeffs.values())
+        assert all(majorant_sup(Q, q, CFG).value == want for q in (1.0, 2.0, math.inf))
 
 
 def test_split_factorize():
