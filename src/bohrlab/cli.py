@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import functools
 import json
 import math
@@ -73,7 +74,10 @@ def config_line(ns: argparse.Namespace) -> dict:
 
 def emit(ns: argparse.Namespace, payload) -> None:
     """Write the artifact (config header included) to --out or stdout, as it
-    is encoded: no copy of the whole text is held in memory."""
+    is encoded: no copy of the whole text is held in memory.  CSV rows go
+    through csv.writer with minimal quoting, so a field holding a comma
+    (a source such as "brute oracle (estimate-based, slack-deflated)")
+    stays one field."""
     cfg = config_line(ns)
     with open(ns.out, "w") if ns.out else contextlib.nullcontext(sys.stdout) as fh:
         if ns.format == "json":
@@ -82,9 +86,9 @@ def emit(ns: argparse.Namespace, payload) -> None:
         else:
             header, rows = payload
             fh.write("# config: " + " ".join(f"{k}={v}" for k, v in cfg.items()) + "\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(row) + "\n")
+            out = csv.writer(fh, lineterminator="\n")
+            out.writerow(header)
+            out.writerows(rows)
 
 
 def _read_artifact(path: str) -> dict:

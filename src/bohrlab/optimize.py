@@ -26,7 +26,7 @@ HALVINGS = 0.5 ** np.arange(LADDER)  # exact powers of two: t * HALVINGS[j] is t
 # tries in one turn after k tries of an iteration: 1 (the step t), then
 # 1, 1, 2, 4, 8, 8, 8, 7 halvings
 RUNGS = np.array([min(LADDER, max(k - 1, 1), BACKTRACKS - k) for k in range(BACKTRACKS)])
-BATCH_ENTRIES = 2**20  # largest point array of one ascent (16 MB complex)
+BATCH_ENTRIES = 2**20  # largest array of one ascent or scoring block (16 MB complex)
 FLOOR = np.finfo(float).tiny  # |F| below this counts as 0 on the torus: ln |F|^2 stays finite
 TORUS_STARTS = 32  # fewest starts of a complex row at p = inf (see _estimate)
 
@@ -289,8 +289,9 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig,
     own entries plus max(budget - their number, 1) random ones, drawn from
     cfg.seed as a one-row call draws them.  The budget is cfg.restarts,
     and at least TORUS_STARTS on the torus.
-    All rows run in one _ascend call, split only where a point array would
-    pass BATCH_ENTRIES entries (no start's path depends on another).
+    All rows run in one _ascend call, split only where the points' power
+    tables would pass BATCH_ENTRIES entries (no start's path depends on
+    another).
     nonneg=False maximizes |F|^2 over the complex sphere; nonneg=True
     maximizes F (coefficients >= 0) over the nonnegative sphere.  Both are
     projected gradient ascents for p < inf; the direction keeps its radial
@@ -309,7 +310,7 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig,
     rows of small random series missed it by up to 23%.  A start costs
     points, not kernel calls (an ascent lasts as long as its slowest
     start), hence the TORUS_STARTS floor."""
-    K, (T, n) = len(C), A.shape
+    K, n = len(C), A.shape[1]
     torus = p == math.inf and not nonneg
     budget = max(cfg.restarts, TORUS_STARTS) if torus else cfg.restarts
     starts = _structured_starts(A, C, p)
@@ -354,7 +355,9 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig,
         def project(Z):
             return _proj_sphere(Z, p, flat)
 
-    cap = BATCH_ENTRIES // max(n, T)  # most starts in one ascent
+    # most starts in one ascent: a point's power table holds every entry of
+    # the support's down-closure, its gradient n
+    cap = BATCH_ENTRIES // max(n, F.table.size)
     out: list[NormEstimate] = []
     k0 = 0
     while k0 < K:

@@ -79,6 +79,15 @@ class MonomialTable:
                 block *= _columns(M, par[a - lo:b - lo])
         return M
 
+    def at_support(self, M: np.ndarray) -> np.ndarray:
+        """The support's columns of a power table M, shape (R, T): a view of
+        M when the support is one run of table entries (a whole index set
+        is), not a second array."""
+        sup = self.support
+        if sup.size and (sup == np.arange(sup[0], sup[0] + sup.size)).all():
+            return M[:, sup[0]:sup[0] + sup.size]
+        return M[:, sup]
+
 
 def _columns(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """X[:, idx] in the layout that indexing gives it (column-major, so
@@ -89,13 +98,9 @@ def _columns(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
 
 def monomials(Z: np.ndarray, A: np.ndarray) -> np.ndarray:
     """z^alpha for every point z (row of Z) and every row alpha of A, shape
-    (points, terms).  When the support is one run of table entries (a whole
-    index set is) this is a view of the power table, not a second array."""
+    (points, terms): MonomialTable.at_support of the power table."""
     table = MonomialTable(A)
-    M, sup = table.powers(Z), table.support
-    if sup.size and (sup == np.arange(sup[0], sup[0] + sup.size)).all():
-        return M[:, sup[0]:sup[0] + sup.size]
-    return M[:, sup]
+    return table.at_support(table.powers(Z))
 
 
 class PolyBatch:

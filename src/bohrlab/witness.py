@@ -21,9 +21,9 @@ import numpy as np
 from .bounds import (LOG_FLOAT_MAX, ExponentPair, _exp, conjugate, inv, lempoly_rhs,
                      log_chi_upper)
 from .multiindex import enumerate_j, enumerate_lambda, lambda_card, multiplicity, tuple_to_alpha
-from .optimize import (STEP_MAX, OptConfig, NormEstimate, lp_norm, majorant_sups, pick_best,
-                       sup_norm, sup_norms)
-from .polynomial import HomPoly, monomials
+from .optimize import (BATCH_ENTRIES, STEP_MAX, OptConfig, NormEstimate, lp_norm, majorant_sups,
+                       pick_best, sup_norm, sup_norms)
+from .polynomial import HomPoly, MonomialTable, monomials
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,50 @@ def _exponents(m: int, n: int) -> tuple[list, np.ndarray, np.ndarray]:
     return alphas, A, np.array([float(multiplicity(a)) for a in alphas])
 
 
+class _Scorer:
+    """The Monte Carlo scoring matrix S[s, t] = mult_t z_s^alpha_t of the
+    index set whose rows alpha_t are the rows of A, at the points Z, never
+    formed whole: memory O(points (n + m) + T m) plus one block of at most
+    BATCH_ENTRIES power-table entries."""
+
+    def __init__(self, Z: np.ndarray, A: np.ndarray, mults: np.ndarray):
+        T, n = A.shape
+        self.Z, self.mults, self.table = Z, mults, MonomialTable(A)
+        self.ZT = np.ascontiguousarray(Z.T)  # one coordinate's values per row
+        # row t's variable indices, nondecreasing: the table's chain for alpha_t
+        self.js = np.repeat(np.tile(np.arange(n), T), A.ravel()).reshape(T, -1)
+
+    def column(self, t: int) -> np.ndarray:
+        """Column t (degree m >= 1): the coordinates of row t's chain
+        multiplied in turn, each new factor times the product before it,
+        as the power table multiplies them.  A complex product with fused
+        multiply-adds can change its last bit when its factors swap, so
+        only this order gives the table column bit for bit."""
+        first, *rest = self.js[t].tolist()
+        col = self.ZT[first]
+        for v in rest:
+            col = self.ZT[v] * col
+        return col * self.mults[t]
+
+    def map(self, f) -> list:
+        """[f(B) for each block B of S]: the rows of consecutive points, cut
+        from a power table of at most BATCH_ENTRIES entries.  Each block is
+        freed before the next is built."""
+        step = max(1, BATCH_ENTRIES // self.table.size)
+        return [f(self._block(self.Z[a:a + step])) for a in range(0, len(self.Z), step)]
+
+    def _block(self, Z: np.ndarray) -> np.ndarray:
+        M = self.table.at_support(self.table.powers(Z))
+        M *= self.mults
+        return M
+
+
+def _signs(T: int, bits: int) -> np.ndarray:
+    """Sign pattern number bits of T signs: the first is +1, sign t is -1
+    where bit t - 1 is set."""
+    return np.array([1.0] + [-1.0 if bits >> (t - 1) & 1 else 1.0 for t in range(1, T)])
+
+
 def sign_search(
     m: int,
     n: int,
@@ -119,6 +163,11 @@ def sign_search(
     whole pattern space fits in the budget it is enumerated instead.  The
     best few candidates are re-scored together with the full optimizer (cfg)
     and the winner's estimate (a lower bound on its true norm) is returned.
+
+    The points x T scoring matrix is never formed (_Scorer): a flip builds
+    the one column it changes, and the other energies come from point
+    blocks of at most BATCH_ENTRIES power-table entries, so scoring memory
+    does not grow with the index set's down-closure.
     """
     cfg = cfg or SEARCH_OPT
     if budget <= 0:
@@ -127,8 +176,7 @@ def sign_search(
         raise ValueError(refusal)
     alphas, A, mults = _exponents(m, n)
     T = len(alphas)
-    M = _monomial_matrix(_mc_sphere_points(n, p, MC_POINTS, seed), A)
-    M *= mults
+    S = _Scorer(_mc_sphere_points(n, p, MC_POINTS, seed), A, mults)
 
     pool: dict[bytes, float] = {}
 
@@ -140,12 +188,14 @@ def sign_search(
     rng = np.random.default_rng(seed)
     if T <= 1 or 2 ** (T - 1) <= budget:
         # exhaustive: global sign flips are norm-neutral, fix the first sign
-        for bits in range(2 ** max(T - 1, 0)):
-            eps = np.array([1.0] + [-1.0 if bits >> (t - 1) & 1 else 1.0 for t in range(1, T)])
-            record(eps, float(np.abs(M @ eps).max()))
+        count = 2 ** max(T - 1, 0)
+        energies = np.max(S.map(lambda M: [np.abs(M @ _signs(T, bits)).max()
+                                           for bits in range(count)]), axis=0)
+        for bits in range(count):
+            record(_signs(T, bits), float(energies[bits]))
     else:
         eps = np.ones(T)
-        vals = M @ eps
+        vals = np.concatenate(S.map(lambda M: M @ eps))
         energy = float(np.abs(vals).max())
         scale = max(energy, 1e-300)
         record(eps, energy)
@@ -154,7 +204,7 @@ def sign_search(
             if step and step % T == 0:
                 temp *= 0.95
             t = int(rng.integers(T))
-            delta = -2.0 * eps[t] * M[:, t]
+            delta = -2.0 * eps[t] * S.column(t)
             new_energy = float(np.abs(vals + delta).max())
             dE = (new_energy - energy) / scale
             if dE <= 0 or rng.random() < math.exp(-dE / max(temp, 1e-9)):
@@ -163,7 +213,6 @@ def sign_search(
                 energy = new_energy
                 record(eps, energy)
 
-    del M  # free the Monte Carlo matrix before the re-scoring ascent
     top = sorted(pool.items(), key=lambda kv: (kv[1], kv[0]))[:TOP_K]
     eps = np.array([np.frombuffer(key, dtype=np.int8) for key, _ in top])
     ests = sup_norms(A, eps * mults, p, cfg)

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import contextlib
+import csv
 import inspect
 import io
 import json
@@ -299,7 +300,7 @@ def test_sweep_json_is_one_record_per_cell(capsys):
             "--budget", "50", "--restarts", "4", "--iters", "20"]
     code, out = capture(capsys, base + ["--format", "csv"])
     assert code == 0
-    header, *rows = [line.split(",") for line in out.splitlines()[1:]]
+    header, *rows = csv.reader(out.splitlines()[1:])
     code, out = capture(capsys, base + ["--format", "json"])
     assert code == 0
     records = _strict_json(out)["result"]
@@ -307,13 +308,27 @@ def test_sweep_json_is_one_record_per_cell(capsys):
     for rec, row in zip(records, rows):
         assert (rec["m"], rec["n"], rec["p"], rec["q"]) == (int(row[0]), int(row[1]), 2.0, None)
         assert (rec["lower"], rec["upper"]) == (float(row[4]), float(row[5]))
-        # the CSV does not quote a source's own commas
-        assert ",".join(row[6:]) == rec["lower_src"] + "," + rec["upper_src"]
+        assert (rec["lower_src"], rec["upper_src"]) == (row[6], row[7])
     # an upper end past the float range is null too
     code, out = capture(capsys, ["sweep", "--m-grid", "300", "--n-grid", "100000", "--p", "4",
                                  "--q", "4", "--budget", "0", "--format", "json"])
     assert code == 0
     assert _strict_json(out)["result"][0]["upper"] is None
+
+
+def test_csv_quotes_fields_holding_commas(capsys):
+    # "sign-search flat point (estimate-based, slack-deflated)" holds a
+    # comma: quoted, every row keeps the header's 8 fields
+    code, out = capture(capsys, ["sweep", "--m-grid", "1,2", "--n-grid", "2,3", "--p", "2",
+                                 "--q", "inf", "--budget", "50", "--restarts", "4",
+                                 "--iters", "20", "--format", "csv"])
+    assert code == 0
+    lines = out.splitlines()[1:]
+    header, *rows = csv.reader(lines)
+    assert len(header) == 8 and len(rows) == 4
+    assert all(len(row) == 8 for row in rows)
+    assert any("," in row[6] for row in rows)
+    assert all(line.count('"') in (0, 2) for line in lines)
 
 
 def test_huge_dimensions_answer(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -80,6 +81,73 @@ def test_sign_search_takes_earliest_of_tied_leaders(monkeypatch):
     (C,) = rescored
     assert len(C) == witness.TOP_K
     assert list(signs.values()) == C[0].tolist() and est.value == 5.0
+
+
+class DenseScorer:
+    """Reference scorer: the whole scoring matrix, multiplicities applied in
+    place on the power table's support view, in one block."""
+
+    def __init__(self, Z, A, mults):
+        self.M = polynomial.monomials(Z, A)
+        self.M *= mults
+
+    def column(self, t):
+        return self.M[:, t]
+
+    def map(self, f):
+        return [f(self.M)]
+
+
+SCORED = [(1, 5, 1.0), (2, 3, 2.0), (3, 4, math.inf), (4, 6, 2.0), (2, 9, 1.0),
+          (5, 3, math.inf), (9, 2, 2.0), (3, 7, math.inf)]
+
+
+@pytest.mark.parametrize("m, n, p", SCORED)
+@pytest.mark.parametrize("entries", [2**20, 2**10])
+def test_streamed_scores_are_the_dense_matrix(monkeypatch, m, n, p, entries):
+    # entries = 2**10 cuts every index set here into several point blocks
+    monkeypatch.setattr(witness, "BATCH_ENTRIES", entries)
+    _, A, mults = witness._exponents(m, n)
+    Z = witness._mc_sphere_points(n, p, witness.MC_POINTS, 3)
+    raw, S = polynomial.monomials(Z, A), witness._Scorer(Z, A, mults)
+    for t in range(len(A)):
+        assert S.column(t).tobytes() == (raw[:, t] * mults[t]).tobytes()
+    blocks = S.map(np.copy)
+    assert (len(blocks) > 1) == (entries == 2**10)
+    assert np.concatenate(blocks).tobytes() == (raw * mults).tobytes()
+
+
+@pytest.mark.parametrize("m, n, p", SCORED)
+@pytest.mark.parametrize("budget", [40, 300])
+def test_sign_search_matches_dense_scorer(monkeypatch, m, n, p, budget):
+    # both branches: Lambda(1, 5) and Lambda(2, 3) fit in either budget and
+    # are enumerated, the others anneal; small blocks cut the streamed
+    # matrix into several
+    cfg = OptConfig(4, 5, 1)
+    monkeypatch.setattr(witness, "BATCH_ENTRIES", 2**10)
+    s, a = sign_search(m, n, p, budget, 2, cfg)
+    monkeypatch.setattr(witness, "_Scorer", DenseScorer)
+    d, b = sign_search(m, n, p, budget, 2, cfg)
+    assert s == d
+    assert (a.value, a.restarts, a.converged) == (b.value, b.restarts, b.converged)
+    assert a.witness.tobytes() == b.witness.tobytes()
+
+
+def _peak_mb(f, *args) -> float:
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+def test_sign_search_memory_is_bounded_by_the_support():
+    # the dense scoring matrices were 512 x 4845 entries (Lambda(4, 16)'s
+    # down-closure, 40.8 MB peak) and 512 x 20301 (Lambda(200, 2), 159 MB);
+    # streamed, one block of at most BATCH_ENTRIES entries is alive
+    assert _peak_mb(sign_search, 4, 16, 2.0, 200, 1, OptConfig(4, 5, 1)) < 24
+    assert _peak_mb(sign_search, 200, 2, math.inf, 10, 0, OptConfig(1, 1, 0)) < 40
 
 
 def test_sign_search_validation():
@@ -176,7 +244,8 @@ def test_witnesses_compile_each_support_once(monkeypatch):
             super().__init__(A)
 
     monkeypatch.setattr(polynomial, "MonomialTable", CountingTable)
-    sign_search(4, 8, 2.0, 200, 0, CFG)  # Monte Carlo matrix + one re-scoring ascent
+    monkeypatch.setattr(witness, "MonomialTable", CountingTable)
+    sign_search(4, 8, 2.0, 200, 0, CFG)  # Monte Carlo scorer + one re-scoring ascent
     assert len(builds) <= 2
     builds.clear()
     brute_chi(2, 4, ExponentPair(2.0, 1.5), seed=0, cfg=CFG)  # two point sets + two ascents
