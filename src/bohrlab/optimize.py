@@ -17,9 +17,8 @@ import numpy as np
 from .polynomial import HomPoly, PolyBatch, TruncatedSeries, eval_batch, grad_batch
 
 
-STEP0 = 0.5  # first step length of a projected ascent (a quasi-Newton step starts at 1)
-TOL = 1e-13  # gain (relative; on logarithms a difference) below which a step counts as stalled
-STEP_MAX = 1e3  # largest step length: an accepted step grows t by 1.25 up to it
+TOL = 1e-13  # gain of the logarithm below which a step counts as stalled
+STEP_CAP = 2.0  # longest try on a sphere: no step moves a point farther (Euclidean length)
 BACKTRACKS = 40  # step halvings tried per iteration
 LADDER = 8  # most halvings tried in one kernel call after a failed first step
 HALVINGS = 0.5 ** np.arange(LADDER)  # exact powers of two: t * HALVINGS[j] is t halved j times
@@ -27,7 +26,8 @@ HALVINGS = 0.5 ** np.arange(LADDER)  # exact powers of two: t * HALVINGS[j] is t
 # 1, 1, 2, 4, 8, 8, 8, 7 halvings
 RUNGS = np.array([min(LADDER, max(k - 1, 1), BACKTRACKS - k) for k in range(BACKTRACKS)])
 BATCH_ENTRIES = 2**20  # largest array of one ascent or scoring block (16 MB complex)
-FLOOR = np.finfo(float).tiny  # |F| below this counts as 0 on the torus: ln |F|^2 stays finite
+FLOOR = np.finfo(float).tiny  # |F| below this counts as FLOOR: ln |F| stays finite
+ZERO = 1e-150  # dF_i / F counts as 0 where |F| <= ZERO |dF_i| (see _log_grad)
 TORUS_STARTS = 32  # fewest starts of a complex row at p = inf (see _estimate)
 
 
@@ -62,75 +62,98 @@ def lp_norm(v: np.ndarray, p: float) -> np.ndarray:
     return (r**p).sum(axis=-1) ** (1.0 / p)
 
 
-def _proj_sphere(Z: np.ndarray, p: float, flat: np.ndarray) -> np.ndarray:
+def to_sphere(Z: np.ndarray, p: float) -> np.ndarray:
+    """Each nonzero row of Z scaled onto the l_p unit sphere, p < inf.  The
+    row is first divided by its largest modulus, so its p-th powers stay
+    at most 1 and no p overflows them."""
+    Z = Z / np.abs(Z).max(axis=1, keepdims=True)
+    return Z / lp_norm(Z, p)[:, None]
+
+
+def _proj_sphere(X: np.ndarray, p: float, flat: np.ndarray) -> np.ndarray:
     """Radial projection of each row onto the l_p unit sphere, p < inf
-    (moduli), keeping phases; a zero row becomes flat."""
-    nrm = lp_norm(Z, p)
+    (moduli; a complex row keeps its phases); a zero row becomes flat."""
+    nrm = lp_norm(X, p)
     dead = nrm == 0
-    if dead.any():
-        Z = Z.copy()
-        Z[dead] = flat
+    if np.count_nonzero(dead):
+        X = X.copy()
+        X[dead] = flat
         nrm = np.where(dead, 1.0, nrm)
-    return Z / nrm[:, None]
+    return X / nrm[:, None]
 
 
-def _sufficient(fc, f, G, cand, Z) -> np.ndarray:
-    """Armijo test of each candidate: sufficient increase along the
-    displacement cand - Z, not along the step direction.  On the l_p sphere
-    (p < inf) G keeps a radial part, which dominates near a maximum and
-    which the projection throws away, so a test along t * G would ask for
-    gains the step cannot make and stall early.  In torus angles nothing is
-    projected, and the displacement is the step itself."""
-    disp = ((np.conj(G) * (cand - Z)).sum(axis=1)).real
-    return fc >= f + 1e-4 * np.maximum(disp, 0.0)
+def _log_grad(vals: np.ndarray, grads: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """ln |F| and dF / F at each point, from F's values and the rows of its
+    derivatives dF.  |F| below FLOOR counts as FLOOR.  An entry dF_i / F
+    whose |dF_i| is at least |F| / ZERO counts as 0, so a point at a zero
+    of F (|F| = 0) has a zero gradient: a start there promises no gain and
+    ends.  No quotient leaves the float range (each is below 1 / ZERO), and
+    both sides of the rule scale with F, so it does not see the
+    coefficient scale."""
+    mod = np.abs(vals)[:, None]
+    return np.log(np.maximum(mod[:, 0], FLOOR)), grads / np.where(mod > ZERO * np.abs(grads),
+                                                                     vals[:, None], np.inf)
 
 
-def _bfgs(H: np.ndarray | None, s: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """BFGS update of inverse-Hessian approximations H (S, n, n) of a
-    function to minimize, by steps s and gradient changes y (S, n):
-    H + s w^T - r u s^T with u = H y, r = 1 / s.y and w = (r + r^2 y.u) s - r u.
-    A row whose curvature s.y / s.s is not above 1e-10 (a zero step too)
-    keeps its H; None (no matrices) stays None.  Written with elementwise
-    products and sums, so a row rounds the same in any batch."""
-    if H is None:
-        return H
-    sy = (s * y).sum(axis=1)
-    up = sy > 1e-10 * (s * s).sum(axis=1)
-    if not up.any():
-        return H
-    r = np.where(up, 1.0, 0.0) / np.where(up, sy, 1.0)
-    u = (H * y[:, None, :]).sum(axis=2)
-    w = (r + r * r * (y * u).sum(axis=1))[:, None] * s - r[:, None] * u
-    return H + s[:, :, None] * w[:, None, :] - (r[:, None] * u)[:, :, None] * s[:, None, :]
+def _bfgs(H: np.ndarray, s: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """BFGS update of inverse-Hessian approximations H (S, d, d) of a
+    function to minimize, by steps s and gradient changes y (S, d):
+    H + s w^T - r u s^T with u = H y, r = 1 / s.y and w = (r + r^2 y.u) s - r u,
+    the rank-2 term as one batched matrix product.  A row whose curvature
+    s.y / s.s is not above 1e-10 (a zero step too) has r = 0 and keeps its
+    H.  Row by row (matvec, vecdot, matmul), so a row rounds the same in
+    any batch."""
+    sy = np.vecdot(s, y)
+    up = sy > 1e-10 * np.vecdot(s, s)
+    r = up / np.where(up, sy, 1.0)
+    u = np.matvec(H, y)
+    S, d = s.shape
+    left, right = np.empty((S, d, 2)), np.empty((S, 2, d))  # [s, -r u] and [w; s]
+    left[..., 0], right[:, 1] = s, s
+    np.multiply(-r[:, None], u, out=left[..., 1])
+    np.multiply((r + r * r * np.vecdot(y, u))[:, None], s, out=right[:, 0])
+    right[:, 0] += left[..., 1]
+    return H + np.matmul(left, right)
 
 
-def _times(H: np.ndarray | None, g: np.ndarray) -> np.ndarray:
-    """H g row by row (g itself when H is None)."""
-    return g if H is None else (H * g[:, None, :]).sum(axis=2)
+def _direction(H: np.ndarray | None, G: np.ndarray, cap: float) -> tuple[np.ndarray, np.ndarray]:
+    """The quasi-Newton step H G of each row (G itself when H is None), cut
+    to length cap, and what it promises: the first-order gain G . D."""
+    D = G if H is None else np.matvec(H, G)
+    dd = np.vecdot(D, D)
+    long = dd > cap * cap
+    if np.count_nonzero(long):
+        D = D * np.where(long, cap / np.sqrt(np.maximum(dd, cap * cap)), 1.0)[:, None]
+    return D, np.vecdot(G, D)
 
 
-def _ascend(fg: Callable, project: Callable | None, Z0: np.ndarray,
+def _ascend(fg: Callable, retract: Callable | None, X0: np.ndarray,
             cfg: OptConfig, own=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched multi-start ascent with Armijo backtracking.  fg takes points
-    and their owners (own[i] is the polynomial of Z0[i]; None: one) and
-    returns their values and gradients, so each point is evaluated once: an
-    accepted point brings its gradient with it.
+    """Batched multi-start quasi-Newton ascent with Armijo backtracking, in
+    real coordinates X (R, d).  fg takes points and their owners (own[i]
+    is the polynomial of X0[i]; None: one) and returns their values, which
+    are logarithms, and gradients, so each point is evaluated once: an
+    accepted point brings its gradient with it.  retract (None: the
+    identity) maps each try back onto the set the points range over: it
+    runs on the starts and after every try, before fg.
 
-    With a projection (onto an l_p sphere) a start steps along its gradient
-    g and projects back, and a gain counts relative to the value.  Without
-    one (project None: the variables range over R^n, as torus angles do)
-    the values are logarithms, a start steps along H g, H its BFGS
-    approximation of the inverse Hessian of -f, and a gain counts as a
-    difference.  The R n x n matrices H are kept only when they hold at most
-    BATCH_ENTRIES entries; past that H stays the identity (steepest ascent).
+    A start steps along D = H g, H its BFGS approximation of the inverse
+    Hessian of -f.  With a retraction D is cut to length STEP_CAP, so no
+    try moves a point farther than STEP_CAP from the set; without one (the
+    points are torus angles) it is not cut.  The d x d matrices H are kept
+    only where they can pay and fit: when d <= 2 cfg.iters (a start makes
+    at most cfg.iters updates) and the R matrices hold at most
+    BATCH_ENTRIES entries; else H stays the identity (steepest ascent).
+    The Armijo test asks for a gain of 1e-4 g.(x_try - x) along the
+    displacement that the retraction left.
 
-    An iteration tries the start's step t, then halves it up to
-    BACKTRACKS - 1 times, and accepts the first step that passes the Armijo
-    test.  An accepted step grows by 1.25 up to STEP_MAX (projected) or
-    resets to 1 (quasi-Newton).  A start ends after 4 stalled steps (gain
-    below TOL), after a failed iteration with t < 1e-14, when its
-    quasi-Newton step promises a gain g.Hg below TOL (near a maximum its
-    observed gains are rounding noise), or after cfg.iters iterations.
+    An iteration tries the step t = 1, then halves it up to BACKTRACKS - 1
+    times, and accepts the first step that passes the Armijo test; an
+    accepted step sets t back to 1.  A start ends after 4 stalled steps
+    (gain below TOL), after a failed iteration with t < 1e-14, when its
+    step promises a gain g.D below TOL (near a maximum its observed gains
+    are rounding noise), or after cfg.iters iterations.  Values and gains
+    are logarithms, so a polynomial scaled by c > 0 takes the same path.
 
     Each live start keeps its own step state, and each turn puts every
     live start's next tries into one shared fg call: its step t, or, after
@@ -143,37 +166,34 @@ def _ascend(fg: Callable, project: Callable | None, Z0: np.ndarray,
 
     Returns (final values, final points, converged flag of each point: it
     ended by a stall or promise rule, not by the iteration budget)."""
-    qn = project is None
-    Z_out = Z0.copy() if qn else project(Z0)
-    f_out, G = fg(Z_out, own)
-    R, n = Z_out.shape
+    X_out = X0.copy() if retract is None else retract(X0)
+    f_out, G = fg(X_out, own)
+    R, d = X_out.shape
     done = np.zeros(R, dtype=bool)
     live = np.arange(R)
-    Z, f, o = Z_out, f_out, own  # live rows are written back at their end
-    t = np.full(R, 1.0 if qn else STEP0)
+    X, f, o = X_out, f_out, own  # live rows are written back at their end
+    H = np.tile(np.eye(d), (R, 1, 1)) if d <= 2 * cfg.iters and R * d * d <= BATCH_ENTRIES else None
+    cap = STEP_CAP if retract is not None else math.inf
+    D, gain = _direction(H, G, cap)  # gain: what each start's step promises
+    t = np.ones(R)
     stalled = np.zeros(R, dtype=np.int64)
     tries = np.zeros(R, dtype=np.int64)  # tries made in the current iteration
     iters = np.zeros(R, dtype=np.int64)
-    # step direction D = H G; BFGS matrices only for quasi-Newton steps and
-    # only while they fit in BATCH_ENTRIES, else H = None, the identity
-    H = np.tile(np.eye(n), (R, 1, 1)) if qn and R * n * n <= BATCH_ENTRIES else None
-    D = G
     turn, searching = 0, False  # searching: some start is past its first try
     while True:
-        conv = stalled >= 4
-        if qn:  # its step promises a gain below TOL: converged
-            conv |= (G * D).sum(axis=1) < TOL
+        conv = (stalled >= 4) | (gain < TOL)
         # iters <= turn: the budget ends no start before turn cfg.iters
         end = conv | (iters >= cfg.iters) if turn >= cfg.iters else conv
-        if end.any():
+        if np.count_nonzero(end):
             gone, keep = live[end], ~end
-            Z_out[gone], f_out[gone], done[gone] = Z[end], f[end], conv[end]
-            live, Z, f, G, D, t = live[keep], Z[keep], f[keep], G[keep], D[keep], t[keep]
+            X_out[gone], f_out[gone], done[gone] = X[end], f[end], conv[end]
+            live, X, f, G, D, gain = live[keep], X[keep], f[keep], G[keep], D[keep], gain[keep]
+            t = t[keep]
             stalled, tries, iters = stalled[keep], tries[keep], iters[keep]
             H = None if H is None else H[keep]
             o = None if own is None else own[live]
             if not live.size:
-                return f_out, Z_out, done
+                return f_out, X_out, done
         turn += 1
         S = live.size
         L = RUNGS[tries] if searching else None
@@ -185,45 +205,50 @@ def _ascend(fg: Callable, project: Callable | None, Z0: np.ndarray,
             first = ends - L
             rows = np.repeat(np.arange(S), L)
             steps = t[rows] * HALVINGS[np.arange(ends[-1]) - first[rows]]
-            Zr, Gr, fr, Dr = Z[rows], G[rows], f[rows], D[rows]
+            Xr, Gr, fr = X[rows], G[rows], f[rows]
+            cand = Xr + steps[:, None] * D[rows]
             orows = o if o is None else o[rows]
         else:  # one try per start: its step t
-            L, steps, Zr, Gr, fr, Dr, orows = None, t, Z, G, f, D, o
-        cand = Zr + steps[:, None] * Dr
-        if not qn:
-            cand = project(cand)
+            L, steps, Xr, Gr, fr, orows = None, t, X, G, f, o
+            cand = X + t[:, None] * D
+        if retract is not None:
+            cand = retract(cand)
         fc, gc = fg(cand, orows)
-        ok = _sufficient(fc, fr, Gr, cand, Zr)
+        sc = cand - Xr  # each try's displacement
+        ok = fc >= fr + 1e-4 * np.maximum(np.vecdot(Gr, sc), 0.0)
         if L is None:  # a start's one try is its candidate
             hit, c = ok, slice(None)
         else:  # its first passing try, else its rung's last
             pos = np.minimum.reduceat(np.where(ok, np.arange(ok.size), ok.size), first)
             hit = pos < ends
             c = np.where(hit, pos, ends - 1)
-        fz, gz, cz, sz = fc[c], gc[c], cand[c], steps[c]
-        every = hit.all()
-        fz = fz if every else np.where(hit, fz, f)  # no gain where no step is accepted
-        gain = fz - f if qn else (fz - f) / np.maximum(np.abs(f), 1e-300)
-        stall = np.where(gain < TOL, stalled + 1, 0)
-        grown = np.ones(S) if qn else np.minimum(sz * 1.25, STEP_MAX)  # step after a move
-        if every:  # every start accepts: its candidate becomes its point
-            H = _bfgs(H, cz - Z, G - gz)
-            stalled, Z, f, G, D, t = stall, cz, fz, gz, _times(H, gz), grown
+        fz, gz, xz, sz = fc[c], gc[c], cand[c], sc[c]
+        if np.count_nonzero(hit) == S:  # every start accepts: its candidate becomes its point
+            stalled = np.where(fz - f < TOL, stalled + 1, 0)
+            if H is not None:
+                H = _bfgs(H, sz, G - gz)
+            D, gain = _direction(H, gz, cap)
+            X, f, G = xz, fz, gz
             iters += 1
+            t = np.ones(S)
             if searching:
                 tries[:], searching = 0, False
         else:  # a start that accepts moves; one that does not halves its step
             h = hit[:, None]
-            stalled = np.where(hit, stall, stalled)
-            H = _bfgs(H, np.where(h, cz - Z, 0.0), G - gz)  # a zero step keeps H
-            D = np.where(h, _times(H, gz), D)
-            Z, f, G, t = np.where(h, cz, Z), fz, np.where(h, gz, G), np.where(hit, grown, sz * 0.5)
+            fz = np.where(hit, fz, f)  # no gain where no step is accepted
+            stalled = np.where(hit, np.where(fz - f < TOL, stalled + 1, 0), stalled)
+            if H is not None:
+                H = _bfgs(H, np.where(h, sz, 0.0), G - gz)  # a zero step keeps H
+            Dz, gz_gain = _direction(H, gz, cap)
+            D, gain = np.where(h, Dz, D), np.where(hit, gz_gain, gain)
+            X, f, G = np.where(h, xz, X), fz, np.where(h, gz, G)
+            t = np.where(hit, 1.0, steps[c] * 0.5)
             tries = np.where(hit, 0, tries + (1 if L is None else L))
             failed = tries >= BACKTRACKS
             stalled[failed & (t < 1e-14)] = 4
             tries[failed] = 0
             iters += hit | failed
-            searching = bool(tries.any())
+            searching = bool(np.count_nonzero(tries))
 
 
 def pick_best(values: np.ndarray) -> int:
@@ -246,27 +271,32 @@ def _flat_point(n: int, p: float) -> np.ndarray:
 
 
 def _structured_starts(A: np.ndarray, C: np.ndarray, p: float) -> list[list[np.ndarray]]:
-    """Starts for each row c of C (coefficients over the rows of A): the
-    coordinate vectors (rows of one n x n identity) and the flat vector, at
-    p = inf only the flat vector (the torus point every coordinate vector
-    projects to); the single-monomial maximizer of the largest |c|
-    (lexicographically first alpha on ties); and, when every nonzero entry
-    of c has degree 1, the Hoelder point."""
+    """The starts of each row c of C (coefficients over the rows of A) that
+    follow its n coordinate vectors (p < inf; _estimate builds those in
+    blocks, so no n x n array is formed): the flat vector, which at p = inf
+    is the torus point every coordinate vector projects to; the
+    single-monomial maximizer of the largest |c| (lexicographically first
+    alpha on ties); and, when every nonzero entry of c has degree 1, the
+    Hoelder point."""
     n = A.shape[1]
     flat = _flat_point(n, p)
-    common = [flat] if p == math.inf else [*np.eye(n, dtype=np.complex128), flat]
-    lex = np.lexsort(A.T[::-1])
-    tops = A[lex[_moduli(C[:, lex]).argmax(axis=1)]].astype(float)
+    deg, var = A.sum(axis=1), A.argmax(axis=1)  # var: the variable of a degree-1 row
     out = []
-    for c, x in zip(C, tops):
-        starts = list(common)
+    for c, mod in zip(C, _moduli(C)):
+        ties = np.flatnonzero(mod == mod.max())
+        for j in range(n):  # the lexicographically first alpha of the ties
+            if ties.size == 1:
+                break
+            ties = ties[A[ties, j] == A[ties, j].min()]
+        x = A[ties[0]].astype(float)
+        starts = [flat]
         if x.sum() > 0 and p != math.inf:
             # exact maximizer of a single monomial on the l_p sphere
             starts.append(((x / x.sum()) ** (1.0 / p)).astype(np.complex128))
         nz = c != 0
-        if (A[nz].sum(axis=1) == 1).all():
+        if (deg[nz] == 1).all():
             a = np.zeros(n, dtype=np.complex128)
-            a[A[nz].argmax(axis=1)] = c[nz]
+            a[var[nz]] = c[nz]
             mod = np.abs(a)
             phase = np.where(mod > 0, np.conj(a) / np.where(mod > 0, mod, 1.0), 1.0)
             if p == math.inf:
@@ -285,97 +315,187 @@ def _structured_starts(A: np.ndarray, C: np.ndarray, p: float) -> list[list[np.n
 def _estimate(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig,
               nonneg: bool) -> list[NormEstimate]:
     """Multi-start ascent on the unit sphere of l_p^n for each row c of C
-    (coefficients over the rows of A) from the _structured_starts of its
-    own entries plus max(budget - their number, 1) random ones, drawn from
-    cfg.seed as a one-row call draws them.  The budget is cfg.restarts,
-    and at least TORUS_STARTS on the torus.
-    All rows run in one _ascend call, split only where the points' power
-    tables would pass BATCH_ENTRIES entries (no start's path depends on
-    another).
-    nonneg=False maximizes |F|^2 over the complex sphere; nonneg=True
-    maximizes F (coefficients >= 0) over the nonnegative sphere.  Both are
-    projected gradient ascents for p < inf; the direction keeps its radial
-    part (removing the component normal to the l_2 sphere made those
-    ascents longer).  A row's value is |F| at its witness, scaled into the
-    closed unit ball.
+    (coefficients over the rows of A): from the n coordinate vectors
+    (p < inf), then the _structured_starts of its own entries, then
+    max(budget - their number, 1) random ones, drawn from cfg.seed as a
+    one-row call draws them.  The budget is cfg.restarts, and at least
+    TORUS_STARTS on the torus.  Every row runs the quasi-Newton _ascend on
+    a logarithm, which does not change when F is scaled, so neither does
+    the path.  A row's value is |F| at its witness, scaled into the closed
+    unit ball.
+    - Complex rows, 1 < p < inf: ln |F|^2 in the real coordinates of z (a
+      float view of the complex points), with gradient g = 2 conj(dF/F)
+      less its part along the sphere's normal, g - Re<z, g> |z|^(p-2) z,
+      so that Re<z, g> = 0: the gradient of ln |F(retract(z))|^2 at a
+      point of the sphere.  Each try is projected radially back onto the
+      sphere, and a try moves at most STEP_CAP (the sign search's float
+      range rests on that).
+    - Complex rows, p = 1: the l_1 sphere has kinks where a coordinate is
+      0, which is where most of its maxima lie (vertices and edges), and a
+      step across such a kink ends in a failed halving ladder.  So the
+      ascent runs on the smooth l_2 sphere in w, with z = w |w| (moduli
+      squared, phases kept), which maps it onto the l_1 sphere: the same
+      objective, its gradient by the chain rule
+      dz = |w| dw + w Re(conj(w) dw) / |w|, each try projected back onto
+      the l_2 sphere.  A start with w_i = 0 keeps it (the map's
+      derivative vanishes there), so coordinate starts stay on their
+      faces; random starts explore.
+    - Majorant rows (nonneg=True, coefficients >= 0): ln F on the
+      nonnegative sphere, like the 1 < p < inf rows, each try clipped at
+      0 first.
+    - Torus rows (p = inf): ln |F|^2 in the angles theta of z = e^(i theta),
+      with gradient -2 Im(z_j dF/dz_j / F); nothing is projected, and no
+      step is cut: angles leave no range.
+    |F| below FLOOR counts as FLOOR, and a point at a zero of F (see
+    _log_grad) has a zero gradient, so a start there stays finite,
+    promises no gain and ends.  A quasi-Newton start climbs the basin it
+    starts in, so a row finds its top basin only if some start lies in
+    it: on the torus at 8 starts, rows of small random series missed it by
+    up to 23%.  A start costs points, not kernel calls (an ascent lasts as
+    long as its slowest start), hence the TORUS_STARTS floor.
 
-    On the torus (p = inf, nonneg=False) nothing is projected: the ascent
-    runs in the angles theta of z = e^(i theta) on ln |F|^2, whose gradient
-    -2 Im(z_j dF/dz_j / F) comes from the same grad_batch call, with
-    quasi-Newton steps.  ln |F|^2 and its gradient do not change when F is
-    scaled, so neither does the path.  |F| below FLOOR counts as FLOOR with
-    a zero gradient, so a start at a zero of F stays finite, promises no
-    gain and ends.  A quasi-Newton start climbs the basin it starts in, so
-    a row finds its top basin only if some start lies in it: at 8 starts,
-    rows of small random series missed it by up to 23%.  A start costs
-    points, not kernel calls (an ascent lasts as long as its slowest
-    start), hence the TORUS_STARTS floor."""
+    The rows' starts run in one _ascend call, split into ascents of at most
+    BATCH_ENTRIES // max(8 n, table size) starts (the points' power tables
+    and the ascent's arrays of n entries per point), a row's own starts
+    too when it has more; no start's path depends on another.  The
+    coordinate starts are built per ascent, so no n x n array is formed.
+    A row split into several ascents takes the first of their picks within
+    pick_best's tolerance."""
     K, n = len(C), A.shape[1]
     torus = p == math.inf and not nonneg
     budget = max(cfg.restarts, TORUS_STARTS) if torus else cfg.restarts
-    starts = _structured_starts(A, C, p)
+    coords = 0 if p == math.inf else n  # coordinate starts come first
     draws: dict[int, np.ndarray] = {}
 
-    def fresh(k):
-        count = max(budget - len(starts[k]), 1)
+    def fresh(count):
         if count not in draws:
             rng = np.random.default_rng(cfg.seed)
             x = rng.standard_normal((count, n))
-            draws[count] = np.abs(x) if nonneg else x + 1j * rng.standard_normal((count, n))
+            x = np.abs(x) if nonneg else x + 1j * rng.standard_normal((count, n))
+            draws[count] = x if torus else to_sphere(x, p)
         return draws[count]
 
-    R = np.array([len(starts[k]) + len(fresh(k)) for k in range(K)])
+    # each row's starts after its coordinate ones
+    rest = [np.vstack([*s, *fresh(max(budget - coords - len(s), 1))])
+            for s in _structured_starts(A, C, p)]
+    R = [coords + len(r) for r in rest]
+
+    def block(k, a, b):  # starts a..b-1 of row k
+        Z = np.zeros((b - a, n), dtype=np.complex128)
+        i = np.arange(a, min(b, coords))
+        Z[i - a, i] = 1.0
+        Z[max(coords - a, 0):] = rest[k][max(a - coords, 0):max(b - coords, 0)]
+        return Z
+
     F = PolyBatch(A, C)
-    if nonneg:
-        flat = _flat_point(n, p).real
-
-        def fg(X, own):
-            vals, grads = grad_batch(F, X.astype(np.complex128), own)
-            return vals.real, grads.real
-
-        def project(X):
-            return _proj_sphere(np.clip(X.real, 0.0, None), p, flat)
-    elif torus:
-        project = None
+    if torus:
+        retract = None
 
         def fg(theta, own):  # ln |F|^2 at z = e^(i theta) and its theta-gradient
             Z = np.exp(1j * theta)
             vals, grads = grad_batch(F, Z, own)
-            mod = np.abs(vals)
-            dlog = np.divide(Z * grads, vals[:, None], out=np.zeros_like(grads),
-                             where=(mod >= FLOOR)[:, None])  # z_j dF/dz_j / F
-            return 2.0 * np.log(np.maximum(mod, FLOOR)), -2.0 * dlog.imag
+            lnf, q = _log_grad(vals, Z * grads)  # q: z_j dF/dz_j / F
+            return 2.0 * lnf, -2.0 * q.imag
+
+        def start(Z):
+            return np.angle(Z)
+
+        def point(x):
+            return np.exp(1j * x)
+    elif nonneg:
+        flat = _flat_point(n, p).real
+
+        def fg(X, own):  # ln F at x >= 0 and its gradient along the sphere
+            vals, grads = grad_batch(F, X.astype(np.complex128), own)
+            lnf, q = _log_grad(vals.real, grads.real)
+            q -= np.vecdot(X, q)[:, None] * X ** (p - 1.0)
+            return lnf, q
+
+        def retract(X):
+            return _proj_sphere(np.maximum(X, 0.0), p, flat)
+
+        def start(Z):
+            return np.ascontiguousarray(Z.real)
+
+        def point(x):
+            return x
+    elif p == 1:  # on the l_2 sphere in w, z = w |w| (see the docstring)
+        flat = _flat_point(n, 2.0)
+
+        def fg(X, own):  # ln |F|^2 at z = w |w| (X the float view of w) and its gradient in w
+            W = X.view(np.complex128)
+            r = np.abs(W)
+            vals, grads = grad_batch(F, W * r, own)
+            lnf, q = _log_grad(vals, grads)
+            g = 2.0 * np.conj(q)  # the gradient in z; dz = |w| dw + w Re(conj(w) dw) / |w|
+            g = r * g + np.divide(g.real * W.real + g.imag * W.imag, r, out=np.zeros_like(r),
+                                  where=r > 0) * W
+            G = g.view(np.float64)
+            G -= np.vecdot(X, G)[:, None] * X
+            return 2.0 * lnf, G
+
+        def retract(X):
+            return _proj_sphere(X.view(np.complex128), 2.0, flat).view(np.float64)
+
+        def start(Z):  # w = z / |z|^(1/2)
+            r = np.abs(Z)
+            return (Z * np.power(r, -0.5, out=np.zeros_like(r), where=r > 0)).view(np.float64)
+
+        def point(x):
+            w = x.view(np.complex128)
+            return w * np.abs(w)
     else:
         flat = _flat_point(n, p)
 
-        def fg(Z, own):
-            vals, grads = grad_batch(F, Z, own)
-            return np.abs(vals) ** 2, 2.0 * vals[:, None] * np.conj(grads)
+        def normal(Z):  # |z|^(p-2) z, 0 at z = 0
+            r = np.abs(Z)
+            return np.power(r, p - 2.0, out=np.zeros_like(r), where=r > 0) * Z
 
-        def project(Z):
-            return _proj_sphere(Z, p, flat)
+        def fg(X, own):  # ln |F|^2 at z (X its float view) and its gradient along the sphere
+            Z = X.view(np.complex128)
+            vals, grads = grad_batch(F, Z, own)
+            lnf, q = _log_grad(vals, grads)
+            G = (2.0 * np.conj(q)).view(np.float64)
+            G -= np.vecdot(X, G)[:, None] * normal(Z).view(np.float64)
+            return 2.0 * lnf, G
+
+        def retract(X):
+            return _proj_sphere(X.view(np.complex128), p, flat).view(np.float64)
+
+        def start(Z):
+            return Z.view(np.float64)
+
+        def point(x):
+            return x.view(np.complex128)
 
     # most starts in one ascent: a point's power table holds every entry of
-    # the support's down-closure, its gradient n
-    cap = BATCH_ENTRIES // max(n, F.table.size)
-    out: list[NormEstimate] = []
-    k0 = 0
-    while k0 < K:
-        k1 = k0 + max(1, int(np.searchsorted(np.cumsum(R[k0:]), cap, side="right")))
-        ks = np.arange(k0, k1)
-        Z0 = np.vstack([z for k in ks for z in (*starts[k], *fresh(k))])
-        own = None if K == 1 else np.repeat(ks, R[ks])
-        f, Z, done = _ascend(fg, project, np.angle(Z0) if torus else Z0, cfg, own)
-        Z = np.exp(1j * Z) if torus else Z
-        ends = np.cumsum(R[ks]).tolist()
-        spans = [slice(a, b) for a, b in zip([0] + ends, ends)]
-        best = [s.start + pick_best(f[s]) for s in spans]
-        W = np.array([Z[b] / max(lp_norm(Z[b], p), 1.0) for b in best])
-        vals = eval_batch(F, W.astype(np.complex128), None if K == 1 else ks)
-        out += [NormEstimate(float(abs(v)), w, int(r), bool(done[s].all()))
-                for v, w, r, s in zip(vals, W, R[ks], spans)]
-        k0 = k1
-    return out
+    # the support's down-closure, and the ascent keeps about 8 arrays of n
+    # entries per point (points, gradients, steps, tries)
+    cap = BATCH_ENTRIES // max(8 * n, F.table.size)
+    segs = [(k, a, min(a + cap, R[k])) for k in range(K) for a in range(0, R[k], cap)]
+    picks: list[list] = [[] for _ in range(K)]  # per row: (value, point, converged) per ascent
+    i = 0
+    while i < len(segs):
+        j, size = i + 1, segs[i][2] - segs[i][1]
+        while j < len(segs) and size + segs[j][2] - segs[j][1] <= cap:
+            size, j = size + segs[j][2] - segs[j][1], j + 1
+        chunk, i = segs[i:j], j
+        Z0 = np.vstack([block(*s) for s in chunk])
+        own = None if K == 1 else np.repeat([k for k, _, _ in chunk], [b - a for _, a, b in chunk])
+        f, X, done = _ascend(fg, retract, start(Z0), cfg, own)
+        pos = 0
+        for k, a, b in chunk:
+            span = slice(pos, pos + b - a)
+            best = pos + pick_best(f[span])
+            picks[k].append((f[best], point(X[best].copy()), bool(done[span].all())))
+            pos = span.stop
+    W, conv = [], []
+    for row in picks:
+        w = row[pick_best(np.array([v for v, _, _ in row]))][1]
+        W.append(w / max(lp_norm(w, p), 1.0))
+        conv.append(all(c for _, _, c in row))
+    vals = eval_batch(F, np.array(W).astype(np.complex128), None if K == 1 else np.arange(K))
+    return [NormEstimate(float(abs(v)), w, r, c) for v, w, r, c in zip(vals, W, R, conv)]
 
 
 def _estimates(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig | None,
@@ -424,9 +544,10 @@ def sup_norms(A: np.ndarray, C: np.ndarray, p: float,
 
 
 def sup_norm(P: HomPoly, p: float, cfg: OptConfig | None = None) -> NormEstimate:
-    """Estimate sup of |P| over the l_p unit ball by multi-start projected
-    gradient ascent on |P|^2 (for p = inf by quasi-Newton ascent on the
-    torus)."""
+    """Estimate sup of |P| over the l_p unit ball by multi-start
+    quasi-Newton ascent on ln |P|^2: on the l_p sphere, on the l_2 sphere
+    in w with z = w |w| at p = 1, and in torus angles at p = inf (see
+    _estimate)."""
     A, c = P.tables()
     return sup_norms(A, c[None, :], p, cfg)[0]
 

@@ -24,6 +24,14 @@ from .multiindex import (
 GATHER_ENTRIES = 2**14  # largest parent gather of one power-table product
 
 
+def chain_vars(A: np.ndarray) -> np.ndarray:
+    """Each row alpha of A as its nondecreasing variable indices (i repeated
+    alpha_i times), the rows one after another: memory O(sum of degrees)
+    beside A's nonzero pattern."""
+    rows, cols = np.nonzero(A)
+    return np.repeat(cols, A[rows, cols])
+
+
 class MonomialTable:
     """A support compiled into its down-closure, ordered by degree.
 
@@ -38,7 +46,7 @@ class MonomialTable:
     def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=np.int64)
         T, n = A.shape
-        flat = np.repeat(np.tile(np.arange(n), T), A.ravel()).tolist()
+        flat = chain_vars(A).tolist()
         deg = A.sum(axis=1)
         ends = np.cumsum(deg).tolist()
         js = [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]

@@ -21,9 +21,9 @@ import numpy as np
 from .bounds import (LOG_FLOAT_MAX, ExponentPair, _exp, conjugate, inv, lempoly_rhs,
                      log_chi_upper)
 from .multiindex import enumerate_j, enumerate_lambda, lambda_card, multiplicity, tuple_to_alpha
-from .optimize import (BATCH_ENTRIES, STEP_MAX, OptConfig, NormEstimate, lp_norm, majorant_sups,
-                       pick_best, sup_norm, sup_norms)
-from .polynomial import HomPoly, MonomialTable, monomials
+from .optimize import (BATCH_ENTRIES, STEP_CAP, OptConfig, NormEstimate, majorant_sups, pick_best,
+                       sup_norm, sup_norms, to_sphere)
+from .polynomial import HomPoly, MonomialTable, chain_vars, monomials
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,12 @@ def _mc_sphere_points(n: int, p: float, count: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     if p == math.inf:
         return np.exp(2j * np.pi * rng.random((count, n)))
-    z = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
-    return z / lp_norm(z, p)[:, None]
+    return to_sphere(rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n)), p)
 
 
 def _mc_nonneg_points(n: int, q: float, count: int, seed: int) -> np.ndarray:
     """Seeded random points on the nonnegative l_q sphere."""
-    x = np.abs(np.random.default_rng(seed).standard_normal((count, n)))
-    return x / lp_norm(x, q)[:, None]
+    return to_sphere(np.abs(np.random.default_rng(seed).standard_normal((count, n))), q)
 
 
 def _monomial_matrix(Z: np.ndarray, A: np.ndarray) -> np.ndarray:
@@ -81,17 +79,21 @@ def _monomial_matrix(Z: np.ndarray, A: np.ndarray) -> np.ndarray:
 
 def _search_refusal(m: int, n: int, p: float) -> str | None:
     """Why sign_search refuses Lambda(m, n) at p, or None: past SIGN_CAP
-    terms, or past the float range.  Its largest numbers are c_alpha alpha_i
-    <= m n^m and, as |F| <= n^(sm), |dF/dz_i| <= m n^(s(m-1)) on the unit
-    sphere (s = 1 - 1/p), a step's entries 1 + STEP_MAX |2 F dF/dz_i| <= r =
-    4 STEP_MAX m n^(s(2m-1)) and lp_norm's sum n r^p of them.  At p = inf
-    the ascent steps in torus angles and forms no such entries; r is still
-    the bound there, a margin over the m n^m that the torus ascent reaches."""
+    terms, or past the float range.  Its largest numbers are the
+    coefficients times exponents c_alpha alpha_i <= m n^m and, for p < inf,
+    the p-th powers the l_p norm of a try sums.  The ascent works on ln |F|
+    and dF / F, which stay in range at any scale (optimize._log_grad), and
+    evaluates F only on the sphere, where |F| <= n^m; the random points are
+    scaled to moduli at most 1 before their norm (optimize.to_sphere); and
+    no try moves a point of the sphere (moduli <= 1) farther than STEP_CAP,
+    so a try's moduli are at most 1 + STEP_CAP and the norm that retracts it
+    (l_p, or l_2 at p = 1, where the ascent runs in w with z = w |w|) sums
+    at most n (1 + STEP_CAP)^max(p, 2)."""
     if (T := lambda_card(m, n)) > SIGN_CAP:
         return f"index set size {T} exceeds cap {SIGN_CAP}"
-    s, log_n, log_m = 1.0 - inv(p), math.log(n), math.log(max(m, 1))
-    log_r = math.log(4 * STEP_MAX) + log_m + s * (2 * m - 1) * log_n
-    if max(log_m + m * log_n, log_r if p == math.inf else log_n + p * log_r) >= LOG_FLOAT_MAX:
+    log_n, log_m = math.log(n), math.log(max(m, 1))
+    log_sum = log_n + max(p, 2) * math.log(1 + STEP_CAP) if p < math.inf else 0.0
+    if max(log_m + m * log_n, log_sum) >= LOG_FLOAT_MAX:
         return f"Lambda({m}, {n}) at p = {p:g} takes the sign search past the float range"
     return None
 
@@ -110,11 +112,10 @@ class _Scorer:
     BATCH_ENTRIES power-table entries."""
 
     def __init__(self, Z: np.ndarray, A: np.ndarray, mults: np.ndarray):
-        T, n = A.shape
         self.Z, self.mults, self.table = Z, mults, MonomialTable(A)
         self.ZT = np.ascontiguousarray(Z.T)  # one coordinate's values per row
         # row t's variable indices, nondecreasing: the table's chain for alpha_t
-        self.js = np.repeat(np.tile(np.arange(n), T), A.ravel()).reshape(T, -1)
+        self.js = chain_vars(A).reshape(len(A), -1)
 
     def column(self, t: int) -> np.ndarray:
         """Column t (degree m >= 1): the coordinates of row t's chain

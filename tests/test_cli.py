@@ -375,7 +375,7 @@ def test_exit_codes(capsys, tmp_path):
     assert run(["poly", "random", "--n", "2", "--M", "3", "--budget", "0"]) == 3
     assert run(["bound", "rate", "--p", "1e400", "--q", "2", "--n", "4"]) == 2
     # a sign search past the float range, and a bracket for m = 0
-    assert run(["witness", "search", "--m", "505", "--n", "2", "--p", "2", "--budget", "10",
+    assert run(["witness", "search", "--m", "1100", "--n", "2", "--p", "2", "--budget", "10",
                 "--restarts", "1", "--iters", "1"]) == 2
     assert run(["witness", "bracket", "--m", "0", "--n", "2", "--p", "2", "--q", "inf"]) == 2
     # a tolerance outside (0, 1/3] fails before any search

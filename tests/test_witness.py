@@ -150,6 +150,22 @@ def test_sign_search_memory_is_bounded_by_the_support():
     assert _peak_mb(sign_search, 200, 2, math.inf, 10, 0, OptConfig(1, 1, 0)) < 40
 
 
+def test_sign_search_memory_at_large_n():
+    # Lambda(1, 2000) at p = 2: every re-scored row has 2000 coordinate
+    # starts.  Its exponents and sign tuples are 2000 x 2000 (61 MB); the
+    # ascent adds no n x n array and splits each row's starts, where one
+    # n x n identity of starts grew the peak with n^2 (61 MB at n = 250,
+    # 139 MB at n = 500).  The sign polynomial sum eps_i z_i has sup
+    # sqrt(n), which its Hoelder start reaches
+    signs = {}
+
+    def search():
+        signs["est"] = sign_search(1, 2000, 2.0, 10, 0, OptConfig(1, 1, 0))[1]
+
+    assert _peak_mb(search) < 160
+    assert signs["est"].value == pytest.approx(math.sqrt(2000), rel=1e-12)
+
+
 def test_sign_search_validation():
     with pytest.raises(ValueError):
         sign_search(2, 2, 2.0, 0, 0, CFG)
@@ -175,16 +191,38 @@ def test_sign_search_stays_in_the_float_range(monkeypatch, p):
     assert 0 < est.value < math.inf
 
 
+@pytest.mark.parametrize("m, p", [(505, 1.0), (505, 2.0), (505, math.inf), (3, 600.0),
+                                  (3, 644.0), (1, 644.0)])
+def test_sign_search_runs_past_the_old_float_bound(monkeypatch, m, p):
+    # refused while the ascent formed |F|^2 and F dF (at n = 2: from m = 491
+    # at p = 2, m = 502 at p = inf, and p = 56 at m = 3); the refusal now
+    # rests on the step cap, and these run with no overflow warning.  16
+    # scoring points keep them small
+    monkeypatch.setattr(witness, "MC_POINTS", 16)
+    assert witness._search_refusal(m, 2, p) is None
+    _, est = sign_search(m, 2, p, 10, 0, OptConfig(1, 1))
+    assert 0 < est.value < math.inf
+
+
 def test_sign_search_refuses_past_the_float_range(monkeypatch):
-    # Lambda(505, 2) at p = 2: lp_norm of a step would square numbers
-    # near 2^525, so the search fails before it enumerates
+    # Lambda(1100, 2): coefficients times exponents pass m 2^m = 2^1110,
+    # at every p; Lambda(3, 2) at p = 700: a try's moduli reach 1 +
+    # STEP_CAP = 3, and the l_p norm would sum 3^700.  The search fails
+    # before it enumerates.
     def enumerate_lambda(*args, **kwargs):
         raise AssertionError("index set enumerated before the range check")
 
     monkeypatch.setattr(witness, "enumerate_lambda", enumerate_lambda)
-    for m, p in ((505, 2.0), (505, math.inf), (1100, 1.0)):
+    for m, p in ((1100, 2.0), (1100, math.inf), (1100, 1.0), (3, 700.0)):
         with pytest.raises(ValueError, match="float range"):
             sign_search(m, 2, p, 10, 0, CFG)
+    # the edges at n = 2: m = 1012 and p = 644 are admitted (Lambda(1012, 2)
+    # ran once at p in {1, 4/3, 2, inf} with no warning, about 40 s each)
+    for p in (1.0, 2.0, math.inf):
+        assert witness._search_refusal(1012, 2, p) is None
+        assert witness._search_refusal(1013, 2, p) is not None
+    assert witness._search_refusal(3, 2, 644.0) is None
+    assert witness._search_refusal(3, 2, 645.0) is not None
     # chi_bracket skips the chain there, and fails on m < 1 before any search
     br = chi_bracket(1100, 2, ExponentPair(2.0, math.inf), CFG, sign_budget=10)
     assert br.lower == witness.Endpoint(1.0, "trivial")
