@@ -61,6 +61,7 @@ from .witness import (
     Endpoint,
     brute_chi,
     chi_bracket,
+    chi_lower_end,
     chi_lower_flat,
     lempoly_check,
     sign_search,

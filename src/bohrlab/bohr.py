@@ -20,7 +20,13 @@ from .errors import BudgetExceededError
 from .multiindex import enumerate_lambda, lambda_card
 from .optimize import OptConfig, bohr_sum, series_part_sups, series_sup
 from .polynomial import HomPoly, TruncatedSeries, moebius_series, scale
-from .witness import BoundBracket, Endpoint, chi_bracket
+from .witness import BoundBracket, Endpoint, chi_bracket, chi_lower_end
+
+
+def _k_upper(m: int, chi_lower: Endpoint) -> Endpoint:
+    """The K_m upper end chi_lower^(-1/m), capped at 1."""
+    return replace(chi_lower, value=min(1.0, chi_lower.value ** (-1.0 / m)),
+                   source=f"chi lower: {chi_lower.source}")
 
 
 def k_m_bracket(m: int, n: int, e: ExponentPair,
@@ -30,9 +36,7 @@ def k_m_bracket(m: int, n: int, e: ExponentPair,
     cb = chi_bracket(m, n, e, cfg, **chi_kw)
     lower = replace(cb.upper, value=cb.upper.value ** (-1.0 / m),
                     source=f"chi upper: {cb.upper.source}")
-    upper = replace(cb.lower, value=min(1.0, cb.lower.value ** (-1.0 / m)),
-                    source=f"chi lower: {cb.lower.source}")
-    return BoundBracket(lower, upper, m)
+    return BoundBracket(lower, _k_upper(m, cb.lower), m)
 
 
 def k_bracket(n: int, e: ExponentPair, M_max: int,
@@ -45,7 +49,9 @@ def k_bracket(n: int, e: ExponentPair, M_max: int,
     takes one log_chi_uppers call, so its multiplicity sums come from one
     powering at the largest m, whose budget is checked before any work.
     Upper: min(1/3, min over m <= M_max of the K_m upper endpoint), since
-    restricting to one variable embeds the disk.
+    restricting to one variable embeds the disk.  A K_m upper end needs only
+    the chi lower end (witness.chi_lower_end, which takes chi_kw), so no
+    chi upper bound is computed a second time.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
@@ -66,9 +72,9 @@ def k_bracket(n: int, e: ExponentPair, M_max: int,
 
     upper = Endpoint(1.0 / 3.0, "K(disk) = 1/3 one-variable restriction")
     for m in range(1, M_max + 1):
-        km = k_m_bracket(m, n, e, cfg, **chi_kw)
-        if km.upper.value < upper.value:
-            upper = replace(km.upper, source=f"K_{m} upper ({km.upper.source})")
+        km_upper = _k_upper(m, chi_lower_end(m, n, e, cfg, **chi_kw))
+        if km_upper.value < upper.value:
+            upper = replace(km_upper, source=f"K_{m} upper ({km_upper.source})")
     return BoundBracket(lower, upper, f"all m <= {M_max}")
 
 

@@ -1,7 +1,7 @@
-"""Closed-form analytic bounds: the index-tuple multiplicity sums, the
-unconditionality-constant upper bound for small exponents, the random-sign
-norm envelope, coefficient-based generic bounds, and the asymptotic region
-map with its rate expressions.
+"""Closed-form analytic bounds: the index-tuple multiplicity sums, the exact
+unconditionality constant of linear forms, its upper bound for small
+exponents, the random-sign norm envelope, coefficient-based generic bounds,
+and the asymptotic region map with its rate expressions.
 
 Exponents p, q live in [1, inf] (math.inf allowed); 1/inf = 0 throughout and
 the conjugate of 1 is inf.
@@ -74,14 +74,95 @@ class ExponentPair:
 # --- multiplicity sums ----------------------------------------------------
 
 
-def _log_series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Truncated product of two power series given by finite log-coefficients."""
-    out = np.empty(len(a))
-    for t in range(len(a)):
-        s = a[: t + 1] + b[t::-1]
-        top = s.max()
-        out[t] = top + math.log(np.exp(s - top).sum())
-    return out
+POWERING_BLOCK = 1 << 16  # most terms a block of a truncated product holds
+# Terms below e^EXP_FLOOR times their entry's largest are raised to it:
+# np.exp is about 10x slower where it underflows, and the raised terms
+# move a sum of at most M terms by at most M e^-700 < 1e-300 relative.
+EXP_FLOOR = -700.0
+
+
+def _block_rows(t0: int, M: int, square: bool) -> int:
+    """Entries in the block from entry t0: the most whose terms fit in
+    POWERING_BLOCK, at least one, at most M - t0.  A block of r entries
+    holds t0 + r terms per entry, or (t0 + r + 1) // 2 for a square."""
+    k = 2 if square else 1
+    u = t0 + k - 1  # r (u + r) <= k POWERING_BLOCK
+    return min(M - t0, max(1, (math.isqrt(u * u + 4 * k * POWERING_BLOCK) - u) // 2))
+
+
+class _LogSeriesProducts:
+    """Truncated products of power series of length M given by finite
+    log-coefficients, a block of output entries at a time.
+
+    Entry t is the log-sum-exp of a[i] + b[t - i] over i <= t.  A block of
+    entries t0 <= t < t1 holds their terms as s[i, t - t0], read from one
+    padded buffer of b (-inf where i > t) through a Toeplitz view, both
+    built once for every product of length M; it holds at most
+    max(POWERING_BLOCK, M) terms.  The terms are shifted by their entry's
+    max, raised to EXP_FLOOR and exponentiated; the padding gets weight 0.
+    A square (b = a) has equal terms i and t - i, so it takes only
+    2i <= t, with weight 1/2 on the middle one, and doubles the sum: half
+    the terms.
+
+    Each entry's terms are then added in a fixed tree: with h the largest
+    power of two below the term count w, terms h..w-1 are added onto terms
+    0..w-h-1, and so on down to one.  A padding term adds 0.0, which
+    changes no sum, so entry t's tree is the one over its own terms: it
+    depends on t alone, never on M or on the block.  A row-wise np.sum over
+    padded rows would round differently for each M."""
+
+    def __init__(self, M: int):
+        self.M = M
+        rows = _block_rows(0, M, True)  # no block has more entries
+        # padded[M - 1 + k] = b[k] for 0 <= k < M, -inf at k < 0 (and past M,
+        # where a window of the last blocks reaches)
+        self.padded = np.full(2 * M - 2 + rows, -np.inf)
+        # windows[M - 1 + t0 - i, r] = padded[M - 1 + t0 + r - i] = b[t0 + r - i]
+        self.windows = np.lib.stride_tricks.sliding_window_view(self.padded, rows)
+        self.buf = np.empty(min(max(POWERING_BLOCK, M), M * M))  # one entry at least
+        # weight of term i0 + j in entry t0 + r, from the sign of d: 1 where
+        # d < 0, 1/2 at d = 0 (a square's middle term 2i = t), 0 past.  A
+        # square from an even or odd t0 has i0 = (t0 + 1) // 2 and
+        # d = 2i - t = 2j - r + (t0 & 1); a product has i0 = t0 + 1 and
+        # d = 2(i - t) - 1 = 2j - 2r + 1
+        j, r = np.arange(rows // 2 + 1)[:, None], np.arange(rows)
+        self.square_weights = [(1.0 - np.sign(2 * j - r + odd)) / 2 for odd in (0, 1)]
+        rows = _block_rows(0, M, False)
+        j, r = np.arange(rows - 1)[:, None], np.arange(rows)
+        self.product_weights = (1.0 - np.sign(2 * j - 2 * r + 1)) / 2
+
+    def __call__(self, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+        """The product of a and b, or the square of a when b is None."""
+        square = b is None
+        M = self.M
+        self.padded[M - 1:2 * M - 1] = a if square else b
+        out = np.empty(M)
+        t0 = 0
+        while t0 < M:
+            rows = _block_rows(t0, M, square)
+            t1 = t0 + rows
+            width = (t1 + 1) // 2 if square else t1  # terms i < width
+            s = self.buf[:width * rows].reshape(width, rows)
+            np.add(self.windows[M - width + t0:M + t0][::-1, :rows], a[:width, None], out=s)
+            top = s.max(axis=0)
+            s -= top
+            np.maximum(s, EXP_FLOOR, out=s)
+            np.exp(s, out=s)
+            # weights from term i0 on, where some entry's terms end: 0 past
+            # i = t, and for a square 1/2 at 2i = t and 0 past it
+            if square:
+                i0, weights = (t0 + 1) // 2, self.square_weights[t0 & 1]
+            else:
+                i0, weights = t0 + 1, self.product_weights
+            s[i0:] *= weights[:width - i0, :rows]
+            w = width
+            while w > 1:
+                h = 1 << ((w - 1).bit_length() - 1)
+                s[:w - h] += s[h:w]
+                w = h
+            out[t0:t1] = top + np.log(2 * s[0] if square else s[0])
+            t0 = t1
+        return out
 
 
 def log_j_sums(M: int, n: int, beta: float, budget: int = 10**8) -> np.ndarray:
@@ -102,14 +183,15 @@ def log_j_sums(M: int, n: int, beta: float, budget: int = 10**8) -> np.ndarray:
     if work > budget:
         raise BudgetExceededError(f"generating function needs {work} terms, budget {budget}")
     log_fact = np.array([math.lgamma(j + 1) for j in range(M)])
+    mul = _LogSeriesProducts(M)
     power, base = None, beta * log_fact
     while True:
         if n & 1:
-            power = base if power is None else _log_series_mul(power, base)
+            power = base if power is None else mul(power, base)
         n >>= 1
         if not n:
             return power - beta * log_fact
-        base = _log_series_mul(base, base)
+        base = mul(base)
 
 
 def log_j_sum(m: int, n: int, beta: float, budget: int = 10**8) -> float:
@@ -179,15 +261,48 @@ def _log_coeff_chi_upper(m: int, n: int, p: float) -> float:
     return math.log(lambda_card(m, n)) + m * inv(p) * math.log(n)
 
 
+LINEAR_SOURCE = "exact at m = 1 (linear forms)"
+
+
+def _linear_exponent(e: ExponentPair) -> float:
+    return max(0.0, inv(e.q_conj) - inv(e.p_conj))
+
+
+def log_chi_linear(n: int, e: ExponentPair) -> float:
+    """ln chi(1, n; p, q) = max(0, 1/q' - 1/p') ln n, exactly.
+
+    A linear form sum a_i z_i has sup norm ||a||_{p'} on the l_p ball and
+    majorant sup ||a||_{q'} on the l_q ball, so chi(1, n; p, q) is the sup
+    over a of ||a||_{q'} / ||a||_{p'}, which is n^max(0, 1/q' - 1/p')
+    (a = e_1 when q' >= p', a flat when q' < p').  The exponent equals
+    1/p - 1/q; it is taken in the conjugates, as the proof has it, and
+    the two forms can round an ulp apart."""
+    return _linear_exponent(e) * math.log(n)
+
+
+def chi_linear(n: int, e: ExponentPair) -> float:
+    """chi(1, n; p, q) = n^max(0, 1/q' - 1/p') as n ** x rounds it (inf
+    past the float range): a power of n, not the exp of its logarithm,
+    which can round below it."""
+    if n <= sys.float_info.max:
+        return n ** _linear_exponent(e)
+    log_value = log_chi_linear(n, e)
+    return math.exp(log_value) if log_value < LOG_FLOAT_MAX else math.inf
+
+
 def log_chi_uppers(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, str]]:
     """For each m of ms, ln of the best closed-form upper bound on
-    chi(m, n; p, q) and its source: the coefficient bound, or the
-    small-exponent lemma where it applies (1 <= q <= p <= 2) and is smaller.
-    The lemma's multiplicity sums come from one powering at the largest m."""
+    chi(m, n; p, q) and its source: the exact value at m = 1
+    (log_chi_linear), else the coefficient bound, or the small-exponent
+    lemma where it applies (1 <= q <= p <= 2) and is smaller.  The lemma's
+    multiplicity sums come from one powering at the largest m."""
     lemma = (_log_chi_uppers_small_pq(ms, n, e) if 1 <= e.q <= e.p <= 2
              else [None] * len(ms))
     out = []
     for m, small in zip(ms, lemma):
+        if m == 1:
+            out.append((log_chi_linear(n, e), LINEAR_SOURCE))
+            continue
         cands = [(_log_coeff_chi_upper(m, n, e.p), "coefficient bound")]
         if small is not None:
             cands.append((small, "small-exponent lemma"))

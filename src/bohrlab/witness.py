@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (LOG_FLOAT_MAX, ExponentPair, _exp, conjugate, inv, lempoly_rhs,
-                     log_chi_upper)
+from .bounds import (LINEAR_SOURCE, LOG_FLOAT_MAX, ExponentPair, _exp, chi_linear, conjugate,
+                     inv, lempoly_rhs, log_chi_upper)
 from .multiindex import enumerate_j, enumerate_lambda, lambda_card, multiplicity, tuple_to_alpha
 from .optimize import (BATCH_ENTRIES, STEP_CAP, OptConfig, NormEstimate, majorant_sups, pick_best,
                        sup_norm, sup_norms, to_sphere)
@@ -306,25 +306,28 @@ def brute_chi(
     return BruteChi(best, best / SLACK)
 
 
-def chi_bracket(
+def chi_lower_end(
     m: int,
     n: int,
     e: ExponentPair,
     cfg: OptConfig | None = None,
     sign_budget: int = 2000,
     samples: int = 1000,
-) -> BoundBracket:
-    """Assemble the best available [lower, upper] bracket for chi.
+) -> Endpoint:
+    """The best available lower end for chi(m, n; p, q).
 
-    Lower: max of 1, the flat-point chain through a sign-pattern search, and
-    the brute oracle on tiny instances (estimate-based candidates are
-    slack-deflated and marked estimate).  Upper: bounds.log_chi_upper, the
-    smaller closed form (inf past the float range).  sign_budget=0 skips the
-    search chain (as does an index set sign_search refuses).  Both searches
-    use the seed cfg.seed; m < 1 or samples < 1000 fails before either runs.
+    At m = 1 inside the float range it is the exact value
+    (bounds.chi_linear), and no search runs.  Otherwise it is the max of
+    1, the flat-point chain through a sign-pattern search, and the brute
+    oracle on tiny instances (estimate-based candidates are slack-deflated
+    and marked estimate).  sign_budget=0 skips the search chain (as does an
+    index set sign_search refuses).  Both searches use the seed cfg.seed;
+    m < 1 or samples < 1000 fails before either runs.
     """
     if m < 1 or samples < 1000:  # samples checked here too, so no search runs first
         raise ValueError(f"need m >= 1 and samples >= 1000, got m={m}, samples={samples}")
+    if m == 1 and (exact := chi_linear(n, e)) < math.inf:
+        return Endpoint(exact, LINEAR_SOURCE)
     cfg = cfg or SEARCH_OPT
     lower_cands, deflated = [Endpoint(1.0, "trivial")], "(estimate-based, slack-deflated)"
     if sign_budget > 0 and _search_refusal(m, n, e.p) is None:
@@ -335,10 +338,30 @@ def chi_bracket(
     if lambda_card(m, n) <= BRUTE_CAP:
         bc = brute_chi(m, n, e, samples=samples, seed=cfg.seed, cfg=cfg)
         lower_cands.append(Endpoint(bc.deflated, f"brute oracle {deflated}", True))
+    return max(lower_cands, key=lambda c: c.value)
 
+
+def chi_bracket(
+    m: int,
+    n: int,
+    e: ExponentPair,
+    cfg: OptConfig | None = None,
+    sign_budget: int = 2000,
+    samples: int = 1000,
+) -> BoundBracket:
+    """Assemble the best available [lower, upper] bracket for chi.
+
+    Lower: chi_lower_end (the arguments after e are its own).  Upper:
+    bounds.log_chi_upper, the smallest closed form (inf past the float
+    range).  At m = 1 inside the float range both ends are the exact value
+    n^max(0, 1/p - 1/q), and no search runs.
+    """
+    lower = chi_lower_end(m, n, e, cfg, sign_budget, samples)
+    if lower.source == LINEAR_SOURCE:
+        return BoundBracket(lower, lower, m)
     log_up, up_src = log_chi_upper(m, n, e)
     up = math.exp(log_up) if log_up < LOG_FLOAT_MAX else math.inf
-    return BoundBracket(max(lower_cands, key=lambda c: c.value), Endpoint(up, up_src), m)
+    return BoundBracket(lower, Endpoint(up, up_src), m)
 
 
 @dataclass(frozen=True)

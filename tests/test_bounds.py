@@ -1,14 +1,20 @@
 import ast
 import math
+import tracemalloc
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrlab.bohr import k_bracket
+from bohrlab import bounds
+from bohrlab.bohr import k_bracket, k_m_bracket
 from bohrlab.bounds import (
+    LINEAR_SOURCE,
     ExponentPair,
     bayart_bound,
+    chi_linear,
     chi_upper_small_pq,
     conjugate,
     envelope_constant,
@@ -25,6 +31,7 @@ from bohrlab.bounds import (
 )
 from bohrlab.errors import BudgetExceededError
 from bohrlab.multiindex import lambda_card, partition_shapes
+from bohrlab.witness import Endpoint
 
 
 def test_conjugates():
@@ -91,6 +98,64 @@ def test_one_powering_gives_every_smaller_degree(data, M, n, beta):
         assert sums[m - 1] == log_j_sum(m, n, beta)
 
 
+def _log_series_mul_per_entry(a, b):
+    # the per-entry log-sum-exp that the block products replaced: the oracle
+    out = np.empty(len(a))
+    for t in range(len(a)):
+        s = a[: t + 1] + b[t::-1]
+        top = s.max()
+        out[t] = top + math.log(np.exp(s - top).sum())
+    return out
+
+
+def _log_j_sums_per_entry(M, n, beta):
+    log_fact = np.array([math.lgamma(j + 1) for j in range(M)])
+    power, base = None, beta * log_fact
+    while True:
+        if n & 1:
+            power = base if power is None else _log_series_mul_per_entry(power, base)
+        n >>= 1
+        if not n:
+            return power - beta * log_fact
+        base = _log_series_mul_per_entry(base, base)
+
+
+@settings(max_examples=25, deadline=None)
+@given(M=st.integers(1, 300), n=st.integers(1, 2**40), beta=st.floats(-2.0, 2.0))
+def test_block_powering_matches_the_per_entry_loop(M, n, beta):
+    np.testing.assert_allclose(log_j_sums(M, n, beta), _log_j_sums_per_entry(M, n, beta),
+                               rtol=1e-13, atol=0)
+
+
+@settings(max_examples=20, deadline=None)
+@given(data=st.data(), M=st.integers(1, 60), n=st.integers(1, 2**40),
+       beta=st.floats(-2.0, 2.0), block=st.integers(1, 200))
+def test_every_block_size_gives_the_same_bits(data, M, n, beta, block):
+    # with blocks of at most `block` terms the products cut their entries
+    # into many blocks (a single entry each below block = t + 1); no entry
+    # changes, and one powering still gives every smaller degree
+    whole = log_j_sums(M, n, beta)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "POWERING_BLOCK", block)
+        cut = log_j_sums(M, n, beta)
+        for m in {1, M, data.draw(st.integers(1, M))}:
+            assert cut[m - 1] == log_j_sum(m, n, beta) == whole[m - 1]
+    assert cut.tobytes() == whole.tobytes()
+
+
+def test_powering_memory_is_one_block():
+    # the largest M the default budget admits at n = 2 (one squaring)
+    tracemalloc.start()
+    try:
+        sums = log_j_sums(7000, 2, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+    assert sums[-1] == pytest.approx(math.log(j_sum(7000, 2, beta=1.0, method="gf")))
+    assert sums[1] == pytest.approx(math.log(2.0), rel=1e-15)  # j_sum(2, 2) = 2
+
+
 def test_log_j_sums_budget_checked_first():
     with pytest.raises(BudgetExceededError):
         log_j_sums(10**4, 2**40, 1.0, budget=10**9)
@@ -111,6 +176,27 @@ def test_k_bracket_lower_is_the_one_degree_at_a_time_value(p, q, n, M):
     assert log_chi_uppers(grid, n, e) == [log_chi_upper(m, n, e) for m in grid]
     sup_root = max(math.exp(log_chi_upper(m, n, e)[0] / m) for m in grid)
     assert br.lower.value == (1 / 3) / max(1.0, sup_root)
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 4 / 3), (1.5, 1.25), (2.0, 2.0), (2.0, 1.0),
+                                  (4.0, 4.0), (math.inf, 2.0)])
+@pytest.mark.parametrize("n", [64, 1039, 2**40])
+@pytest.mark.parametrize("M", [1, 4, 7])
+def test_k_bracket_upper_is_the_least_k_m_upper(p, q, n, M, monkeypatch):
+    # the K_m upper ends come from the chi lower ends alone: the same value
+    # and source as the K_m brackets give, and the grid's one powering is
+    # the only one
+    e = ExponentPair(p, q)
+    calls = []
+    monkeypatch.setattr(bounds, "log_j_sums", lambda *a: calls.append(a) or log_j_sums(*a))
+    br = k_bracket(n, e, M, sign_budget=0)
+    assert len(calls) == (1 if 1 < q <= p <= 2 else 0)  # q = 1 needs no sums
+    upper = Endpoint(1 / 3, "K(disk) = 1/3 one-variable restriction")
+    for m in range(1, M + 1):
+        km = k_m_bracket(m, n, e, sign_budget=0).upper
+        if km.value < upper.value:
+            upper = replace(km, source=f"K_{m} upper ({km.source})")
+    assert br.upper == upper
 
 
 def test_j_sum_beta_zero_is_card():
@@ -155,7 +241,7 @@ def test_bayart_bound():
 def test_coefficient_chi_upper():
     # |Lambda(m, n)| * n^(m/p), the source wherever the small-exponent lemma
     # does not apply or is larger
-    for (m, n, e), value in [((1, 5, ExponentPair(math.inf, 2.0)), 5.0),
+    for (m, n, e), value in [((2, 5, ExponentPair(math.inf, 2.0)), 15.0),
                              ((2, 2, ExponentPair(2.0, 2.0)), 6.0)]:
         log_value, src = log_chi_upper(m, n, e)
         assert src == "coefficient bound"
@@ -163,17 +249,29 @@ def test_coefficient_chi_upper():
 
 
 def test_linear_case_dominated():
-    for n in (2, 8, 64):
-        for (p, q) in [(2.0, 2.0), (2.0, 4 / 3), (4 / 3, 4 / 3), (4 / 3, 2.0), (2.0, 4.0)]:
+    # at m = 1 the upper bound is the exact value n^max(0, 1/p - 1/q), and
+    # both closed forms dominate it
+    for n in (1, 2, 8, 64, 1037):
+        for (p, q) in [(2.0, 2.0), (2.0, 4 / 3), (4 / 3, 4 / 3), (4 / 3, 2.0), (2.0, 4.0),
+                       (1.0, math.inf), (math.inf, 1.0)]:
             e = ExponentPair(p, q)
             exact = max(1.0, n ** (inv(e.q_conj) - inv(e.p_conj)))
             log_value, src = log_chi_upper(1, n, e)
-            assert math.exp(log_value) >= exact - 1e-12
-            if q <= p:
-                assert src == "small-exponent lemma"
+            assert src == LINEAR_SOURCE
+            assert math.exp(log_value) == pytest.approx(exact, rel=1e-14)
+            assert chi_linear(n, e) == pytest.approx(exact, rel=1e-15)
+            assert lambda_card(1, n) * n ** inv(p) >= exact
+            if q <= p <= 2:
                 assert chi_upper_small_pq(1, n, e) >= exact - 1e-12
-            else:
-                assert src == "coefficient bound"
+
+
+def test_linear_value_past_the_float_range():
+    e = ExponentPair(1.0, math.inf)
+    assert chi_linear(10**400, ExponentPair(2.0, 2.0)) == 1.0
+    assert chi_linear(10**400, e) == math.inf
+    assert chi_linear(10**400, ExponentPair(1.0, 1.01)) == pytest.approx(10 ** (400 / 101))
+    log_value, src = log_chi_upper(1, 10**400, e)
+    assert log_value == pytest.approx(400 * math.log(10), rel=1e-15) and src == LINEAR_SOURCE
 
 
 def test_envelope_constant():

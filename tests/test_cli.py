@@ -261,8 +261,7 @@ def test_witness_bracket(capsys):
                                  "--p", "2", "--q", "2", "--budget", "100"])
     assert code == 0
     doc = json.loads(out)["result"]
-    assert doc["lower"] <= doc["upper"]
-    assert doc["upper"] == pytest.approx(math.e)
+    assert doc["lower"] == doc["upper"] == 1.0  # chi(1, n; 2, 2) = 1 exactly
 
     # non-finite values are written as null: chi's closed-form upper bound
     # is past the float range
@@ -314,6 +313,22 @@ def test_sweep_json_is_one_record_per_cell(capsys):
                                  "--q", "4", "--budget", "0", "--format", "json"])
     assert code == 0
     assert _strict_json(out)["result"][0]["upper"] is None
+
+
+def test_linear_bracket_answers_at_once(capsys):
+    # m = 1 is exact: no sign search over the 1000 linear monomials
+    t0 = time.process_time()
+    code, out = capture(capsys, ["witness", "bracket", "--m", "1", "--n", "1000",
+                                 "--p", "2", "--q", "2"])
+    assert time.process_time() - t0 < 2.0
+    assert code == 0
+    doc = json.loads(out)["result"]
+    assert [doc["lower"], doc["upper"]] == [1.0, 1.0] and doc["flags"] == []
+    # the sweep's m = 1 cells read [1, 1] at (p, q) = (2, 3/2)
+    code, out = capture(capsys, ["sweep", "--m-grid", "1", "--n-grid", "2,16", "--p", "2",
+                                 "--q", "3/2", "--format", "json"])
+    assert code == 0
+    assert [(r["lower"], r["upper"]) for r in json.loads(out)["result"]] == [(1.0, 1.0)] * 2
 
 
 def test_csv_quotes_fields_holding_commas(capsys):
@@ -488,9 +503,13 @@ def test_reruns_byte_identical(capsys):
 
 @pytest.mark.parametrize("argv, provenance", [
     (["--p", "2", "--q", "4/3", "--n-grid", "64", "--budget", "0"], "closed-form"),
-    # chi(1, 4; 1, inf) = 4 > 3: the sign-search chi lower bound sets K upper
-    (["--p", "1", "--q", "inf", "--n-grid", "4", "--mmax", "1", "--budget", "100",
+    # chi(1, 8; 2, inf) = sqrt(8) < 3 (exact), and the sign-search chi lower
+    # bound at m = 2 sets K upper
+    (["--p", "2", "--q", "inf", "--n-grid", "8", "--mmax", "2", "--budget", "100",
       "--restarts", "4", "--iters", "20"], "estimate-based"),
+    # chi(1, 4; 1, inf) = 4 > 3 exactly: K upper 1/4 is closed-form
+    (["--p", "1", "--q", "inf", "--n-grid", "4", "--mmax", "1", "--budget", "100",
+      "--restarts", "4", "--iters", "20"], "closed-form"),
 ])
 def test_bohr_table_provenance(capsys, argv, provenance):
     base = ["bohr", "table"] + argv

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bohrlab.bounds import ExponentPair, chi_upper_small_pq
+from bohrlab.bounds import LINEAR_SOURCE, ExponentPair, chi_upper_small_pq
 from bohrlab.multiindex import enumerate_lambda, multiplicity
 from bohrlab.optimize import NormEstimate, OptConfig, lp_norm, sup_norm
 from bohrlab import polynomial, witness
@@ -292,8 +292,34 @@ def test_witnesses_compile_each_support_once(monkeypatch):
 
 def test_chi_bracket_linear_small_pq():
     br = chi_bracket(1, 4, ExponentPair(2.0, 2.0), CFG, sign_budget=200)
-    assert br.lower.value == pytest.approx(1.0)
-    assert br.upper.value == pytest.approx(math.e)
+    assert br.lower == br.upper == witness.Endpoint(1.0, LINEAR_SOURCE)
+
+
+def _no_search(*args, **kwargs):
+    raise AssertionError("a search ran")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 1000, 10**300])
+@pytest.mark.parametrize("p, q", [(2.0, 2.0), (2.0, 1.5), (1.0, math.inf), (4 / 3, 4.0),
+                                  (math.inf, 1.0)])
+def test_chi_bracket_linear_is_exact_without_a_search(monkeypatch, n, p, q):
+    # chi(1, n; p, q) = n^max(0, 1/p - 1/q): both ends, and no witness runs
+    monkeypatch.setattr(witness, "sign_search", _no_search)
+    monkeypatch.setattr(witness, "brute_chi", _no_search)
+    e = ExponentPair(p, q)
+    exact = max(1.0, float(n) ** (1 / p - (0.0 if q == math.inf else 1 / q)))
+    br = chi_bracket(1, n, e, CFG, sign_budget=2000)
+    assert br.lower.value == br.upper.value == pytest.approx(exact, rel=1e-15)
+    assert br.lower.source == br.upper.source == LINEAR_SOURCE and not br.lower.estimate
+
+
+def test_chi_bracket_linear_past_the_float_range(monkeypatch):
+    # n^(1/p - 1/q) past the float range: no exact end, and the searches
+    # refuse the index set as before
+    monkeypatch.setattr(witness, "sign_search", _no_search)
+    br = chi_bracket(1, 10**400, ExponentPair(1.0, math.inf), CFG, sign_budget=2000)
+    assert br.lower == witness.Endpoint(1.0, "trivial")
+    assert br.upper.value == math.inf and br.upper.source == LINEAR_SOURCE
 
 
 def test_chi_bracket_contains_brute():
