@@ -61,7 +61,6 @@ from .witness import (
     Endpoint,
     brute_chi,
     chi_bracket,
-    chi_lower_end,
     chi_lower_flat,
     lempoly_check,
     sign_search,

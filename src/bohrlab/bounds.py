@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 
@@ -81,13 +83,12 @@ POWERING_BLOCK = 1 << 16  # most terms a block of a truncated product holds
 EXP_FLOOR = -700.0
 
 
-def _block_rows(t0: int, M: int, square: bool) -> int:
+def _block_rows(t0: int, M: int) -> int:
     """Entries in the block from entry t0: the most whose terms fit in
     POWERING_BLOCK, at least one, at most M - t0.  A block of r entries
-    holds t0 + r terms per entry, or (t0 + r + 1) // 2 for a square."""
-    k = 2 if square else 1
-    u = t0 + k - 1  # r (u + r) <= k POWERING_BLOCK
-    return min(M - t0, max(1, (math.isqrt(u * u + 4 * k * POWERING_BLOCK) - u) // 2))
+    holds t0 + r terms per entry."""
+    # r (t0 + r) <= POWERING_BLOCK
+    return min(M - t0, max(1, (math.isqrt(t0 * t0 + 4 * POWERING_BLOCK) - t0) // 2))
 
 
 class _LogSeriesProducts:
@@ -95,14 +96,11 @@ class _LogSeriesProducts:
     log-coefficients, a block of output entries at a time.
 
     Entry t is the log-sum-exp of a[i] + b[t - i] over i <= t.  A block of
-    entries t0 <= t < t1 holds their terms as s[i, t - t0], read from one
-    padded buffer of b (-inf where i > t) through a Toeplitz view, both
-    built once for every product of length M; it holds at most
+    entries t0 <= t < t1 holds their terms as s[i, t - t0] for i < t1, read
+    from one padded buffer of b (-inf where i > t) through a Toeplitz view,
+    both built once for every product of length M; it holds at most
     max(POWERING_BLOCK, M) terms.  The terms are shifted by their entry's
     max, raised to EXP_FLOOR and exponentiated; the padding gets weight 0.
-    A square (b = a) has equal terms i and t - i, so it takes only
-    2i <= t, with weight 1/2 on the middle one, and doubles the sum: half
-    the terms.
 
     Each entry's terms are then added in a fixed tree: with h the largest
     power of two below the term count w, terms h..w-1 are added onto terms
@@ -113,54 +111,37 @@ class _LogSeriesProducts:
 
     def __init__(self, M: int):
         self.M = M
-        rows = _block_rows(0, M, True)  # no block has more entries
+        rows = _block_rows(0, M)  # no block has more entries
         # padded[M - 1 + k] = b[k] for 0 <= k < M, -inf at k < 0 (and past M,
         # where a window of the last blocks reaches)
         self.padded = np.full(2 * M - 2 + rows, -np.inf)
         # windows[M - 1 + t0 - i, r] = padded[M - 1 + t0 + r - i] = b[t0 + r - i]
         self.windows = np.lib.stride_tricks.sliding_window_view(self.padded, rows)
         self.buf = np.empty(min(max(POWERING_BLOCK, M), M * M))  # one entry at least
-        # weight of term i0 + j in entry t0 + r, from the sign of d: 1 where
-        # d < 0, 1/2 at d = 0 (a square's middle term 2i = t), 0 past.  A
-        # square from an even or odd t0 has i0 = (t0 + 1) // 2 and
-        # d = 2i - t = 2j - r + (t0 & 1); a product has i0 = t0 + 1 and
-        # d = 2(i - t) - 1 = 2j - 2r + 1
-        j, r = np.arange(rows // 2 + 1)[:, None], np.arange(rows)
-        self.square_weights = [(1.0 - np.sign(2 * j - r + odd)) / 2 for odd in (0, 1)]
-        rows = _block_rows(0, M, False)
-        j, r = np.arange(rows - 1)[:, None], np.arange(rows)
-        self.product_weights = (1.0 - np.sign(2 * j - 2 * r + 1)) / 2
+        # weight of term t0 + 1 + j in entry t0 + r: 1 up to i = t, 0 past it
+        self.weights = (np.arange(rows - 1)[:, None] < np.arange(rows)).astype(float)
 
-    def __call__(self, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-        """The product of a and b, or the square of a when b is None."""
-        square = b is None
+    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         M = self.M
-        self.padded[M - 1:2 * M - 1] = a if square else b
+        self.padded[M - 1:2 * M - 1] = b
         out = np.empty(M)
         t0 = 0
         while t0 < M:
-            rows = _block_rows(t0, M, square)
-            t1 = t0 + rows
-            width = (t1 + 1) // 2 if square else t1  # terms i < width
-            s = self.buf[:width * rows].reshape(width, rows)
-            np.add(self.windows[M - width + t0:M + t0][::-1, :rows], a[:width, None], out=s)
+            rows = _block_rows(t0, M)
+            t1 = t0 + rows  # terms i < t1
+            s = self.buf[:t1 * rows].reshape(t1, rows)
+            np.add(self.windows[M - t1 + t0:M + t0][::-1, :rows], a[:t1, None], out=s)
             top = s.max(axis=0)
             s -= top
             np.maximum(s, EXP_FLOOR, out=s)
             np.exp(s, out=s)
-            # weights from term i0 on, where some entry's terms end: 0 past
-            # i = t, and for a square 1/2 at 2i = t and 0 past it
-            if square:
-                i0, weights = (t0 + 1) // 2, self.square_weights[t0 & 1]
-            else:
-                i0, weights = t0 + 1, self.product_weights
-            s[i0:] *= weights[:width - i0, :rows]
-            w = width
+            s[t0 + 1:] *= self.weights[:rows - 1, :rows]  # some entry's terms end past t0
+            w = t1
             while w > 1:
                 h = 1 << ((w - 1).bit_length() - 1)
                 s[:w - h] += s[h:w]
                 w = h
-            out[t0:t1] = top + np.log(2 * s[0] if square else s[0])
+            out[t0:t1] = top + np.log(s[0])
             t0 = t1
         return out
 
@@ -191,7 +172,7 @@ def log_j_sums(M: int, n: int, beta: float, budget: int = 10**8) -> np.ndarray:
         n >>= 1
         if not n:
             return power - beta * log_fact
-        base = mul(base)
+        base = mul(base, base)
 
 
 def log_j_sum(m: int, n: int, beta: float, budget: int = 10**8) -> float:
@@ -262,32 +243,48 @@ def _log_coeff_chi_upper(m: int, n: int, p: float) -> float:
 
 
 LINEAR_SOURCE = "exact at m = 1 (linear forms)"
+# Relative widening of the m = 1 ends (2 to 4 ulps).  They come from a
+# 40-digit value, so neither the rounding of an end to a float nor the one
+# rounding of the power, exp or division that makes a K end from it can
+# carry the end past the true value.
+LINEAR_SLACK = 2.0 ** -50
 
 
-def _linear_exponent(e: ExponentPair) -> float:
-    return max(0.0, inv(e.q_conj) - inv(e.p_conj))
-
-
-def log_chi_linear(n: int, e: ExponentPair) -> float:
-    """ln chi(1, n; p, q) = max(0, 1/q' - 1/p') ln n, exactly.
+def _log_chi_linear_digits(n: int, e: ExponentPair) -> Decimal:
+    """ln chi(1, n; p, q) = max(0, 1/p - 1/q) ln n to 40 digits (exactly 0
+    where chi = 1).
 
     A linear form sum a_i z_i has sup norm ||a||_{p'} on the l_p ball and
     majorant sup ||a||_{q'} on the l_q ball, so chi(1, n; p, q) is the sup
     over a of ||a||_{q'} / ||a||_{p'}, which is n^max(0, 1/q' - 1/p')
-    (a = e_1 when q' >= p', a flat when q' < p').  The exponent equals
-    1/p - 1/q; it is taken in the conjugates, as the proof has it, and
-    the two forms can round an ulp apart."""
-    return _linear_exponent(e) * math.log(n)
+    (a = e_1 when q' >= p', a flat when q' < p'), and 1/q' - 1/p' =
+    1/p - 1/q.  The exponent is exact as a fraction of the float
+    exponents."""
+    inv_p, inv_q = (Fraction(0) if r == INF else 1 / Fraction(r) for r in (e.p, e.q))
+    x = max(Fraction(0), inv_p - inv_q)
+    if not x:
+        return Decimal(0)
+    with localcontext(prec=40):
+        return x.numerator * Decimal(n).ln() / x.denominator
+
+
+def log_chi_linear(n: int, e: ExponentPair) -> float:
+    """An upper end of ln chi(1, n; p, q): the 40-digit value plus
+    LINEAR_SLACK, rounded up, and 0.0 where chi = 1."""
+    log_value = _log_chi_linear_digits(n, e)
+    return math.nextafter(float(log_value + Decimal(LINEAR_SLACK)), INF) if log_value else 0.0
 
 
 def chi_linear(n: int, e: ExponentPair) -> float:
-    """chi(1, n; p, q) = n^max(0, 1/q' - 1/p') as n ** x rounds it (inf
-    past the float range): a power of n, not the exp of its logarithm,
-    which can round below it."""
-    if n <= sys.float_info.max:
-        return n ** _linear_exponent(e)
-    log_value = log_chi_linear(n, e)
-    return math.exp(log_value) if log_value < LOG_FLOAT_MAX else math.inf
+    """A lower end of chi(1, n; p, q) = n^max(0, 1/p - 1/q): the 40-digit
+    value less LINEAR_SLACK relative, rounded down; 1.0 where chi = 1, and
+    inf past the float range."""
+    log_value = _log_chi_linear_digits(n, e)
+    if not log_value:
+        return 1.0
+    with localcontext(prec=40):
+        value = float((log_value - Decimal(LINEAR_SLACK)).exp())
+    return value if value == INF else math.nextafter(value, 0.0)
 
 
 def log_chi_uppers(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, str]]:

@@ -316,8 +316,8 @@ def chi_lower_end(
 ) -> Endpoint:
     """The best available lower end for chi(m, n; p, q).
 
-    At m = 1 inside the float range it is the exact value
-    (bounds.chi_linear), and no search runs.  Otherwise it is the max of
+    At m = 1 inside the float range it is the exact value, a few ulps
+    below where it is not 1 (bounds.chi_linear), and no search runs.  Otherwise it is the max of
     1, the flat-point chain through a sign-pattern search, and the brute
     oracle on tiny instances (estimate-based candidates are slack-deflated
     and marked estimate).  sign_budget=0 skips the search chain (as does an
@@ -353,12 +353,11 @@ def chi_bracket(
 
     Lower: chi_lower_end (the arguments after e are its own).  Upper:
     bounds.log_chi_upper, the smallest closed form (inf past the float
-    range).  At m = 1 inside the float range both ends are the exact value
-    n^max(0, 1/p - 1/q), and no search runs.
+    range).  At m = 1 both ends are the exact value n^max(0, 1/p - 1/q),
+    widened by a few ulps outward where it is not 1, and no search runs
+    inside the float range.
     """
     lower = chi_lower_end(m, n, e, cfg, sign_budget, samples)
-    if lower.source == LINEAR_SOURCE:
-        return BoundBracket(lower, lower, m)
     log_up, up_src = log_chi_upper(m, n, e)
     up = math.exp(log_up) if log_up < LOG_FLOAT_MAX else math.inf
     return BoundBracket(lower, Endpoint(up, up_src), m)

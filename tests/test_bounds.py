@@ -2,6 +2,8 @@ import ast
 import math
 import tracemalloc
 from dataclasses import replace
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -259,10 +261,38 @@ def test_linear_case_dominated():
             log_value, src = log_chi_upper(1, n, e)
             assert src == LINEAR_SOURCE
             assert math.exp(log_value) == pytest.approx(exact, rel=1e-14)
-            assert chi_linear(n, e) == pytest.approx(exact, rel=1e-15)
+            assert chi_linear(n, e) == pytest.approx(exact, rel=1e-14)
             assert lambda_card(1, n) * n ** inv(p) >= exact
             if q <= p <= 2:
                 assert chi_upper_small_pq(1, n, e) >= exact - 1e-12
+
+
+def _chi_linear_digits(n, p, q):
+    # n^max(0, 1/p - 1/q) to 60 digits, the exponent exact as a fraction of
+    # the float exponents
+    inv_p, inv_q = (Fraction(0) if r == math.inf else 1 / Fraction(r) for r in (p, q))
+    x = max(Fraction(0), inv_p - inv_q)
+    with localcontext(prec=60):
+        return Decimal(n) ** (Decimal(x.numerator) / x.denominator)
+
+
+@pytest.mark.parametrize("p, q, n", [(4 / 3, 2.0, 32), (1.0, math.inf, 2**40), (1.5, 4.0, 10**6),
+                                     (4 / 3, 4.0, 1037), (2.0, math.inf, 3), (1.0, 1.01, 10**300),
+                                     (2.0, 2.0, 1000), (math.inf, 1.0, 7)])
+def test_linear_ends_hold_the_true_value(p, q, n):
+    # the m = 1 chi ends and the K ends made from them are on their side of
+    # the true value, not an ulp past it; the upper end comes through its
+    # log, so the bracket is a few ulps of the log wide
+    e = ExponentPair(p, q)
+    true = _chi_linear_digits(n, p, q)
+    cb = k_m_bracket(1, n, e, sign_budget=0)
+    chi_lo, chi_up = chi_linear(n, e), math.exp(log_chi_upper(1, n, e)[0])
+    assert Decimal(chi_lo) <= true <= Decimal(chi_up)
+    assert Decimal(cb.lower.value) <= 1 / true <= Decimal(cb.upper.value)
+    assert Decimal(k_bracket(n, e, 1, sign_budget=0).lower.value) <= (1 / true) / 3
+    assert chi_up / chi_lo - 1 <= 1e-15 * (4 + math.log(chi_up))
+    if true == 1:
+        assert chi_lo == chi_up == 1.0
 
 
 def test_linear_value_past_the_float_range():
