@@ -14,7 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .polynomial import HomPoly, PolyBatch, TruncatedSeries, eval_batch, grad_batch
+from .polynomial import (HomPoly, MonomialTable, PolyBatch, TruncatedSeries, eval_batch,
+                         grad_batch)
 
 
 TOL = 1e-13  # gain of the logarithm below which a step counts as stalled
@@ -312,10 +313,11 @@ def _structured_starts(A: np.ndarray, C: np.ndarray, p: float) -> list[list[np.n
     return out
 
 
-def _estimate(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig,
-              nonneg: bool) -> list[NormEstimate]:
+def _estimate(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig, nonneg: bool,
+              table: MonomialTable | None) -> list[NormEstimate]:
     """Multi-start ascent on the unit sphere of l_p^n for each row c of C
-    (coefficients over the rows of A): from the n coordinate vectors
+    (coefficients over the rows of A, compiled in table, or here when it is
+    None): from the n coordinate vectors
     (p < inf), then the _structured_starts of its own entries, then
     max(budget - their number, 1) random ones, drawn from cfg.seed as a
     one-row call draws them.  The budget is cfg.restarts, and at least
@@ -387,7 +389,7 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig,
         Z[max(coords - a, 0):] = rest[k][max(a - coords, 0):max(b - coords, 0)]
         return Z
 
-    F = PolyBatch(A, C)
+    F = PolyBatch(A, C, table)
     if torus:
         retract = None
 
@@ -499,9 +501,10 @@ def _estimate(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig,
 
 
 def _estimates(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig | None,
-               nonneg: bool) -> list[NormEstimate]:
+               nonneg: bool, table: MonomialTable | None = None) -> list[NormEstimate]:
     """The one front end of every estimate: one NormEstimate per row c of C
-    (coefficients over the rows of A) on the unit ball of l_p^n.  It checks
+    (coefficients over the distinct rows of A, whose MonomialTable the
+    ascent compiles unless table is given) on the unit ball of l_p^n.  It checks
     cfg (default OptConfig(); the budget must be positive), the exponent p
     and the coefficients.  In one variable the unit ball of l_p^1 is the
     closed disk for every p, so there p is taken as inf: one algorithm for
@@ -529,18 +532,19 @@ def _estimates(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig | None,
     if nonneg and p == math.inf:
         found = iter([NormEstimate(math.fsum(c), np.ones(n), cfg.restarts, True) for c in L])
     else:
-        found = iter(_estimate(A, L, p, cfg, nonneg) if len(L) else ())
+        found = iter(_estimate(A, L, p, cfg, nonneg, table) if len(L) else ())
     const = _moduli(C[:, deg == 0]).sum(axis=1)
     dtype = float if nonneg else np.complex128
     return [next(found) if ok else NormEstimate(float(a), np.zeros(n, dtype), cfg.restarts, True)
             for ok, a in zip(live, const)]
 
 
-def sup_norms(A: np.ndarray, C: np.ndarray, p: float,
-              cfg: OptConfig | None = None) -> list[NormEstimate]:
-    """sup_norm of each row of C, coefficients over the rows of A, in one
-    ascent; each row gets the starts of a one-row call on its own entries."""
-    return _estimates(A, C, p, cfg, False)
+def sup_norms(A: np.ndarray, C: np.ndarray, p: float, cfg: OptConfig | None = None,
+              table: MonomialTable | None = None) -> list[NormEstimate]:
+    """sup_norm of each row of C, coefficients over the distinct rows of A
+    (compiled in table when given), in one ascent; each row gets the starts
+    of a one-row call on its own entries."""
+    return _estimates(A, C, p, cfg, False, table)
 
 
 def sup_norm(P: HomPoly, p: float, cfg: OptConfig | None = None) -> NormEstimate:
@@ -552,11 +556,12 @@ def sup_norm(P: HomPoly, p: float, cfg: OptConfig | None = None) -> NormEstimate
     return sup_norms(A, c[None, :], p, cfg)[0]
 
 
-def majorant_sups(A: np.ndarray, C: np.ndarray, q: float,
-                  cfg: OptConfig | None = None) -> list[NormEstimate]:
-    """majorant_sup of each row of C, coefficients over the rows of A, in one
-    ascent; each row gets the starts of a one-row call on its own entries."""
-    return _estimates(A, C, q, cfg, True)
+def majorant_sups(A: np.ndarray, C: np.ndarray, q: float, cfg: OptConfig | None = None,
+                  table: MonomialTable | None = None) -> list[NormEstimate]:
+    """majorant_sup of each row of C, coefficients over the distinct rows of
+    A (compiled in table when given), in one ascent; each row gets the
+    starts of a one-row call on its own entries."""
+    return _estimates(A, C, q, cfg, True, table)
 
 
 def majorant_sup(P: HomPoly, q: float, cfg: OptConfig | None = None) -> NormEstimate:

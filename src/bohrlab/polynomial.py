@@ -32,6 +32,20 @@ def chain_vars(A: np.ndarray) -> np.ndarray:
     return np.repeat(cols, A[rows, cols])
 
 
+def multiplicities(A: np.ndarray) -> np.ndarray:
+    """m!/alpha! for every row alpha of A, each the float nearest the exact
+    integer: multiplicity runs once per distinct multiset of exponents."""
+    S = np.sort(A, axis=1)
+    order = np.lexsort(S.T)  # rows of one multiset next to each other
+    S = S[order]
+    new = np.ones(len(S), dtype=bool)
+    new[1:] = (S[1:] != S[:-1]).any(axis=1)
+    exact = np.array([float(multiplicity(s)) for s in S[new].tolist()])
+    out = np.empty(len(S))
+    out[order] = exact[new.cumsum() - 1]
+    return out
+
+
 class MonomialTable:
     """A support compiled into its down-closure, ordered by degree.
 
@@ -41,38 +55,70 @@ class MonomialTable:
     alpha - e_i for every support row alpha and every i with alpha_i > 0, so
     that derivatives are entries too.  ``support[t]`` is the entry of row t
     of the support.
+
+    The items are the support rows, then each alpha - e_i (row by row, i
+    increasing).  Within a degree, entries come in order of first
+    appearance as a prefix of an item, which fixes the order the kernel's
+    products sum in.  The build goes degree by degree: the key of a
+    degree-d prefix is (its parent's id) * n + (its last variable), and one
+    stable sort of the keys numbers the degree's entries.
     """
 
     def __init__(self, A: np.ndarray):
         A = np.asarray(A, dtype=np.int64)
         T, n = A.shape
-        flat = chain_vars(A).tolist()
+        rows, cols = A.nonzero()
+        counts = A[rows, cols]
+        chains = cols.repeat(counts)  # chain_vars(A)
         deg = A.sum(axis=1)
-        ends = np.cumsum(deg).tolist()
-        js = [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
-        # drop the last occurrence of each distinct index i: j - e_i
-        lower = [(t, j[k], j[:k] + j[k + 1 :]) for t, j in enumerate(js)
-                 for k in range(len(j)) if k + 1 == len(j) or j[k] != j[k + 1]]
-        by_degree: list[dict] = [{} for _ in range(deg.max(initial=0) + 1)]
-        by_degree[0][()] = None
-        for j in js + [lo for _, _, lo in lower]:
-            while j not in by_degree[len(j)]:
-                by_degree[len(j)][j] = None
-                j = j[:-1]
-        index = {j: k for k, j in enumerate(j for level in by_degree for j in level)}
-        entries = list(index)
-        offset = np.cumsum([0] + [len(level) for level in by_degree]).tolist()
-        parent = np.array([0] + [index[j[:-1]] for j in entries[1:]], dtype=np.int64)
+        # the chain of alpha - e_i is alpha's without its last i, which sits
+        # at counts.cumsum() - 1 in chains
+        length = deg[rows]
+        shift = (deg.cumsum() - deg)[rows] - (length.cumsum() - length)
+        at = np.arange(length.sum()) + shift.repeat(length)  # the rows' chains, once per i
+        flat = np.concatenate([chains, chains[at[at != (counts.cumsum() - 1).repeat(length)]]])
+        deg = np.concatenate([deg, length - 1])
+        N = len(deg)  # the items: T support rows, then each alpha - e_i
+        ends = np.bincount(deg, minlength=1).tolist()  # items ending at each degree
+        act = np.arange(N)  # the items of degree >= d, in item order
+        pos = deg.cumsum() - deg  # where each one's variable d - 1 sits in flat
+        ids = np.zeros(N, dtype=np.int64)  # its degree-(d-1) prefix, within its degree
+        keys, firsts = [np.zeros(1, dtype=np.int64)], [np.full(1, -1)]
+        last = np.empty(N, dtype=np.int64)  # each item's entry, in key order
+        base = 0  # entries of the degrees below d - 1
+        for d in range(1, len(ends)):
+            if ends[d - 1]:
+                end = deg[act] == d - 1
+                last[act[end]] = base + ids[end]
+                act, pos, ids = act[~end], pos[~end], ids[~end]
+            key = ids * n + flat[pos]
+            pos += 1
+            o = key.argsort(kind="stable")  # equal keys keep item order
+            k = key[o]
+            new = k != np.concatenate([[-1], k[:-1]])
+            ids[o] = new.cumsum() - 1
+            base += len(keys[-1])
+            keys.append(k[new])
+            firsts.append(act[o[new]])
+        last[act] = base + ids
+        # key order -> entry order: by degree, then by first appearance
+        count = [len(k) for k in keys]
+        degree = np.arange(len(keys)).repeat(count)
+        perm = (degree * (N + 1) + np.concatenate(firsts)).argsort()
+        entry = np.empty_like(perm)
+        entry[perm] = np.arange(len(perm))
+        key = np.concatenate(keys)
+        offset = np.concatenate([[0], np.cumsum(count)])
+        parent = entry[np.where(degree > 0, offset[degree - 1] + key // n, 0)][perm]
+        offset = offset.tolist()
         self.n = n
-        self.size = len(entries)
-        self.var = np.array([0] + [j[-1] for j in entries[1:]], dtype=np.int64)
+        self.size = len(key)
+        self.var = (key % n)[perm]
         # degree-1 entries are the coordinates themselves
         self.levels = [(lo, hi, parent[lo:hi]) for lo, hi in zip(offset[2:-1], offset[3:])]
-        self.support = np.array([index[j] for j in js], dtype=np.int64)
+        self.support = entry[last[:T]]
         # (entry of alpha - e_i, support row of alpha, i) for alpha_i > 0
-        rows, cols, low = zip(*lower) if lower else ((), (), ())
-        self.lower = (np.array([index[j] for j in low], dtype=np.int64),
-                      np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))
+        self.lower = entry[last[T:]], rows, cols
 
     def powers(self, Z: np.ndarray) -> np.ndarray:
         """z^beta for every point z (row of Z) and every entry beta, shape
@@ -104,10 +150,11 @@ def _columns(X: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return X.T.take(idx, axis=0).T
 
 
-def monomials(Z: np.ndarray, A: np.ndarray) -> np.ndarray:
+def monomials(Z: np.ndarray, A: np.ndarray, table: MonomialTable | None = None) -> np.ndarray:
     """z^alpha for every point z (row of Z) and every row alpha of A, shape
-    (points, terms): MonomialTable.at_support of the power table."""
-    table = MonomialTable(A)
+    (points, terms): MonomialTable.at_support of the power table of table,
+    A's compiled table (built here when not given)."""
+    table = MonomialTable(A) if table is None else table
     return table.at_support(table.powers(Z))
 
 
@@ -115,17 +162,25 @@ class PolyBatch:
     """K polynomials on one support, compiled for the kernel once, when built:
     exponents A (T, n), coefficients C (K, T) and cf (K, size) over the
     monomial table's entries, and the derivative tensor D (K, len(rows), n),
-    D[j, k, i] the coefficient of entry rows[k] in dP_j/dz_i."""
+    D[j, k, i] the coefficient of entry rows[k] in dP_j/dz_i.  table is A's
+    MonomialTable, compiled here when not given.  The rows of A must be
+    distinct (a ValueError otherwise): then each coefficient, and each
+    (entry of alpha - e_i, i), has an entry of its own."""
 
-    def __init__(self, A: np.ndarray, C: np.ndarray):
+    def __init__(self, A: np.ndarray, C: np.ndarray, table: MonomialTable | None = None):
         self.A, self.C = A, C
-        self.table = table = MonomialTable(A)
+        self.table = table = MonomialTable(A) if table is None else table
+        if np.bincount(table.support).max(initial=0) > 1:
+            raise ValueError("the support has a repeated row")
         idx, terms, var = table.lower
-        self.rows, k = np.unique(idx, return_inverse=True)
+        hit = np.zeros(table.size, dtype=bool)
+        hit[idx] = True
+        self.rows = hit.nonzero()[0]  # the entries of every alpha - e_i, ascending
+        k = hit.cumsum()[idx] - 1
         self.cf = np.zeros((len(C), table.size), dtype=np.complex128)
-        np.add.at(self.cf, (slice(None), table.support), C)
+        self.cf[:, table.support] = C
         self.D = np.zeros((len(C), self.rows.size, table.n), dtype=np.complex128)
-        np.add.at(self.D, (slice(None), k.ravel(), var), C[:, terms] * A[terms, var])
+        self.D[:, k, var] = C[:, terms] * A[terms, var]
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(A, C.T): the coefficients with a trailing polynomial axis."""
@@ -245,20 +300,17 @@ def sign_polynomial(m: int, n: int, signs: Mapping[MultiIndex, int]) -> HomPoly:
 
     Signs must be given on the whole degree-m index set.
     """
-    coeffs: dict[MultiIndex, complex] = {}
-    count = 0
-    for alpha in enumerate_lambda(m, n):
-        count += 1
+    alphas = list(enumerate_lambda(m, n))
+    for alpha in alphas:
         if alpha not in signs:
             raise ValueError(f"missing sign for {alpha}")
         s = signs[alpha]
         if s not in (1, -1):
             raise ValueError(f"sign for {alpha} must be +-1, got {s}")
-        mult = multiplicity(alpha)
-        coeffs[alpha] = float(s * mult)
-    if count != len(signs):
+    if len(alphas) != len(signs):
         raise ValueError("signs defined outside the index set")
-    return HomPoly(n, m, coeffs)
+    mults = multiplicities(np.array(alphas, dtype=np.int64).reshape(len(alphas), n))
+    return HomPoly(n, m, {a: signs[a] * c for a, c in zip(alphas, mults.tolist())})
 
 
 def moebius_series(a: float, M: int) -> TruncatedSeries:

@@ -20,10 +20,10 @@ import numpy as np
 
 from .bounds import (LINEAR_SOURCE, LOG_FLOAT_MAX, ExponentPair, _exp, chi_linear, conjugate,
                      inv, lempoly_rhs, log_chi_upper)
-from .multiindex import enumerate_j, enumerate_lambda, lambda_card, multiplicity, tuple_to_alpha
+from .multiindex import enumerate_j, enumerate_lambda, lambda_card, tuple_to_alpha
 from .optimize import (BATCH_ENTRIES, STEP_CAP, OptConfig, NormEstimate, majorant_sups, pick_best,
                        sup_norm, sup_norms, to_sphere)
-from .polynomial import HomPoly, MonomialTable, chain_vars, monomials
+from .polynomial import HomPoly, MonomialTable, chain_vars, monomials, multiplicities
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,11 @@ def _mc_nonneg_points(n: int, q: float, count: int, seed: int) -> np.ndarray:
     return to_sphere(np.abs(np.random.default_rng(seed).standard_normal((count, n))), q)
 
 
-def _monomial_matrix(Z: np.ndarray, A: np.ndarray) -> np.ndarray:
-    """Matrix z_s^alpha_t of shape (points, terms) for the rows alpha_t of A."""
-    return monomials(Z, A)
+def _monomial_matrix(Z: np.ndarray, A: np.ndarray,
+                     table: MonomialTable | None = None) -> np.ndarray:
+    """Matrix z_s^alpha_t of shape (points, terms) for the rows alpha_t of A
+    (compiled in table when given)."""
+    return monomials(Z, A, table)
 
 
 def _search_refusal(m: int, n: int, p: float) -> str | None:
@@ -88,7 +90,9 @@ def _search_refusal(m: int, n: int, p: float) -> str | None:
     no try moves a point of the sphere (moduli <= 1) farther than STEP_CAP,
     so a try's moduli are at most 1 + STEP_CAP and the norm that retracts it
     (l_p, or l_2 at p = 1, where the ascent runs in w with z = w |w|) sums
-    at most n (1 + STEP_CAP)^max(p, 2)."""
+    at most n (1 + STEP_CAP)^max(p, 2).  An admitted index set's
+    MonomialTable holds its down-closure, every monomial of degree <= m:
+    C(n + m, m) entries, 513,591 at (1012, 2)."""
     if (T := lambda_card(m, n)) > SIGN_CAP:
         return f"index set size {T} exceeds cap {SIGN_CAP}"
     log_n, log_m = math.log(n), math.log(max(m, 1))
@@ -98,24 +102,33 @@ def _search_refusal(m: int, n: int, p: float) -> str | None:
     return None
 
 
-def _exponents(m: int, n: int) -> tuple[list, np.ndarray, np.ndarray]:
-    """The index set Lambda(m, n), its exponent matrix and its multiplicities."""
+class _IndexSet(NamedTuple):
+    """Lambda(m, n) compiled once for every witness that runs on it: its
+    exponent matrix A (rows in enumerate_lambda order), the multiplicities
+    m!/alpha! and the MonomialTable of A."""
+
+    A: np.ndarray
+    mults: np.ndarray
+    table: MonomialTable
+
+
+def _index_set(m: int, n: int) -> _IndexSet:
     alphas = list(enumerate_lambda(m, n))
     A = np.array(alphas, dtype=np.int64).reshape(len(alphas), n)
-    return alphas, A, np.array([float(multiplicity(a)) for a in alphas])
+    return _IndexSet(A, multiplicities(A), MonomialTable(A))
 
 
 class _Scorer:
-    """The Monte Carlo scoring matrix S[s, t] = mult_t z_s^alpha_t of the
-    index set whose rows alpha_t are the rows of A, at the points Z, never
-    formed whole: memory O(points (n + m) + T m) plus one block of at most
-    BATCH_ENTRIES power-table entries."""
+    """The Monte Carlo scoring matrix S[s, t] = mult_t z_s^alpha_t of an
+    index set (rows alpha_t of its A) at the points Z, never formed whole:
+    memory O(points (n + m) + T m) plus one block of at most BATCH_ENTRIES
+    power-table entries."""
 
-    def __init__(self, Z: np.ndarray, A: np.ndarray, mults: np.ndarray):
-        self.Z, self.mults, self.table = Z, mults, MonomialTable(A)
+    def __init__(self, Z: np.ndarray, index_set: _IndexSet):
+        self.Z, self.mults, self.table = Z, index_set.mults, index_set.table
         self.ZT = np.ascontiguousarray(Z.T)  # one coordinate's values per row
         # row t's variable indices, nondecreasing: the table's chain for alpha_t
-        self.js = chain_vars(A).reshape(len(A), -1)
+        self.js = chain_vars(index_set.A).reshape(len(index_set.A), -1)
 
     def column(self, t: int) -> np.ndarray:
         """Column t (degree m >= 1): the coordinates of row t's chain
@@ -155,6 +168,7 @@ def sign_search(
     budget: int,
     seed: int,
     cfg: OptConfig | None = None,
+    index_set: _IndexSet | None = None,
 ) -> tuple[dict, NormEstimate]:
     """Search sign patterns minimizing the sup-norm of the full multinomial
     polynomial sum of eps_alpha (m!/alpha!) z^alpha on the l_p ball.
@@ -168,16 +182,18 @@ def sign_search(
     The points x T scoring matrix is never formed (_Scorer): a flip builds
     the one column it changes, and the other energies come from point
     blocks of at most BATCH_ENTRIES power-table entries, so scoring memory
-    does not grow with the index set's down-closure.
+    does not grow with the index set's down-closure.  index_set is
+    Lambda(m, n) as _index_set compiles it, compiled here when not given.
     """
     cfg = cfg or SEARCH_OPT
     if budget <= 0:
         raise ValueError("budget must be positive")
     if refusal := _search_refusal(m, n, p):
         raise ValueError(refusal)
-    alphas, A, mults = _exponents(m, n)
-    T = len(alphas)
-    S = _Scorer(_mc_sphere_points(n, p, MC_POINTS, seed), A, mults)
+    index_set = _index_set(m, n) if index_set is None else index_set
+    A, mults, table = index_set
+    T = len(A)
+    S = _Scorer(_mc_sphere_points(n, p, MC_POINTS, seed), index_set)
 
     pool: dict[bytes, float] = {}
 
@@ -216,9 +232,9 @@ def sign_search(
 
     top = sorted(pool.items(), key=lambda kv: (kv[1], kv[0]))[:TOP_K]
     eps = np.array([np.frombuffer(key, dtype=np.int8) for key, _ in top])
-    ests = sup_norms(A, eps * mults, p, cfg)
+    ests = sup_norms(A, eps * mults, p, cfg, table)
     i = pick_best(-np.array([e.value for e in ests]))  # earliest of the least norms
-    return {a: int(s) for a, s in zip(alphas, eps[i])}, ests[i]
+    return dict(zip(map(tuple, A.tolist()), eps[i].tolist())), ests[i]
 
 
 def chi_lower_flat(m: int, n: int, q: float, norm_p: float) -> float:
@@ -247,6 +263,7 @@ def brute_chi(
     samples: int = 1000,
     seed: int = 0,
     cfg: OptConfig | None = None,
+    index_set: _IndexSet | None = None,
 ) -> BruteChi:
     """Estimate chi as the sup over polynomials of (majorant sup on the l_q
     ball) / (sup-norm on the l_p ball) via random coefficient ensembles with
@@ -255,7 +272,8 @@ def brute_chi(
     Ensembles: standard complex Gaussian, Rademacher-times-multiplicity, the
     flat (all-ones and all-multiplicities) probes, and single-monomial probes.
     Draws are pre-scored on seeded random point sets; the leaders are
-    re-scored together with the full optimizer (cfg).
+    re-scored together with the full optimizer (cfg).  index_set is
+    Lambda(m, n) as _index_set compiles it, compiled here when not given.
     """
     cfg = cfg or SEARCH_OPT
     T = lambda_card(m, n)
@@ -263,7 +281,7 @@ def brute_chi(
         raise ValueError(f"index set size {T} exceeds brute cap {BRUTE_CAP}")
     if samples < 1000:
         raise ValueError("need samples >= 1000")
-    _, A, mults = _exponents(m, n)
+    A, mults, table = _index_set(m, n) if index_set is None else index_set
 
     rng = np.random.default_rng(seed)
     half = samples // 2
@@ -273,8 +291,8 @@ def brute_chi(
     C = np.vstack([probes, gauss, rade.astype(complex)])
     n_probes = probes.shape[0]
 
-    Mon_q = _monomial_matrix(_mc_nonneg_points(n, e.q, 256, seed + 1), A)
-    Mon_p = _monomial_matrix(_mc_sphere_points(n, e.p, 256, seed + 2), A)
+    Mon_q = _monomial_matrix(_mc_nonneg_points(n, e.q, 256, seed + 1), A, table)
+    Mon_p = _monomial_matrix(_mc_sphere_points(n, e.p, 256, seed + 2), A, table)
 
     def cheap_ratio(coeffs: np.ndarray) -> np.ndarray:
         num = (np.abs(coeffs) @ Mon_q.T).max(axis=1)
@@ -301,7 +319,7 @@ def brute_chi(
     refine = list(order[:TOP_K]) + list(range(n_probes))
     candidates = [C[i] for i in dict.fromkeys(refine)] + [lead]
     rows = np.array(list({c.tobytes(): c for c in candidates}.values()))
-    nums, dens = majorant_sups(A, rows, e.q, cfg), sup_norms(A, rows, e.p, cfg)
+    nums, dens = majorant_sups(A, rows, e.q, cfg, table), sup_norms(A, rows, e.p, cfg, table)
     best = max([a.value / b.value for a, b in zip(nums, dens) if b.value > 0], default=0.0)
     return BruteChi(best, best / SLACK)
 
@@ -321,8 +339,9 @@ def chi_lower_end(
     1, the flat-point chain through a sign-pattern search, and the brute
     oracle on tiny instances (estimate-based candidates are slack-deflated
     and marked estimate).  sign_budget=0 skips the search chain (as does an
-    index set sign_search refuses).  Both searches use the seed cfg.seed;
-    m < 1 or samples < 1000 fails before either runs.
+    index set sign_search refuses).  Both searches use the seed cfg.seed
+    and one compiled Lambda(m, n); m < 1 or samples < 1000 fails before
+    either runs.
     """
     if m < 1 or samples < 1000:  # samples checked here too, so no search runs first
         raise ValueError(f"need m >= 1 and samples >= 1000, got m={m}, samples={samples}")
@@ -330,13 +349,16 @@ def chi_lower_end(
         return Endpoint(exact, LINEAR_SOURCE)
     cfg = cfg or SEARCH_OPT
     lower_cands, deflated = [Endpoint(1.0, "trivial")], "(estimate-based, slack-deflated)"
-    if sign_budget > 0 and _search_refusal(m, n, e.p) is None:
-        _, est = sign_search(m, n, e.p, sign_budget, cfg.seed, cfg)
+    search = sign_budget > 0 and _search_refusal(m, n, e.p) is None
+    brute = lambda_card(m, n) <= BRUTE_CAP
+    index_set = _index_set(m, n) if search or brute else None
+    if search:
+        _, est = sign_search(m, n, e.p, sign_budget, cfg.seed, cfg, index_set)
         if est.value > 0:
             flat = chi_lower_flat(m, n, e.q, est.value) / SLACK
             lower_cands.append(Endpoint(flat, f"sign-search flat point {deflated}", True))
-    if lambda_card(m, n) <= BRUTE_CAP:
-        bc = brute_chi(m, n, e, samples=samples, seed=cfg.seed, cfg=cfg)
+    if brute:
+        bc = brute_chi(m, n, e, samples=samples, seed=cfg.seed, cfg=cfg, index_set=index_set)
         lower_cands.append(Endpoint(bc.deflated, f"brute oracle {deflated}", True))
     return max(lower_cands, key=lambda c: c.value)
 

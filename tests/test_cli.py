@@ -479,6 +479,21 @@ def test_console_script_installed():
     assert json.loads(res.stdout)["result"]["region"] == "Q1"
 
 
+def test_witness_search_memory_is_bounded_by_its_table():
+    # Lambda(480, 2): its down-closure has C(482, 2) = 115,921 entries.  Built
+    # twice from Python tuples (scorer and re-scoring ascent) it took the
+    # command to 354 MB; built once in numpy and shared, to about 80 MB.  A
+    # wrapper process reports its one child's peak
+    wrapper = ("import resource, subprocess, sys; "
+               "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+               "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    res = subprocess.run([sys.executable, "-c", wrapper, sys.executable, "-m", "bohrlab.cli",
+                          "witness", "search", "--m", "480", "--n", "2", "--p", "inf",
+                          "--budget", "10", "--restarts", "1", "--iters", "1"],
+                         capture_output=True, text=True, check=True)
+    assert int(res.stdout) < 150 * 1024  # kB
+
+
 def test_selftest_times_each_check_on_stderr(capsys):
     code = run(["selftest"])
     res = capsys.readouterr()

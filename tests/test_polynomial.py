@@ -3,18 +3,24 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bohrlab.bohr import random_series
 from bohrlab.errors import BudgetExceededError
-from bohrlab.multiindex import enumerate_lambda
+from bohrlab.multiindex import enumerate_lambda, multiplicity
+from bohrlab.optimize import sup_norms
 from bohrlab.polynomial import (
     HomPoly,
+    MonomialTable,
     PolyBatch,
     TruncatedSeries,
+    chain_vars,
     eval_batch,
     grad_batch,
     moebius_series,
     monomials,
+    multiplicities,
     poly_from_dict,
     poly_to_dict,
     series_from_dict,
@@ -62,6 +68,118 @@ def test_majorant_dominance():
         z = RNG.standard_normal(3) + 1j * RNG.standard_normal(3)
         M = HomPoly(P.n, P.m, {a: abs(c) for a, c in P.coeffs.items()})
         assert abs(P.eval(z)) <= M.eval(np.abs(z)).real + 1e-12
+
+
+def dict_table(A):
+    """The down-closure of the rows of A built from tuples and dicts, one
+    walk down each item's prefixes: the reference MonomialTable must equal.
+    Returns (size, var, levels, support, lower) as MonomialTable holds them."""
+    A = np.asarray(A, dtype=np.int64)
+    flat = chain_vars(A).tolist()
+    deg = A.sum(axis=1)
+    ends = np.cumsum(deg).tolist()
+    js = [tuple(flat[a:b]) for a, b in zip([0] + ends, ends)]
+    # drop the last occurrence of each distinct index i: j - e_i
+    lower = [(t, j[k], j[:k] + j[k + 1:]) for t, j in enumerate(js)
+             for k in range(len(j)) if k + 1 == len(j) or j[k] != j[k + 1]]
+    by_degree = [{} for _ in range(deg.max(initial=0) + 1)]
+    by_degree[0][()] = None
+    for j in js + [lo for _, _, lo in lower]:
+        while j not in by_degree[len(j)]:
+            by_degree[len(j)][j] = None
+            j = j[:-1]
+    index = {j: k for k, j in enumerate(j for level in by_degree for j in level)}
+    entries = list(index)
+    offset = np.cumsum([0] + [len(level) for level in by_degree]).tolist()
+    parent = np.array([0] + [index[j[:-1]] for j in entries[1:]], dtype=np.int64)
+    var = np.array([0] + [j[-1] for j in entries[1:]], dtype=np.int64)
+    levels = [(lo, hi, parent[lo:hi]) for lo, hi in zip(offset[2:-1], offset[3:])]
+    support = np.array([index[j] for j in js], dtype=np.int64)
+    rows, cols, low = zip(*lower) if lower else ((), (), ())
+    return len(entries), var, levels, support, (np.array([index[j] for j in low], dtype=np.int64),
+                                                np.array(rows, dtype=np.int64),
+                                                np.array(cols, dtype=np.int64))
+
+
+def assert_table_is_the_dict_build(A):
+    table = MonomialTable(A)
+    size, var, levels, support, lower = dict_table(A)
+    assert table.size == size
+    assert table.var.tolist() == var.tolist()
+    assert [(lo, hi, par.tolist()) for lo, hi, par in table.levels] == [
+        (lo, hi, par.tolist()) for lo, hi, par in levels]
+    assert table.support.tolist() == support.tolist()
+    assert [x.tolist() for x in table.lower] == [x.tolist() for x in lower]
+
+
+@st.composite
+def scattered_supports(draw):
+    """Distinct rows of degree <= 4 in 1..5 variables, in any order, with the
+    constant row among them or not."""
+    n = draw(st.integers(1, 5))
+    row = st.lists(st.integers(0, 4), min_size=n, max_size=n).filter(lambda a: sum(a) <= 4)
+    rows = draw(st.lists(row, min_size=1, max_size=25, unique_by=tuple))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * n)
+        rows = list(map(list, dict.fromkeys(map(tuple, rows))))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(A=scattered_supports())
+def test_table_of_a_scattered_support_is_the_dict_build(A):
+    assert_table_is_the_dict_build(A)
+
+
+@pytest.mark.parametrize("m, n", [(0, 3), (1, 1), (5, 1), (2, 4), (3, 5), (4, 16), (30, 2),
+                                  (480, 2)])
+def test_table_of_an_index_set_is_the_dict_build(m, n):
+    assert_table_is_the_dict_build(np.array(list(enumerate_lambda(m, n))).reshape(-1, n))
+
+
+def test_table_of_a_series_and_of_no_rows():
+    assert_table_is_the_dict_build(moebius_series(0.5, 40).tables()[0])
+    parts = [HomPoly(3, k, {a: 1.0 for a in enumerate_lambda(k, 3)}) for k in range(1, 5)]
+    assert_table_is_the_dict_build(TruncatedSeries(3, 1.0, parts).tables()[0])
+    assert_table_is_the_dict_build(np.zeros((0, 3), dtype=np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 30), min_size=n, max_size=n).filter(lambda a: sum(a) <= 30),
+    min_size=1, max_size=20)))
+def test_multiplicities_are_the_exact_ones_rounded(rows):
+    A = np.array(rows, dtype=np.int64)
+    assert multiplicities(A).tolist() == [float(multiplicity(tuple(a))) for a in rows]
+
+
+@pytest.mark.parametrize("m, n", [(30, 2), (30, 3), (12, 5), (1012, 2)])
+def test_multiplicities_of_an_index_set(m, n):
+    alphas = list(enumerate_lambda(m, n))
+    got = multiplicities(np.array(alphas))
+    assert got.tolist() == [float(multiplicity(a)) for a in alphas]
+
+
+def test_batch_scatter_is_the_summed_scatter():
+    # distinct rows: plain assignment writes what np.add.at summed onto zeros
+    A = np.array([[2, 0, 1], [0, 0, 0], [1, 1, 1], [0, 3, 0], [1, 0, 0]])
+    C = np.random.default_rng(8).standard_normal((3, 5)) + 1j
+    F = PolyBatch(A, C)
+    idx, terms, var = F.table.lower
+    rows, k = np.unique(idx, return_inverse=True)
+    cf = np.zeros((3, F.table.size), dtype=np.complex128)
+    np.add.at(cf, (slice(None), F.table.support), C)
+    D = np.zeros((3, rows.size, 3), dtype=np.complex128)
+    np.add.at(D, (slice(None), k, var), C[:, terms] * A[terms, var])
+    assert F.cf.tobytes() == cf.tobytes() and F.D.tobytes() == D.tobytes()
+
+
+def test_repeated_rows_are_refused():
+    A = np.array([[1, 1], [2, 0], [1, 1]])
+    with pytest.raises(ValueError, match="repeated row"):
+        PolyBatch(A, np.ones((1, 3), dtype=np.complex128))
+    with pytest.raises(ValueError, match="repeated row"):
+        sup_norms(A, np.ones((1, 3)), 2.0)
 
 
 def test_sign_polynomial():

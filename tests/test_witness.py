@@ -72,7 +72,7 @@ def test_sign_search_takes_earliest_of_tied_leaders(monkeypatch):
     # norms differ only in the last bits, the least one last
     rescored = []
 
-    def last_bits(A, C, p, cfg):
+    def last_bits(A, C, p, cfg, table):
         rescored.append(C)
         return [NormEstimate(5.0 - 1e-15 * k, np.ones(5), 1, True) for k in range(len(C))]
 
@@ -87,9 +87,9 @@ class DenseScorer:
     """Reference scorer: the whole scoring matrix, multiplicities applied in
     place on the power table's support view, in one block."""
 
-    def __init__(self, Z, A, mults):
-        self.M = polynomial.monomials(Z, A)
-        self.M *= mults
+    def __init__(self, Z, index_set):
+        self.M = polynomial.monomials(Z, index_set.A)
+        self.M *= index_set.mults
 
     def column(self, t):
         return self.M[:, t]
@@ -107,9 +107,10 @@ SCORED = [(1, 5, 1.0), (2, 3, 2.0), (3, 4, math.inf), (4, 6, 2.0), (2, 9, 1.0),
 def test_streamed_scores_are_the_dense_matrix(monkeypatch, m, n, p, entries):
     # entries = 2**10 cuts every index set here into several point blocks
     monkeypatch.setattr(witness, "BATCH_ENTRIES", entries)
-    _, A, mults = witness._exponents(m, n)
+    index_set = witness._index_set(m, n)
+    A, mults, _ = index_set
     Z = witness._mc_sphere_points(n, p, witness.MC_POINTS, 3)
-    raw, S = polynomial.monomials(Z, A), witness._Scorer(Z, A, mults)
+    raw, S = polynomial.monomials(Z, A), witness._Scorer(Z, index_set)
     for t in range(len(A)):
         assert S.column(t).tobytes() == (raw[:, t] * mults[t]).tobytes()
     blocks = S.map(np.copy)
@@ -217,7 +218,7 @@ def test_sign_search_refuses_past_the_float_range(monkeypatch):
         with pytest.raises(ValueError, match="float range"):
             sign_search(m, 2, p, 10, 0, CFG)
     # the edges at n = 2: m = 1012 and p = 644 are admitted (Lambda(1012, 2)
-    # ran once at p in {1, 4/3, 2, inf} with no warning, about 40 s each)
+    # ran once at p in {1, 4/3, 2, inf} with no warning)
     for p in (1.0, 2.0, math.inf):
         assert witness._search_refusal(1012, 2, p) is None
         assert witness._search_refusal(1013, 2, p) is not None
@@ -274,20 +275,32 @@ def test_caps_checked_before_enumeration(monkeypatch):
 
 
 def test_witnesses_compile_each_support_once(monkeypatch):
-    builds = []
+    builds, ran = [], []
 
     class CountingTable(polynomial.MonomialTable):
         def __init__(self, A):
             builds.append(len(A))
             super().__init__(A)
 
+    def counted(f):
+        def run(*args, **kwargs):
+            ran.append(f.__name__)
+            return f(*args, **kwargs)
+        return run
+
     monkeypatch.setattr(polynomial, "MonomialTable", CountingTable)
     monkeypatch.setattr(witness, "MonomialTable", CountingTable)
-    sign_search(4, 8, 2.0, 200, 0, CFG)  # Monte Carlo scorer + one re-scoring ascent
-    assert len(builds) <= 2
+    monkeypatch.setattr(witness, "sign_search", counted(sign_search))
+    monkeypatch.setattr(witness, "brute_chi", counted(brute_chi))
+    # Lambda(2, 4), 10 terms: both searches run, and the Monte Carlo scorer,
+    # the brute oracle's two point sets and all three ascents share one table
+    witness.chi_lower_end(2, 4, ExponentPair(2.0, 1.5), CFG, sign_budget=200)
+    assert ran == ["sign_search", "brute_chi"]
+    assert builds == [10]
     builds.clear()
-    brute_chi(2, 4, ExponentPair(2.0, 1.5), seed=0, cfg=CFG)  # two point sets + two ascents
-    assert len(builds) <= 4
+    sign_search(4, 8, 2.0, 200, 0, CFG)  # called alone, each compiles its own
+    brute_chi(2, 4, ExponentPair(2.0, 1.5), seed=0, cfg=CFG)
+    assert builds == [330, 10]
 
 
 def test_chi_bracket_linear_small_pq():
