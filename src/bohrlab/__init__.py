@@ -15,7 +15,6 @@ from .bohr import (
 from .bounds import (
     ExponentPair,
     bayart_bound,
-    chi_upper_small_pq,
     conjugate,
     envelope_constant,
     inv,
@@ -23,7 +22,6 @@ from .bounds import (
     lempoly_rhs,
     rate,
     region_classify,
-    transfer_lower_pq,
 )
 from .errors import BudgetExceededError
 from .multiindex import (

@@ -15,12 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import ExponentPair, log_chi_uppers, rate, region_classify
+from .bounds import ExponentPair, chi_upper_ends, log_chi_uppers, rate, region_classify
 from .errors import BudgetExceededError
 from .multiindex import enumerate_lambda, lambda_card
 from .optimize import OptConfig, bohr_sum, series_part_sups, series_sup
 from .polynomial import HomPoly, TruncatedSeries, moebius_series, scale
-from .witness import BoundBracket, Endpoint, chi_bracket, chi_lower_end
+from .witness import BoundBracket, Endpoint, chi_lower_end
 
 
 def _k_upper(m: int, chi_lower: Endpoint) -> Endpoint:
@@ -31,23 +31,23 @@ def _k_upper(m: int, chi_lower: Endpoint) -> Endpoint:
 
 def k_m_bracket(m: int, n: int, e: ExponentPair,
                 cfg: OptConfig | None = None, **chi_kw) -> BoundBracket:
-    """Bracket for the degree-m radius K_m = chi^(-1/m): the chi bracket
-    endpoints (>= 1) pass through x -> x^(-1/m) into [0, 1], swapping roles."""
-    cb = chi_bracket(m, n, e, cfg, **chi_kw)
-    lower = replace(cb.upper, value=cb.upper.value ** (-1.0 / m),
-                    source=f"chi upper: {cb.upper.source}")
-    return BoundBracket(lower, _k_upper(m, cb.lower), m)
+    """Bracket for the degree-m radius K_m = chi^(-1/m): the chi ends (>= 1)
+    pass through x -> x^(-1/m) into [0, 1], swapping roles; the lower end
+    comes from the closed-form chi upper log (bounds.chi_upper_ends)."""
+    upper = _k_upper(m, chi_lower_end(m, n, e, cfg, **chi_kw))
+    [(log_up, source)] = log_chi_uppers([m], n, e)
+    return BoundBracket(Endpoint(chi_upper_ends(log_up, m)[1], f"chi upper: {source}"), upper, m)
 
 
 def k_bracket(n: int, e: ExponentPair, M_max: int,
               cfg: OptConfig | None = None, **chi_kw) -> BoundBracket:
     """Bracket for the full radius K.
 
-    Lower: (1/3) / sup_m chi_upper(m)^(1/m), with the closed-form upper
-    bounds evaluated for every m <= M_max and on a geometric tail grid up to
-    10*M_max; the report claims only the grid it evaluated.  The whole grid
-    takes one log_chi_uppers call, so its multiplicity sums come from one
-    powering at the largest m, whose budget is checked before any work.
+    Lower: (1/3) / sup_m chi_upper(m)^(1/m), a third of the least K_m lower
+    end (rounded down) over every m <= M_max and a geometric tail grid up
+    to 10*M_max; the report claims only the grid it evaluated.  The whole
+    grid takes one log_chi_uppers call, so its multiplicity sums come from
+    one powering at the largest m, whose budget is checked before any work.
     Upper: min(1/3, min over m <= M_max of the K_m upper endpoint), since
     restricting to one variable embeds the disk.  A K_m upper end needs only
     the chi lower end (witness.chi_lower_end, which takes chi_kw), so no
@@ -57,18 +57,13 @@ def k_bracket(n: int, e: ExponentPair, M_max: int,
         raise ValueError(f"need n >= 1, got {n}")
     if M_max < 1:
         raise ValueError(f"need M_max >= 1, got {M_max}")
-    grid = list(range(1, M_max + 1))
-    mm = M_max
+    grid, mm = list(range(1, M_max + 1)), M_max
     while mm < 10 * M_max:
-        mm = max(mm + 1, int(mm * 1.5))
-        grid.append(min(mm, 10 * M_max))
-    grid = sorted(set(grid))
-    log_root = max(v / m for m, (v, _) in zip(grid, log_chi_uppers(grid, n, e)))
-    try:
-        sup_root = math.exp(log_root)
-    except OverflowError:  # past the float range, where 1/3 of its reciprocal rounds to 0
-        sup_root = math.inf
-    lower = Endpoint((1.0 / 3.0) / max(sup_root, 1.0), f"chi-upper roots over m grid {grid}")
+        mm = min(max(mm + 1, int(mm * 1.5)), 10 * M_max)
+        grid.append(mm)
+    low = min(chi_upper_ends(v, m)[1] for m, (v, _) in zip(grid, log_chi_uppers(grid, n, e)))
+    lower = Endpoint(low / 3 if low == 1 else math.nextafter(low / 3, 0.0),  # 1/3 rounds down
+                     f"chi-upper roots over m grid {grid}")
 
     upper = Endpoint(1.0 / 3.0, "K(disk) = 1/3 one-variable restriction")
     for m in range(1, M_max + 1):

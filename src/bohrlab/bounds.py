@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -155,7 +156,21 @@ def log_j_sums(M: int, n: int, beta: float, budget: int = 10**8) -> np.ndarray:
 
     Entry t of a truncated product reads only entries <= t of its factors,
     so entry m - 1 here is bit for bit the value a powering truncated at
-    degree m - 1 gives: one powering at the largest m serves every smaller m."""
+    degree m - 1 gives: one powering at the largest m serves every smaller m.
+
+    Float error, for beta >= 0, u = 2^-53 and np.exp, np.log and
+    math.lgamma within 4 ulps: entry m - 1 is at least ln j_sum less
+    2^-47 bit_length(n) (entry + 2 beta ln k!).  Every log-coefficient is
+    >= 0 and entry 0 is exact.  Entry t >= 1 of a product, L = ln sum_i
+    e^(s_i) with s_i = a[i] + b[t - i], is >= max s_i and >= ln(t + 1)
+    >= ln 2, and moves by at most the largest move of an s_i: factors off
+    by rho of their entries give rho L.  The product's own roundings add
+    26u L: u L each for a + b, s_i - max s and max s + log; 8u for exp;
+    ceil(log2(t + 1)) u for the sum tree; 8u ln(t + 1) for log (raising
+    to EXP_FLOOR only adds).  The base is off by 10u, each factor comes
+    from K <= 2 bit_length(n) - 2 products in a chain, and subtracting
+    beta ln k! adds 10u of it and u of the entry: the error is at most
+    2^-48 (K + 2) (ln j_sum + 2 beta ln k!)."""
     if M < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={M}, n={n}")
     if not math.isfinite(beta):
@@ -175,11 +190,6 @@ def log_j_sums(M: int, n: int, beta: float, budget: int = 10**8) -> np.ndarray:
         base = mul(base, base)
 
 
-def log_j_sum(m: int, n: int, beta: float, budget: int = 10**8) -> float:
-    """ln j_sum(m, n): the last entry of log_j_sums(m, n, beta, budget)."""
-    return float(log_j_sums(m, n, beta, budget)[-1])
-
-
 LOG_FLOAT_MAX = 709.0  # math.exp is finite below it (it overflows past ln(max float) = 709.78)
 
 
@@ -195,7 +205,7 @@ def j_sum(m: int, n: int, e: ExponentPair | None = None, beta: float | None = No
     """Sum over the length-(m-1) index tuples of multiplicity^(-beta).
 
     beta defaults to the pair's derived exponent; the m = 1 sum (over the
-    empty tuple) is 1.  "gf" is exp(log_j_sum), a ValueError naming ln j_sum
+    empty tuple) is 1.  "gf" is exp(log_j_sums), a ValueError naming ln j_sum
     past the float range; "naive" streams the multi-index set (at most budget
     items) and is the reference the tests hold "gf" to.
     """
@@ -204,7 +214,7 @@ def j_sum(m: int, n: int, e: ExponentPair | None = None, beta: float | None = No
             raise ValueError("give an ExponentPair or an explicit beta")
         beta = e.beta
     if method == "gf":
-        return _exp(log_j_sum(m, n, beta, budget), "j_sum")
+        return _exp(float(log_j_sums(m, n, beta, budget)[-1]), "j_sum")
     if method != "naive":
         raise ValueError(f"unknown method {method!r}")
     card = lambda_card(m - 1, n)
@@ -216,38 +226,8 @@ def j_sum(m: int, n: int, e: ExponentPair | None = None, beta: float | None = No
 # --- chi upper bounds -----------------------------------------------------
 
 
-def _log_chi_uppers_small_pq(ms: list[int], n: int, e: ExponentPair) -> list[float]:
-    """ln of the small-exponent lemma's bound at each m of ms, from one
-    powering at the largest (its budget error comes before any other work)."""
-    if not (1 <= e.q <= e.p <= 2):
-        raise ValueError(f"need 1 <= q <= p <= 2, got ({e.p}, {e.q})")
-    if min(ms) < 1:
-        raise ValueError(f"need m >= 1, got {min(ms)}")
-    log_factors = [math.log(m) + 1.0 + (m - 1) * inv(e.p) for m in ms]
-    if e.q == 1:
-        # q' = inf: the l_q' aggregate degenerates to a sup, and every
-        # multiplicity^(1/p - 1) is at most 1.
-        return log_factors
-    log_sums = log_j_sums(max(ms), n, e.beta).tolist()
-    return [f + log_sums[m - 1] * inv(e.q_conj) for f, m in zip(log_factors, ms)]
-
-
-def chi_upper_small_pq(m: int, n: int, e: ExponentPair) -> float:
-    """Upper bound m * e^(1 + (m-1)/p) * (multiplicity sum)^(1/q') on the
-    mixed unconditionality constant, valid for 1 <= q <= p <= 2."""
-    return _exp(_log_chi_uppers_small_pq([m], n, e)[0], "chi_upper")
-
-
-def _log_coeff_chi_upper(m: int, n: int, p: float) -> float:
-    return math.log(lambda_card(m, n)) + m * inv(p) * math.log(n)
-
-
 LINEAR_SOURCE = "exact at m = 1 (linear forms)"
-# Relative widening of the m = 1 ends (2 to 4 ulps).  They come from a
-# 40-digit value, so neither the rounding of an end to a float nor the one
-# rounding of the power, exp or division that makes a K end from it can
-# carry the end past the true value.
-LINEAR_SLACK = 2.0 ** -50
+LINEAR_SLACK = 2.0 ** -50  # relative narrowing of the m = 1 lower end (2 to 4 ulps)
 
 
 def _log_chi_linear_digits(n: int, e: ExponentPair) -> Decimal:
@@ -268,17 +248,11 @@ def _log_chi_linear_digits(n: int, e: ExponentPair) -> Decimal:
         return x.numerator * Decimal(n).ln() / x.denominator
 
 
-def log_chi_linear(n: int, e: ExponentPair) -> float:
-    """An upper end of ln chi(1, n; p, q): the 40-digit value plus
-    LINEAR_SLACK, rounded up, and 0.0 where chi = 1."""
-    log_value = _log_chi_linear_digits(n, e)
-    return math.nextafter(float(log_value + Decimal(LINEAR_SLACK)), INF) if log_value else 0.0
-
-
 def chi_linear(n: int, e: ExponentPair) -> float:
     """A lower end of chi(1, n; p, q) = n^max(0, 1/p - 1/q): the 40-digit
-    value less LINEAR_SLACK relative, rounded down; 1.0 where chi = 1, and
-    inf past the float range."""
+    value less LINEAR_SLACK relative, rounded down, so neither this rounding
+    nor the one of a K_1 upper end made from it passes the true value; 1.0
+    where chi = 1, and inf past the float range."""
     log_value = _log_chi_linear_digits(n, e)
     if not log_value:
         return 1.0
@@ -287,29 +261,78 @@ def chi_linear(n: int, e: ExponentPair) -> float:
     return value if value == INF else math.nextafter(value, 0.0)
 
 
+class ChiUpperSource(NamedTuple):
+    """A closed-form chi upper bound: its source string, the (p, q) it holds
+    on, and per m of a grid its float log and that log's error bound, or
+    (inf, 0.0) at an m it does not cover."""
+
+    source: str
+    holds: Callable[[ExponentPair], bool]
+    log_bounds: Callable[[list[int], int, ExponentPair], list[tuple[float, float]]]
+
+
+def _linear_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
+    """The exact value at m = 1: its 40-digit log rounded once (error 2u)."""
+    log_value = float(_log_chi_linear_digits(n, e)) if 1 in ms else INF
+    return [(log_value, 2.0 ** -52 * log_value) if m == 1 else (INF, 0.0) for m in ms]
+
+
+def _coefficient_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
+    """|Lambda(m, n)| n^(m/p): a sum of two nonnegative logs made with seven
+    roundings of at most 2u each (error 16u of it)."""
+    logs = [math.log(lambda_card(m, n)) + m * inv(e.p) * math.log(n) for m in ms]
+    return [(v, 2.0 ** -49 * v) for v in logs]
+
+
+def _lemma_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
+    """The small-exponent lemma m e^(1 + (m-1)/p) (multiplicity sum)^(1/q'),
+    for 1 <= q <= p <= 2, from one powering at the largest m (its budget
+    error first).  Error: log_j_sums's over q', plus 8u (log + ln (m-1)!)
+    for the roundings here (6u log) and beta's: 1/q - 1/p loses digits for
+    p near q, so beta is off by 3u q' + 2u beta, ln j_sum by that ln k!."""
+    logs = [math.log(m) + 1.0 + (m - 1) * inv(e.p) for m in ms]
+    if e.q == 1:
+        # q' = inf: the l_q' aggregate degenerates to a sup, and every
+        # multiplicity^(1/p - 1) is at most 1.
+        return [(v, 2.0 ** -50 * v) for v in logs]
+    log_sums, w = log_j_sums(max(ms), n, e.beta).tolist(), inv(e.q_conj)
+    ends = [(v + log_sums[m - 1] * w, log_sums[m - 1], math.lgamma(m)) for v, m in zip(logs, ms)]
+    return [(v, w * 2.0**-47 * n.bit_length() * (s + 2 * e.beta * f) + 2.0**-50 * (v + f))
+            for v, s, f in ends]
+
+
+# Tried in order, so the first of equal ends names the source.
+CHI_UPPER_SOURCES = (
+    ChiUpperSource(LINEAR_SOURCE, lambda e: True, _linear_log_bounds),
+    ChiUpperSource("coefficient bound", lambda e: True, _coefficient_log_bounds),
+    ChiUpperSource("small-exponent lemma", lambda e: 1 <= e.q <= e.p <= 2, _lemma_log_bounds),
+)
+
+
 def log_chi_uppers(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, str]]:
-    """For each m of ms, ln of the best closed-form upper bound on
-    chi(m, n; p, q) and its source: the exact value at m = 1
-    (log_chi_linear), else the coefficient bound, or the small-exponent
-    lemma where it applies (1 <= q <= p <= 2) and is smaller.  The lemma's
-    multiplicity sums come from one powering at the largest m."""
-    lemma = (_log_chi_uppers_small_pq(ms, n, e) if 1 <= e.q <= e.p <= 2
-             else [None] * len(ms))
-    out = []
-    for m, small in zip(ms, lemma):
-        if m == 1:
-            out.append((log_chi_linear(n, e), LINEAR_SOURCE))
-            continue
-        cands = [(_log_coeff_chi_upper(m, n, e.p), "coefficient bound")]
-        if small is not None:
-            cands.append((small, "small-exponent lemma"))
-        out.append(min(cands, key=lambda c: c[0]))
-    return out
+    """For each m of ms, an upper end of ln chi(m, n; p, q) and its source:
+    the least over the CHI_UPPER_SOURCES holding at (p, q) of a source's
+    log plus its error bound, rounded up (a log without error is exact)."""
+    if min(ms) < 1 or n < 1:
+        raise ValueError(f"need m >= 1 and n >= 1, got m={min(ms)}, n={n}")
+    ends = [[(math.nextafter(v + error, INF) if error else v, src.source)
+             for v, error in src.log_bounds(ms, n, e)] for src in CHI_UPPER_SOURCES if src.holds(e)]
+    return [min(col, key=lambda end: end[0]) for col in zip(*ends)]
 
 
-def log_chi_upper(m: int, n: int, e: ExponentPair) -> tuple[float, str]:
-    """log_chi_uppers at the one degree m."""
-    return log_chi_uppers([m], n, e)[0]
+def chi_upper_ends(log_up: float, m: int) -> tuple[float, float]:
+    """From an upper end log_up of ln chi(m, n; p, q), a chi upper end >=
+    e^log_up (inf past the float range) and a K_m lower end <= e^(-log_up/m).
+    Two ulp steps outward cover math.exp's one ulp, also across a power of
+    two; the division is rounded up, and e^0 = 1 is exact."""
+    if not log_up:
+        return 1.0, 1.0
+    root = math.nextafter(log_up / m, INF) if m > 1 else log_up
+    try:
+        up = math.nextafter(math.nextafter(math.exp(log_up), INF), INF)
+    except OverflowError:
+        up = INF
+    return up, math.nextafter(math.nextafter(math.exp(-root), 0.0), 0.0)
 
 
 def lempoly_rhs(m: int, n: int, p: float, j: tuple[int, ...]) -> float:
@@ -366,7 +389,7 @@ def envelope_constant(m: int, n: int, e: ExponentPair) -> EnvelopeReport:
     if not (1 <= e.q <= e.p <= 2) or e.q == 1:
         raise ValueError(f"need 1 < q <= p <= 2, got ({e.p}, {e.q})")
     logn = math.log(n)
-    log_value = (log_j_sum(m, n, e.beta) * inv(e.q_conj)
+    log_value = (float(log_j_sums(m, n, e.beta)[-1]) * inv(e.q_conj)
                  + m * (inv(e.p_conj) * math.log(logn) - inv(e.q_conj) * logn))
     value = math.exp(log_value / m)
 
@@ -428,10 +451,3 @@ def rate(p: float, q: float, n: int) -> float:
     # n**x would convert n to a float: the same rate in logarithms
     return _exp(rep.log_exponent * math.log(math.log(n)) - rep.n_exponent * math.log(n), "rate")
 
-
-def transfer_lower_pq(n: int, e: ExponentPair, k_diag: float) -> float:
-    """Lower bound (1/3) n^(1/q - 1/p) k_diag on the mixed radius from a
-    diagonal-radius lower bound, valid for p <= q."""
-    if e.p > e.q:
-        raise ValueError(f"transfer needs p <= q, got ({e.p}, {e.q})")
-    return (1.0 / 3.0) * n ** (inv(e.q) - inv(e.p)) * k_diag

@@ -63,13 +63,7 @@ def default_seed() -> int:
 
 
 def config_line(ns: argparse.Namespace) -> dict:
-    skip = {"func", "out"}
-    cfg = {}
-    for k, v in sorted(vars(ns).items()):
-        if k in skip:
-            continue
-        cfg[k] = str(v)
-    return cfg
+    return {k: str(v) for k, v in sorted(vars(ns).items()) if k not in ("func", "out")}
 
 
 def emit(ns: argparse.Namespace, payload) -> None:
@@ -188,8 +182,10 @@ def cmd_bound_jsum(ns) -> int:
 
 
 def cmd_bound_chiupper(ns) -> int:
-    value = bounds.chi_upper_small_pq(ns.m, ns.n, bounds.ExponentPair(ns.p, ns.q))
-    emit(ns, _bound_row(ns, value))
+    [(log_up, source)] = bounds.log_chi_uppers([ns.m], ns.n, bounds.ExponentPair(ns.p, ns.q))
+    if (value := bounds.chi_upper_ends(log_up, ns.m)[0]) == math.inf:
+        raise ValueError(f"chi_upper does not fit in a float: ln chi_upper = {log_up!r}")
+    emit(ns, _bound_row(ns, value, prov=source))
     return 0
 
 
@@ -201,12 +197,8 @@ def cmd_bound_envelope(ns) -> int:
 
 def cmd_bound_region(ns) -> int:
     rep = bounds.region_classify(ns.p, ns.q)
-    if (rep.n_exponent, rep.log_exponent) == (0.5, 0.5):
-        rate_str = "sqrt(log n)/sqrt(n)"
-    elif (rep.n_exponent, rep.log_exponent) == (0.0, 0.0):
-        rate_str = "1"
-    else:
-        rate_str = f"log(n)^{rep.log_exponent:g}/n^{rep.n_exponent:g}"
+    rate_str = {(0.5, 0.5): "sqrt(log n)/sqrt(n)", (0.0, 0.0): "1"}.get(
+        (rep.n_exponent, rep.log_exponent), f"log(n)^{rep.log_exponent:g}/n^{rep.n_exponent:g}")
     emit(ns, {"region": rep.tag, "rate": rate_str,
               "flags": list(rep.flags) + ["no-constant"]})
     return 0
@@ -533,9 +525,7 @@ def _apply_config_file(argv: list[str]) -> list[str]:
             key, _, val = line.partition("=")
             extra += ["--" + key.strip(), val.strip()]
     # positionals (subcommand selectors) come first in rest
-    head = 0
-    while head < len(rest) and not rest[head].startswith("-"):
-        head += 1
+    head = next((i for i, arg in enumerate(rest) if arg.startswith("-")), len(rest))
     return rest[:head] + extra + rest[head:]
 
 

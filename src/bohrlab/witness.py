@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (LINEAR_SOURCE, LOG_FLOAT_MAX, ExponentPair, _exp, chi_linear, conjugate,
-                     inv, lempoly_rhs, log_chi_upper)
+from .bounds import (LINEAR_SOURCE, LOG_FLOAT_MAX, ExponentPair, _exp, chi_linear,
+                     chi_upper_ends, conjugate, inv, lempoly_rhs, log_chi_uppers)
 from .multiindex import enumerate_j, enumerate_lambda, lambda_card, tuple_to_alpha
 from .optimize import (BATCH_ENTRIES, STEP_CAP, OptConfig, NormEstimate, majorant_sups, pick_best,
                        sup_norm, sup_norms, to_sphere)
@@ -373,16 +373,14 @@ def chi_bracket(
 ) -> BoundBracket:
     """Assemble the best available [lower, upper] bracket for chi.
 
-    Lower: chi_lower_end (the arguments after e are its own).  Upper:
-    bounds.log_chi_upper, the smallest closed form (inf past the float
-    range).  At m = 1 both ends are the exact value n^max(0, 1/p - 1/q),
-    widened by a few ulps outward where it is not 1, and no search runs
-    inside the float range.
+    Lower: chi_lower_end (the arguments after e are its own).  Upper: the
+    least closed form (bounds.log_chi_uppers), rounded up by
+    bounds.chi_upper_ends; at m = 1 both ends are the exact value, a few
+    ulps outward where it is not 1, and no search runs inside the float range.
     """
     lower = chi_lower_end(m, n, e, cfg, sign_budget, samples)
-    log_up, up_src = log_chi_upper(m, n, e)
-    up = math.exp(log_up) if log_up < LOG_FLOAT_MAX else math.inf
-    return BoundBracket(lower, Endpoint(up, up_src), m)
+    [(log_up, source)] = log_chi_uppers([m], n, e)
+    return BoundBracket(lower, Endpoint(chi_upper_ends(log_up, m)[0], source), m)
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,12 @@ import pytest
 from bohrlab.bohr import bohr_1d_bracket, k_bracket, k_m_bracket, random_series, wiener_check
 from bohrlab.bounds import (
     ExponentPair,
-    chi_upper_small_pq,
+    chi_upper_ends,
     conjugate,
     envelope_constant,
     inv,
     j_sum,
+    log_chi_uppers,
     rate,
     region_classify,
 )
@@ -112,7 +113,8 @@ def test_criterion_05_bracket_soundness(capsys):
                     violations += br.lower.value > br.upper.value
                     if lambda_card(m, n) <= 50:
                         bc = brute_chi(m, n, e, seed=0, cfg=cfg)
-                        violations += bc.deflated > chi_upper_small_pq(m, n, e)
+                        [(log_up, _)] = log_chi_uppers([m], n, e)
+                        violations += bc.deflated > chi_upper_ends(log_up, m)[0]
     with capsys.disabled():
         report(5, violations == 0, f"{violations} violations on the m<=4, n<=16 grid")
 

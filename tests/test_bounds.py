@@ -1,4 +1,6 @@
 import ast
+import csv
+import functools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -13,24 +15,23 @@ from hypothesis import strategies as st
 from bohrlab import bounds
 from bohrlab.bohr import k_bracket, k_m_bracket
 from bohrlab.bounds import (
+    CHI_UPPER_SOURCES,
     LINEAR_SOURCE,
     ExponentPair,
     bayart_bound,
     chi_linear,
-    chi_upper_small_pq,
+    chi_upper_ends,
     conjugate,
     envelope_constant,
     inv,
     j_sum,
     lempoly_rhs,
-    log_chi_upper,
     log_chi_uppers,
-    log_j_sum,
     log_j_sums,
     rate,
     region_classify,
-    transfer_lower_pq,
 )
+from bohrlab.cli import parse_exponent, run
 from bohrlab.errors import BudgetExceededError
 from bohrlab.multiindex import lambda_card, partition_shapes
 from bohrlab.witness import Endpoint
@@ -97,7 +98,7 @@ def test_one_powering_gives_every_smaller_degree(data, M, n, beta):
     sums = log_j_sums(M, n, beta)
     assert len(sums) == M
     for m in {1, M, data.draw(st.integers(1, M))}:
-        assert sums[m - 1] == log_j_sum(m, n, beta)
+        assert sums[m - 1] == log_j_sums(m, n, beta)[-1]
 
 
 def _log_series_mul_per_entry(a, b):
@@ -141,7 +142,7 @@ def test_every_block_size_gives_the_same_bits(data, M, n, beta, block):
         mp.setattr(bounds, "POWERING_BLOCK", block)
         cut = log_j_sums(M, n, beta)
         for m in {1, M, data.draw(st.integers(1, M))}:
-            assert cut[m - 1] == log_j_sum(m, n, beta) == whole[m - 1]
+            assert cut[m - 1] == log_j_sums(m, n, beta)[-1] == whole[m - 1]
     assert cut.tobytes() == whole.tobytes()
 
 
@@ -175,9 +176,10 @@ def test_k_bracket_lower_is_the_one_degree_at_a_time_value(p, q, n, M):
     br = k_bracket(n, e, M, sign_budget=0)
     grid = ast.literal_eval(br.lower.source.removeprefix("chi-upper roots over m grid "))
     assert grid[:M] == list(range(1, M + 1)) and grid[-1] == 10 * M
-    assert log_chi_uppers(grid, n, e) == [log_chi_upper(m, n, e) for m in grid]
-    sup_root = max(math.exp(log_chi_upper(m, n, e)[0] / m) for m in grid)
-    assert br.lower.value == (1 / 3) / max(1.0, sup_root)
+    ends = [log_chi_uppers([m], n, e)[0] for m in grid]
+    assert log_chi_uppers(grid, n, e) == ends
+    low = min(chi_upper_ends(v, m)[1] for m, (v, _) in zip(grid, ends))
+    assert br.lower.value == (low / 3 if low == 1 else math.nextafter(low / 3, 0.0))
 
 
 @pytest.mark.parametrize("p, q", [(2.0, 4 / 3), (1.5, 1.25), (2.0, 2.0), (2.0, 1.0),
@@ -212,17 +214,40 @@ def test_j_sum_budget():
         j_sum(6, 8, beta=1.0, method="naive", budget=10)
 
 
+SOURCES = {src.source: src for src in CHI_UPPER_SOURCES}
+
+
+def _lemma_values(ms, n, e):
+    ends = SOURCES["small-exponent lemma"].log_bounds(ms, n, e)
+    assert all(0 < err < 1e-13 * (1 + v) for v, err in ends)
+    return [math.exp(v) for v, _ in ends]
+
+
 def test_chi_upper_small_pq():
+    # the lemma source: m e^(1 + (m-1)/p) (multiplicity sum)^(1/q'), on 1 <= q <= p <= 2 only
+    lemma = SOURCES["small-exponent lemma"]
     e = ExponentPair(2.0, 2.0)
-    assert chi_upper_small_pq(1, 4, e) == pytest.approx(math.e)
-    assert chi_upper_small_pq(2, 3, e) == pytest.approx(2 * math.exp(1.5) * math.sqrt(3))
-    with pytest.raises(ValueError):
-        chi_upper_small_pq(2, 3, ExponentPair(3.0, 2.0))
+    assert _lemma_values([1], 4, e) == pytest.approx([math.e], rel=1e-14)
+    assert _lemma_values([2], 3, e) == pytest.approx([2 * math.exp(1.5) * math.sqrt(3)], rel=1e-14)
+    assert lemma.holds(e) and lemma.holds(ExponentPair(2.0, 1.0))
+    assert not lemma.holds(ExponentPair(3.0, 2.0)) and not lemma.holds(ExponentPair(1.5, 2.0))
 
 
 def test_chi_upper_q1_degenerates():
-    e = ExponentPair(2.0, 1.0)
-    assert chi_upper_small_pq(3, 100, e) == pytest.approx(3 * math.exp(2.0))
+    # at q = 1 the lemma degenerates to m e^(1 + (m-1)/p)
+    assert _lemma_values([3], 100, ExponentPair(2.0, 1.0)) == pytest.approx([3 * math.exp(2.0)],
+                                                                           rel=1e-14)
+
+
+def test_lemma_source():
+    lemma = SOURCES["small-exponent lemma"]
+    e = ExponentPair(2.0, 2.0)
+    assert _lemma_values([2, 1], 3, e) == pytest.approx(
+        [2 * math.exp(1.5) * math.sqrt(3), math.e], rel=1e-14)
+    # the one-degree evaluations are the grid's entries: one powering serves all
+    grid = [1, 2, 5, 9]
+    assert lemma.log_bounds(grid, 7, ExponentPair(2.0, 4 / 3)) == [
+        lemma.log_bounds([m], 7, ExponentPair(2.0, 4 / 3))[0] for m in grid]
 
 
 def test_lempoly_rhs():
@@ -245,7 +270,7 @@ def test_coefficient_chi_upper():
     # does not apply or is larger
     for (m, n, e), value in [((2, 5, ExponentPair(math.inf, 2.0)), 15.0),
                              ((2, 2, ExponentPair(2.0, 2.0)), 6.0)]:
-        log_value, src = log_chi_upper(m, n, e)
+        [(log_value, src)] = log_chi_uppers([m], n, e)
         assert src == "coefficient bound"
         assert math.exp(log_value) == pytest.approx(value)
 
@@ -258,13 +283,14 @@ def test_linear_case_dominated():
                        (1.0, math.inf), (math.inf, 1.0)]:
             e = ExponentPair(p, q)
             exact = max(1.0, n ** (inv(e.q_conj) - inv(e.p_conj)))
-            log_value, src = log_chi_upper(1, n, e)
+            [(log_value, src)] = log_chi_uppers([1], n, e)
             assert src == LINEAR_SOURCE
             assert math.exp(log_value) == pytest.approx(exact, rel=1e-14)
             assert chi_linear(n, e) == pytest.approx(exact, rel=1e-14)
             assert lambda_card(1, n) * n ** inv(p) >= exact
             if q <= p <= 2:
-                assert chi_upper_small_pq(1, n, e) >= exact - 1e-12
+                [(lemma, _)] = SOURCES["small-exponent lemma"].log_bounds([1], n, e)
+                assert math.exp(lemma) >= exact - 1e-12
 
 
 def _chi_linear_digits(n, p, q):
@@ -286,7 +312,7 @@ def test_linear_ends_hold_the_true_value(p, q, n):
     e = ExponentPair(p, q)
     true = _chi_linear_digits(n, p, q)
     cb = k_m_bracket(1, n, e, sign_budget=0)
-    chi_lo, chi_up = chi_linear(n, e), math.exp(log_chi_upper(1, n, e)[0])
+    chi_lo, chi_up = chi_linear(n, e), chi_upper_ends(log_chi_uppers([1], n, e)[0][0], 1)[0]
     assert Decimal(chi_lo) <= true <= Decimal(chi_up)
     assert Decimal(cb.lower.value) <= 1 / true <= Decimal(cb.upper.value)
     assert Decimal(k_bracket(n, e, 1, sign_budget=0).lower.value) <= (1 / true) / 3
@@ -300,7 +326,7 @@ def test_linear_value_past_the_float_range():
     assert chi_linear(10**400, ExponentPair(2.0, 2.0)) == 1.0
     assert chi_linear(10**400, e) == math.inf
     assert chi_linear(10**400, ExponentPair(1.0, 1.01)) == pytest.approx(10 ** (400 / 101))
-    log_value, src = log_chi_upper(1, 10**400, e)
+    [(log_value, src)] = log_chi_uppers([1], 10**400, e)
     assert log_value == pytest.approx(400 * math.log(10), rel=1e-15) and src == LINEAR_SOURCE
 
 
@@ -361,11 +387,91 @@ def test_rate_values_and_monotone():
         assert all(vals[i + 1] <= vals[i] for i in range(3))
 
 
-def test_transfer_lower():
-    e = ExponentPair(1.0, 2.0)
-    assert transfer_lower_pq(16, e, 0.3) == pytest.approx(0.025)
-    same = ExponentPair(2.0, 2.0)
-    assert transfer_lower_pq(7, same, 0.2) == pytest.approx(0.2 / 3)
-    assert transfer_lower_pq(1, ExponentPair(1.0, 3.0), 0.2) == pytest.approx(0.2 / 3)
-    with pytest.raises(ValueError):
-        transfer_lower_pq(4, ExponentPair(3.0, 2.0), 0.1)
+# --- closed-form ends against their 50-digit values ---------------------------
+
+
+def _dec(x: Fraction) -> Decimal:
+    return Decimal(x.numerator) / x.denominator
+
+
+@functools.cache
+def _ln_factorial(k: int) -> Decimal:
+    return sum((Decimal(j).ln() for j in range(2, k + 1)), Decimal(0))
+
+
+@functools.cache
+def _exact_log_j_sum(k: int, n: int, beta: Fraction) -> Decimal:
+    # over the partition shapes of the exponents, as in
+    # test_j_sum_matches_partition_shape_sum; call in a 50-digit context
+    b = _dec(beta)
+    return sum((s.arrangements * (-b * (_ln_factorial(k) - sum(map(_ln_factorial, s.parts)))).exp()
+                for s in partition_shapes(k, n)), Decimal(0)).ln()
+
+
+def _exact_log_chi_upper(m, n, p, q) -> Decimal:
+    """ln of the least closed-form chi upper bound that holds at the float
+    exponents (as exact fractions); call in a 50-digit context."""
+    inv_p, inv_q = (Fraction(0) if r == math.inf else 1 / Fraction(r) for r in (p, q))
+    ln_n = Decimal(n).ln()
+    ends = [Decimal(math.comb(n + m - 1, m)).ln() + _dec(m * inv_p) * ln_n]  # coefficient bound
+    if m == 1:
+        ends.append(_dec(max(Fraction(0), inv_p - inv_q)) * ln_n)
+    if q <= p <= 2:
+        lemma = Decimal(m).ln() + 1 + _dec((m - 1) * inv_p)
+        if q > 1:
+            inv_qc = 1 - inv_q
+            lemma += _dec(inv_qc) * _exact_log_j_sum(m - 1, n, (inv_q - inv_p) / inv_qc)
+        ends.append(lemma)
+    return min(ends)
+
+
+PAIRS_50 = [(math.inf, 4 / 3), (4.0, 4.0), (3.0, 2.0), (2.0, 2.0), (2.0, 4 / 3), (1.5, 1.25),
+            (1.5, 1.0), (4 / 3, 2.0)]
+
+
+@pytest.mark.parametrize("p, q", PAIRS_50)
+def test_closed_form_chi_ends_hold_their_exact_value(p, q):
+    # every chi upper end and K_m lower end made from a closed form sits on
+    # its side of the 50-digit value: m <= 4 up to n = 1000, and the lemma's
+    # cells with m <= 6 at n <= 16
+    e = ExponentPair(p, q)
+    cells = [(range(1, 5), n) for n in range(1, 1001, 7)] + [(range(1, 7), n) for n in range(2, 17)]
+    with localcontext(prec=50):
+        for ms, n in cells:
+            for m, (log_up, _) in zip(ms, log_chi_uppers(list(ms), n, e)):
+                exact = _exact_log_chi_upper(m, n, p, q)
+                chi_up, k_m_low = chi_upper_ends(log_up, m)
+                assert Decimal(log_up) >= exact and Decimal(chi_up) >= exact.exp(), (m, n)
+                assert Decimal(k_m_low) <= (-exact / m).exp(), (m, n)
+
+
+@pytest.mark.parametrize("p, q", PAIRS_50)
+@pytest.mark.parametrize("n", [64, 1039, 2**40])
+def test_k_lower_ends_hold_their_exact_value(p, q, n):
+    e = ExponentPair(p, q)
+    with localcontext(prec=50):
+        for M in (1, 2, 3):
+            br = k_bracket(n, e, M, sign_budget=0)
+            grid = ast.literal_eval(br.lower.source.removeprefix("chi-upper roots over m grid "))
+            roots = {m: _exact_log_chi_upper(m, n, p, q) / m for m in grid}
+            assert Decimal(br.lower.value) <= (-max(roots.values())).exp() / 3, M
+            for m in range(1, M + 1):
+                assert Decimal(k_m_bracket(m, n, e, sign_budget=0).lower.value) <= (-roots[m]).exp()
+
+
+def test_sweep_upper_ends_hold_their_exact_value(tmp_path):
+    # the chi upper ends sweep prints; |Lambda(3, 4)| = 20 is printed >= 20
+    for p, q in [("inf", "4/3"), ("2", "4/3"), ("3/2", "5/4"), ("3", "2")]:
+        out = tmp_path / "sweep.csv"
+        assert run(["sweep", "--m-grid", "1,2,3,4,5", "--n-grid", "2,3,4,16", "--p", p, "--q", q,
+                    "--budget", "0", "--restarts", "1", "--iters", "1", "--out", str(out)]) == 0
+        header, *rows = list(csv.reader(out.read_text().splitlines()[1:]))
+        col = {h: i for i, h in enumerate(header)}
+        with localcontext(prec=50):
+            for r in rows:
+                m, n = int(r[col["m"]]), int(r[col["n"]])
+                exact = _exact_log_chi_upper(m, n, parse_exponent(p), parse_exponent(q))
+                assert Decimal(r[col["upper"]]) >= exact.exp(), r
+                if (p, m, n) == ("inf", 3, 4):
+                    assert float(r[col["upper"]]) >= 20
+                    assert r[col["upper_src"]] == "coefficient bound"

@@ -254,6 +254,29 @@ def test_closed_forms_answer_or_fail_fast(kind, m, n, p, q):
         assert "ln j_sum = " in err.getvalue()
     if kind == "bayart" and code == 2:
         assert "ln bayart_bound = " in err.getvalue()
+    if kind == "chiupper" and code == 2:
+        assert "ln chi_upper = " in err.getvalue()
+
+
+@settings(max_examples=25, deadline=None)
+@given(m=st.integers(1, 300), n=st.integers(1, 10**5), p=EXPONENTS, q=EXPONENTS)
+def test_bound_chiupper_is_the_bracket_upper_end(m, n, p, q):
+    # the same value and source as the upper end witness bracket prints, for
+    # every (p, q); past the float range the bracket prints null and bound
+    # chiupper exits 2 naming the log
+    out, err, bracket_out = io.StringIO(), io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["bound", "chiupper", "--m", str(m), "--n", str(n), "--p", p, "--q", q])
+    with contextlib.redirect_stdout(bracket_out):
+        assert run(["witness", "bracket", "--m", str(m), "--n", str(n), "--p", p, "--q", q,
+                    "--budget", "0", "--restarts", "1", "--iters", "1"]) == 0
+    bracket = _strict_json(bracket_out.getvalue())["result"]
+    if code == 2:
+        assert bracket["upper"] is None and "ln chi_upper = " in err.getvalue()
+    else:
+        assert code == 0
+        bound = json.loads(out.getvalue())["result"]  # p or q = inf is written Infinity
+        assert (bound["value"], bound["provenance"]) == (bracket["upper"], bracket["upper_src"])
 
 
 def test_witness_bracket(capsys):
@@ -360,7 +383,9 @@ def test_huge_dimensions_answer(capsys):
     code, out = capture(capsys, ["bohr", "bracket", "--n", huge, "--p", "inf", "--q", "inf",
                                  "--mmax", "1", "--budget", "0"])
     assert code == 0
-    assert _strict_json(out)["result"]["lower"] == 0.0
+    # (1/3) |Lambda(2, n)|^(-1/2), subnormal but no longer rounded to 0
+    assert _strict_json(out)["result"]["lower"] == pytest.approx(math.sqrt(2) / 3 * 1e-309,
+                                                                 rel=1e-12)
     # a dimension below 1 is named as given, not through the m-grid
     assert run(["bohr", "table", "--n-grid", "0"]) == 2
     assert capsys.readouterr().err == "error: need n >= 1, got 0\n"

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bohrlab.bounds import LINEAR_SOURCE, ExponentPair, chi_upper_small_pq
+from bohrlab.bounds import LINEAR_SOURCE, ExponentPair, chi_upper_ends, log_chi_uppers
 from bohrlab.multiindex import enumerate_lambda, multiplicity
 from bohrlab.optimize import NormEstimate, OptConfig, lp_norm, sup_norm
 from bohrlab import polynomial, witness
@@ -253,7 +253,7 @@ def test_brute_chi_below_closed_form_upper():
     e = ExponentPair(2.0, 1.5)
     bc = brute_chi(2, 2, e, seed=0, cfg=CFG)
     assert bc.deflated <= bc.raw
-    assert bc.raw <= chi_upper_small_pq(2, 2, e) * 1.01
+    assert bc.raw <= chi_upper_ends(log_chi_uppers([2], 2, e)[0][0], 2)[0] * 1.01
 
 
 def test_brute_chi_validation():
