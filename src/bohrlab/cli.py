@@ -53,9 +53,10 @@ def fnum(x: float) -> str:
     return f"{x:.17g}"
 
 
-def jnum(x: float) -> float | None:
-    """x for a JSON artifact: JSON has no inf or NaN, so a non-finite x is null."""
-    return x if math.isfinite(x) else None
+def jnum(x: float | None) -> float | None:
+    """x for a JSON artifact: JSON has no inf or NaN, so a non-finite x is null
+    (as is None)."""
+    return x if x is not None and math.isfinite(x) else None
 
 
 def default_seed() -> int:
@@ -164,13 +165,14 @@ def cmd_norm(ns) -> int:
 def _bound_row(ns, value: float, regime: str = "", flags: tuple = (),
                prov: str = "closed-form"):
     """The artifact payload of one bound value.  An input the kind does not
-    take (or a --q left out of jsum) is null, an empty cell in CSV."""
+    take (or a --q left out of jsum) is null, an empty cell in CSV; in JSON
+    an infinite p, q or value is null too."""
     m, n, p, q = (getattr(ns, k, None) for k in "mnpq")
     if ns.format == "csv":
         cells = ["" if v is None else str(v) for v in (m, n, p, q)]
         return (["m", "n", "p", "q", "value", "regime", "flags", "provenance"],
                 [cells + [fnum(value), regime, "+".join(flags), prov]])
-    return {"m": m, "n": n, "p": p, "q": q, "value": value,
+    return {"m": m, "n": n, "p": jnum(p), "q": jnum(q), "value": jnum(value),
             "regime": regime, "flags": list(flags), "provenance": prov}
 
 

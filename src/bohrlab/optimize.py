@@ -148,13 +148,19 @@ def _ascend(fg: Callable, retract: Callable | None, X0: np.ndarray,
     The Armijo test asks for a gain of 1e-4 g.(x_try - x) along the
     displacement that the retraction left.
 
-    An iteration tries the step t = 1, then halves it up to BACKTRACKS - 1
-    times, and accepts the first step that passes the Armijo test; an
-    accepted step sets t back to 1.  A start ends after 4 stalled steps
-    (gain below TOL), after a failed iteration with t < 1e-14, when its
-    step promises a gain g.D below TOL (near a maximum its observed gains
-    are rounding noise), or after cfg.iters iterations.  Values and gains
-    are logarithms, so a polynomial scaled by c > 0 takes the same path.
+    An iteration tries its opening step t, then halves it up to
+    BACKTRACKS - 1 times, and accepts the first step that passes the Armijo
+    test.  A start with a BFGS matrix opens every iteration at t = 1, the
+    quasi-Newton step's natural length; a start without one (steepest
+    ascent, whose step has no natural length) opens at min(1, 2 t_acc),
+    t_acc its last accepted step (Nocedal & Wright, Numerical Optimization,
+    section 3.5), and its first iteration at t = 1.  So t never exceeds 1,
+    and with a retraction no try moves farther than STEP_CAP.  A start ends
+    after 4 stalled steps (gain below TOL), after a failed iteration with
+    t < 1e-14, when its step promises a gain g.D below TOL (near a maximum
+    its observed gains are rounding noise), or after cfg.iters iterations.
+    Values and gains are logarithms, so a polynomial scaled by c > 0 takes
+    the same path.
 
     Each live start keeps its own step state, and each turn puts every
     live start's next tries into one shared fg call: its step t, or, after
@@ -224,6 +230,8 @@ def _ascend(fg: Callable, retract: Callable | None, X0: np.ndarray,
             hit = pos < ends
             c = np.where(hit, pos, ends - 1)
         fz, gz, xz, sz = fc[c], gc[c], cand[c], sc[c]
+        # the step an accepting start opens its next iteration at
+        reopen = np.ones(S) if H is not None else np.minimum(2.0 * steps[c], 1.0)
         if np.count_nonzero(hit) == S:  # every start accepts: its candidate becomes its point
             stalled = np.where(fz - f < TOL, stalled + 1, 0)
             if H is not None:
@@ -231,7 +239,7 @@ def _ascend(fg: Callable, retract: Callable | None, X0: np.ndarray,
             D, gain = _direction(H, gz, cap)
             X, f, G = xz, fz, gz
             iters += 1
-            t = np.ones(S)
+            t = reopen
             if searching:
                 tries[:], searching = 0, False
         else:  # a start that accepts moves; one that does not halves its step
@@ -243,7 +251,7 @@ def _ascend(fg: Callable, retract: Callable | None, X0: np.ndarray,
             Dz, gz_gain = _direction(H, gz, cap)
             D, gain = np.where(h, Dz, D), np.where(hit, gz_gain, gain)
             X, f, G = np.where(h, xz, X), fz, np.where(h, gz, G)
-            t = np.where(hit, 1.0, steps[c] * 0.5)
+            t = np.where(hit, reopen, steps[c] * 0.5)
             tries = np.where(hit, 0, tries + (1 if L is None else L))
             failed = tries >= BACKTRACKS
             stalled[failed & (t < 1e-14)] = 4

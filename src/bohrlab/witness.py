@@ -248,6 +248,18 @@ def chi_lower_flat(m: int, n: int, q: float, norm_p: float) -> float:
     return n ** power / norm_p if power * math.log(n) < 700 else value  # rounds as before
 
 
+def _monomial_ratios(A: np.ndarray, e: ExponentPair) -> np.ndarray:
+    """The exact ratio (majorant sup on the l_q ball) / (sup-norm on the l_p
+    ball) of each monomial z^alpha, alpha a row of A of degree m: both sups
+    are attained where |z_i|^r = alpha_i / m (r = q, then p), so the ratio
+    is prod_i (alpha_i / m)^(alpha_i (1/q - 1/p)), with 0^0 = 1.  It is 1
+    in one variable, at most 1 for q <= p and at least 1 for q >= p: 4 at
+    alpha = (1, 1), (p, q) = (1, inf)."""
+    m = np.maximum(A.sum(axis=1, keepdims=True), 1)
+    logs = np.log(np.where(A > 0, A / m, 1.0))
+    return np.exp((inv(e.q) - inv(e.p)) * (A * logs).sum(axis=1))
+
+
 class BruteChi(NamedTuple):
     """Best majorant/sup ratio found (raw) and its slack-deflated version
     accounting for possible underestimation of the denominator."""
@@ -272,8 +284,12 @@ def brute_chi(
     Ensembles: standard complex Gaussian, Rademacher-times-multiplicity, the
     flat (all-ones and all-multiplicities) probes, and single-monomial probes.
     Draws are pre-scored on seeded random point sets; the leaders are
-    re-scored together with the full optimizer (cfg).  index_set is
-    Lambda(m, n) as _index_set compiles it, compiled here when not given.
+    re-scored together with the full optimizer (cfg).  The single-monomial
+    probes take their exact ratios (_monomial_ratios) and never reach the
+    optimizer: it re-scores the flat probes, the other cheap leaders and
+    the locally ascended lead (unless that is still a monomial probe).
+    index_set is Lambda(m, n) as _index_set compiles it, compiled here when
+    not given.
     """
     cfg = cfg or SEARCH_OPT
     T = lambda_card(m, n)
@@ -316,11 +332,15 @@ def brute_chi(
             sigma *= 0.97
 
     order = np.argsort(est)[::-1]
-    refine = list(order[:TOP_K]) + list(range(n_probes))
-    candidates = [C[i] for i in dict.fromkeys(refine)] + [lead]
-    rows = np.array(list({c.tobytes(): c for c in candidates}.values()))
+    refine = [i for i in order[:TOP_K] if not 2 <= i < n_probes] + [0, 1]
+    candidates = {C[i].tobytes(): C[i] for i in dict.fromkeys(refine)}
+    candidates.setdefault(lead.tobytes(), lead)
+    for row in C[2:n_probes]:  # the single-monomial probes, scored exactly below
+        candidates.pop(row.tobytes(), None)
+    rows = np.array(list(candidates.values()))
     nums, dens = majorant_sups(A, rows, e.q, cfg, table), sup_norms(A, rows, e.p, cfg, table)
-    best = max([a.value / b.value for a, b in zip(nums, dens) if b.value > 0], default=0.0)
+    best = max([a.value / b.value for a, b in zip(nums, dens) if b.value > 0]
+               + _monomial_ratios(A, e).tolist())
     return BruteChi(best, best / SLACK)
 
 

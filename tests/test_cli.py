@@ -275,7 +275,7 @@ def test_bound_chiupper_is_the_bracket_upper_end(m, n, p, q):
         assert bracket["upper"] is None and "ln chi_upper = " in err.getvalue()
     else:
         assert code == 0
-        bound = json.loads(out.getvalue())["result"]  # p or q = inf is written Infinity
+        bound = _strict_json(out.getvalue())["result"]
         assert (bound["value"], bound["provenance"]) == (bracket["upper"], bracket["upper_src"])
 
 
@@ -307,6 +307,26 @@ def test_witness_bracket(capsys):
                                  "--iters", "1"])
     assert code == 0
     assert _strict_json(out)["result"]["lower"] == 1.0
+
+
+BOUND_FLAGS = {"jsum": "mnpq", "chiupper": "mnpq", "rate": "npq", "bayart": "mnp", "region": "pq"}
+
+
+@pytest.mark.parametrize("p, q", [("inf", "2"), ("4/3", "inf"), ("inf", "inf")])
+@pytest.mark.parametrize("kind", sorted(BOUND_FLAGS))
+def test_bound_json_is_strict_at_infinite_exponents(capsys, kind, p, q):
+    # JSON has no Infinity token: an infinite p or q is written null (bound
+    # envelope takes 1 < q <= p <= 2 only, so no infinite exponent)
+    given, flags = {"m": "3", "n": "4", "p": p, "q": q}, BOUND_FLAGS[kind]
+    fmt = [] if kind == "region" else ["--format", "json"]
+    code, out = capture(capsys, ["bound", kind, *fmt,
+                                 *(arg for k in flags for arg in (f"--{k}", given[k]))])
+    assert code == 0
+    doc = _strict_json(out)["result"]
+    if kind != "region":
+        for k in "pq":
+            want = parse_exponent(given[k]) if k in flags else None
+            assert doc[k] == (None if want == math.inf else want)
 
 
 def _strict_json(text: str):

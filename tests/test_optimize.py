@@ -227,9 +227,10 @@ def _ascend_reference(fval, fgrad, retract, X0, cfg, own=None):
     is evaluated.  H starts as the identity and is updated by
     optimize._bfgs after each accepted step; it stays the identity unless
     d <= 2 cfg.iters and the R matrices fit in BATCH_ENTRIES entries.  t
-    starts at 1 and returns to 1 after an accepted step, a gain counts as a
-    difference, and a start whose step promises G . D < TOL, before an
-    iteration or after the last, has converged."""
+    starts at 1; after an accepted step t it is 1 again where H is kept,
+    else min(1, 2 t).  A gain counts as a difference, and a start whose
+    step promises G . D < TOL, before an iteration or after the last, has
+    converged."""
     X = X0.copy() if retract is None else retract(X0)
     f = fval(X, own)
     R, d = X.shape
@@ -271,7 +272,7 @@ def _ascend_reference(fval, fgrad, retract, X0, cfg, own=None):
             stalled[good] = np.where(gain < optimize.TOL, stalled[good] + 1, 0)
             f[good] = fc[ok]
             accepted[good] = True
-            t[good] = 1.0
+            t[good] = 1.0 if kept else np.minimum(2.0 * t[good], 1.0)
             t[bad] *= 0.5
         stalled[~accepted & (t < 1e-14)] = 4
     promise()
@@ -352,8 +353,9 @@ def test_ascend_matches_reference_without_bfgs_matrices(monkeypatch):
     # cannot pay for them) or past BATCH_ENTRIES entries (BATCH_ENTRIES =
     # 1000 splits the 32 torus starts of a linear form in 12 variables into
     # ascents of 10, whose 10 x 12 x 12 entries do not fit); it then steps
-    # along its gradient, t back to 1 after each move, and the reference
-    # keeps its H as the identity by the same rules
+    # along its gradient, opening each iteration at twice its last accepted
+    # step (at most 1), and the reference keeps its H as the identity by the
+    # same rules
     rng = np.random.default_rng(12)
     A = np.array(list(enumerate_lambda(3, 3)))
     C = rng.standard_normal((2, len(A))) + 1j * rng.standard_normal((2, len(A)))
@@ -495,6 +497,61 @@ def test_ascend_evaluates_once_per_iteration(iters):
     own = np.arange(3)
     done = _ascend(_spied(fg, calls), lambda X: X + 0.0, Z0, OptConfig(iters=iters), own)[2]
     assert calls == [[0, 1, 2]] * (iters + 1) and not done.any()
+
+
+def _step_log(monkeypatch, iters):
+    """The step each iteration of one start opens at, and the step it
+    accepts, climbing f = -5 |x|^2 / 2 in d = 12 from |x| = 1/10: along the
+    gradient (H the identity) the steps 1 and 1/2 fail the Armijo test and
+    1/4 passes.  Every turn makes one fg call and then one _direction call;
+    a try's step is read off its displacement along the direction in use,
+    and the Armijo test tells which try a turn accepts."""
+    events = []
+
+    def fg(X, own):
+        f, g = -2.5 * np.vecdot(X, X), -5.0 * X
+        events.append((X.copy(), f.copy(), g.copy()))  # _ascend writes into these arrays
+        return f, g
+
+    direction = optimize._direction
+
+    def spy(H, G, cap):
+        D, gain = direction(H, G, cap)
+        events.append(D.copy())
+        return D, gain
+
+    monkeypatch.setattr(optimize, "_direction", spy)
+    _ascend(fg, lambda X: X + 0.0, np.full((1, 12), 0.1 / math.sqrt(12)), OptConfig(iters=iters))
+    (x, f, g), D = events[:2]
+    opened, accepted, opening = [], [], True
+    for (cand, fc, gc), Dz in zip(events[2::2], events[3::2]):
+        steps = np.vecdot(cand - x, D) / np.vecdot(D, D)
+        if opening:
+            opened.append(float(steps[0]))
+        ok = np.flatnonzero(fc >= f + 1e-4 * np.maximum(np.vecdot(g, cand - x), 0.0))
+        opening = ok.size > 0
+        if opening:
+            i = ok[0]
+            accepted.append(float(steps[i]))
+            x, f, g, D = cand[i:i + 1], fc[i], gc[i:i + 1], Dz
+    return opened, accepted
+
+
+def test_ascend_step_memory_without_bfgs_matrices(monkeypatch):
+    # d = 12 > 2 cfg.iters: no BFGS matrix, so an iteration opens at twice
+    # the step its predecessor accepted, at most 1
+    opened, accepted = _step_log(monkeypatch, 5)
+    assert accepted == pytest.approx([0.25] * 5, rel=1e-9)
+    assert opened[0] == pytest.approx(1.0, rel=1e-9)
+    assert opened[1:] == pytest.approx([min(1.0, 2 * t) for t in accepted[:-1]], rel=1e-9)
+
+
+def test_ascend_bfgs_starts_open_at_one(monkeypatch):
+    # d = 12 <= 2 cfg.iters: a quasi-Newton step has natural length 1, so
+    # every iteration opens there (the second one is the Newton step to 0)
+    opened, accepted = _step_log(monkeypatch, 6)
+    assert accepted[0] == pytest.approx(0.25, rel=1e-9)
+    assert len(opened) >= 2 and opened == pytest.approx([1.0] * len(opened), rel=1e-9)
 
 
 def test_torus_gradient_is_the_angle_derivative(monkeypatch):

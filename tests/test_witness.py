@@ -7,7 +7,7 @@ import pytest
 
 from bohrlab.bounds import LINEAR_SOURCE, ExponentPair, chi_upper_ends, log_chi_uppers
 from bohrlab.multiindex import enumerate_lambda, multiplicity
-from bohrlab.optimize import NormEstimate, OptConfig, lp_norm, sup_norm
+from bohrlab.optimize import NormEstimate, OptConfig, lp_norm, majorant_sups, sup_norm, sup_norms
 from bohrlab import polynomial, witness
 from bohrlab.polynomial import HomPoly, sign_polynomial
 from bohrlab.witness import (
@@ -254,6 +254,47 @@ def test_brute_chi_below_closed_form_upper():
     bc = brute_chi(2, 2, e, seed=0, cfg=CFG)
     assert bc.deflated <= bc.raw
     assert bc.raw <= chi_upper_ends(log_chi_uppers([2], 2, e)[0][0], 2)[0] * 1.01
+
+
+@pytest.mark.parametrize("m, n", [(2, 3), (3, 2), (2, 4), (4, 4)])
+@pytest.mark.parametrize("p, q", [(4 / 3, 4.0), (1.0, math.inf), (2.0, 1.5), (math.inf, 4 / 3),
+                                  (1.0, 2.0)])
+def test_monomial_ratios_match_the_optimizer(m, n, p, q):
+    # each single-monomial probe's ratio, in closed form, is the estimators'
+    # ratio on the rows of the identity
+    A = witness._index_set(m, n).A
+    rows, cfg = np.eye(len(A)), OptConfig(4, 5)
+    want = [a.value / b.value
+            for a, b in zip(majorant_sups(A, rows, q, cfg), sup_norms(A, rows, p, cfg))]
+    assert np.allclose(witness._monomial_ratios(A, ExponentPair(p, q)), want, rtol=1e-9, atol=0)
+
+
+def test_monomial_ratios_closed_form():
+    # prod_i (alpha_i / m)^(alpha_i (1/q - 1/p)): 1 in one variable, 4 at
+    # alpha = (1, 1), (p, q) = (1, inf)
+    A = np.array([[2, 0], [1, 1], [0, 2]])
+    assert witness._monomial_ratios(A, ExponentPair(1.0, math.inf)).tolist() == [1.0, 4.0, 1.0]
+    assert witness._monomial_ratios(np.array([[5]]), ExponentPair(1.0, math.inf)).tolist() == [1.0]
+    assert witness._monomial_ratios(np.array([[0, 0]]), ExponentPair(2.0, 4.0)).tolist() == [1.0]
+
+
+def test_brute_chi_sends_no_monomial_probe_to_the_optimizer(monkeypatch):
+    sent = []
+
+    def counted(f):
+        def run(A, C, *args):
+            sent.append(C)
+            return f(A, C, *args)
+        return run
+
+    monkeypatch.setattr(witness, "majorant_sups", counted(majorant_sups))
+    monkeypatch.setattr(witness, "sup_norms", counted(sup_norms))
+    for m, n, e in ((2, 2, ExponentPair(1.0, math.inf)), (2, 4, ExponentPair(2.0, 1.5)),
+                    (3, 3, ExponentPair(4 / 3, 4.0))):
+        sent.clear()
+        bc = brute_chi(m, n, e, seed=0, cfg=CFG)
+        assert len(sent) == 2 and all((np.count_nonzero(C, axis=1) > 1).all() for C in sent)
+        assert bc.raw >= witness._monomial_ratios(witness._index_set(m, n).A, e).max()
 
 
 def test_brute_chi_validation():
