@@ -8,7 +8,6 @@ from .bohr import (
     bohr_1d_bracket,
     k_bracket,
     k_m_bracket,
-    k_table,
     random_series,
     wiener_check,
 )
@@ -41,7 +40,6 @@ from .optimize import (
     bohr_sum,
     majorant_sup,
     series_sup,
-    split_factorize,
     sup_norm,
 )
 from .polynomial import (

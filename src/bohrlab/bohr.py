@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import ExponentPair, chi_upper_ends, log_chi_uppers, rate, region_classify
+from .bounds import ExponentPair, chi_upper_ends, log_chi_uppers
 from .errors import BudgetExceededError
 from .multiindex import enumerate_lambda, lambda_card
 from .optimize import OptConfig, bohr_sum, series_part_sups, series_sup
@@ -71,27 +71,6 @@ def k_bracket(n: int, e: ExponentPair, M_max: int,
         if km_upper.value < upper.value:
             upper = replace(km_upper, source=f"K_{m} upper ({km_upper.source})")
     return BoundBracket(lower, upper, f"all m <= {M_max}")
-
-
-def k_table(n_grid, e: ExponentPair, M_max: int,
-            cfg: OptConfig | None = None, **chi_kw) -> list[dict]:
-    """Sweep rows (n, lower, upper, region, rate(n), provenance) for a grid of
-    dimensions.  The provenance is "estimate-based" when either endpoint is
-    an estimate, else "closed-form"; the rate is None for n < 2."""
-    rep = region_classify(e.p, e.q)
-    rows = []
-    for n in n_grid:
-        br = k_bracket(n, e, M_max, cfg, **chi_kw)
-        rows.append({
-            "n": n,
-            "lower": br.lower.value,
-            "upper": br.upper.value,
-            "region": rep.tag,
-            "rate": rate(e.p, e.q, n) if n >= 2 else None,
-            "provenance": ("estimate-based" if br.lower.estimate or br.upper.estimate
-                           else "closed-form"),
-        })
-    return rows
 
 
 def _moebius_violation(r: float, M: int) -> bool:

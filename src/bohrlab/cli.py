@@ -22,6 +22,7 @@ import os
 import sys
 import time
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,16 +50,6 @@ def parse_grid(s: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad integer grid {s!r}") from exc
 
 
-def fnum(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def jnum(x: float | None) -> float | None:
-    """x for a JSON artifact: JSON has no inf or NaN, so a non-finite x is null
-    (as is None)."""
-    return x if x is not None and math.isfinite(x) else None
-
-
 def default_seed() -> int:
     return int(os.environ.get("BOHRLAB_SEED", "0"))
 
@@ -67,23 +58,56 @@ def config_line(ns: argparse.Namespace) -> dict:
     return {k: str(v) for k, v in sorted(vars(ns).items()) if k not in ("func", "out")}
 
 
+class Table(NamedTuple):
+    """An artifact of typed rows under header: a CSV table, or in JSON one
+    record per row (one object, not a list, when one is set)."""
+    header: tuple[str, ...]
+    rows: list[list]
+    one: bool = False
+
+
+def _cell(v) -> str:
+    """A CSV cell: None is empty, a float has 17 significant digits and a
+    list (or tuple) is joined by ";"."""
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return f"{v:.17g}"
+    if isinstance(v, (list, tuple)):
+        return ";".join(map(str, v))
+    return str(v)
+
+
 def emit(ns: argparse.Namespace, payload) -> None:
     """Write the artifact (config header included) to --out or stdout, as it
-    is encoded: no copy of the whole text is held in memory.  CSV rows go
+    is encoded: no copy of the whole text is held in memory.  The only code
+    that reads --format: a Table is written as CSV or as JSON records (a
+    non-finite float null), any other payload as JSON.  CSV rows go
     through csv.writer with minimal quoting, so a field holding a comma
     (a source such as "brute oracle (estimate-based, slack-deflated)")
     stays one field."""
     cfg = config_line(ns)
     with open(ns.out, "w") if ns.out else contextlib.nullcontext(sys.stdout) as fh:
         if ns.format == "json":
+            if isinstance(payload, Table):  # JSON has no inf or NaN
+                records = [{h: None if isinstance(v, float) and not math.isfinite(v) else v
+                            for h, v in zip(payload.header, row)} for row in payload.rows]
+                payload = records[0] if payload.one else records
             json.dump({"config": cfg, "result": payload}, fh, sort_keys=True, indent=2)
             fh.write("\n")
         else:
-            header, rows = payload
             fh.write("# config: " + " ".join(f"{k}={v}" for k, v in cfg.items()) + "\n")
             out = csv.writer(fh, lineterminator="\n")
-            out.writerow(header)
-            out.writerows(rows)
+            out.writerow(payload.header)
+            out.writerows([_cell(v) for v in row] for row in payload.rows)
+
+
+BRACKET = ("lower", "upper", "lower_src", "upper_src")
+
+
+def _ends(br) -> list:
+    """A bracket's cells under BRACKET: both ends' values, then their sources."""
+    return [br.lower.value, br.upper.value, br.lower.source, br.upper.source]
 
 
 def _read_artifact(path: str) -> dict:
@@ -115,13 +139,8 @@ def cmd_enumerate(ns) -> int:
         return str(multiindex.multiplicity(alpha))
 
     # a whole list, not a stream: a budget error must come before any output
-    if ns.format == "csv":
-        emit(ns, (["index", "exponents", "multiplicity"],
-                  [[str(i), ";".join(str(v) for v in item), mult(item)]
-                   for i, item in enumerate(items)]))
-    else:
-        emit(ns, [{"index": i, "exponents": list(item), "multiplicity": mult(item)}
-                  for i, item in enumerate(items)])
+    emit(ns, Table(("index", "exponents", "multiplicity"),
+                   [[i, item, mult(item)] for i, item in enumerate(items)]))
     return 0
 
 
@@ -163,23 +182,19 @@ def cmd_norm(ns) -> int:
 
 
 def _bound_row(ns, value: float, regime: str = "", flags: tuple = (),
-               prov: str = "closed-form"):
-    """The artifact payload of one bound value.  An input the kind does not
-    take (or a --q left out of jsum) is null, an empty cell in CSV; in JSON
-    an infinite p, q or value is null too."""
-    m, n, p, q = (getattr(ns, k, None) for k in "mnpq")
-    if ns.format == "csv":
-        cells = ["" if v is None else str(v) for v in (m, n, p, q)]
-        return (["m", "n", "p", "q", "value", "regime", "flags", "provenance"],
-                [cells + [fnum(value), regime, "+".join(flags), prov]])
-    return {"m": m, "n": n, "p": jnum(p), "q": jnum(q), "value": jnum(value),
-            "regime": regime, "flags": list(flags), "provenance": prov}
+               prov: str = "closed-form") -> Table:
+    """The artifact of one bound value, one object in JSON.  An input the
+    kind does not take (or a --q left out of jsum) is null, an empty cell in
+    CSV."""
+    inputs = [getattr(ns, k, None) for k in "mnpq"]
+    return Table(("m", "n", "p", "q", "value", "regime", "flags", "provenance"),
+                 [inputs + [value, regime, flags, prov]], one=True)
 
 
 def cmd_bound_jsum(ns) -> int:
     e = bounds.ExponentPair(ns.p, ns.q) if ns.q is not None else None
     value = bounds.j_sum(ns.m, ns.n, e, beta=ns.beta_override)
-    emit(ns, _bound_row(ns, value, prov="exact-sum"))
+    emit(ns, _bound_row(ns, value, prov="generating function"))
     return 0
 
 
@@ -237,24 +252,20 @@ def cmd_witness_brute(ns) -> int:
 def cmd_witness_bracket(ns) -> int:
     br = witness.chi_bracket(ns.m, ns.n, bounds.ExponentPair(ns.p, ns.q), _opt_cfg(ns),
                              sign_budget=ns.budget, samples=ns.samples)
-    emit(ns, {"lower": br.lower.value, "lower_src": br.lower.source,
-              "upper": jnum(br.upper.value), "upper_src": br.upper.source,
-              "flags": ["estimate-based"] if br.lower.estimate else []})
+    emit(ns, Table((*BRACKET, "flags"),
+                   [_ends(br) + [["estimate-based"] if br.lower.estimate else []]], one=True))
     return 0
 
 
 def cmd_bohr_bracket(ns) -> int:
     br = bohr_mod.k_bracket(ns.n, bounds.ExponentPair(ns.p, ns.q), ns.mmax, _opt_cfg(ns),
                             sign_budget=ns.budget, samples=ns.samples)
-    emit(ns, {"lower": br.lower.value, "upper": br.upper.value, "m": str(br.m),
-              "lower_src": br.lower.source, "upper_src": br.upper.source})
+    emit(ns, Table((*BRACKET, "m"), [_ends(br) + [br.m]], one=True))
     return 0
 
 
 def cmd_bohr_oned(ns) -> int:
-    br = bohr_mod.bohr_1d_bracket(ns.tol, seed=ns.seed)
-    emit(ns, {"lower": br.lower.value, "upper": br.upper.value,
-              "lower_src": br.lower.source, "upper_src": br.upper.source})
+    emit(ns, Table(BRACKET, [_ends(bohr_mod.bohr_1d_bracket(ns.tol, seed=ns.seed))], one=True))
     return 0
 
 
@@ -271,36 +282,29 @@ def cmd_bohr_wiener(ns) -> int:
 
 
 def cmd_bohr_table(ns) -> int:
-    rows = bohr_mod.k_table(ns.n_grid, bounds.ExponentPair(ns.p, ns.q), ns.mmax, _opt_cfg(ns),
-                            sign_budget=ns.budget, samples=ns.samples)
-    if ns.format == "csv":
-        out = [[str(r["n"]), fnum(r["lower"]), fnum(r["upper"]), r["region"],
-                "" if r["rate"] is None else fnum(r["rate"]), r["provenance"]]
-               for r in rows]
-        emit(ns, (["n", "lower", "upper", "region", "rate", "provenance"], out))
-    else:
-        emit(ns, rows)
+    """One K bracket per n: its ends, the region tag, rate(n) (None for
+    n < 2) and a provenance, "estimate-based" when either end is an
+    estimate, else "closed-form"."""
+    e = bounds.ExponentPair(ns.p, ns.q)
+    cfg, tag = _opt_cfg(ns), bounds.region_classify(ns.p, ns.q).tag
+    rows = []
+    for n in ns.n_grid:
+        br = bohr_mod.k_bracket(n, e, ns.mmax, cfg, sign_budget=ns.budget, samples=ns.samples)
+        rows.append([n, *_ends(br), tag, bounds.rate(ns.p, ns.q, n) if n >= 2 else None,
+                     "estimate-based" if br.lower.estimate or br.upper.estimate
+                     else "closed-form"])
+    emit(ns, Table(("n", *BRACKET, "region", "rate", "provenance"), rows))
     return 0
 
 
 def cmd_sweep(ns) -> int:
-    """One chi bracket per (m, n) cell: a CSV row, or a JSON record whose
-    non-finite numbers (p or q = inf, an upper end past the float range)
-    are null."""
+    """One chi bracket per (m, n) cell."""
     e = bounds.ExponentPair(ns.p, ns.q)
     cfg = _opt_cfg(ns)
-    cells = [(m, n, witness.chi_bracket(m, n, e, cfg, sign_budget=ns.budget, samples=ns.samples))
-             for m in ns.m_grid for n in ns.n_grid]
-    if ns.format == "csv":
-        emit(ns, (["m", "n", "p", "q", "lower", "upper", "lower_src", "upper_src"],
-                  [[str(m), str(n), str(ns.p), str(ns.q), fnum(br.lower.value),
-                    fnum(br.upper.value), br.lower.source, br.upper.source]
-                   for m, n, br in cells]))
-    else:
-        emit(ns, [{"m": m, "n": n, "p": jnum(ns.p), "q": jnum(ns.q),
-                   "lower": br.lower.value, "upper": jnum(br.upper.value),
-                   "lower_src": br.lower.source, "upper_src": br.upper.source}
-                  for m, n, br in cells])
+    rows = [[m, n, ns.p, ns.q, *_ends(witness.chi_bracket(m, n, e, cfg, sign_budget=ns.budget,
+                                                          samples=ns.samples))]
+            for m in ns.m_grid for n in ns.n_grid]
+    emit(ns, Table(("m", "n", "p", "q", *BRACKET), rows))
     return 0
 
 

@@ -614,19 +614,3 @@ def series_part_sups(F: TruncatedSeries, p: float,
     A, c = F.tables()
     deg = A.sum(axis=1)
     return sup_norms(A, np.array([c] + [np.where(deg == P.m, c, 0) for P in F.parts]), p, cfg)
-
-
-def split_factorize(z, p: float) -> tuple[np.ndarray, np.ndarray]:
-    """Entrywise factorization z = y * w with |y_i| = |z_i|^(p/(p+2)) and
-    |w_i| = |z_i|^(2/(p+2)); phases are carried wholly by y.  For p = inf the
-    exponents degenerate to 1 and 0 (w is all ones)."""
-    if p < 2:
-        raise ValueError(f"need p >= 2, got {p}")
-    z = np.asarray(z, dtype=np.complex128)
-    mod = np.abs(z)
-    phase = np.where(mod > 0, z / np.where(mod > 0, mod, 1.0), 1.0)
-    if p == math.inf:
-        return z.copy(), np.ones(len(z))
-    y = phase * mod ** (p / (p + 2.0))
-    w = mod ** (2.0 / (p + 2.0))
-    return y, w

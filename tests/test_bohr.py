@@ -14,7 +14,6 @@ from bohrlab.bohr import (
     bohr_1d_bracket,
     k_bracket,
     k_m_bracket,
-    k_table,
     random_series,
     wiener_check,
 )
@@ -104,14 +103,6 @@ def test_k_below_k_m():
         for m in (1, 2, 3):
             km = k_m_bracket(m, n, e, OPT, **KW)
             assert kb.upper.value <= km.upper.value + 1e-9
-
-
-def test_k_table_shape():
-    rows = k_table([2, 4], ExponentPair(2.0, 2.0), 2, OPT, **KW)
-    assert [r["n"] for r in rows] == [2, 4]
-    for r in rows:
-        assert r["lower"] <= r["upper"]
-        assert r["region"] == "II"
 
 
 def test_bohr_1d_bracket():

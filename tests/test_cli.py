@@ -7,10 +7,12 @@ import io
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,13 @@ from bohrlab.cli import build_parser, config_line, emit, parse_exponent, run
 def capture(capsys, argv):
     code = run(argv)
     return code, capsys.readouterr().out
+
+
+def _csv_records(out: str) -> list[dict]:
+    """A CSV artifact's rows, keyed by the header below its config line."""
+    lines = out.splitlines()
+    assert lines[0].startswith("# config:")
+    return list(csv.DictReader(lines[1:]))
 
 
 def test_parse_exponent():
@@ -39,9 +48,9 @@ def test_enumerate_csv(capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("# config:")
     assert lines[1] == "index,exponents,multiplicity"
-    body = [l.split(",") for l in lines[2:]]
-    assert [b[1] for b in body] == ["2;0", "1;1", "0;2"]
-    assert [b[2] for b in body] == ["1", "2", "1"]
+    body = _csv_records(out)
+    assert [b["exponents"] for b in body] == ["2;0", "1;1", "0;2"]
+    assert [b["multiplicity"] for b in body] == ["1", "2", "1"]
 
 
 def test_enumerate_many_variables(capsys):
@@ -86,6 +95,17 @@ def test_bound_jsum(capsys):
                                  "--p", "2", "--q", "4/3"])
     assert code == 0
     assert json.loads(out)["result"]["value"] == pytest.approx(2.5)
+
+
+def test_bound_jsum_names_the_generating_function(capsys):
+    # the sum is 7 exactly; the generating function's float is an ulp above,
+    # so the label names the route, not an exact value
+    code, out = capture(capsys, ["bound", "jsum", "--m", "3", "--n", "4", "--p", "2",
+                                 "--q", "4/3", "--format", "csv"])
+    assert code == 0
+    [row] = _csv_records(out)
+    assert row["provenance"] == "generating function"
+    assert float(row["value"]) == pytest.approx(7.0, rel=1e-15)
 
 
 def test_norm_roundtrip(tmp_path, capsys):
@@ -210,6 +230,93 @@ def test_no_parser_takes_abbreviations(path, parser):
     assert build_parser().allow_abbrev is False
 
 
+# a minimal command line for every leaf parser; {poly} and {series} are
+# artifacts written by the fixture below
+MINIMAL = {
+    "enumerate": "--m 2 --n 2",
+    "poly moebius": "",
+    "poly random": "--n 1 --M 2",
+    "poly sign": "--m 1 --n 2",
+    "norm": "--poly {poly} --restarts 2 --iters 5",
+    "bound jsum": "--m 2 --n 2 --p 2 --q 2",
+    "bound chiupper": "--m 2 --n 2 --p 2 --q 2",
+    "bound envelope": "--m 2 --n 3 --p 2 --q 3/2",
+    "bound region": "--p 2 --q 2",
+    "bound rate": "--n 4 --p 2 --q 2",
+    "bound bayart": "--m 2 --n 2 --p 2",
+    "witness search": "--m 2 --n 2 --p 2 --budget 20 --restarts 2 --iters 5",
+    "witness brute": "--m 2 --n 2 --p 2 --q 3/2 --restarts 2 --iters 5",
+    "witness bracket": "--m 2 --n 2 --p 2 --q 3/2 --budget 20 --restarts 2 --iters 5",
+    "bohr bracket": "--n 2 --mmax 1 --budget 0",
+    "bohr oned": "--tol 0.01",
+    "bohr wiener": "--series {series} --p 2 --restarts 2 --iters 5",
+    "bohr table": "--n-grid 2 --mmax 1 --budget 0",
+    "sweep": "--m-grid 1 --n-grid 2 --p 2 --q 2 --budget 0",
+    "selftest": "",
+}
+
+
+@pytest.fixture
+def artifacts(tmp_path) -> dict:
+    paths = {"poly": tmp_path / "poly.json", "series": tmp_path / "series.json"}
+    paths["poly"].write_text(json.dumps(_poly_doc()))
+    paths["series"].write_text(json.dumps(_series_doc()))
+    return {k: str(v) for k, v in paths.items()}
+
+
+@pytest.mark.parametrize("path, parser", LEAVES, ids=[path for path, _ in LEAVES])
+def test_every_leaf_runs(capsys, artifacts, path, parser):
+    # exit 0 and an artifact that parses, in each format the kind writes
+    argv = path.split() + MINIMAL[path].format(**artifacts).split()
+    offers_csv = any(a.dest == "format" for a in parser._actions)
+    for fmt in ("csv", "json") if offers_csv else (None,):
+        code, out = capture(capsys, argv + (["--format", fmt] if fmt else []))
+        assert code == 0, (path, fmt)
+        if path == "selftest":
+            assert out.splitlines()[-1].startswith("selftest: all")
+        elif fmt == "csv":
+            header = out.splitlines()[1].split(",")
+            rows = _csv_records(out)
+            assert rows and all(list(r) == header and None not in r.values() for r in rows)
+        else:
+            doc = _strict_json(out)
+            assert doc.keys() == {"config", "result"} and doc["result"] not in ([], {})
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["enumerate", "--set", "lambda_k", "--m", "2", "--n", "2"],
+     "error: --k is required for --set lambda_k\n"),
+    (["norm", "--poly", "{poly}", "--majorant"], "error: --q is required with --majorant\n"),
+    (["sweep", "--m-grid", "1,x", "--p", "2", "--q", "2"],
+     "argument --m-grid: bad integer grid '1,x'"),
+    (["enumerate", "--m", "2", "--n", "2", "--config"],
+     "error: --config needs a file argument\n"),
+])
+def test_usage_errors_exit_2(capsys, artifacts, argv, message):
+    assert run([a.format(**artifacts) for a in argv]) == 2
+    res = capsys.readouterr()
+    assert message in res.err and res.out == ""
+
+
+def _readme_commands() -> list[list[str]]:
+    """The bohrlab lines of the README's command-line block, without the
+    program name."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("bohrlab ")]
+
+
+def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
+    # in order, in one directory: poly.json and series.json feed later lines
+    monkeypatch.chdir(tmp_path)
+    commands = _readme_commands()
+    assert len(commands) == 12
+    for argv in commands:
+        assert run(argv) == 0, argv
+        capsys.readouterr()
+    assert (tmp_path / "out.csv").read_text().startswith("# config:")
+
+
 @pytest.mark.parametrize("argv, code", [
     (["bound", "jsum", "--m", "300", "--n", "1000000", "--p", "2", "--q", "3/2"], 2),
     (["bound", "envelope", "--m", "120", "--n", str(2**40), "--p", "2", "--q", "3/2"], 0),
@@ -300,7 +407,7 @@ def test_witness_bracket(capsys):
     assert _strict_json(out)["result"][0]["rate"] is None
     code, out = capture(capsys, base + ["--format", "csv"])
     assert code == 0
-    assert out.splitlines()[2].split(",")[4] == ""
+    assert _csv_records(out)[0]["rate"] == ""
     # the sign search would leave the float range: the trivial lower end
     code, out = capture(capsys, ["witness", "bracket", "--m", "1100", "--n", "2", "--p", "2",
                                  "--q", "inf", "--budget", "10", "--restarts", "1",
@@ -342,15 +449,16 @@ def test_sweep_json_is_one_record_per_cell(capsys):
             "--budget", "50", "--restarts", "4", "--iters", "20"]
     code, out = capture(capsys, base + ["--format", "csv"])
     assert code == 0
-    header, *rows = csv.reader(out.splitlines()[1:])
+    rows = _csv_records(out)
     code, out = capture(capsys, base + ["--format", "json"])
     assert code == 0
     records = _strict_json(out)["result"]
-    assert [sorted(r) for r in records] == [sorted(header)] * 4
+    assert [sorted(r) for r in records] == [sorted(row) for row in rows]
     for rec, row in zip(records, rows):
-        assert (rec["m"], rec["n"], rec["p"], rec["q"]) == (int(row[0]), int(row[1]), 2.0, None)
-        assert (rec["lower"], rec["upper"]) == (float(row[4]), float(row[5]))
-        assert (rec["lower_src"], rec["upper_src"]) == (row[6], row[7])
+        assert (rec["m"], rec["n"], rec["p"], rec["q"]) == (int(row["m"]), int(row["n"]), 2.0, None)
+        assert (row["p"], row["q"]) == ("2", "inf")  # a float cell has 17 significant digits
+        assert (rec["lower"], rec["upper"]) == (float(row["lower"]), float(row["upper"]))
+        assert (rec["lower_src"], rec["upper_src"]) == (row["lower_src"], row["upper_src"])
     # an upper end past the float range is null too
     code, out = capture(capsys, ["sweep", "--m-grid", "300", "--n-grid", "100000", "--p", "4",
                                  "--q", "4", "--budget", "0", "--format", "json"])
@@ -385,7 +493,7 @@ def test_csv_quotes_fields_holding_commas(capsys):
     header, *rows = csv.reader(lines)
     assert len(header) == 8 and len(rows) == 4
     assert all(len(row) == 8 for row in rows)
-    assert any("," in row[6] for row in rows)
+    assert any("," in src for src in (rec["lower_src"] for rec in _csv_records(out)))
     assert all(line.count('"') in (0, 2) for line in lines)
 
 
@@ -575,9 +683,56 @@ def test_bohr_table_provenance(capsys, argv, provenance):
     base = ["bohr", "table"] + argv
     code, out = capture(capsys, base + ["--format", "csv"])
     assert code == 0
-    lines = out.strip().splitlines()
-    assert lines[1].split(",")[-1] == "provenance"
-    assert lines[2].split(",")[-1] == provenance
+    assert [r["provenance"] for r in _csv_records(out)] == [provenance]
     code, out = capture(capsys, base + ["--format", "json"])
     assert code == 0
     assert [r["provenance"] for r in json.loads(out)["result"]] == [provenance]
+
+
+def test_bohr_table_shape(capsys):
+    # one K bracket per n, each end with its source; the bench splits the
+    # CSV on bare commas, so n, lower and upper come first and the
+    # provenance last
+    base = ["bohr", "table", "--n-grid", "2,4", "--p", "2", "--q", "2", "--mmax", "2",
+            "--budget", "400", "--samples", "1000", "--restarts", "10", "--iters", "100",
+            "--seed", "21"]
+    code, out = capture(capsys, base + ["--format", "json"])
+    assert code == 0
+    records = _strict_json(out)["result"]
+    assert [r["n"] for r in records] == [2, 4]
+    for r in records:
+        assert r["lower"] <= r["upper"]
+        assert r["region"] == "II"
+        assert r["lower_src"].startswith("chi-upper roots over m grid") and r["upper_src"]
+    code, out = capture(capsys, base + ["--format", "csv"])
+    assert code == 0
+    assert out.splitlines()[1] == "n,lower,upper,lower_src,upper_src,region,rate,provenance"
+    rows = _csv_records(out)
+    assert [[r[k] for k in ("lower_src", "upper_src")] for r in rows] == \
+        [[r[k] for k in ("lower_src", "upper_src")] for r in records]
+    for line, r in zip(out.splitlines()[2:], records):
+        cells = line.split(",")
+        assert (int(cells[0]), float(cells[1]), float(cells[2])) == (r["n"], r["lower"], r["upper"])
+        assert cells[-1] == r["provenance"]
+
+
+def _bracket_ends(doc: dict) -> tuple:
+    return tuple(doc[k] for k in ("lower", "upper", "lower_src", "upper_src"))
+
+
+def test_bracket_artifacts_name_both_sources(capsys):
+    # every bracket artifact carries both ends and both sources, the same
+    # ones in a one-cell table as in the single-bracket kind
+    chi = ["--p", "2", "--q", "3/2", "--budget", "50", "--restarts", "4", "--iters", "20"]
+    _, one = capture(capsys, ["witness", "bracket", "--m", "2", "--n", "3", *chi])
+    _, cell = capture(capsys, ["sweep", "--m-grid", "2", "--n-grid", "3", *chi,
+                               "--format", "json"])
+    assert _bracket_ends(_strict_json(one)["result"]) == \
+        _bracket_ends(_strict_json(cell)["result"][0])
+    k = ["--p", "inf", "--q", "inf", "--mmax", "2", "--budget", "0"]
+    _, one = capture(capsys, ["bohr", "bracket", "--n", "64", *k])
+    _, row = capture(capsys, ["bohr", "table", "--n-grid", "64", *k])
+    assert _bracket_ends(_strict_json(one)["result"]) == \
+        _bracket_ends(_strict_json(row)["result"][0])
+    _, oned = capture(capsys, ["bohr", "oned", "--tol", "0.01"])
+    assert all(_bracket_ends(_strict_json(oned)["result"]))

