@@ -419,6 +419,15 @@ class RegionReport:
     log_exponent: float
     flags: tuple[str, ...] = ()
 
+    @property
+    def rate_label(self) -> str:
+        """The rate as text, one string per rate: "1", "sqrt(log n)/sqrt(n)"
+        or log(n)^a/n^b, each exponent to 17 significant digits (it parses
+        back to the float)."""
+        special = {(0.0, 0.0): "1", (0.5, 0.5): "sqrt(log n)/sqrt(n)"}
+        return special.get((self.n_exponent, self.log_exponent),
+                           f"log(n)^{self.log_exponent:.17g}/n^{self.n_exponent:.17g}")
+
 
 def region_classify(p: float, q: float) -> RegionReport:
     """Map (p, q) to its growth region.
@@ -436,7 +445,7 @@ def region_classify(p: float, q: float) -> RegionReport:
             flags = ("I-II-boundary",) if 0.5 + ip == iq else ()
             return RegionReport("I", 0.0, 0.0, flags)
         flags = ("II-III-seam",) if p == 2 else ()
-        return RegionReport("II", 0.5 + ip - iq, 0.5, flags)
+        return RegionReport("II", 0.5 + (ip - iq), 0.5, flags)  # exactly 0.5 at p = q
     flags = () if q <= 2 else ("extrapolated",)
     return RegionReport("III", 1.0 - iq, 1.0 - ip, flags)
 

@@ -214,9 +214,7 @@ def cmd_bound_envelope(ns) -> int:
 
 def cmd_bound_region(ns) -> int:
     rep = bounds.region_classify(ns.p, ns.q)
-    rate_str = {(0.5, 0.5): "sqrt(log n)/sqrt(n)", (0.0, 0.0): "1"}.get(
-        (rep.n_exponent, rep.log_exponent), f"log(n)^{rep.log_exponent:g}/n^{rep.n_exponent:g}")
-    emit(ns, {"region": rep.tag, "rate": rate_str,
+    emit(ns, {"region": rep.tag, "rate": rep.rate_label,
               "flags": list(rep.flags) + ["no-constant"]})
     return 0
 

@@ -120,13 +120,16 @@ class MonomialTable:
         # (entry of alpha - e_i, support row of alpha, i) for alpha_i > 0
         self.lower = entry[last[T:]], rows, cols
 
-    def powers(self, Z: np.ndarray) -> np.ndarray:
-        """z^beta for every point z (row of Z) and every entry beta, shape
-        (R, size).  Zero coordinates are exact: nothing is divided."""
-        M = _columns(Z, self.var)
+    def powers(self, Z: np.ndarray, size: int | None = None) -> np.ndarray:
+        """z^beta for every point z (row of Z) and every entry beta below
+        size (all entries when None), shape (R, size).  An entry's parent
+        comes before it, so the first entries need no later ones.  Zero
+        coordinates are exact: nothing is divided."""
+        M = _columns(Z, self.var[:size])
         M[:, 0] = 1
         step = max(1, GATHER_ENTRIES // max(len(M), 1))
         for lo, hi, par in self.levels:
+            hi = min(hi, M.shape[1])
             for a in range(lo, hi, step):  # the gathered parents stay small
                 b = min(a + step, hi)
                 block = M[:, a:b]  # a view: *= writes into M
@@ -165,7 +168,13 @@ class PolyBatch:
     D[j, k, i] the coefficient of entry rows[k] in dP_j/dz_i.  table is A's
     MonomialTable, compiled here when not given.  The rows of A must be
     distinct (a ValueError otherwise): then each coefficient, and each
-    (entry of alpha - e_i, i), has an entry of its own."""
+    (entry of alpha - e_i, i), has an entry of its own.
+
+    When every row has one degree m >= 1, m is that degree and prefix is
+    the number of table entries of degree < m (the T rows are the last
+    entries); otherwise m is None and prefix is the table size.  cols is
+    rows as a slice when they are one run of entries (every full index
+    set is), so the kernel reads them without a copy."""
 
     def __init__(self, A: np.ndarray, C: np.ndarray, table: MonomialTable | None = None):
         self.A, self.C = A, C
@@ -181,6 +190,12 @@ class PolyBatch:
         self.cf[:, table.support] = C
         self.D = np.zeros((len(C), self.rows.size, table.n), dtype=np.complex128)
         self.D[:, k, var] = C[:, terms] * A[terms, var]
+        deg = np.sum(A, axis=1)
+        self.m = int(deg[0]) if deg.size and deg[0] >= 1 and (deg == deg[0]).all() else None
+        self.prefix = table.size - (len(A) if self.m else 0)
+        rows = self.rows  # ascending, no repeats: one run when it spans its size
+        run = rows.size > 0 and rows[-1] - rows[0] + 1 == rows.size
+        self.cols = slice(int(rows[0]), int(rows[-1]) + 1) if run else rows
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(A, C.T): the coefficients with a trailing polynomial axis."""
@@ -199,10 +214,15 @@ def _runs(own, R: int) -> list[tuple[int, int, int]]:
 
 def _by_owner(M: np.ndarray, c: np.ndarray, runs) -> np.ndarray:
     """Rows first:end of M times c[k] for each run (first, end, k): each
-    polynomial takes one slice of M per run, and one run is one product."""
+    polynomial takes one slice of M per run, and one run is one product.
+    Each run's product goes straight into its rows of one result array,
+    so no run's product is held twice."""
     if len(runs) == 1:
         return M @ c[runs[0][2]]
-    return np.concatenate([M[a:b] @ c[k] for a, b, k in runs])
+    out = np.empty((len(M),) + c.shape[2:], dtype=np.result_type(M, c))
+    for a, b, k in runs:
+        np.matmul(M[a:b], c[k], out=out[a:b])
+    return out
 
 
 def _eval_point(P, z) -> complex:
@@ -227,10 +247,18 @@ def grad_batch(F: PolyBatch, Z: np.ndarray, own=None) -> tuple[np.ndarray, np.nd
 
     Returns (vals (R,), grads (R, n)) with grads[r, i] = dP/dz_i.  Zero
     entries of Z are handled exactly (no division by coordinates).
+
+    A support of one degree m >= 1 needs no entry of degree m: the gradients
+    read only the entries below it, and Euler's identity
+    m P(z) = sum_i z_i dP/dz_i gives the values, point by point.
     """
-    M = F.table.powers(Z)
+    M = F.table.powers(Z, F.prefix)
     runs = _runs(own, len(M))  # found once, shared by values and gradients
-    return _by_owner(M, F.cf, runs), _by_owner(_columns(M, F.rows), F.D, runs)
+    rows = M[:, F.cols] if isinstance(F.cols, slice) else _columns(M, F.cols)
+    grads = _by_owner(rows, F.D, runs)
+    if F.m:
+        return np.vecdot(np.conj(Z), grads) / F.m, grads
+    return _by_owner(M, F.cf, runs), grads
 
 
 class HomPoly:

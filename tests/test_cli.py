@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -18,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bohrlab.bounds import region_classify
 from bohrlab.cli import build_parser, config_line, emit, parse_exponent, run
 
 
@@ -88,6 +90,25 @@ def test_bound_region(capsys):
     doc = json.loads(out)["result"]
     assert doc["region"] == "II"
     assert doc["rate"] == "sqrt(log n)/sqrt(n)"
+
+
+def test_bound_region_labels_one_rate_one_way(capsys):
+    # p = q >= 2 is the rate sqrt(log n)/sqrt(n) in region II, and every
+    # exponent a label prints parses back to region_classify's float
+    def rate(p, q):
+        code, out = capture(capsys, ["bound", "region", "--p", p, "--q", q])
+        assert code == 0
+        return json.loads(out)["result"]["rate"]
+
+    assert {rate(p, p) for p in ("2", "3", "4", "5", "inf")} == {"sqrt(log n)/sqrt(n)"}
+    for p, q in [("3/2", "3/2"), ("3", "2"), ("5", "4"), ("inf", "4"), ("6", "3"), ("10", "5"),
+                 ("3/2", "4"), ("1", "inf"), ("4", "4/3"), ("2", "1"), ("4/3", "5/4")]:
+        rep = region_classify(parse_exponent(p), parse_exponent(q))
+        exps = {"1": (0.0, 0.0), "sqrt(log n)/sqrt(n)": (0.5, 0.5)}.get(label := rate(p, q))
+        if exps is None:
+            log_exp, n_exp = re.fullmatch(r"log\(n\)\^(.+)/n\^(.+)", label).groups()
+            exps = (float(n_exp), float(log_exp))
+        assert exps == (rep.n_exponent, rep.log_exponent), (p, q, label)
 
 
 def test_bound_jsum(capsys):

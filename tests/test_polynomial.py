@@ -27,6 +27,7 @@ from bohrlab.polynomial import (
     series_to_dict,
     sign_polynomial,
 )
+from bohrlab.polynomial import _by_owner, _columns, _runs
 from bohrlab.witness import _monomial_matrix
 
 RNG = np.random.default_rng(20260823)
@@ -330,6 +331,81 @@ def test_owner_products_need_no_per_point_gather():
     one = peak(np.zeros(64, dtype=np.int64))
     assert peak(np.repeat(np.arange(8), 8)) <= 1.5 * one
     assert peak(np.arange(64) % 8) <= 1.5 * one
+
+
+def full_table_grad(F, Z, own):
+    """Values and gradients of grad_batch read off the whole power table:
+    the values its coefficients' product, the gradients a gather of the
+    derivative rows."""
+    M = F.table.powers(Z)
+    runs = _runs(own, len(Z))
+    return _by_owner(M, F.cf, runs), _by_owner(_columns(M, F.rows), F.D, runs)
+
+
+@st.composite
+def homogeneous_batches(draw):
+    """A PolyBatch of K <= 3 polynomials on Lambda(m, n) or on distinct rows
+    of it in any order (n 1..5, m 1..6), points with zero coordinates among
+    them, and owners (or None)."""
+    n, m = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    alphas = list(enumerate_lambda(m, n))
+    if draw(st.booleans()):
+        pick = list(range(len(alphas)))
+    else:
+        pick = draw(st.lists(st.integers(0, len(alphas) - 1), min_size=1, max_size=30,
+                             unique=True))
+    A = np.array([alphas[i] for i in pick], dtype=np.int64).reshape(len(pick), n)
+    K, R = draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    C = rng.standard_normal((K, len(A))) + 1j * rng.standard_normal((K, len(A)))
+    Z = rng.standard_normal((R, n)) + 1j * rng.standard_normal((R, n))
+    Z[rng.random((R, n)) < 0.2] = 0
+    own = draw(st.none() | st.lists(st.integers(0, K - 1), min_size=R, max_size=R).map(np.array))
+    return PolyBatch(A, C), Z, own
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=homogeneous_batches())
+def test_homogeneous_values_come_from_the_gradients(case):
+    # one degree m: the gradients are the full table's bit for bit, the
+    # values m P(z) = sum_i z_i dP/dz_i agree with eval_batch
+    F, Z, own = case
+    assert F.m == F.A.sum(axis=1)[0] and F.prefix == F.table.size - len(F.A)
+    vals, grads = grad_batch(F, Z, own)
+    _, want = full_table_grad(F, Z, own)
+    assert grads.tobytes() == want.tobytes()
+    ref = eval_batch(F, Z, own)
+    scale = np.abs(F.C).sum(axis=1).max() * max(1.0, np.abs(Z).max()) ** F.m
+    assert np.abs(vals - ref).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("own", [None, np.array([0, 0, 1, 1, 0, 1])])
+def test_mixed_degree_batches_read_the_whole_table(own):
+    parts = [random_poly(k, 3) for k in (1, 2, 3)]
+    A, c = TruncatedSeries(3, 0.3 - 0.1j, parts).tables()
+    F = PolyBatch(A, np.vstack([c, 2j * c]))
+    assert F.m is None and F.prefix == F.table.size
+    Z = _points(6, 3, zero_rows=2)
+    vals, grads = grad_batch(F, Z, own)
+    want_v, want_g = full_table_grad(F, Z, own)
+    assert vals.tobytes() == want_v.tobytes() and grads.tobytes() == want_g.tobytes()
+
+
+def test_homogeneous_kernel_builds_no_top_degree():
+    # Lambda(4, 16): 3876 of the table's 4845 entries have degree 4, and
+    # the ascent's gradients and values need none of them
+    rng = np.random.default_rng(62)
+    A = np.array(list(enumerate_lambda(4, 16)))
+    batch = PolyBatch(A, rng.choice([-1.0, 1.0], (8, len(A))) + 0j)
+    Z = rng.standard_normal((152, 16)) + 1j * rng.standard_normal((152, 16))
+    assert batch.table.size == 4845
+    tracemalloc.start()
+    try:
+        grad_batch(batch, Z, np.arange(152) % 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 152 * 4845 * 16
 
 
 def test_monomials_of_an_index_set_make_no_copy():
