@@ -3,9 +3,11 @@
 #
 # Lower endpoints come from explicit witness polynomials (sign patterns
 # found by annealing, flat coefficients, random ensembles); uppers from
-# closed-form coefficient bounds.  Witness values are slack-deflated
-# because the norm optimizer certifies only lower bounds, and the endpoint
-# they set is marked estimate.  K_m's ends keep the marks of the chi ends
+# the least closed-form record (here the Cauchy-Schwarz + Parseval
+# exact-count split, |Lambda(m, n)|^(1/2) at p = q = 2).  Witness values
+# are slack-deflated because the norm optimizer certifies only lower
+# bounds, and the endpoint they set is marked estimate; one above the
+# proved upper end is dropped.  K_m's ends keep the marks of the chi ends
 # they come from.
 
 from bohrlab.bohr import k_m_bracket

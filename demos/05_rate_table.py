@@ -14,7 +14,7 @@ from bohrlab.bounds import ExponentPair, rate, region_classify
 
 INF = math.inf
 PAIRS = [(INF, 4 / 3), (INF, 2.0), (INF, INF), (INF, 4.0), (4.0, 2.0), (2.0, 2.0),
-         (1.5, 1.5), (1.5, 4.0), (2.0, 1.0)]
+         (1.5, 1.5), (1.5, 4.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (3.0, 1.0)]
 NS = [2**10, 2**20, 2**40]
 
 

@@ -1,7 +1,8 @@
 """Closed-form analytic bounds: the index-tuple multiplicity sums, the exact
-unconditionality constant of linear forms, its upper bound for small
-exponents, the random-sign norm envelope, coefficient-based generic bounds,
-and the asymptotic region map with its rate expressions.
+unconditionality constant of linear forms, its upper bounds (the Parseval
+exact-count split, its transfer to q > p, and the small-exponent lemma),
+the random-sign norm envelope, and the asymptotic region map with its rate
+expressions.
 
 Exponents p, q live in [1, inf] (math.inf allowed); 1/inf = 0 throughout and
 the conjugate of 1 is inf.
@@ -10,6 +11,7 @@ the conjugate of 1 is inf.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
@@ -227,7 +229,15 @@ def j_sum(m: int, n: int, e: ExponentPair | None = None, beta: float | None = No
 
 
 LINEAR_SOURCE = "exact at m = 1 (linear forms)"
+SPLIT_SOURCE = "exact-count split (Cauchy-Schwarz + Parseval)"
+TRANSFER_SOURCE = "transfer from q = p (B_q in n^(1/p - 1/q) B_p)"
 LINEAR_SLACK = 2.0 ** -50  # relative narrowing of the m = 1 lower end (2 to 4 ulps)
+
+
+def _inv_exact(p: float) -> Fraction:
+    """1/p exactly, as a fraction of the float exponent (1/inf = 0): an
+    exponent made from these is exactly 0 where the real one is."""
+    return Fraction(0) if p == INF else 1 / Fraction(p)
 
 
 def _log_chi_linear_digits(n: int, e: ExponentPair) -> Decimal:
@@ -238,10 +248,8 @@ def _log_chi_linear_digits(n: int, e: ExponentPair) -> Decimal:
     majorant sup ||a||_{q'} on the l_q ball, so chi(1, n; p, q) is the sup
     over a of ||a||_{q'} / ||a||_{p'}, which is n^max(0, 1/q' - 1/p')
     (a = e_1 when q' >= p', a flat when q' < p'), and 1/q' - 1/p' =
-    1/p - 1/q.  The exponent is exact as a fraction of the float
-    exponents."""
-    inv_p, inv_q = (Fraction(0) if r == INF else 1 / Fraction(r) for r in (e.p, e.q))
-    x = max(Fraction(0), inv_p - inv_q)
+    1/p - 1/q.  The exponent is exact (_inv_exact)."""
+    x = max(Fraction(0), _inv_exact(e.p) - _inv_exact(e.q))
     if not x:
         return Decimal(0)
     with localcontext(prec=40):
@@ -277,10 +285,56 @@ def _linear_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[flo
     return [(log_value, 2.0 ** -52 * log_value) if m == 1 else (INF, 0.0) for m in ms]
 
 
-def _coefficient_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
-    """|Lambda(m, n)| n^(m/p): a sum of two nonnegative logs made with seven
-    roundings of at most 2u each (error 16u of it)."""
-    logs = [math.log(lambda_card(m, n)) + m * inv(e.p) * math.log(n) for m in ms]
+def _split_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
+    """Record A, the exact-count split, for q <= p: chi(m, n; p, q) <=
+    |Lambda(m, n)|^x with x = max(0, 1/2 + 1/p - 1/q).
+
+    Proof.  Let z be in B_q with moduli r_i, and P = sum c_a z^a.  Put
+    w_i = r_i^(q/p) and y_i = r_i^(1 - q/p) (1 - q/p >= 0), so |z^a| =
+    w^a y^a and sum w_i^p = sum r_i^q <= 1: w lies in B_p.  Cauchy-Schwarz,
+    then Parseval for u -> P(w u) on the torus (w u lies in B_p):
+        sum |c_a z^a| <= (sum |c_a|^2 w^2a)^(1/2) (sum y^2a)^(1/2)
+                      <= ||P||_{B_p} h_m(v)^(1/2),  v = y^2,
+    h_m the complete homogeneous symmetric polynomial of degree m.  Now
+    sum v_i^s = sum r_i^q <= 1 with s = q / (2 (1 - q/p)) (s = inf at
+    q = p, where v <= 1 entrywise).  If s <= 1, then sum v_i <= 1 and
+    h_m(v) <= (sum v_i)^m <= 1.  If s >= 1, Hoelder over the |Lambda|
+    terms gives h_m(v) <= |Lambda|^(1 - 1/s) h_m(v^s)^(1/s), and
+    h_m(v^s) <= (sum v_i^s)^m <= 1; (1 - 1/s) / 2 = 1/2 + 1/p - 1/q.
+
+    It never loses to the coefficient bound |Lambda| n^(m/p) that it
+    replaced: x <= 1/2 + 1/p and |Lambda| <= n^m give |Lambda|^x <=
+    |Lambda|^(1/2) n^(m/p).
+
+    x is exact as a fraction of the float exponents, so x = 0 (region I,
+    and p >= 2 at q = 1) gives the log 0 exactly.  Error: math.log of the
+    integer within 4u of its log (rounding the integer to a float, then
+    libm), float(x) and the product 2u: 16u of it."""
+    x = max(Fraction(0), Fraction(1, 2) + _inv_exact(e.p) - _inv_exact(e.q))
+    logs = [float(x) * math.log(lambda_card(m, n)) for m in ms]
+    return [(v, 2.0 ** -49 * v) for v in logs]
+
+
+def _transfer_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
+    """Record B, the transfer, for q > p: chi(m, n; p, q) <=
+    n^(m (1/p - 1/q)) chi(m, n; p, p), with chi(m, n; p, p) the least
+    record that holds at (p, p).
+
+    Proof.  Hoelder gives ||z||_p <= n^(1/p - 1/q) ||z||_q, so B_q lies in
+    t B_p with t = n^(1/p - 1/q), and the majorant sup of a degree-m P on
+    t B_p is t^m times its majorant sup on B_p, at most t^m chi(m, n; p, p)
+    ||P||_{B_p}.  Record A's formula itself is false for q > p (its
+    factorization needs 1 - q/p >= 0).
+
+    It never loses to the coefficient bound: over |Lambda| n^(m/p), with
+    record A at (p, p), it is n^(-m/q) |Lambda|^(-1/2) <= 1.
+
+    The (p, p) log comes from log_chi_uppers, already rounded up.  Error:
+    float(m (1/p - 1/q)) and the product 2u, math.log(n) 4u, the sum u:
+    16u of the sum."""
+    x = _inv_exact(e.p) - _inv_exact(e.q)
+    base = [v for v, _ in log_chi_uppers(ms, n, ExponentPair(e.p, e.p))]
+    logs = [float(m * x) * math.log(n) + v for m, v in zip(ms, base)]
     return [(v, 2.0 ** -49 * v) for v in logs]
 
 
@@ -304,7 +358,8 @@ def _lemma_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[floa
 # Tried in order, so the first of equal ends names the source.
 CHI_UPPER_SOURCES = (
     ChiUpperSource(LINEAR_SOURCE, lambda e: True, _linear_log_bounds),
-    ChiUpperSource("coefficient bound", lambda e: True, _coefficient_log_bounds),
+    ChiUpperSource(SPLIT_SOURCE, lambda e: e.q <= e.p, _split_log_bounds),
+    ChiUpperSource(TRANSFER_SOURCE, lambda e: e.q > e.p, _transfer_log_bounds),
     ChiUpperSource("small-exponent lemma", lambda e: 1 <= e.q <= e.p <= 2, _lemma_log_bounds),
 )
 
@@ -312,7 +367,9 @@ CHI_UPPER_SOURCES = (
 def log_chi_uppers(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, str]]:
     """For each m of ms, an upper end of ln chi(m, n; p, q) and its source:
     the least over the CHI_UPPER_SOURCES holding at (p, q) of a source's
-    log plus its error bound, rounded up (a log without error is exact)."""
+    log plus its error bound, rounded up (a log without error is exact).
+    ms and n are integers, numpy's too (operator.index refuses a float)."""
+    ms, n = [operator.index(m) for m in ms], operator.index(n)
     if min(ms) < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={min(ms)}, n={n}")
     ends = [[(math.nextafter(v + error, INF) if error else v, src.source)

@@ -13,7 +13,7 @@ Bracket ends built on such output are Endpoints marked estimate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -358,7 +358,10 @@ def chi_lower_end(
     below where it is not 1 (bounds.chi_linear), and no search runs.  Otherwise it is the max of
     1, the flat-point chain through a sign-pattern search, and the brute
     oracle on tiny instances (estimate-based candidates are slack-deflated
-    and marked estimate).  sign_budget=0 skips the search chain (as does an
+    and marked estimate).  An estimate-based candidate above the proved chi
+    upper end (log_chi_uppers, taken only when such a candidate leads) is
+    dropped, and the end that stands names it in its source.
+    sign_budget=0 skips the search chain (as does an
     index set sign_search refuses).  Both searches use the seed cfg.seed
     and one compiled Lambda(m, n); m < 1 or samples < 1000 fails before
     either runs.
@@ -380,7 +383,19 @@ def chi_lower_end(
     if brute:
         bc = brute_chi(m, n, e, samples=samples, seed=cfg.seed, cfg=cfg, index_set=index_set)
         lower_cands.append(Endpoint(bc.deflated, f"brute oracle {deflated}", True))
-    return max(lower_cands, key=lambda c: c.value)
+    best = max(lower_cands, key=lambda c: c.value)
+    if not best.estimate:
+        return best
+    # an estimate can be low by more than SLACK: a candidate above the
+    # proved upper end is refuted, and the next one stands
+    up = chi_upper_ends(log_chi_uppers([m], n, e)[0][0], m)[0]
+    if best.value <= up:
+        return best
+    dropped = ", ".join(f"{c.source.removesuffix(' ' + deflated)} {c.value:.17g}"
+                        for c in lower_cands if c.value > up)
+    best = max((c for c in lower_cands if c.value <= up), key=lambda c: c.value)
+    return replace(best, source=f"{best.source}; {dropped} dropped above the proved upper "
+                                f"end {up:.17g}")
 
 
 def chi_bracket(

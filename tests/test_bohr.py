@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -87,6 +88,38 @@ def test_k_bracket_q1_lower_dimension_free():
     ]
     assert min(lows) >= 0.1  # bounded below, independent of n
     assert max(lows[1:]) == pytest.approx(min(lows[1:]), rel=1e-9)
+
+
+ANCHOR_PAIRS = [(p, q) for p in (1.0, 4 / 3, 2.0, 3.0, math.inf)
+                for q in (1.0, 1.2, 4 / 3, 2.0, 4.0, math.inf)]
+
+
+@pytest.mark.parametrize("p, q", ANCHOR_PAIRS)
+def test_bohr_anchor_in_one_variable(p, q):
+    # Bohr: K = 1/3 on the disk, and both ends say so at every (p, q)
+    br = k_bracket(1, ExponentPair(p, q), 3, OptConfig(2, 10, 0), sign_budget=0)
+    assert br.lower.value == br.upper.value == 1 / 3
+
+
+@pytest.mark.parametrize("n", [2, 2**10, 2**20, 2**40])
+@pytest.mark.parametrize("M", [1, 4])
+def test_boas_khavinson_anchor(n, M):
+    # K(B_inf^n) >= 1/(3 sqrt n) (Boas and Khavinson, Proc. AMS 125 (1997)):
+    # the split record |Lambda(m, n)|^(1/2) gives it degree by degree
+    br = k_bracket(n, ExponentPair(math.inf, math.inf), M, OptConfig(2, 10, 0), sign_budget=0)
+    with localcontext(prec=50):
+        anchor = 1 / (3 * Decimal(n).sqrt())
+        assert Decimal(br.lower.value) >= anchor and Decimal(br.upper.value) >= anchor
+
+
+@pytest.mark.parametrize("p, q", [(math.inf, 4 / 3), (math.inf, 2.0), (2.0, 1.0), (3.0, 1.0),
+                                  (3.0, 1.2)])
+@pytest.mark.parametrize("n", [2**10, 2**20, 2**40])
+def test_region_one_and_q1_close_at_a_third(p, q, n):
+    # region I (its I-II boundary and (3, 6/5) included) and q = 1 at
+    # p >= 2: the split record gives chi <= 1 at every degree, so K = 1/3
+    br = k_bracket(n, ExponentPair(p, q), 3, sign_budget=0)
+    assert br.lower.value == br.upper.value == 1 / 3
 
 
 def test_k_bracket_upper_below_third():

@@ -1,6 +1,7 @@
 import ast
 import csv
 import functools
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -17,6 +18,8 @@ from bohrlab.bohr import k_bracket, k_m_bracket
 from bohrlab.bounds import (
     CHI_UPPER_SOURCES,
     LINEAR_SOURCE,
+    SPLIT_SOURCE,
+    TRANSFER_SOURCE,
     ExponentPair,
     bayart_bound,
     chi_linear,
@@ -34,7 +37,8 @@ from bohrlab.bounds import (
 from bohrlab.cli import parse_exponent, run
 from bohrlab.errors import BudgetExceededError
 from bohrlab.multiindex import lambda_card, partition_shapes
-from bohrlab.witness import Endpoint
+from bohrlab.optimize import OptConfig
+from bohrlab.witness import Endpoint, brute_chi
 
 
 def test_conjugates():
@@ -266,13 +270,71 @@ def test_bayart_bound():
 
 
 def test_coefficient_chi_upper():
-    # |Lambda(m, n)| * n^(m/p), the source wherever the small-exponent lemma
-    # does not apply or is larger
-    for (m, n, e), value in [((2, 5, ExponentPair(math.inf, 2.0)), 15.0),
-                             ((2, 2, ExponentPair(2.0, 2.0)), 6.0)]:
+    # the coefficient bound |Lambda(m, n)| n^(m/p), no longer a record: at
+    # every (p, q) the least record is at most its log, rounded up
+    for p, q in PAIRS_50:
+        e = ExponentPair(p, q)
+        for n in (1, 2, 64, 1039, 2**40):
+            ms = list(range(1, 41))
+            with localcontext(prec=50):
+                for m, (log_up, _) in zip(ms, log_chi_uppers(ms, n, e)):
+                    coefficient = (Decimal(lambda_card(m, n)).ln()
+                                   + _dec(m * _inv_fraction(p)) * Decimal(n).ln())
+                    assert Decimal(log_up) <= coefficient, (p, q, n, m)
+    # where it was the source, the split record is now: 15 -> 1 in region I,
+    # 6 -> |Lambda(2, 2)|^(1/2) at p = q = 2
+    for (m, n, e), value in [((2, 5, ExponentPair(math.inf, 2.0)), 1.0),
+                             ((2, 2, ExponentPair(2.0, 2.0)), math.sqrt(3))]:
         [(log_value, src)] = log_chi_uppers([m], n, e)
-        assert src == "coefficient bound"
+        assert src == SPLIT_SOURCE
         assert math.exp(log_value) == pytest.approx(value)
+
+
+def test_log_chi_uppers_takes_numpy_integers():
+    e = ExponentPair(2.0, 1.5)
+    ends = log_chi_uppers([2, 3], 16, e)
+    assert log_chi_uppers(list(np.array([2, 3])), np.int64(16), e) == ends
+    assert log_chi_uppers(np.array([2, 3], dtype=np.int64), 16, e) == ends
+    with pytest.raises(TypeError):
+        log_chi_uppers([2.0], 16, e)
+    with pytest.raises(TypeError):
+        log_chi_uppers([2], 16.0, e)
+
+
+def test_split_record_fails_for_q_above_p():
+    # record A holds only for q <= p: at m = 4, n = 2, q = inf the brute
+    # oracle's raw ratio passes |Lambda(4, 2)|^(1/2 + 1/p) = 5^(1/2 + 1/p)
+    # by more than 4% (6.20 > 5, 4.23 > 3.82, 3.51 > 3.34), and the
+    # transfer record stays above it
+    split, transfer = SOURCES[SPLIT_SOURCE], SOURCES[TRANSFER_SOURCE]
+    cfg = OptConfig(16, 150, 3)
+    for p in (2.0, 3.0, 4.0):
+        e = ExponentPair(p, math.inf)
+        assert not split.holds(e) and transfer.holds(e)
+        raw = brute_chi(4, 2, e, samples=1000, seed=3, cfg=cfg).raw
+        assert raw > 1.04 * 5 ** (0.5 + 1 / p)
+        [(log_up, src)] = log_chi_uppers([4], 2, e)
+        assert src == TRANSFER_SOURCE and raw <= chi_upper_ends(log_up, 4)[0]
+    assert split.holds(ExponentPair(2.0, 2.0)) and not transfer.holds(ExponentPair(2.0, 2.0))
+
+
+SOUNDNESS_PS = [1.0, 1.25, 1.5, 2.0, 3.0, math.inf]
+SOUNDNESS_QS = [1.0, 1.2, 4 / 3, 1.5, 2.0, 4.0, math.inf]
+SOUNDNESS_CELLS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (2, 6), (4, 2), (5, 2)]
+
+
+@pytest.mark.parametrize("p", SOUNDNESS_PS)
+def test_split_and_transfer_hold_against_brute(p):
+    # the brute oracle's raw ratio (an estimate of chi from below) never
+    # passes the split or transfer record where it holds: 336 cases
+    cfg = OptConfig(16, 150, 3)
+    for q, (m, n) in itertools.product(SOUNDNESS_QS, SOUNDNESS_CELLS):
+        e = ExponentPair(p, q)
+        raw = brute_chi(m, n, e, samples=1000, seed=3, cfg=cfg).raw
+        for src in (SOURCES[SPLIT_SOURCE], SOURCES[TRANSFER_SOURCE]):
+            if src.holds(e):
+                [(v, err)] = src.log_bounds([m], n, e)
+                assert raw <= chi_upper_ends(math.nextafter(v + err, math.inf), m)[0], (q, m, n)
 
 
 def test_linear_case_dominated():
@@ -296,8 +358,7 @@ def test_linear_case_dominated():
 def _chi_linear_digits(n, p, q):
     # n^max(0, 1/p - 1/q) to 60 digits, the exponent exact as a fraction of
     # the float exponents
-    inv_p, inv_q = (Fraction(0) if r == math.inf else 1 / Fraction(r) for r in (p, q))
-    x = max(Fraction(0), inv_p - inv_q)
+    x = max(Fraction(0), _inv_fraction(p) - _inv_fraction(q))
     with localcontext(prec=60):
         return Decimal(n) ** (Decimal(x.numerator) / x.denominator)
 
@@ -408,14 +469,22 @@ def _exact_log_j_sum(k: int, n: int, beta: Fraction) -> Decimal:
                 for s in partition_shapes(k, n)), Decimal(0)).ln()
 
 
+def _inv_fraction(r: float) -> Fraction:
+    return Fraction(0) if r == math.inf else 1 / Fraction(r)
+
+
 def _exact_log_chi_upper(m, n, p, q) -> Decimal:
     """ln of the least closed-form chi upper bound that holds at the float
     exponents (as exact fractions); call in a 50-digit context."""
-    inv_p, inv_q = (Fraction(0) if r == math.inf else 1 / Fraction(r) for r in (p, q))
-    ln_n = Decimal(n).ln()
-    ends = [Decimal(math.comb(n + m - 1, m)).ln() + _dec(m * inv_p) * ln_n]  # coefficient bound
+    inv_p, inv_q = _inv_fraction(p), _inv_fraction(q)
+    ln_n, ln_card = Decimal(n).ln(), Decimal(math.comb(n + m - 1, m)).ln()
+    ends = []
     if m == 1:
         ends.append(_dec(max(Fraction(0), inv_p - inv_q)) * ln_n)
+    if q <= p:  # exact-count split
+        ends.append(_dec(max(Fraction(0), Fraction(1, 2) + inv_p - inv_q)) * ln_card)
+    else:  # transfer from q = p
+        ends.append(_dec(m * (inv_p - inv_q)) * ln_n + _exact_log_chi_upper(m, n, p, p))
     if q <= p <= 2:
         lemma = Decimal(m).ln() + 1 + _dec((m - 1) * inv_p)
         if q > 1:
@@ -426,7 +495,8 @@ def _exact_log_chi_upper(m, n, p, q) -> Decimal:
 
 
 PAIRS_50 = [(math.inf, 4 / 3), (4.0, 4.0), (3.0, 2.0), (2.0, 2.0), (2.0, 4 / 3), (1.5, 1.25),
-            (1.5, 1.0), (4 / 3, 2.0)]
+            (1.5, 1.0), (4 / 3, 2.0), (3.0, 1.2), (math.inf, math.inf), (2.0, 4.0), (1.0, math.inf),
+            (1.25, 1.5)]
 
 
 @pytest.mark.parametrize("p, q", PAIRS_50)
@@ -460,8 +530,9 @@ def test_k_lower_ends_hold_their_exact_value(p, q, n):
 
 
 def test_sweep_upper_ends_hold_their_exact_value(tmp_path):
-    # the chi upper ends sweep prints; |Lambda(3, 4)| = 20 is printed >= 20
-    for p, q in [("inf", "4/3"), ("2", "4/3"), ("3/2", "5/4"), ("3", "2")]:
+    # the chi upper ends sweep prints: chi(3, 4; inf, 4/3) <= 1 (region I),
+    # and chi(3, 4; 3/2, 4) from the transfer record
+    for p, q in [("inf", "4/3"), ("2", "4/3"), ("3/2", "5/4"), ("3", "2"), ("3/2", "4")]:
         out = tmp_path / "sweep.csv"
         assert run(["sweep", "--m-grid", "1,2,3,4,5", "--n-grid", "2,3,4,16", "--p", p, "--q", q,
                     "--budget", "0", "--restarts", "1", "--iters", "1", "--out", str(out)]) == 0
@@ -472,6 +543,7 @@ def test_sweep_upper_ends_hold_their_exact_value(tmp_path):
                 m, n = int(r[col["m"]]), int(r[col["n"]])
                 exact = _exact_log_chi_upper(m, n, parse_exponent(p), parse_exponent(q))
                 assert Decimal(r[col["upper"]]) >= exact.exp(), r
-                if (p, m, n) == ("inf", 3, 4):
-                    assert float(r[col["upper"]]) >= 20
-                    assert r[col["upper_src"]] == "coefficient bound"
+                if (p, q, m, n) == ("inf", "4/3", 3, 4):
+                    assert r[col["upper"]] == "1" and r[col["upper_src"]] == SPLIT_SOURCE
+                if (p, q, m, n) == ("3/2", "4", 3, 4):
+                    assert r[col["upper_src"]] == TRANSFER_SOURCE

@@ -390,6 +390,46 @@ def test_chi_bracket_contains_brute():
     assert br.lower.value <= br.upper.value
 
 
+def test_lower_end_above_the_proved_upper_end_is_dropped():
+    # seed 3's (4, 2) cell at (2, 3/2) with a 1-restart, 1-iteration search:
+    # the winning sign pattern's norm estimate is low, and its flat point
+    # passes chi(4, 2; 2, 3/2) <= |Lambda(4, 2)|^(1/3) = 5^(1/3), so the
+    # trivial end stands and names the dropped candidate
+    br = chi_bracket(4, 2, ExponentPair(2.0, 1.5), OptConfig(1, 1, 3), sign_budget=50)
+    assert br.upper.value == pytest.approx(5 ** (1 / 3), rel=1e-14)
+    assert br.lower.value == 1.0 and not br.lower.estimate
+    head, tail = "trivial; sign-search flat point ", " dropped above the proved upper end "
+    assert br.lower.source.startswith(head)
+    flat, up = br.lower.source.removeprefix(head).split(tail)
+    assert float(flat) > float(up) == br.upper.value
+
+
+def _stub_brute(deflated):
+    return lambda *args, **kwargs: witness.BruteChi(deflated * witness.SLACK, deflated)
+
+
+def test_stub_candidate_above_the_proved_upper_end_is_dropped(monkeypatch):
+    calls = []
+    monkeypatch.setattr(witness, "log_chi_uppers", lambda *a: calls.append(a) or log_chi_uppers(*a))
+    # region I: chi(2, 2; inf, 2) <= 1, so any estimate above 1 is refuted
+    monkeypatch.setattr(witness, "brute_chi", _stub_brute(9.5))
+    end = witness.chi_lower_end(2, 2, ExponentPair(math.inf, 2.0), CFG, sign_budget=0)
+    assert end == witness.Endpoint(1.0, "trivial; brute oracle 9.5 dropped above the proved "
+                                        "upper end 1")
+    assert len(calls) == 1
+    # a candidate at or below the upper end stands as it was
+    monkeypatch.setattr(witness, "brute_chi", _stub_brute(1.2))
+    end = witness.chi_lower_end(2, 2, ExponentPair(2.0, 1.5), CFG, sign_budget=0)
+    assert end == witness.Endpoint(1.2, "brute oracle (estimate-based, slack-deflated)", True)
+    assert len(calls) == 2
+    # no upper end is taken where no estimate leads: below the trivial end,
+    # or where neither search runs
+    monkeypatch.setattr(witness, "brute_chi", _stub_brute(0.5))
+    assert witness.chi_lower_end(2, 2, ExponentPair(2.0, 1.5), CFG, sign_budget=0).value == 1.0
+    assert witness.chi_lower_end(2, 64, ExponentPair(2.0, 1.5), CFG, sign_budget=0).value == 1.0
+    assert len(calls) == 2
+
+
 def test_chi_bracket_skips_search_above_cap():
     # C(47, 8) ~ 3.1e8 terms: above SIGN_CAP and BRUTE_CAP
     br = chi_bracket(8, 40, ExponentPair(2.0, 2.0), CFG, sign_budget=100)
