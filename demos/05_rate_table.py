@@ -3,6 +3,9 @@
 #
 # Each cell is k_bracket(n, e, 3, sign_budget=0) at n = 2^10, 2^20, 2^40:
 # lower / rate, upper / rate, ln(upper / lower) and the source of each end.
+# The lower end is the Wiener sum over every degree (bohr.wiener_lower):
+# the largest r with sum over m >= 1 of r^m chi_upper(m) <= 1/2, certified
+# for all m; the 3 bounds only the degrees of the upper end's witnesses.
 # The theorem says K(B_p^n, B_q^n) / rate stays between two constants, so
 # a cell with both ends on the rate keeps ln(upper / lower) bounded as n
 # grows; the last line per pair is that growth from 2^10 to 2^40.

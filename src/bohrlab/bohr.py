@@ -11,11 +11,12 @@ from a chi end keeps that end's estimate flag.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import ExponentPair, chi_upper_ends, log_chi_uppers
+from .bounds import ExponentPair, chi_upper_ends, log_chi_tail, log_chi_uppers
 from .errors import BudgetExceededError
 from .multiindex import enumerate_lambda, lambda_card
 from .optimize import OptConfig, bohr_sum, series_part_sups, series_sup
@@ -39,32 +40,146 @@ def k_m_bracket(m: int, n: int, e: ExponentPair,
     return BoundBracket(Endpoint(chi_upper_ends(log_up, m)[1], f"chi upper: {source}"), upper, m)
 
 
+WIENER_M0 = 16  # the first dense range of the Wiener sum
+WIENER_TAIL_SHARE = 2.0 ** -20  # a tail below this share of 1/2 ends the doubling
+# Most work m0^2 bit_length(n) a doubled dense range may take: the terms of
+# the lemma's powering, and about the bits that record A's counts
+# |Lambda(m, n)| reach over the range
+WIENER_WORK = 10**7
+
+
+def _wiener_terms(t: float, logs: list[float], tau: float) -> tuple[float, float, float, float]:
+    """At r = e^t: the dense part sum over m <= m0 = len(logs) of
+    e^(m t + logs[m-1]) (math.fsum), the tail x^(m0+1) / (1 - x) with x an
+    upper end of e^(t + tau) (inf where x >= 1), the relative margin
+    2^-50 (E + 4), E = m0 |t| + max logs + tau, that lifts their float sum
+    above the exact sum, and the sum's derivative in t (each dense term m
+    times, the tail (m0 + 1 + x / (1 - x)) times), which only steers the
+    root search.
+
+    Error.  With u = 2^-53 and math.exp and pow within one ulp (2u): the
+    exponent m t + L of a dense term is off by at most 2.01u (|m t| + L),
+    so each term is within 2.02u E + 2u of its exact value, and fsum adds
+    u.  x is exp(t + tau), off by u (|t| + tau) + 2u, lifted by 2^-50
+    (|t| + tau + 4) and rounded up, so it is at least e^(t + tau); the
+    tail x^k / (1 - x) grows with x, and pow, the difference (exact where
+    x >= 1/2) and the division add 4u.  The margin's 8u E + 32u covers
+    these and the two roundings of the final sum and product."""
+    m0 = len(logs)
+    terms = [math.exp(m * t + v) for m, v in enumerate(logs, 1)]
+    x = math.nextafter(math.exp(t + tau) * (1 + 2.0 ** -50 * (abs(t) + tau + 4)), math.inf)
+    tail = tail_slope = math.inf
+    if x < 1:
+        tail = x ** (m0 + 1) / (1 - x)
+        tail_slope = tail * (m0 + 1 + x / (1 - x))
+    slope = math.fsum(m * v for m, v in enumerate(terms, 1)) + tail_slope
+    return math.fsum(terms), tail, 2.0 ** -50 * (m0 * abs(t) + max(logs) + tau + 4), slope
+
+
+def _wiener_root(logs: list[float], tau: float) -> float:
+    """A t, within 2^-39 (1 + |t|) below the largest, at which the sum of
+    _wiener_terms with its margin is at most 1/2: every m >= 1 with
+    ln U_m <= logs[m-1] for m <= len(logs) and ln U_m <= m tau past it then
+    has sum e^(m t) U_m <= 1/2.
+
+    The search keeps lo, where the lifted sum fits, and hi, where it does
+    not.  It starts from lo = -R - ln 3 - 2^-20, R the largest of tau and
+    logs[m-1] / m (there each U_m e^(m t) <= 3^-m e^(-m 2^-20), whose sum
+    is below 1/2 by far more than the margin; lower t are tried if not),
+    and hi = -tau, where the tail is infinite.  ln of the sum is convex in
+    t (a sum of exponentials), so a Newton step on it from below the root
+    lands above it, and from above stays above: the steps fall to the root
+    from above.  A step from above shorter than the tolerance tries the
+    point one tolerance further down, and a step that leaves (lo, hi) is
+    replaced by the midpoint.  It stops when hi - lo is at most twice the
+    tolerance 2^-40 (1 + |lo|), or when ln of the sum at lo is within the
+    tolerance of ln(1/2): every term grows like e^(m t), m >= 1, so that
+    log grows at least as fast as t and the root is no further away."""
+    def excess(t: float) -> tuple[float, float]:  # ln(2 x lifted sum), <= 0 where it fits; slope
+        dense, tail, margin, slope = _wiener_terms(t, logs, tau)
+        if tail == math.inf:
+            return math.inf, math.inf
+        return math.log(2 * (dense + tail) * (1 + margin)), slope / (dense + tail)
+
+    lo = -max(tau, *(v / m for m, v in enumerate(logs, 1))) - math.log(3.0) - 2.0 ** -20
+    while (f := excess(lo))[0] > 0:
+        lo -= 1.0
+    t, hi, f_lo = lo, -tau, f[0]
+    while hi - lo > 2.0 ** -39 * (1 + abs(lo)) and -f_lo > 2.0 ** -40 * (1 + abs(lo)):
+        tol, step = 2.0 ** -40 * (1 + abs(t)), f[0] / f[1]
+        t -= step + tol if 0 < step <= tol else step
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+        f = excess(t)
+        if f[0] <= 0:
+            lo, f_lo = t, f[0]
+        else:
+            hi = t
+    return lo
+
+
+def wiener_lower(n: int, e: ExponentPair) -> Endpoint:
+    """A lower end of K(B_p^n, B_q^n) from Wiener's inequality over every
+    degree: K >= sup { r : sum over m >= 1 of r^m U_m <= 1/2 } for any chi
+    upper ends U_m >= chi(m, n; p, q).
+
+    Proof.  Take f = sum_m P_m with |f| <= 1 on B_p, a = |f(0)|, and z in
+    B_p.  lambda -> f(lambda z) maps the disk into the disk, so Wiener's
+    inequality gives |P_m(z)| <= 1 - a^2 for m >= 1, that is
+    ||P_m||_{B_p} <= 1 - a^2.  On r B_q the coefficient sum of P_m is
+    r^m times its sum on B_q, at most r^m chi_m ||P_m||_{B_p}.  So the
+    whole sum is at most a + (1 - a^2) sum_m r^m U_m <= a + (1 - a^2)/2,
+    which is <= 1 for every a in [0, 1].  A power series on B_p is the
+    limit of its truncations, so polynomials suffice.  If every
+    U_m <= R^m, then r = 1/(3R) fits (sum 3^-m = 1/2), so the end is never
+    below a third of the least K_m lower end U_m^(-1/m) over all m; at
+    U_m = 1 the sum is r / (1 - r), and r = 1/3 is Bohr's radius.
+
+    The U_m come from log_chi_uppers over m <= m0 and the tail bound
+    log_chi_tail(m0) past it.  m0 starts at WIENER_M0 and doubles, each
+    range one log_chi_uppers call over its new degrees (so one powering),
+    until the tail's share of 1/2 at the root is below WIENER_TAIL_SHARE,
+    or until the doubled range would pass WIENER_WORK.  Where every log
+    and the tail are exactly 0 the end is 1/3, rounded down; else it is
+    e^t for the root t of _wiener_root, two ulps down.  The source names
+    m0, the m with the largest term and its record."""
+    n, m0, ends = operator.index(n), WIENER_M0, []
+    while True:
+        # entries for m <= len(ends) are bit for bit the ones a call up to m0 gives
+        ends += log_chi_uppers(list(range(len(ends) + 1, m0 + 1)), n, e)
+        logs, tau = [v for v, _ in ends], log_chi_tail(m0, n, e)
+        if tau == 0 and not any(logs):
+            t, value = -math.log(3.0), 1.0 / 3.0  # sum r^m = r / (1 - r); 1/3 rounds down
+        else:
+            t = _wiener_root(logs, tau)
+            value = math.nextafter(math.nextafter(math.exp(t), 0.0), 0.0)
+        top = max(range(m0), key=lambda i: (i + 1) * t + logs[i])  # the first of equal terms
+        found = Endpoint(value, f"Wiener sum over all m (dense to m0 = {m0}; "
+                                f"dominant m = {top + 1}, {ends[top][1]})")
+        if (_wiener_terms(t, logs, tau)[1] < WIENER_TAIL_SHARE * 0.5
+                or 4 * m0 * m0 * n.bit_length() > WIENER_WORK):
+            return found
+        m0 *= 2
+
+
 def k_bracket(n: int, e: ExponentPair, M_max: int,
               cfg: OptConfig | None = None, **chi_kw) -> BoundBracket:
     """Bracket for the full radius K.
 
-    Lower: (1/3) / sup_m chi_upper(m)^(1/m), a third of the least K_m lower
-    end (rounded down) over every m <= M_max and a geometric tail grid up
-    to 10*M_max; the report claims only the grid it evaluated.  The whole
-    grid takes one log_chi_uppers call, so its multiplicity sums come from
-    one powering at the largest m, whose budget is checked before any work.
+    Lower: wiener_lower, Wiener's inequality summed over every degree
+    m >= 1 from the closed-form chi upper ends, certified for all m and
+    rounded down (exactly 1/3 where every chi upper end is 1).
     Upper: min(1/3, min over m <= M_max of the K_m upper endpoint), since
     restricting to one variable embeds the disk.  A K_m upper end needs only
     the chi lower end (witness.chi_lower_end, which takes chi_kw), so no
-    chi upper bound is computed a second time.
+    chi upper bound is computed a second time.  M_max bounds only these
+    witness degrees.
     """
     if n < 1:
         raise ValueError(f"need n >= 1, got {n}")
     if M_max < 1:
         raise ValueError(f"need M_max >= 1, got {M_max}")
-    grid, mm = list(range(1, M_max + 1)), M_max
-    while mm < 10 * M_max:
-        mm = min(max(mm + 1, int(mm * 1.5)), 10 * M_max)
-        grid.append(mm)
-    low = min(chi_upper_ends(v, m)[1] for m, (v, _) in zip(grid, log_chi_uppers(grid, n, e)))
-    lower = Endpoint(low / 3 if low == 1 else math.nextafter(low / 3, 0.0),  # 1/3 rounds down
-                     f"chi-upper roots over m grid {grid}")
-
+    lower = wiener_lower(n, e)
     upper = Endpoint(1.0 / 3.0, "K(disk) = 1/3 one-variable restriction")
     for m in range(1, M_max + 1):
         km_upper = _k_upper(m, chi_lower_end(m, n, e, cfg, **chi_kw))

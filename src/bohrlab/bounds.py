@@ -271,12 +271,21 @@ def chi_linear(n: int, e: ExponentPair) -> float:
 
 class ChiUpperSource(NamedTuple):
     """A closed-form chi upper bound: its source string, the (p, q) it holds
-    on, and per m of a grid its float log and that log's error bound, or
-    (inf, 0.0) at an m it does not cover."""
+    on, per m of a grid its float log and that log's error bound, or
+    (inf, 0.0) at an m it does not cover, and log_tail(m0, n, e): a float
+    tau >= sup over m > m0 of (ln of the bound) / m, float error included,
+    or None where the record has no such bound."""
 
     source: str
     holds: Callable[[ExponentPair], bool]
     log_bounds: Callable[[list[int], int, ExponentPair], list[tuple[float, float]]]
+    log_tail: Callable[[int, int, ExponentPair], float | None]
+
+
+def _up(x: float) -> float:
+    """x stepped one ulp up; a zero, which is exact wherever it is made
+    here, stays 0."""
+    return math.nextafter(x, INF) if x else x
 
 
 def _linear_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
@@ -315,6 +324,16 @@ def _split_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[floa
     return [(v, 2.0 ** -49 * v) for v in logs]
 
 
+def _split_log_tail(m0: int, n: int, e: ExponentPair) -> float:
+    """Record A's log at m0 + 1 over m0 + 1.  ln |Lambda(m, n)| = sum over
+    j <= m of ln(1 + (n - 1)/j), a sum of terms that decrease in j, so
+    their mean ln |Lambda(m, n)| / m decreases in m and its sup over
+    m > m0 sits at m0 + 1.  Error: the record's, then the division (one
+    ulp up each)."""
+    [(v, error)] = _split_log_bounds([m0 + 1], n, e)
+    return _up(_up(v + error) / (m0 + 1))
+
+
 def _transfer_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
     """Record B, the transfer, for q > p: chi(m, n; p, q) <=
     n^(m (1/p - 1/q)) chi(m, n; p, p), with chi(m, n; p, p) the least
@@ -338,29 +357,68 @@ def _transfer_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[f
     return [(v, 2.0 ** -49 * v) for v in logs]
 
 
+def _transfer_log_tail(m0: int, n: int, e: ExponentPair) -> float:
+    """(1/p - 1/q) ln n plus the least tail at (p, p): record B's log over
+    m is exactly (1/p - 1/q) ln n plus the (p, p) end's log over m, and each
+    (p, p) record's tail bounds that for m > m0.  Error: float(1/p - 1/q)
+    and the product 2u, math.log(n) 4u, inside 2^-49 of the product; the
+    sum one ulp up."""
+    lead = float(_inv_exact(e.p) - _inv_exact(e.q)) * math.log(n)
+    return _up(_up(lead * (1 + 2.0 ** -49)) + log_chi_tail(m0, n, ExponentPair(e.p, e.p)))
+
+
 def _lemma_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
     """The small-exponent lemma m e^(1 + (m-1)/p) (multiplicity sum)^(1/q'),
-    for 1 <= q <= p <= 2, from one powering at the largest m (its budget
-    error first).  Error: log_j_sums's over q', plus 8u (log + ln (m-1)!)
-    for the roundings here (6u log) and beta's: 1/q - 1/p loses digits for
-    p near q, so beta is off by 3u q' + 2u beta, ln j_sum by that ln k!."""
+    for 1 <= q <= p <= 2.  At beta = 0 (q = p) every multiplicity^-beta is
+    1, so the sum is the count |Lambda(m - 1, n)|, whose log is record A's
+    (16u, as there).  Otherwise it comes from one powering at the largest m
+    (its budget error first).  Error: log_j_sums's over q', plus 8u
+    (log + ln (m-1)!) for the roundings here (6u log) and beta's: 1/q - 1/p
+    loses digits for p near q, so beta is off by 3u q' + 2u beta, ln j_sum
+    by that ln k!."""
     logs = [math.log(m) + 1.0 + (m - 1) * inv(e.p) for m in ms]
     if e.q == 1:
         # q' = inf: the l_q' aggregate degenerates to a sup, and every
         # multiplicity^(1/p - 1) is at most 1.
         return [(v, 2.0 ** -50 * v) for v in logs]
-    log_sums, w = log_j_sums(max(ms), n, e.beta).tolist(), inv(e.q_conj)
+    w = inv(e.q_conj)
+    if not e.beta:
+        counts = [math.log(lambda_card(m - 1, n)) for m in ms]
+        return [(v + s * w, w * 2.0**-49 * s + 2.0**-50 * v) for v, s in zip(logs, counts)]
+    log_sums = log_j_sums(max(ms), n, e.beta).tolist()
     ends = [(v + log_sums[m - 1] * w, log_sums[m - 1], math.lgamma(m)) for v, m in zip(logs, ms)]
     return [(v, w * 2.0**-47 * n.bit_length() * (s + 2 * e.beta * f) + 2.0**-50 * (v + f))
             for v, s, f in ends]
 
 
-# Tried in order, so the first of equal ends names the source.
+def _lemma_log_tail(m0: int, n: int, e: ExponentPair) -> float:
+    """For m > m0 >= 1 the lemma's log over m is at most
+    (ln(m0+1) + 1)/(m0+1) + 1/p + (1/q') ln |Lambda(m0, n)| / m0.
+
+    Proof.  (ln m + 1)/m decreases for m >= 1, and (m - 1)/(p m) <= 1/p.
+    beta >= 0 on 1 <= q <= p, so every multiplicity^-beta is at most 1 and
+    the multiplicity sum over the length-(m-1) tuples is at most
+    |Lambda(m - 1, n)|.  Its log over m is at most its log over m - 1,
+    which decreases in m - 1 >= m0 (record A's tail: a mean of decreasing
+    terms).  At q = 1 the last term is absent.  Error: each of the three
+    terms within 12u relative (the logs 4u each, lambda_card as a float,
+    1/q' 3u, three divisions), the two sums 2u: inside 2^-48 of the total,
+    then one ulp up."""
+    tau = (math.log(m0 + 1) + 1.0) / (m0 + 1) + inv(e.p)
+    if e.q > 1:
+        tau += inv(e.q_conj) * math.log(lambda_card(m0, n)) / m0
+    return _up(tau * (1 + 2.0 ** -48))
+
+
+# Tried in order, so the first of equal ends names the source.  The m = 1
+# record has no tail: it covers no m > m0 >= 1.
 CHI_UPPER_SOURCES = (
-    ChiUpperSource(LINEAR_SOURCE, lambda e: True, _linear_log_bounds),
-    ChiUpperSource(SPLIT_SOURCE, lambda e: e.q <= e.p, _split_log_bounds),
-    ChiUpperSource(TRANSFER_SOURCE, lambda e: e.q > e.p, _transfer_log_bounds),
-    ChiUpperSource("small-exponent lemma", lambda e: 1 <= e.q <= e.p <= 2, _lemma_log_bounds),
+    ChiUpperSource(LINEAR_SOURCE, lambda e: True, _linear_log_bounds, lambda m0, n, e: None),
+    ChiUpperSource(SPLIT_SOURCE, lambda e: e.q <= e.p, _split_log_bounds, _split_log_tail),
+    ChiUpperSource(TRANSFER_SOURCE, lambda e: e.q > e.p, _transfer_log_bounds,
+                   _transfer_log_tail),
+    ChiUpperSource("small-exponent lemma", lambda e: 1 <= e.q <= e.p <= 2, _lemma_log_bounds,
+                   _lemma_log_tail),
 )
 
 
@@ -375,6 +433,18 @@ def log_chi_uppers(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, 
     ends = [[(math.nextafter(v + error, INF) if error else v, src.source)
              for v, error in src.log_bounds(ms, n, e)] for src in CHI_UPPER_SOURCES if src.holds(e)]
     return [min(col, key=lambda end: end[0]) for col in zip(*ends)]
+
+
+def log_chi_tail(m0: int, n: int, e: ExponentPair) -> float:
+    """tau >= sup over m > m0 of ln chi(m, n; p, q) / m: the least log_tail
+    over the CHI_UPPER_SOURCES holding at (p, q) that have one (record A or
+    B always holds).  Each bounds its own record's log over m, and chi is
+    at most each record, so the least bounds chi's."""
+    m0, n = operator.index(m0), operator.index(n)
+    if m0 < 1 or n < 1:
+        raise ValueError(f"need m0 >= 1 and n >= 1, got m0={m0}, n={n}")
+    tails = [src.log_tail(m0, n, e) for src in CHI_UPPER_SOURCES if src.holds(e)]
+    return min(tau for tau in tails if tau is not None)
 
 
 def chi_upper_ends(log_up: float, m: int) -> tuple[float, float]:

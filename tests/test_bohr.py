@@ -17,9 +17,10 @@ from bohrlab.bohr import (
     k_m_bracket,
     random_series,
     wiener_check,
+    wiener_lower,
 )
 from bohrlab import optimize
-from bohrlab.bounds import ExponentPair
+from bohrlab.bounds import ExponentPair, chi_upper_ends, log_chi_uppers, rate
 from bohrlab.multiindex import enumerate_lambda
 from bohrlab.optimize import OptConfig, bohr_sum, series_part_sups, series_sup, sup_norm
 from bohrlab.polynomial import HomPoly, TruncatedSeries, moebius_series
@@ -136,6 +137,63 @@ def test_k_below_k_m():
         for m in (1, 2, 3):
             km = k_m_bracket(m, n, e, OPT, **KW)
             assert kb.upper.value <= km.upper.value + 1e-9
+
+
+def _grid_lower(n: int, e: ExponentPair, M: int) -> float:
+    """The K lower end the Wiener sum replaced: a third of the least K_m
+    lower end over m <= M and a geometric grid up to 10 M, rounded down."""
+    grid, mm = list(range(1, M + 1)), M
+    while mm < 10 * M:
+        mm = min(max(mm + 1, int(mm * 1.5)), 10 * M)
+        grid.append(mm)
+    low = min(chi_upper_ends(v, m)[1] for m, (v, _) in zip(grid, log_chi_uppers(grid, n, e)))
+    return low / 3 if low == 1 else math.nextafter(low / 3, 0.0)
+
+
+INF = math.inf
+RATE_TABLE_PAIRS = [(INF, 4 / 3), (INF, 2.0), (INF, INF), (INF, 4.0), (4.0, 2.0), (2.0, 2.0),
+                    (1.5, 1.5), (1.5, 4.0), (2.0, 1.0), (1.0, 1.0), (1.0, 2.0), (3.0, 1.0)]
+
+
+@pytest.mark.parametrize("p, q", RATE_TABLE_PAIRS)
+@pytest.mark.parametrize("n", [2**10, 2**20, 2**40])
+def test_wiener_lower_end_never_below_the_grid_end(p, q, n):
+    # the rate table's cells (demos/05_rate_table.py): the Wiener sum over
+    # every degree is never below the grid formula it replaced, and cells
+    # that read exactly 1/3 still do
+    e = ExponentPair(p, q)
+    lower, grid = k_bracket(n, e, 3, sign_budget=0).lower.value, _grid_lower(n, e, 3)
+    assert lower >= grid
+    if grid == 1 / 3:
+        assert lower == 1 / 3
+
+
+@pytest.mark.parametrize("p, q", [(2.0, 4 / 3), (1.5, 1.25)])
+def test_wiener_lower_end_never_below_the_grid_end_on_radius_bounds(p, q):
+    # the benchmark's radius_bounds cells: n near 64, 256 and 1024 (the
+    # seed adds 0..15), M_max = 4
+    e = ExponentPair(p, q)
+    for n in [d + j for d in (64, 256, 1024) for j in range(16)]:
+        assert wiener_lower(n, e).value >= 1.3 * _grid_lower(n, e, 4), n
+
+
+@pytest.mark.parametrize("p, q", ANCHOR_PAIRS)
+def test_wiener_lower_end_is_a_third_at_n_1(p, q):
+    # every U_m is 1 at n = 1, so the sum is r / (1 - r) and the end 1/3
+    end = wiener_lower(1, ExponentPair(p, q))
+    assert end.value == 1 / 3
+    assert end.source == ("Wiener sum over all m (dense to m0 = 16; dominant m = 1, "
+                          "exact at m = 1 (linear forms))")
+
+
+@pytest.mark.parametrize("p, q, floor", [(INF, INF, 0.12), (2.0, 2.0, 0.29), (1.5, 1.5, 0.19),
+                                         (1.0, 1.0, 0.118)])
+def test_rate_table_lower_ends_on_their_rate(p, q, floor):
+    # the rate table's cells (demos/05_rate_table.py) that the Wiener sum moved:
+    # lower / rate at n = 2^10, 2^20 and 2^40
+    e = ExponentPair(p, q)
+    for n in (2**10, 2**20, 2**40):
+        assert k_bracket(n, e, 3, sign_budget=0).lower.value / rate(p, q, n) >= floor, n
 
 
 def test_bohr_1d_bracket():

@@ -1,8 +1,8 @@
-import ast
 import csv
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from decimal import Decimal, localcontext
@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bohrlab import bounds
+from bohrlab import bohr, bounds
 from bohrlab.bohr import k_bracket, k_m_bracket
 from bohrlab.bounds import (
     CHI_UPPER_SOURCES,
@@ -29,6 +29,7 @@ from bohrlab.bounds import (
     inv,
     j_sum,
     lempoly_rhs,
+    log_chi_tail,
     log_chi_uppers,
     log_j_sums,
     rate,
@@ -171,19 +172,43 @@ def test_log_j_sums_budget_checked_first():
             log_j_sums(*bad)
 
 
+def _wiener_source(source: str) -> tuple[int, int, str]:
+    """m0, the dominant m and its record, read from a K lower end's source."""
+    match = re.fullmatch(r"Wiener sum over all m \(dense to m0 = (\d+); dominant m = (\d+), (.+)\)",
+                         source)
+    assert match, source
+    return int(match[1]), int(match[2]), match[3]
+
+
 @pytest.mark.parametrize("p, q", [(2.0, 4 / 3), (1.5, 1.25), (2.0, 2.0), (2.0, 1.0),
                                   (4.0, 4.0), (math.inf, 2.0)])
 @pytest.mark.parametrize("n", [64, 1039, 2**40])
 @pytest.mark.parametrize("M", [1, 4, 7])
 def test_k_bracket_lower_is_the_one_degree_at_a_time_value(p, q, n, M):
+    # the lower end is the Wiener root over the source's dense range m0 with
+    # the tail past it, whatever M (M_max bounds only the upper end's
+    # witness degrees): the sum fits at it and not 2^-30 (1 + |ln r|)
+    # above it, and the end is at least a third of the one-degree-at-a-time
+    # value, the least K_m lower end U_m^(-1/m) over m <= m0 and e^-tau
+    # past it
     e = ExponentPair(p, q)
     br = k_bracket(n, e, M, sign_budget=0)
-    grid = ast.literal_eval(br.lower.source.removeprefix("chi-upper roots over m grid "))
-    assert grid[:M] == list(range(1, M + 1)) and grid[-1] == 10 * M
-    ends = [log_chi_uppers([m], n, e)[0] for m in grid]
-    assert log_chi_uppers(grid, n, e) == ends
-    low = min(chi_upper_ends(v, m)[1] for m, (v, _) in zip(grid, ends))
-    assert br.lower.value == (low / 3 if low == 1 else math.nextafter(low / 3, 0.0))
+    assert br.lower == k_bracket(n, e, 1, sign_budget=0).lower
+    m0, top, record = _wiener_source(br.lower.source)
+    ends = log_chi_uppers(list(range(1, m0 + 1)), n, e)
+    logs, tau = [v for v, _ in ends], log_chi_tail(m0, n, e)
+    assert record == ends[top - 1][1]
+    if tau == 0 and not any(logs):
+        assert br.lower.value == 1 / 3 and top == 1
+        return
+    t = bohr._wiener_root(logs, tau)
+    assert br.lower.value == math.nextafter(math.nextafter(math.exp(t), 0.0), 0.0)
+    assert top == 1 + max(range(m0), key=lambda i: (i + 1) * t + logs[i])  # the first of equals
+    dense, tail, margin, _ = bohr._wiener_terms(t, logs, tau)
+    assert (dense + tail) * (1 + margin) <= 0.5 and margin < 2.0 ** -30
+    assert sum(bohr._wiener_terms(t + 2.0 ** -30 * (1 + abs(t)), logs, tau)[:2]) > 0.5
+    one_degree = min(min(chi_upper_ends(v, m)[1] for m, v in enumerate(logs, 1)), math.exp(-tau))
+    assert br.lower.value >= one_degree / 3 * (1 - 2.0 ** -30)
 
 
 @pytest.mark.parametrize("p, q", [(2.0, 4 / 3), (1.5, 1.25), (2.0, 2.0), (2.0, 1.0),
@@ -192,13 +217,15 @@ def test_k_bracket_lower_is_the_one_degree_at_a_time_value(p, q, n, M):
 @pytest.mark.parametrize("M", [1, 4, 7])
 def test_k_bracket_upper_is_the_least_k_m_upper(p, q, n, M, monkeypatch):
     # the K_m upper ends come from the chi lower ends alone: the same value
-    # and source as the K_m brackets give, and the grid's one powering is
-    # the only one
+    # and source as the K_m brackets give, and the lower end's powerings,
+    # one per dense range m0 = 16, 32, ..., are the only ones (q = 1 needs
+    # no sums, and q = p counts them)
     e = ExponentPair(p, q)
     calls = []
     monkeypatch.setattr(bounds, "log_j_sums", lambda *a: calls.append(a) or log_j_sums(*a))
     br = k_bracket(n, e, M, sign_budget=0)
-    assert len(calls) == (1 if 1 < q <= p <= 2 else 0)  # q = 1 needs no sums
+    m0 = _wiener_source(br.lower.source)[0]
+    assert len(calls) == ((m0 // bohr.WIENER_M0).bit_length() if 1 < q < p <= 2 else 0)
     upper = Endpoint(1 / 3, "K(disk) = 1/3 one-variable restriction")
     for m in range(1, M + 1):
         km = k_m_bracket(m, n, e, sign_budget=0).upper
@@ -252,6 +279,26 @@ def test_lemma_source():
     grid = [1, 2, 5, 9]
     assert lemma.log_bounds(grid, 7, ExponentPair(2.0, 4 / 3)) == [
         lemma.log_bounds([m], 7, ExponentPair(2.0, 4 / 3))[0] for m in grid]
+
+
+def test_lemma_at_beta_zero_is_the_count():
+    # at q = p the multiplicity sum is the count |Lambda(m - 1, n)|: its log
+    # matches the powering within both stated errors, and a degree past the
+    # powering budget answers (as `bound chiupper --m 5000` in test_cli)
+    lemma = SOURCES["small-exponent lemma"]
+    ms = list(range(1, 201))
+    for p in (2.0, 1.5, 1.0):
+        e = ExponentPair(p, p)
+        for n in (2, 64, 1039, 2**40):
+            sums, w = log_j_sums(200, n, 0.0).tolist(), inv(e.q_conj)
+            for m, (v, err) in zip(ms, lemma.log_bounds(ms, n, e)):
+                base = math.log(m) + 1.0 + (m - 1) * inv(p)
+                powered = base + sums[m - 1] * w
+                powered_err = (w * 2.0**-47 * n.bit_length() * sums[m - 1]
+                               + 2.0**-50 * (base + math.lgamma(m)))
+                assert abs(v - powered) <= err + powered_err, (p, n, m)
+    [(v, _)] = lemma.log_bounds([5000], 64, ExponentPair(2.0, 2.0))
+    assert v == pytest.approx(math.log(5000) + 1 + 4999 / 2 + math.log(lambda_card(4999, 64)) / 2)
 
 
 def test_lempoly_rhs():
@@ -461,35 +508,76 @@ def _ln_factorial(k: int) -> Decimal:
 
 
 @functools.cache
+def _gf_log_j_sums(K: int, n: int, beta: Fraction) -> tuple[Decimal, ...]:
+    # ln j_sum(k + 1, n) for k <= K from (k!)^-beta [x^k] (sum_j (j!)^beta x^j)^n,
+    # powered in the decimal context of the caller (50 digits): the
+    # identity test_j_sum_matches_partition_shape_sum checks, for k past
+    # the reach of the partition shapes
+    b = _dec(beta)
+    base = [(b * _ln_factorial(j)).exp() for j in range(K + 1)]
+    power = None
+    while True:
+        if n & 1:
+            power = base if power is None else [sum(power[i] * base[t - i] for i in range(t + 1))
+                                                for t in range(K + 1)]
+        n >>= 1
+        if not n:
+            return tuple(c.ln() - b * _ln_factorial(k) for k, c in enumerate(power))
+        base = [sum(base[i] * base[t - i] for i in range(t + 1)) for t in range(K + 1)]
+
+
+@functools.cache
 def _exact_log_j_sum(k: int, n: int, beta: Fraction) -> Decimal:
     # over the partition shapes of the exponents, as in
-    # test_j_sum_matches_partition_shape_sum; call in a 50-digit context
+    # test_j_sum_matches_partition_shape_sum, up to k = 20; past it from the
+    # generating function at the next power of two; at beta = 0 the count
+    # |Lambda(k, n)|.  Call in a 50-digit context
+    if not beta:
+        return _ln_card(k, n)
+    if k > 20:
+        return _gf_log_j_sums((1 << k.bit_length()) - 1, n, beta)[k]
     b = _dec(beta)
     return sum((s.arrangements * (-b * (_ln_factorial(k) - sum(map(_ln_factorial, s.parts)))).exp()
                 for s in partition_shapes(k, n)), Decimal(0)).ln()
+
+
+_LN_CARDS: dict[int, list[Decimal]] = {}
+
+
+def _ln_card(m: int, n: int) -> Decimal:
+    # ln |Lambda(m, n)| as the running sum of ln((n + j - 1) / j) over j <= m;
+    # call in a 50-digit context
+    cards = _LN_CARDS.setdefault(n, [Decimal(0)])
+    while len(cards) <= m:
+        j = len(cards)
+        cards.append(cards[-1] + (Decimal(n + j - 1) / j).ln())
+    return cards[m]
 
 
 def _inv_fraction(r: float) -> Fraction:
     return Fraction(0) if r == math.inf else 1 / Fraction(r)
 
 
-def _exact_log_chi_upper(m, n, p, q) -> Decimal:
+def _exact_log_chi_upper(m, n, p, q, count_past=math.inf) -> Decimal:
     """ln of the least closed-form chi upper bound that holds at the float
-    exponents (as exact fractions); call in a 50-digit context."""
+    exponents (as exact fractions); for m > count_past the lemma's
+    multiplicity sum is replaced by its upper bound |Lambda(m - 1, n)|
+    (beta >= 0), the bound its tail rests on.  Call in a 50-digit context."""
     inv_p, inv_q = _inv_fraction(p), _inv_fraction(q)
-    ln_n, ln_card = Decimal(n).ln(), Decimal(math.comb(n + m - 1, m)).ln()
+    ln_n, ln_card = Decimal(n).ln(), _ln_card(m, n)
     ends = []
     if m == 1:
         ends.append(_dec(max(Fraction(0), inv_p - inv_q)) * ln_n)
     if q <= p:  # exact-count split
         ends.append(_dec(max(Fraction(0), Fraction(1, 2) + inv_p - inv_q)) * ln_card)
     else:  # transfer from q = p
-        ends.append(_dec(m * (inv_p - inv_q)) * ln_n + _exact_log_chi_upper(m, n, p, p))
+        ends.append(_dec(m * (inv_p - inv_q)) * ln_n + _exact_log_chi_upper(m, n, p, p, count_past))
     if q <= p <= 2:
         lemma = Decimal(m).ln() + 1 + _dec((m - 1) * inv_p)
         if q > 1:
             inv_qc = 1 - inv_q
-            lemma += _dec(inv_qc) * _exact_log_j_sum(m - 1, n, (inv_q - inv_p) / inv_qc)
+            beta = (inv_q - inv_p) / inv_qc if m <= count_past else Fraction(0)
+            lemma += _dec(inv_qc) * _exact_log_j_sum(m - 1, n, beta)
         ends.append(lemma)
     return min(ends)
 
@@ -518,15 +606,56 @@ def test_closed_form_chi_ends_hold_their_exact_value(p, q):
 @pytest.mark.parametrize("p, q", PAIRS_50)
 @pytest.mark.parametrize("n", [64, 1039, 2**40])
 def test_k_lower_ends_hold_their_exact_value(p, q, n):
+    # at the K lower end r, the Wiener sum of r^m U_m over m <= 2000 is at
+    # most 1/2, each U_m the 50-digit least record (the lemma's multiplicity
+    # sum exact over the dense range m0, its count past it); each K_m lower
+    # end is at most its exact value
     e = ExponentPair(p, q)
+    br = k_bracket(n, e, 3, sign_budget=0)
+    m0 = _wiener_source(br.lower.source)[0]
     with localcontext(prec=50):
-        for M in (1, 2, 3):
-            br = k_bracket(n, e, M, sign_budget=0)
-            grid = ast.literal_eval(br.lower.source.removeprefix("chi-upper roots over m grid "))
-            roots = {m: _exact_log_chi_upper(m, n, p, q) / m for m in grid}
-            assert Decimal(br.lower.value) <= (-max(roots.values())).exp() / 3, M
-            for m in range(1, M + 1):
-                assert Decimal(k_m_bracket(m, n, e, sign_budget=0).lower.value) <= (-roots[m]).exp()
+        log_r = Decimal(br.lower.value).ln()
+        total = sum(((m * log_r + _exact_log_chi_upper(m, n, p, q, count_past=m0)).exp()
+                     for m in range(1, 2001)), Decimal(0))
+        assert total <= Decimal(1) / 2, total
+        for m in range(1, 4):
+            assert Decimal(k_m_bracket(m, n, e, sign_budget=0).lower.value) <= \
+                (-_exact_log_chi_upper(m, n, p, q) / m).exp()
+
+
+@pytest.mark.parametrize("p, q", PAIRS_50)
+def test_log_tails_bound_every_later_degree(p, q, monkeypatch):
+    # each record's log_tail(m0) is at least its log over m at every
+    # m0 < m <= 2000: the 50-digit value for records A and B and for the
+    # lemma at beta = 0, else the lemma's float log plus its error bound
+    # (powered past the default budget at n = 2^40); the m = 1 record has
+    # none
+    monkeypatch.setattr(bounds, "log_j_sums", functools.partial(log_j_sums, budget=10**9))
+    e = ExponentPair(p, q)
+    inv_p, inv_q = _inv_fraction(p), _inv_fraction(q)
+    ms = list(range(1, 2001))
+    for n in (2, 64, 1039, 2**40):
+        for src in (src for src in CHI_UPPER_SOURCES if src.holds(e)):
+            with localcontext(prec=50):
+                if src.source == LINEAR_SOURCE:
+                    assert src.log_tail(8, n, e) is None
+                    continue
+                if src.source == SPLIT_SOURCE:
+                    x = _dec(max(Fraction(0), Fraction(1, 2) + inv_p - inv_q))
+                    logs = [x * _ln_card(m, n) for m in ms]
+                elif src.source == TRANSFER_SOURCE:
+                    ln_n = Decimal(n).ln()
+                    logs = [_dec(m * (inv_p - inv_q)) * ln_n + _exact_log_chi_upper(m, n, p, p)
+                            for m in ms]
+                elif e.beta:
+                    logs = [Decimal(v) + Decimal(err) for v, err in src.log_bounds(ms, n, e)]
+                else:  # the lemma at q = p: the multiplicity sum is the count
+                    logs = [Decimal(m).ln() + 1 + _dec((m - 1) * inv_p)
+                            + _dec(1 - inv_q) * _ln_card(m - 1, n) for m in ms]
+                for m0 in (8, 16, 64):
+                    tau = src.log_tail(m0, n, e)
+                    assert Decimal(tau) >= max(logs[m - 1] / m for m in ms[m0:]), (src.source, n, m0)
+                    assert log_chi_tail(m0, n, e) <= tau
 
 
 def test_sweep_upper_ends_hold_their_exact_value(tmp_path):

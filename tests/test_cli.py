@@ -347,11 +347,15 @@ def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
       "--budget", "0"], 0),
     (["bound", "bayart", "--m", "200", "--n", "10", "--p", "2"], 0),
     (["bound", "bayart", "--m", "171", "--n", "10", "--p", "3"], 0),
-    # the largest degree's budget error comes first
+    # --mmax bounds only the upper end's witness degrees: no grid of ten
+    # times it is powered for the lower end, and q = p powers nothing
     (["bohr", "table", "--n-grid", "64", "--p", "2", "--q", "4/3", "--mmax", "1000",
-      "--budget", "0"], 3),
+      "--budget", "0"], 0),
     (["bohr", "table", "--n-grid", "1099511627776", "--p", "2", "--q", "4/3", "--mmax", "1000",
-      "--budget", "0"], 3),
+      "--budget", "0"], 0),
+    (["bohr", "table", "--n-grid", "64", "--p", "2", "--q", "2", "--mmax", "1000",
+      "--budget", "0"], 0),
+    (["bound", "chiupper", "--m", "5000", "--n", "64", "--p", "2", "--q", "2"], 0),
 ])
 def test_paper_range_closed_forms_answer_fast(capsys, argv, code):
     t0 = time.perf_counter()
@@ -532,9 +536,15 @@ def test_huge_dimensions_answer(capsys):
     code, out = capture(capsys, ["bohr", "bracket", "--n", huge, "--p", "inf", "--q", "inf",
                                  "--mmax", "1", "--budget", "0"])
     assert code == 0
-    # (1/3) |Lambda(2, n)|^(-1/2), subnormal but no longer rounded to 0
-    assert _strict_json(out)["result"]["lower"] == pytest.approx(math.sqrt(2) / 3 * 1e-309,
-                                                                 rel=1e-12)
+    # |Lambda(m, n)|^(1/2) is n^(m/2) / sqrt(m!) to far below a float's
+    # precision here, and the m = 1 term r is far below 1/2, so sqrt(n) r
+    # is the root y of sum over m >= 2 of y^m / sqrt(m!) = 1/2
+    lo, hi = 0.5, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        wiener = math.fsum(mid**m / math.sqrt(math.factorial(m)) for m in range(2, 80))
+        lo, hi = (mid, hi) if wiener <= 0.5 else (lo, mid)
+    assert _strict_json(out)["result"]["lower"] == pytest.approx(lo / 10**154.5, rel=1e-9, abs=0)
     # a dimension below 1 is named as given, not through the m-grid
     assert run(["bohr", "table", "--n-grid", "0"]) == 2
     assert capsys.readouterr().err == "error: need n >= 1, got 0\n"
@@ -653,6 +663,14 @@ def test_console_script_installed():
     assert json.loads(res.stdout)["result"]["region"] == "Q1"
 
 
+def test_package_runs_as_a_module():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    res = subprocess.run([sys.executable, "-m", "bohrlab", "bound", "region", "--p", "2",
+                          "--q", "2"], capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert json.loads(res.stdout)["result"]["region"] == "II"
+
+
 def test_witness_search_memory_is_bounded_by_its_table():
     # Lambda(480, 2): its down-closure has C(482, 2) = 115,921 entries.  Built
     # twice from Python tuples (scorer and re-scoring ascent) it took the
@@ -724,7 +742,7 @@ def test_bohr_table_shape(capsys):
     for r in records:
         assert r["lower"] <= r["upper"]
         assert r["region"] == "II"
-        assert r["lower_src"].startswith("chi-upper roots over m grid") and r["upper_src"]
+        assert r["lower_src"].startswith("Wiener sum over all m (dense to m0 = ") and r["upper_src"]
     code, out = capture(capsys, base + ["--format", "csv"])
     assert code == 0
     assert out.splitlines()[1] == "n,lower,upper,lower_src,upper_src,region,rate,provenance"
