@@ -2,13 +2,15 @@
 # chi(m, n; p, q) and push it through to the degree-m Bohr radius K_m.
 #
 # Lower endpoints come from explicit witness polynomials (sign patterns
-# found by annealing, flat coefficients, random ensembles); uppers from
-# the least closed-form record (here the Cauchy-Schwarz + Parseval
-# exact-count split, |Lambda(m, n)|^(1/2) at p = q = 2).  Witness values
-# are slack-deflated because the norm optimizer certifies only lower
-# bounds, and the endpoint they set is marked estimate; one above the
-# proved upper end is dropped.  K_m's ends keep the marks of the chi ends
-# they come from.
+# found by annealing, flat coefficients, random ensembles) and, at m = 2,
+# the Fourier quadratic form z^T F z with its certified value; uppers from
+# the least closed-form record.  At p = q = 2 and m = 2 both ends are
+# sqrt(n): the Fourier form attains it and the Frobenius-Hoelder record
+# (Banach's polarization theorem on l_2) bounds it, so the bracket
+# closes.  Witness values are slack-deflated because the norm optimizer
+# certifies only lower bounds, and the endpoint they set is marked
+# estimate; one above the proved upper end is dropped.  K_m's ends keep
+# the marks of the chi ends they come from.
 
 from bohrlab.bohr import k_m_bracket
 from bohrlab.bounds import ExponentPair

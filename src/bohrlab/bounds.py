@@ -1,8 +1,9 @@
 """Closed-form analytic bounds: the index-tuple multiplicity sums, the exact
-unconditionality constant of linear forms, its upper bounds (the Parseval
-exact-count split, its transfer to q > p, and the small-exponent lemma),
-the random-sign norm envelope, and the asymptotic region map with its rate
-expressions.
+unconditionality constant of linear forms, the Fourier quadratic form's
+lower bound at m = 2, the chi upper bounds (the Parseval exact-count
+split, its transfer to q > p, the small-exponent lemma and the
+Frobenius-Hoelder record), the random-sign norm envelope, and the
+asymptotic region map with its rate expressions.
 
 Exponents p, q live in [1, inf] (math.inf allowed); 1/inf = 0 throughout and
 the conjugate of 1 is inf.
@@ -10,6 +11,7 @@ the conjugate of 1 is inf.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import sys
@@ -231,42 +233,72 @@ def j_sum(m: int, n: int, e: ExponentPair | None = None, beta: float | None = No
 LINEAR_SOURCE = "exact at m = 1 (linear forms)"
 SPLIT_SOURCE = "exact-count split (Cauchy-Schwarz + Parseval)"
 TRANSFER_SOURCE = "transfer from q = p (B_q in n^(1/p - 1/q) B_p)"
+FROBENIUS_SOURCE = "Frobenius-Hoelder (Banach polarization on l_2)"
+FOURIER_SOURCE = "closed-form (Fourier quadratic form)"
 LINEAR_SLACK = 2.0 ** -50  # relative narrowing of the m = 1 lower end (2 to 4 ulps)
 
 
+@functools.cache
 def _inv_exact(p: float) -> Fraction:
     """1/p exactly, as a fraction of the float exponent (1/inf = 0): an
     exponent made from these is exactly 0 where the real one is."""
     return Fraction(0) if p == INF else 1 / Fraction(p)
 
 
-def _log_chi_linear_digits(n: int, e: ExponentPair) -> Decimal:
-    """ln chi(1, n; p, q) = max(0, 1/p - 1/q) ln n to 40 digits (exactly 0
-    where chi = 1).
-
-    A linear form sum a_i z_i has sup norm ||a||_{p'} on the l_p ball and
-    majorant sup ||a||_{q'} on the l_q ball, so chi(1, n; p, q) is the sup
-    over a of ||a||_{q'} / ||a||_{p'}, which is n^max(0, 1/q' - 1/p')
-    (a = e_1 when q' >= p', a flat when q' < p'), and 1/q' - 1/p' =
-    1/p - 1/q.  The exponent is exact (_inv_exact)."""
-    x = max(Fraction(0), _inv_exact(e.p) - _inv_exact(e.q))
+def _log_power_digits(n: int, x: Fraction) -> Decimal:
+    """x ln n to 40 digits, exactly 0 at x = 0."""
     if not x:
         return Decimal(0)
     with localcontext(prec=40):
         return x.numerator * Decimal(n).ln() / x.denominator
 
 
-def chi_linear(n: int, e: ExponentPair) -> float:
-    """A lower end of chi(1, n; p, q) = n^max(0, 1/p - 1/q): the 40-digit
-    value less LINEAR_SLACK relative, rounded down, so neither this rounding
-    nor the one of a K_1 upper end made from it passes the true value; 1.0
-    where chi = 1, and inf past the float range."""
-    log_value = _log_chi_linear_digits(n, e)
+def _power_lower(n: int, x: Fraction) -> float:
+    """A lower end v of n^x for x >= 0: the 40-digit value less
+    LINEAR_SLACK relative, rounded down, so neither this rounding nor the
+    one of a K_1 or K_2 upper end v^(-1/m) made from it passes the true
+    value; 1.0 at n^x = 1, and inf past the float range."""
+    log_value = _log_power_digits(n, x)
     if not log_value:
         return 1.0
     with localcontext(prec=40):
         value = float((log_value - Decimal(LINEAR_SLACK)).exp())
     return value if value == INF else math.nextafter(value, 0.0)
+
+
+def _linear_exponent(e: ExponentPair) -> Fraction:
+    """max(0, 1/p - 1/q) as an exact fraction (_inv_exact), the exponent
+    of chi(1, n; p, q).
+
+    A linear form sum a_i z_i has sup norm ||a||_{p'} on the l_p ball and
+    majorant sup ||a||_{q'} on the l_q ball, so chi(1, n; p, q) is the sup
+    over a of ||a||_{q'} / ||a||_{p'}, which is n^max(0, 1/q' - 1/p')
+    (a = e_1 when q' >= p', a flat when q' < p'), and 1/q' - 1/p' =
+    1/p - 1/q."""
+    return max(Fraction(0), _inv_exact(e.p) - _inv_exact(e.q))
+
+
+def chi_linear(n: int, e: ExponentPair) -> float:
+    """A lower end of chi(1, n; p, q) = n^max(0, 1/p - 1/q) (_power_lower):
+    1.0 where chi = 1, and inf past the float range."""
+    return _power_lower(n, _linear_exponent(e))
+
+
+def chi_fourier(n: int, e: ExponentPair) -> float:
+    """A lower end of chi(2, n; p, q) >= n^max(0, x) with x = 3/2 - 2/q -
+    max(0, 1 - 2/p) (_power_lower, the exponent exact): 1.0 where x <= 0,
+    and inf past the float range.
+
+    Proof.  Let P(z) = z^T F z with F_jk = w^(jk), w = e^(2 pi i / n).
+    F / sqrt(n) is unitary, so |P(z)| <= ||z||_2 ||F z||_2 = sqrt(n)
+    ||z||_2^2, and on B_p ||z||_2^2 <= n^max(0, 1 - 2/p).  The coefficient
+    of z_j^2 has modulus 1 and that of z_j z_k (j < k) modulus 2, so the
+    majorant at x = |z| is (sum x_j)^2 = ||x||_1^2, whose sup on B_q is
+    n^(2 - 2/q), at the flat point.  At p = q = 2 it is exactly sqrt(n),
+    the Frobenius-Hoelder record's value."""
+    x = (Fraction(3, 2) - 2 * _inv_exact(e.q)
+         - max(Fraction(0), 1 - 2 * _inv_exact(e.p)))
+    return _power_lower(n, max(Fraction(0), x))
 
 
 class ChiUpperSource(NamedTuple):
@@ -290,7 +322,7 @@ def _up(x: float) -> float:
 
 def _linear_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
     """The exact value at m = 1: its 40-digit log rounded once (error 2u)."""
-    log_value = float(_log_chi_linear_digits(n, e)) if 1 in ms else INF
+    log_value = float(_log_power_digits(n, _linear_exponent(e))) if 1 in ms else INF
     return [(log_value, 2.0 ** -52 * log_value) if m == 1 else (INF, 0.0) for m in ms]
 
 
@@ -316,10 +348,13 @@ def _split_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[floa
     |Lambda|^(1/2) n^(m/p).
 
     x is exact as a fraction of the float exponents, so x = 0 (region I,
-    and p >= 2 at q = 1) gives the log 0 exactly.  Error: math.log of the
-    integer within 4u of its log (rounding the integer to a float, then
-    libm), float(x) and the product 2u: 16u of it."""
+    and p >= 2 at q = 1) gives the log 0 exactly, and no count is formed.
+    Error: math.log of the integer within 4u of its log (rounding the
+    integer to a float, then libm), float(x) and the product 2u: 16u of
+    it."""
     x = max(Fraction(0), Fraction(1, 2) + _inv_exact(e.p) - _inv_exact(e.q))
+    if not x:
+        return [(0.0, 0.0)] * len(ms)
     logs = [float(x) * math.log(lambda_card(m, n)) for m in ms]
     return [(v, 2.0 ** -49 * v) for v in logs]
 
@@ -410,6 +445,69 @@ def _lemma_log_tail(m0: int, n: int, e: ExponentPair) -> float:
     return _up(tau * (1 + 2.0 ** -48))
 
 
+@functools.cache
+def _frobenius_exponents(e: ExponentPair) -> tuple[float, float]:
+    """Record C's exponents max(0, 1/p - 1/2) of n^m and 1/q' of the
+    count, each an exact fraction rounded once: 0.0 exactly where it is
+    0."""
+    return (float(max(Fraction(0), _inv_exact(e.p) - Fraction(1, 2))),
+            float(1 - _inv_exact(e.q)))
+
+
+def _frobenius_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
+    """Record C, Frobenius-Hoelder, for 1 <= q <= 2 and any p:
+    chi(m, n; p, q) <= n^(m max(0, 1/p - 1/2)) min(|Lambda(m, n)|,
+    n^(m-1))^(1/q').
+
+    Proof.  Let T be the symmetric tensor of P = sum c_a z^a, T_j =
+    c_a / (m!/a!) for each j in [n]^m of type a, and s = ||P||_{B_2}.
+    (i) max_j |T_j| <= s: on a Hilbert space the symmetric m-linear form
+    has the norm of its polynomial (Banach, Studia Math. 7 (1938)).
+    (ii) ||T||_F^2 <= n^(m-1) s^2: ||T||_F^2 = sum_j ||T(e_j, .)||_F^2,
+    and by (i) each slice is a symmetric (m-1)-form of norm <= s, so
+    induction on m gives it from ||a||_2 = s at m = 1.
+    (ii') ||T||_F^2 <= |Lambda(m, n)| s^2: the mean of |P|^2 over the unit
+    sphere of C^n is ||T||_F^2 / |Lambda(m, n)|.
+    (iii) At x = |z| in B_q the majorant sum_a |c_a| x^a is sum_j |T_j|
+    x_j1...x_jm, and Hoelder (q', q) bounds it by (sum_j |T_j|^q')^(1/q')
+    ||x||_q^m; q' >= 2, so sum_j |T_j|^q' <= max_j |T_j|^(q'-2) ||T||_F^2
+    <= s^q' min(|Lambda|, n^(m-1)).
+    (iv) s <= n^(m max(0, 1/p - 1/2)) ||P||_{B_p}, since B_2 lies in
+    n^max(0, 1/p - 1/2) B_p.
+
+    Either branch of the min bounds the count, so the choice is only
+    about tightness: where ln m! <= ln n, n^(m-1) is the smaller, since
+    |Lambda(m, n)| >= n^m / m!, and it is taken without forming the
+    count; at q = 1 (1/q' = 0) no count is formed.  At p = 2 the
+    |Lambda| branch is record A's value, which then keeps its source.
+    Error: math.log of an integer 4u, each exponent and each product u,
+    the sum u: 16u of it."""
+    lead, w = _frobenius_exponents(e)
+    log_n = math.log(n)
+    logs = []
+    for m in ms:
+        count = (m - 1) * log_n
+        if w and math.lgamma(m + 1) > log_n:
+            count = min(count, math.log(lambda_card(m, n)))
+        logs.append(m * lead * log_n + w * count)
+    return [(v, 2.0 ** -49 * v) for v in logs]
+
+
+def _frobenius_log_tail(m0: int, n: int, e: ExponentPair) -> float:
+    """max(0, 1/p - 1/2) ln n + (1/q') ln |Lambda(m0 + 1, n)| / (m0 + 1):
+    record C's log over m is at most the first term plus (1/q')
+    ln |Lambda(m, n)| / m, which decreases in m (record A's tail).  The
+    n^(m-1) branch adds nothing past m0: (m - 1) ln n / m < ln n, and
+    ln |Lambda(m, n)| / m <= ln n since |Lambda(m, n)| <= n^m.  Error: the
+    logs 4u each, the exponents, products and division u each, the sum u:
+    inside 2^-48 of the total, then one ulp up."""
+    lead, w = _frobenius_exponents(e)
+    tau = lead * math.log(n)
+    if w:
+        tau += w * math.log(lambda_card(m0 + 1, n)) / (m0 + 1)
+    return _up(tau * (1 + 2.0 ** -48))
+
+
 # Tried in order, so the first of equal ends names the source.  The m = 1
 # record has no tail: it covers no m > m0 >= 1.
 CHI_UPPER_SOURCES = (
@@ -419,6 +517,8 @@ CHI_UPPER_SOURCES = (
                    _transfer_log_tail),
     ChiUpperSource("small-exponent lemma", lambda e: 1 <= e.q <= e.p <= 2, _lemma_log_bounds,
                    _lemma_log_tail),
+    ChiUpperSource(FROBENIUS_SOURCE, lambda e: e.q <= 2, _frobenius_log_bounds,
+                   _frobenius_log_tail),
 )
 
 
@@ -426,12 +526,19 @@ def log_chi_uppers(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, 
     """For each m of ms, an upper end of ln chi(m, n; p, q) and its source:
     the least over the CHI_UPPER_SOURCES holding at (p, q) of a source's
     log plus its error bound, rounded up (a log without error is exact).
+    chi >= 1, so after a source whose logs are all exactly 0 no later
+    one is evaluated (region I, and q = 1 at p >= 2, then form no count).
     ms and n are integers, numpy's too (operator.index refuses a float)."""
     ms, n = [operator.index(m) for m in ms], operator.index(n)
     if min(ms) < 1 or n < 1:
         raise ValueError(f"need m >= 1 and n >= 1, got m={min(ms)}, n={n}")
-    ends = [[(math.nextafter(v + error, INF) if error else v, src.source)
-             for v, error in src.log_bounds(ms, n, e)] for src in CHI_UPPER_SOURCES if src.holds(e)]
+    ends = []
+    for src in CHI_UPPER_SOURCES:
+        if src.holds(e):
+            ends.append([(math.nextafter(v + error, INF) if error else v, src.source)
+                         for v, error in src.log_bounds(ms, n, e)])
+            if not any(v for v, _ in ends[-1]):
+                break
     return [min(col, key=lambda end: end[0]) for col in zip(*ends)]
 
 

@@ -18,8 +18,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bounds import (LINEAR_SOURCE, LOG_FLOAT_MAX, ExponentPair, _exp, chi_linear,
-                     chi_upper_ends, conjugate, inv, lempoly_rhs, log_chi_uppers)
+from .bounds import (FOURIER_SOURCE, LINEAR_SOURCE, LOG_FLOAT_MAX, ExponentPair, _exp,
+                     chi_fourier, chi_linear, chi_upper_ends, conjugate, inv, lempoly_rhs,
+                     log_chi_uppers)
 from .multiindex import enumerate_j, enumerate_lambda, lambda_card, tuple_to_alpha
 from .optimize import (BATCH_ENTRIES, STEP_CAP, OptConfig, NormEstimate, majorant_sups, pick_best,
                        sup_norm, sup_norms, to_sphere)
@@ -355,14 +356,17 @@ def chi_lower_end(
     """The best available lower end for chi(m, n; p, q).
 
     At m = 1 inside the float range it is the exact value, a few ulps
-    below where it is not 1 (bounds.chi_linear), and no search runs.  Otherwise it is the max of
-    1, the flat-point chain through a sign-pattern search, and the brute
-    oracle on tiny instances (estimate-based candidates are slack-deflated
-    and marked estimate).  An estimate-based candidate above the proved chi
-    upper end (log_chi_uppers, taken only when such a candidate leads) is
-    dropped, and the end that stands names it in its source.
-    sign_budget=0 skips the search chain (as does an
-    index set sign_search refuses).  Both searches use the seed cfg.seed
+    below where it is not 1 (bounds.chi_linear), and no search runs.
+    Otherwise it is the max of 1, at m = 2 the Fourier quadratic form's
+    n^(3/2 - 2/q - max(0, 1 - 2/p)) where that exceeds 1 (bounds.chi_fourier,
+    certified and a few ulps low), the flat-point chain through a
+    sign-pattern search, and the brute oracle on tiny instances
+    (estimate-based candidates are slack-deflated and marked estimate);
+    the first of equal candidates stands.  An estimate-based candidate
+    above the proved chi upper end (log_chi_uppers, taken only when such a
+    candidate leads) is dropped, and the end that stands names it in its
+    source.  sign_budget=0 skips the search chain (as does an index set
+    sign_search refuses).  Both searches use the seed cfg.seed
     and one compiled Lambda(m, n); m < 1 or samples < 1000 fails before
     either runs.
     """
@@ -372,6 +376,8 @@ def chi_lower_end(
         return Endpoint(exact, LINEAR_SOURCE)
     cfg = cfg or SEARCH_OPT
     lower_cands, deflated = [Endpoint(1.0, "trivial")], "(estimate-based, slack-deflated)"
+    if m == 2 and 1 < (fourier := chi_fourier(n, e)) < math.inf:
+        lower_cands.append(Endpoint(fourier, FOURIER_SOURCE))
     search = sign_budget > 0 and _search_refusal(m, n, e.p) is None
     brute = lambda_card(m, n) <= BRUTE_CAP
     index_set = _index_set(m, n) if search or brute else None
@@ -411,7 +417,10 @@ def chi_bracket(
     Lower: chi_lower_end (the arguments after e are its own).  Upper: the
     least closed form (bounds.log_chi_uppers), rounded up by
     bounds.chi_upper_ends; at m = 1 both ends are the exact value, a few
-    ulps outward where it is not 1, and no search runs inside the float range.
+    ulps outward where it is not 1, and no search runs inside the float
+    range.  At m = 2 and p = q = 2 both ends are sqrt(n), the Fourier
+    quadratic form's value and the Frobenius-Hoelder record's, each
+    rounded outward.
     """
     lower = chi_lower_end(m, n, e, cfg, sign_budget, samples)
     [(log_up, source)] = log_chi_uppers([m], n, e)

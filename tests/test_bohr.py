@@ -20,7 +20,7 @@ from bohrlab.bohr import (
     wiener_lower,
 )
 from bohrlab import optimize
-from bohrlab.bounds import ExponentPair, chi_upper_ends, log_chi_uppers, rate
+from bohrlab.bounds import FOURIER_SOURCE, ExponentPair, chi_upper_ends, log_chi_uppers, rate
 from bohrlab.multiindex import enumerate_lambda
 from bohrlab.optimize import OptConfig, bohr_sum, series_part_sups, series_sup, sup_norm
 from bohrlab.polynomial import HomPoly, TruncatedSeries, moebius_series
@@ -62,11 +62,17 @@ def test_k_m_bracket_linear():
 
 
 def test_k_m_bracket_monotone_map():
+    # the K_2 upper end at (inf, inf) is the Fourier end chi >= sqrt(2), at
+    # or below the one the deflated brute value would give, and at least
+    # the true 2^(-1/4)
     e = ExponentPair(math.inf, math.inf)
     br = k_m_bracket(2, 2, e, OPT, **KW)
     bc = brute_chi(2, 2, e, seed=OPT.seed, cfg=OPT)
     assert br.lower.value <= bc.raw ** (-0.5) * 1.05
-    assert bc.deflated ** (-0.5) <= br.upper.value * (1 + 1e-9)
+    assert br.upper.source == f"chi lower: {FOURIER_SOURCE}" and not br.upper.estimate
+    assert br.upper.value <= bc.deflated ** (-0.5)
+    with localcontext(prec=50):
+        assert Decimal(br.upper.value) >= 1 / Decimal(2).sqrt().sqrt()
 
 
 def test_round_trip_identity():
@@ -186,14 +192,30 @@ def test_wiener_lower_end_is_a_third_at_n_1(p, q):
                           "exact at m = 1 (linear forms))")
 
 
-@pytest.mark.parametrize("p, q, floor", [(INF, INF, 0.12), (2.0, 2.0, 0.29), (1.5, 1.5, 0.19),
+@pytest.mark.parametrize("p, q, floor", [(INF, INF, 0.12), (2.0, 2.0, 0.44), (1.5, 1.5, 0.19),
                                          (1.0, 1.0, 0.118)])
 def test_rate_table_lower_ends_on_their_rate(p, q, floor):
-    # the rate table's cells (demos/05_rate_table.py) that the Wiener sum moved:
-    # lower / rate at n = 2^10, 2^20 and 2^40
+    # the rate table's cells (demos/05_rate_table.py) that the Wiener sum
+    # and, at (2, 2), the Frobenius-Hoelder record moved: lower / rate at
+    # n = 2^10, 2^20 and 2^40
     e = ExponentPair(p, q)
     for n in (2**10, 2**20, 2**40):
         assert k_bracket(n, e, 3, sign_budget=0).lower.value / rate(p, q, n) >= floor, n
+
+
+@pytest.mark.parametrize("p, q, growth", [(INF, INF, 5.3), (2.0, 2.0, 4.6)])
+def test_rate_table_upper_ends_on_their_rate(p, q, growth):
+    # the Fourier end sets K_2 <= n^(-1/4) at (inf, inf) and (2, 2): upper /
+    # rate at n = 2^10, 2^20 and 2^40 stays below 2.2 / 8.7 / 200, and
+    # ln(upper / lower) grows by at most `growth` from 2^10 to 2^40 (10.38
+    # and 9.29 with the K_2 end from the searches)
+    e, gaps = ExponentPair(p, q), []
+    for n, ceiling in [(2**10, 2.2), (2**20, 8.7), (2**40, 200.0)]:
+        br = k_bracket(n, e, 3, sign_budget=0)
+        assert br.upper.source == f"K_2 upper (chi lower: {FOURIER_SOURCE})"
+        assert br.upper.value / rate(p, q, n) <= ceiling, n
+        gaps.append(math.log(br.upper.value / br.lower.value))
+    assert gaps[-1] - gaps[0] <= growth
 
 
 def test_bohr_1d_bracket():

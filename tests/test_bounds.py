@@ -17,11 +17,14 @@ from bohrlab import bohr, bounds
 from bohrlab.bohr import k_bracket, k_m_bracket
 from bohrlab.bounds import (
     CHI_UPPER_SOURCES,
+    FOURIER_SOURCE,
+    FROBENIUS_SOURCE,
     LINEAR_SOURCE,
     SPLIT_SOURCE,
     TRANSFER_SOURCE,
     ExponentPair,
     bayart_bound,
+    chi_fourier,
     chi_linear,
     chi_upper_ends,
     conjugate,
@@ -329,11 +332,15 @@ def test_coefficient_chi_upper():
                                    + _dec(m * _inv_fraction(p)) * Decimal(n).ln())
                     assert Decimal(log_up) <= coefficient, (p, q, n, m)
     # where it was the source, the split record is now: 15 -> 1 in region I,
-    # 6 -> |Lambda(2, 2)|^(1/2) at p = q = 2
-    for (m, n, e), value in [((2, 5, ExponentPair(math.inf, 2.0)), 1.0),
-                             ((2, 2, ExponentPair(2.0, 2.0)), math.sqrt(3))]:
+    # 3 -> |Lambda(2, 2)|^(1/2) at p = q = inf; at p = q = 2 (6 at first)
+    # the Frobenius-Hoelder record's min(|Lambda(2, 2)|, 2)^(1/2) is less
+    for (m, n, e), value, source in [((2, 5, ExponentPair(math.inf, 2.0)), 1.0, SPLIT_SOURCE),
+                                     ((2, 2, ExponentPair(math.inf, math.inf)), math.sqrt(3),
+                                      SPLIT_SOURCE),
+                                     ((2, 2, ExponentPair(2.0, 2.0)), math.sqrt(2),
+                                      FROBENIUS_SOURCE)]:
         [(log_value, src)] = log_chi_uppers([m], n, e)
-        assert src == SPLIT_SOURCE
+        assert src == source
         assert math.exp(log_value) == pytest.approx(value)
 
 
@@ -373,12 +380,14 @@ SOUNDNESS_CELLS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (2, 6), (4, 2), (5, 2
 @pytest.mark.parametrize("p", SOUNDNESS_PS)
 def test_split_and_transfer_hold_against_brute(p):
     # the brute oracle's raw ratio (an estimate of chi from below) never
-    # passes the split or transfer record where it holds: 336 cases
+    # passes the split or transfer record where it holds (336 cases), nor
+    # the Frobenius-Hoelder record at q <= 2 (240 cases; at (2, 2), m = 2
+    # and n in {2, 4} the record is exact and the ratio meets it)
     cfg = OptConfig(16, 150, 3)
     for q, (m, n) in itertools.product(SOUNDNESS_QS, SOUNDNESS_CELLS):
         e = ExponentPair(p, q)
         raw = brute_chi(m, n, e, samples=1000, seed=3, cfg=cfg).raw
-        for src in (SOURCES[SPLIT_SOURCE], SOURCES[TRANSFER_SOURCE]):
+        for src in (SOURCES[SPLIT_SOURCE], SOURCES[TRANSFER_SOURCE], SOURCES[FROBENIUS_SOURCE]):
             if src.holds(e):
                 [(v, err)] = src.log_bounds([m], n, e)
                 assert raw <= chi_upper_ends(math.nextafter(v + err, math.inf), m)[0], (q, m, n)
@@ -436,6 +445,32 @@ def test_linear_value_past_the_float_range():
     assert chi_linear(10**400, ExponentPair(1.0, 1.01)) == pytest.approx(10 ** (400 / 101))
     [(log_value, src)] = log_chi_uppers([1], 10**400, e)
     assert log_value == pytest.approx(400 * math.log(10), rel=1e-15) and src == LINEAR_SOURCE
+
+
+def _no_count(*args):
+    raise AssertionError("a count |Lambda(m, n)| was formed")
+
+
+def test_zero_exponents_form_no_count(monkeypatch):
+    # record A's exponent is exactly 0 in region I and at q = 1, p >= 2, and
+    # record C's count exponent 1/q' at q = 1: the logs are exactly 0 (or
+    # record C's n^(m (1/p - 1/2)) alone) and no count is formed, even at
+    # n = 10^309 and m <= 300; record C takes n^(m-1) without the count
+    # where m! <= n (ln 20! = 42.3 < ln 10^20 = 46.1); once every log is 0,
+    # log_chi_uppers evaluates no later record
+    monkeypatch.setattr(bounds, "lambda_card", _no_count)
+    ms, huge = list(range(1, 301)), 10**309
+    for p, q in [(math.inf, 2.0), (4.0, 4 / 3), (2.0, 1.0), (math.inf, 1.0)]:
+        e = ExponentPair(p, q)
+        assert SOURCES[SPLIT_SOURCE].log_bounds(ms, huge, e) == [(0.0, 0.0)] * 300
+        assert log_chi_uppers(ms, huge, e) == [(0.0, LINEAR_SOURCE)] + [(0.0, SPLIT_SOURCE)] * 299
+    frobenius = SOURCES[FROBENIUS_SOURCE]
+    assert frobenius.log_bounds(ms, huge, ExponentPair(math.inf, 1.0)) == [(0.0, 0.0)] * 300
+    for m, (v, err) in zip(ms, frobenius.log_bounds(ms, huge, ExponentPair(1.0, 1.0))):
+        assert v == pytest.approx(m * 309 * math.log(10) / 2, rel=1e-15) and err == 2.0 ** -49 * v
+    ends = frobenius.log_bounds(list(range(1, 21)), 10**20, ExponentPair(2.0, 1.5))
+    assert [v for v, _ in ends] == pytest.approx([(m - 1) * 20 * math.log(10) / 3
+                                                  for m in range(1, 21)], rel=1e-15)
 
 
 def test_envelope_constant():
@@ -558,6 +593,14 @@ def _inv_fraction(r: float) -> Fraction:
     return Fraction(0) if r == math.inf else 1 / Fraction(r)
 
 
+def _exact_log_frobenius(m, n, p, q) -> Decimal:
+    # m max(0, 1/p - 1/2) ln n + (1/q') min(ln |Lambda(m, n)|, (m - 1) ln n);
+    # call in a 50-digit context
+    ln_n = Decimal(n).ln()
+    lead = _dec(m * max(Fraction(0), _inv_fraction(p) - Fraction(1, 2))) * ln_n
+    return lead + _dec(1 - _inv_fraction(q)) * min(_ln_card(m, n), (m - 1) * ln_n)
+
+
 def _exact_log_chi_upper(m, n, p, q, count_past=math.inf) -> Decimal:
     """ln of the least closed-form chi upper bound that holds at the float
     exponents (as exact fractions); for m > count_past the lemma's
@@ -572,6 +615,8 @@ def _exact_log_chi_upper(m, n, p, q, count_past=math.inf) -> Decimal:
         ends.append(_dec(max(Fraction(0), Fraction(1, 2) + inv_p - inv_q)) * ln_card)
     else:  # transfer from q = p
         ends.append(_dec(m * (inv_p - inv_q)) * ln_n + _exact_log_chi_upper(m, n, p, p, count_past))
+    if q <= 2:  # Frobenius-Hoelder
+        ends.append(_exact_log_frobenius(m, n, p, q))
     if q <= p <= 2:
         lemma = Decimal(m).ln() + 1 + _dec((m - 1) * inv_p)
         if q > 1:
@@ -626,7 +671,7 @@ def test_k_lower_ends_hold_their_exact_value(p, q, n):
 @pytest.mark.parametrize("p, q", PAIRS_50)
 def test_log_tails_bound_every_later_degree(p, q, monkeypatch):
     # each record's log_tail(m0) is at least its log over m at every
-    # m0 < m <= 2000: the 50-digit value for records A and B and for the
+    # m0 < m <= 2000: the 50-digit value for records A, B and C and for the
     # lemma at beta = 0, else the lemma's float log plus its error bound
     # (powered past the default budget at n = 2^40); the m = 1 record has
     # none
@@ -647,6 +692,8 @@ def test_log_tails_bound_every_later_degree(p, q, monkeypatch):
                     ln_n = Decimal(n).ln()
                     logs = [_dec(m * (inv_p - inv_q)) * ln_n + _exact_log_chi_upper(m, n, p, p)
                             for m in ms]
+                elif src.source == FROBENIUS_SOURCE:
+                    logs = [_exact_log_frobenius(m, n, p, q) for m in ms]
                 elif e.beta:
                     logs = [Decimal(v) + Decimal(err) for v, err in src.log_bounds(ms, n, e)]
                 else:  # the lemma at q = p: the multiplicity sum is the count
@@ -676,3 +723,23 @@ def test_sweep_upper_ends_hold_their_exact_value(tmp_path):
                     assert r[col["upper"]] == "1" and r[col["upper_src"]] == SPLIT_SOURCE
                 if (p, q, m, n) == ("3/2", "4", 3, 4):
                     assert r[col["upper_src"]] == TRANSFER_SOURCE
+
+
+@pytest.mark.parametrize("p, q", PAIRS_50)
+def test_fourier_end_holds_its_exact_value(p, q):
+    # chi(2, n; p, q) >= n^max(0, x), x = 3/2 - 2/q - max(0, 1 - 2/p): the
+    # end is at most the 50-digit value, the K_2 upper end made from it at
+    # least its value, and no chi upper end at m = 2 is below it
+    e = ExponentPair(p, q)
+    inv_p, inv_q = _inv_fraction(p), _inv_fraction(q)
+    x = max(Fraction(0), Fraction(3, 2) - 2 * inv_q - max(Fraction(0), 1 - 2 * inv_p))
+    for n in (2, 64, 1039, 2**40):
+        low = chi_fourier(n, e)
+        [(log_up, _)] = log_chi_uppers([2], n, e)
+        assert low <= chi_upper_ends(log_up, 2)[0], n
+        k_2 = bohr._k_upper(2, Endpoint(low, FOURIER_SOURCE)).value
+        with localcontext(prec=50):
+            exact = (_dec(x) * Decimal(n).ln()).exp()
+            assert Decimal(low) <= exact and Decimal(k_2) >= 1 / exact.sqrt(), n
+        if not x:
+            assert low == k_2 == 1.0

@@ -509,9 +509,10 @@ def test_linear_bracket_answers_at_once(capsys):
 
 def test_csv_quotes_fields_holding_commas(capsys):
     # "sign-search flat point (estimate-based, slack-deflated)" holds a
-    # comma: quoted, every row keeps the header's 8 fields
-    code, out = capture(capsys, ["sweep", "--m-grid", "1,2", "--n-grid", "2,3", "--p", "2",
-                                 "--q", "inf", "--budget", "50", "--restarts", "4",
+    # comma: quoted, every row keeps the header's 8 fields.  At (1, 4/3) the
+    # Fourier end's exponent is 0, so the m = 2 lower ends are the searches'
+    code, out = capture(capsys, ["sweep", "--m-grid", "1,2", "--n-grid", "2,3", "--p", "1",
+                                 "--q", "4/3", "--budget", "50", "--restarts", "4",
                                  "--iters", "20", "--format", "csv"])
     assert code == 0
     lines = out.splitlines()[1:]
@@ -710,9 +711,11 @@ def test_reruns_byte_identical(capsys):
 
 @pytest.mark.parametrize("argv, provenance", [
     (["--p", "2", "--q", "4/3", "--n-grid", "64", "--budget", "0"], "closed-form"),
-    # chi(1, 8; 2, inf) = sqrt(8) < 3 (exact), and the sign-search chi lower
-    # bound at m = 2 sets K upper
-    (["--p", "2", "--q", "inf", "--n-grid", "8", "--mmax", "2", "--budget", "100",
+    # chi(1, 4; 4/3, inf) = 4^(3/4) < 3 (exact), and the sign-search chi
+    # lower bound at m = 2 sets K upper, below the Fourier end's 4^(-3/4)
+    # and 1/3 (where the Fourier exponent is <= 0, chi grows too slowly
+    # for a search at small n to reach 3^m)
+    (["--p", "4/3", "--q", "inf", "--n-grid", "4", "--mmax", "2", "--budget", "100",
       "--restarts", "4", "--iters", "20"], "estimate-based"),
     # chi(1, 4; 1, inf) = 4 > 3 exactly: K upper 1/4 is closed-form
     (["--p", "1", "--q", "inf", "--n-grid", "4", "--mmax", "1", "--budget", "100",

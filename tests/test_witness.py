@@ -1,11 +1,13 @@
 import itertools
 import math
 import tracemalloc
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
 
-from bohrlab.bounds import LINEAR_SOURCE, ExponentPair, chi_upper_ends, log_chi_uppers
+from bohrlab.bounds import (FOURIER_SOURCE, FROBENIUS_SOURCE, LINEAR_SOURCE, ExponentPair,
+                            chi_upper_ends, log_chi_uppers)
 from bohrlab.multiindex import enumerate_lambda, multiplicity
 from bohrlab.optimize import NormEstimate, OptConfig, lp_norm, majorant_sups, sup_norm, sup_norms
 from bohrlab import polynomial, witness
@@ -381,6 +383,44 @@ def test_chi_bracket_linear_past_the_float_range(monkeypatch):
     assert br.upper.value == math.inf and br.upper.source == LINEAR_SOURCE
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 1039, 2**40])
+def test_fourier_form_closes_the_hilbert_space_cell(n):
+    # chi(2, n; 2, 2) = sqrt(n): the Fourier quadratic form attains it and
+    # the Frobenius-Hoelder record bounds it, each end rounded outward; the
+    # width is the record's stated error, 2^-49 of its log, and a few ulps
+    br = chi_bracket(2, n, ExponentPair(2.0, 2.0), OptConfig(2, 10, 0), sign_budget=0)
+    assert (br.lower.source, br.upper.source) == (FOURIER_SOURCE, FROBENIUS_SOURCE)
+    assert not br.lower.estimate
+    with localcontext(prec=50):
+        assert Decimal(br.lower.value) <= Decimal(n).sqrt() <= Decimal(br.upper.value)
+    assert br.upper.value / br.lower.value - 1 <= 2.0 ** -49 * math.log(br.upper.value) + 2.0 ** -47
+
+
+def _fourier_form(n):
+    # z^T F z with F_jk = e^(2 pi i jk / n): z_j^2 has coefficient F_jj,
+    # z_j z_k (j < k) 2 F_jk
+    coeffs = {}
+    for j, k in itertools.combinations_with_replacement(range(n), 2):
+        alpha = [0] * n
+        alpha[j] += 1
+        alpha[k] += 1
+        coeffs[tuple(alpha)] = (1 if j == k else 2) * np.exp(2j * np.pi * (j * k % n) / n)
+    return HomPoly(n, 2, coeffs)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("p", [2.0, 4.0])
+def test_fourier_form_stays_below_its_certified_norm(n, p):
+    # |P| <= sqrt(n) ||z||_2^2 <= sqrt(n) n^max(0, 1 - 2/p) on B_p, which the
+    # Fourier end rests on: a 64-restart, 300-iteration ascent never passes
+    # it, and at p = 2 it reaches it
+    bound = math.sqrt(n) * n ** max(0.0, 1 - 2 / p)
+    est = sup_norm(_fourier_form(n), p, OptConfig(64, 300, 0)).value
+    assert est <= bound * (1 + 1e-12)
+    if p == 2:
+        assert est == pytest.approx(bound, rel=1e-6)
+
+
 def test_chi_bracket_contains_brute():
     e = ExponentPair(2.0, 2.0)
     br = chi_bracket(2, 2, e, CFG, sign_budget=500)
@@ -417,17 +457,22 @@ def test_stub_candidate_above_the_proved_upper_end_is_dropped(monkeypatch):
     assert end == witness.Endpoint(1.0, "trivial; brute oracle 9.5 dropped above the proved "
                                         "upper end 1")
     assert len(calls) == 1
-    # a candidate at or below the upper end stands as it was
-    monkeypatch.setattr(witness, "brute_chi", _stub_brute(1.2))
-    end = witness.chi_lower_end(2, 2, ExponentPair(2.0, 1.5), CFG, sign_budget=0)
-    assert end == witness.Endpoint(1.2, "brute oracle (estimate-based, slack-deflated)", True)
+    # a candidate at or below the upper end chi(2, 2; 2, 4/3) <= 2^(1/4)
+    # stands as it was (the Fourier exponent is 0 there: no closed-form end)
+    monkeypatch.setattr(witness, "brute_chi", _stub_brute(1.15))
+    end = witness.chi_lower_end(2, 2, ExponentPair(2.0, 4 / 3), CFG, sign_budget=0)
+    assert end == witness.Endpoint(1.15, "brute oracle (estimate-based, slack-deflated)", True)
     assert len(calls) == 2
     # no upper end is taken where no estimate leads: below the trivial end,
     # or where neither search runs
     monkeypatch.setattr(witness, "brute_chi", _stub_brute(0.5))
-    assert witness.chi_lower_end(2, 2, ExponentPair(2.0, 1.5), CFG, sign_budget=0).value == 1.0
-    assert witness.chi_lower_end(2, 64, ExponentPair(2.0, 1.5), CFG, sign_budget=0).value == 1.0
+    assert witness.chi_lower_end(2, 2, ExponentPair(2.0, 4 / 3), CFG, sign_budget=0).value == 1.0
+    assert witness.chi_lower_end(2, 64, ExponentPair(2.0, 4 / 3), CFG, sign_budget=0).value == 1.0
     assert len(calls) == 2
+    # nor below the Fourier end chi(2, 2; 2, 3/2) >= 2^(1/6), which stands
+    end = witness.chi_lower_end(2, 2, ExponentPair(2.0, 1.5), CFG, sign_budget=0)
+    assert end == witness.Endpoint(end.value, FOURIER_SOURCE)
+    assert end.value == pytest.approx(2 ** (1 / 6), rel=1e-14) and len(calls) == 2
 
 
 def test_chi_bracket_skips_search_above_cap():
