@@ -8,7 +8,10 @@
 # for all m; the 3 bounds only the degrees of the upper end's witnesses.
 # The theorem says K(B_p^n, B_q^n) / rate stays between two constants, so
 # a cell with both ends on the rate keeps ln(upper / lower) bounded as n
-# grows; the last line per pair is that growth from 2^10 to 2^40.
+# grows; the last line per pair is that growth from 2^10 to 2^40.  At
+# (1, 1) and (1, 2) the polarization-Hoelder record m^m / m! puts the lower
+# end at Aizenberg's e^(-1/3)/3 = 0.2388 times rate at every n, and the
+# growth is 0.
 
 import math
 

@@ -13,7 +13,6 @@ from .bohr import (
 )
 from .bounds import (
     ExponentPair,
-    bayart_bound,
     conjugate,
     envelope_constant,
     inv,

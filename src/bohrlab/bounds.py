@@ -1,9 +1,10 @@
 """Closed-form analytic bounds: the index-tuple multiplicity sums, the exact
 unconditionality constant of linear forms, the Fourier quadratic form's
 lower bound at m = 2, the chi upper bounds (the Parseval exact-count
-split, its transfer to q > p, the small-exponent lemma and the
-Frobenius-Hoelder record), the random-sign norm envelope, and the
-asymptotic region map with its rate expressions.
+split, its transfer to q > p, the small-exponent lemma, the
+Frobenius-Hoelder, polarization-Hoelder and Schur-Hadamard records), the
+random-sign norm envelope, and the asymptotic region map with its rate
+expressions.
 
 Exponents p, q live in [1, inf] (math.inf allowed); 1/inf = 0 throughout and
 the conjugate of 1 is inf.
@@ -234,6 +235,8 @@ LINEAR_SOURCE = "exact at m = 1 (linear forms)"
 SPLIT_SOURCE = "exact-count split (Cauchy-Schwarz + Parseval)"
 TRANSFER_SOURCE = "transfer from q = p (B_q in n^(1/p - 1/q) B_p)"
 FROBENIUS_SOURCE = "Frobenius-Hoelder (Banach polarization on l_2)"
+POLARIZATION_SOURCE = "polarization-Hoelder (m^m/m!)"
+SCHUR_SOURCE = "Schur-Hadamard (Cauchy-Schwarz + Schur product on l_2 slices)"
 FOURIER_SOURCE = "closed-form (Fourier quadratic form)"
 LINEAR_SLACK = 2.0 ** -50  # relative narrowing of the m = 1 lower end (2 to 4 ulps)
 
@@ -508,6 +511,116 @@ def _frobenius_log_tail(m0: int, n: int, e: ExponentPair) -> float:
     return _up(tau * (1 + 2.0 ** -48))
 
 
+POLARIZATION_EXACT_M = 256  # record D forms the integer m! up to this m
+
+
+def _polarization_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
+    """Record D, polarization-Hoelder, for q <= p and any m >= 1:
+    chi(m, n; p, q) <= (m^m / m!) n^((m-1)(1 - 1/q)).
+
+    Proof.  Let T be the symmetric tensor of P = sum c_a z^a (as in record
+    C) and x = |z| with z in B_q.  For j' in [n]^(m-1) let v_j' =
+    (T_(j',k))_k.  Then
+        sum_j |T_j| x^j = sum_j' x^j' sum_k |v_j',k| x_k
+                        <= (sum_i x_i)^(m-1) max_j' ||v_j'||_q'
+    by Hoelder (q', q) on the inner sum.  q <= p gives q' >= p', so
+    ||v||_q' <= ||v||_p' = sup over y in B_p of |T(e_j', y)|, and every
+    e_j lies in B_p: the polarization formula bounds the symmetric form on
+    the unit ball of any normed space by (m^m / m!) ||P||_{B_p}.  Finally
+    sum_i x_i <= n^(1 - 1/q) on B_q.
+
+    At (1, 1) it is m^m / m! at every n, and through record B it gives
+    (m^m / m!) n^(m (1 - 1/q)) at (1, q).  sum over m >= 1 of (m^m / m!) x^m
+    is T / (1 - T), T the tree function (T = x e^T), which is 1/2 at T =
+    1/3: with bohr.wiener_lower that is Aizenberg's K(B_1^n) >= e^(-1/3)/3
+    (Proc. AMS 128 (2000)).
+
+    ln(m^m / m!) (math.lgamma is not used, its error is unspecified):
+    - for m <= POLARIZATION_EXACT_M, m ln m - ln m!: m math.log(m) within
+      3u of m ln m, and math.log of the integer m! within 4u of its log,
+      as record A's count; with the difference, error 4u (m ln m + ln m!);
+    - past it, where forming m! would cost seconds at m = 10^6, Robbins'
+      m! > sqrt(2 pi m) (m/e)^m e^(1/(12m + 1)) (Amer. Math. Monthly 62
+      (1955)) gives m - ln(2 pi m)/2 - 1/(12m + 1), above the exact value
+      by less than 1/(144 m^2); 2 pi m, the log, the division and the two
+      differences make error at most 4u (m + ln(2 pi m)/2 + 1).
+    Then 1/q', math.log(n) 4u, the products and the sum: the stated error
+    is that 4u term, as 2^-50 of its bracket, plus 2^-49 of the log."""
+    w, log_n = _frobenius_exponents(e)[1], math.log(n)
+    ends = []
+    for m in ms:
+        if m <= POLARIZATION_EXACT_M:
+            a, b = m * math.log(m), math.log(math.factorial(m))
+            v, error = a - b, 2.0 ** -50 * (a + b)
+        else:
+            a, b = m, 0.5 * math.log(2 * math.pi * m)
+            v, error = a - b - 1.0 / (12 * m + 1), 2.0 ** -50 * (a + b + 1)
+        v += (m - 1) * w * log_n
+        ends.append((v, error + 2.0 ** -49 * v))
+    return ends
+
+
+def _polarization_log_tail(m0: int, n: int, e: ExponentPair) -> float:
+    """1 + (1/q') ln n: m^m / m! is one term of e^m = sum m^k / k!, so
+    ln(m^m / m!) < m, and (m - 1)/m < 1.  Error: 1/q', math.log(n) 4u, the
+    product and the sum u each, inside 2^-49 of the total, then one ulp
+    up."""
+    return _up((1.0 + _frobenius_exponents(e)[1] * math.log(n)) * (1 + 2.0 ** -49))
+
+
+@functools.cache
+def _schur_exponents(e: ExponentPair) -> tuple[float, float, float]:
+    """Record E's exponents: record C's max(0, 1/p - 1/2) and 1/q', and
+    max(0, 3/2 - 2/q), each an exact fraction rounded once: 0.0 exactly
+    where it is 0."""
+    return (*_frobenius_exponents(e),
+            float(max(Fraction(0), Fraction(3, 2) - 2 * _inv_exact(e.q))))
+
+
+def _schur_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
+    """Record E, Schur-Hadamard, for 1 <= q < 2, m >= 2 and any p:
+    chi(m, n; p, q) <= n^(m max(0, 1/p - 1/2)) n^((m-2)(1 - 1/q) +
+    max(0, 3/2 - 2/q)); (inf, 0.0) at m = 1.
+
+    Proof.  Let T be the symmetric tensor of P (as in record C), s =
+    ||P||_{B_2}, x = |z| with z in B_q, x^j = x_j1 ... x_jm.
+    (i) Cauchy-Schwarz with u = x^(2-q) entrywise:
+        sum_j |T_j| x^j <= (sum_j |T_j|^2 u^j)^(1/2) (sum_j (x^j)^q)^(1/2),
+    and the second factor is ||x||_q^(qm/2) <= 1.
+    (ii) Split j = (j'', a, b), j'' in [n]^(m-2), and let B be the n x n
+    slice T(e_j'', ., .).  Then sum_(a,b) |B_ab|^2 u_a u_b = u^T (B o
+    conj B) u <= ||B o conj B|| ||u||_2^2 <= ||B||^2 ||u||_2^2, by Schur's
+    bound ||A o C|| <= ||A|| ||C|| for the spectral norm, and ||B|| <= s:
+    the symmetric form's norm is the polynomial's on l_2 (Banach, as in
+    record C (i)).
+    (iii) The sum over j'' is (sum_i u_i)^(m-2), and 2 - q <= q, so Hoelder
+    gives sum_i x_i^(2-q) <= n^(2 (1 - 1/q)).  ||u||_2^2 = sum_i
+    x_i^(4-2q) is at most 1 for q <= 4/3 (4 - 2q >= q), else at most
+    n^(3 - 4/q) by Hoelder.
+    (iv) s <= n^(m max(0, 1/p - 1/2)) ||P||_{B_p}, as in record C (iv).
+
+    It is below record C's n^(m-1) branch for q < 2 (max(0, 3/2 - 2/q) <
+    1 - 1/q), and equals it at q = 2, which is left to C.  At m = 2 and
+    p = 2 it is the Fourier end n^max(0, 3/2 - 2/q): chi(2, n; 2, q) is
+    closed for every q < 2, and exactly 1 for q <= 4/3.  Error: each
+    exponent u, the two products and sums u each, math.log(n) 4u, the
+    product u: 16u of it."""
+    lead, w, c = _schur_exponents(e)
+    log_n = math.log(n)
+    logs = [(m * lead + (m - 2) * w + c) * log_n if m > 1 else INF for m in ms]
+    return [(v, 2.0 ** -49 * v if v < INF else 0.0) for v in logs]
+
+
+def _schur_log_tail(m0: int, n: int, e: ExponentPair) -> float:
+    """(max(0, 1/p - 1/2) + 1/q') ln n: record E's log over m is that less
+    (2/q' - max(0, 3/2 - 2/q)) ln n / m, and 2/q' - max(0, 3/2 - 2/q) =
+    min(2/q', 1/2) >= 0, so the log over m rises to it.  Error: the
+    exponents and their sum u each, math.log(n) 4u, the product u: inside
+    2^-49 of the total, then one ulp up."""
+    lead, w, _ = _schur_exponents(e)
+    return _up((lead + w) * math.log(n) * (1 + 2.0 ** -49))
+
+
 # Tried in order, so the first of equal ends names the source.  The m = 1
 # record has no tail: it covers no m > m0 >= 1.
 CHI_UPPER_SOURCES = (
@@ -519,6 +632,9 @@ CHI_UPPER_SOURCES = (
                    _lemma_log_tail),
     ChiUpperSource(FROBENIUS_SOURCE, lambda e: e.q <= 2, _frobenius_log_bounds,
                    _frobenius_log_tail),
+    ChiUpperSource(POLARIZATION_SOURCE, lambda e: e.q <= e.p, _polarization_log_bounds,
+                   _polarization_log_tail),
+    ChiUpperSource(SCHUR_SOURCE, lambda e: e.q < 2, _schur_log_bounds, _schur_log_tail),
 )
 
 
@@ -578,24 +694,6 @@ def lempoly_rhs(m: int, n: int, p: float, j: tuple[int, ...]) -> float:
         raise ValueError(f"tuple length {len(j)} != m-1 = {m - 1}")
     mult = multiplicity(tuple_to_alpha(j, n))
     return m * math.exp(1.0 + (m - 1) * inv(p)) * float(mult) ** inv(p)
-
-
-def bayart_bound(m: int, n: int, p: float) -> float:
-    """Shape (without the unknown p-constant) of the smallest achievable
-    sup-norm of a full random-sign multinomial polynomial:
-    (log(m) m!)^(1-1/p) n^(1-1/p) for p <= 2 and
-    (log(m) m!)^(1/2) n^(m(1/2-1/p)+1/2) for p >= 2.
-
-    For m = 1 the log factor is replaced by 1.  Computed in logs; a ValueError
-    naming ln bayart_bound past the float range.
-    """
-    if m < 1 or n < 1:
-        raise ValueError(f"need m >= 1 and n >= 1, got m={m}, n={n}")
-    log_core = (math.log(math.log(m)) if m >= 2 else 0.0) + math.lgamma(m + 1)
-    ip = inv(p)
-    if p <= 2:
-        return _exp((1.0 - ip) * (log_core + math.log(n)), "bayart_bound")
-    return _exp(0.5 * log_core + (m * (0.5 - ip) + 0.5) * math.log(n), "bayart_bound")
 
 
 # --- envelope fitting -------------------------------------------------------

@@ -225,11 +225,6 @@ def cmd_bound_rate(ns) -> int:
     return 0
 
 
-def cmd_bound_bayart(ns) -> int:
-    emit(ns, _bound_row(ns, bounds.bayart_bound(ns.m, ns.n, ns.p), flags=("no-constant",)))
-    return 0
-
-
 def cmd_witness_search(ns) -> int:
     signs, est = witness.sign_search(ns.m, ns.n, ns.p, ns.budget, ns.seed, _opt_cfg(ns))
     emit(ns, {
@@ -456,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
         ("envelope", cmd_bound_envelope, "m n p q format"),
         ("region", cmd_bound_region, "p q"),
         ("rate", cmd_bound_rate, "n p q format"),
-        ("bayart", cmd_bound_bayart, "m n p format"),
     ])
     bound["jsum"].add_argument("--q", type=parse_exponent, default=None)  # or --beta-override
 

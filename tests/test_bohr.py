@@ -119,6 +119,18 @@ def test_boas_khavinson_anchor(n, M):
         assert Decimal(br.lower.value) >= anchor and Decimal(br.upper.value) >= anchor
 
 
+@pytest.mark.parametrize("n", [1, 2, 2**10, 2**40])
+def test_aizenberg_anchor(n):
+    # K(B_1^n) >= e^(-1/3)/3 (Aizenberg, Proc. AMS 128 (2000)): the
+    # polarization-Hoelder record m^m / m! sums to 1/2 at r = e^(-1/3)/3,
+    # and at (1, 2) the transfer record scales it by n^(-1/2); the Wiener
+    # root reaches both up to its tail share
+    with localcontext(prec=50):
+        anchor = (-Decimal(1) / 3).exp() / 3 * (1 - Decimal(2) ** -20)
+        assert Decimal(wiener_lower(n, ExponentPair(1.0, 1.0)).value) >= anchor
+        assert Decimal(wiener_lower(n, ExponentPair(1.0, 2.0)).value) * Decimal(n).sqrt() >= anchor
+
+
 @pytest.mark.parametrize("p, q", [(math.inf, 4 / 3), (math.inf, 2.0), (2.0, 1.0), (3.0, 1.0),
                                   (3.0, 1.2)])
 @pytest.mark.parametrize("n", [2**10, 2**20, 2**40])
@@ -193,11 +205,12 @@ def test_wiener_lower_end_is_a_third_at_n_1(p, q):
 
 
 @pytest.mark.parametrize("p, q, floor", [(INF, INF, 0.12), (2.0, 2.0, 0.44), (1.5, 1.5, 0.19),
-                                         (1.0, 1.0, 0.118)])
+                                         (1.0, 1.0, 0.238)])
 def test_rate_table_lower_ends_on_their_rate(p, q, floor):
-    # the rate table's cells (demos/05_rate_table.py) that the Wiener sum
-    # and, at (2, 2), the Frobenius-Hoelder record moved: lower / rate at
-    # n = 2^10, 2^20 and 2^40
+    # the rate table's cells (demos/05_rate_table.py) that the Wiener sum,
+    # at (2, 2) the Frobenius-Hoelder record and at (1, 1) the
+    # polarization-Hoelder record moved: lower / rate at n = 2^10, 2^20 and
+    # 2^40
     e = ExponentPair(p, q)
     for n in (2**10, 2**20, 2**40):
         assert k_bracket(n, e, 3, sign_budget=0).lower.value / rate(p, q, n) >= floor, n

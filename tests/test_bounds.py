@@ -20,10 +20,11 @@ from bohrlab.bounds import (
     FOURIER_SOURCE,
     FROBENIUS_SOURCE,
     LINEAR_SOURCE,
+    POLARIZATION_SOURCE,
+    SCHUR_SOURCE,
     SPLIT_SOURCE,
     TRANSFER_SOURCE,
     ExponentPair,
-    bayart_bound,
     chi_fourier,
     chi_linear,
     chi_upper_ends,
@@ -311,14 +312,6 @@ def test_lempoly_rhs():
         lempoly_rhs(1, 2, 2.0, ())
 
 
-def test_bayart_bound():
-    assert bayart_bound(2, 10, math.inf) == pytest.approx(
-        math.sqrt(math.log(2) * 2) * 10**1.5
-    )
-    assert bayart_bound(3, 7, 1.0) == pytest.approx(1.0)
-    assert bayart_bound(4, 6, 2.0) == pytest.approx(bayart_bound(4, 6, 2.0 + 1e-12), rel=1e-9)
-
-
 def test_coefficient_chi_upper():
     # the coefficient bound |Lambda(m, n)| n^(m/p), no longer a record: at
     # every (p, q) the least record is at most its log, rounded up
@@ -382,12 +375,16 @@ def test_split_and_transfer_hold_against_brute(p):
     # the brute oracle's raw ratio (an estimate of chi from below) never
     # passes the split or transfer record where it holds (336 cases), nor
     # the Frobenius-Hoelder record at q <= 2 (240 cases; at (2, 2), m = 2
-    # and n in {2, 4} the record is exact and the ratio meets it)
+    # and n in {2, 4} the record is exact and the ratio meets it), the
+    # polarization-Hoelder record at q <= p, or the Schur-Hadamard record at
+    # q < 2 (where it is 1 the ratio meets it)
     cfg = OptConfig(16, 150, 3)
+    records = [SOURCES[s] for s in (SPLIT_SOURCE, TRANSFER_SOURCE, FROBENIUS_SOURCE,
+                                    POLARIZATION_SOURCE, SCHUR_SOURCE)]
     for q, (m, n) in itertools.product(SOUNDNESS_QS, SOUNDNESS_CELLS):
         e = ExponentPair(p, q)
         raw = brute_chi(m, n, e, samples=1000, seed=3, cfg=cfg).raw
-        for src in (SOURCES[SPLIT_SOURCE], SOURCES[TRANSFER_SOURCE], SOURCES[FROBENIUS_SOURCE]):
+        for src in records:
             if src.holds(e):
                 [(v, err)] = src.log_bounds([m], n, e)
                 assert raw <= chi_upper_ends(math.nextafter(v + err, math.inf), m)[0], (q, m, n)
@@ -537,9 +534,14 @@ def _dec(x: Fraction) -> Decimal:
     return Decimal(x.numerator) / x.denominator
 
 
-@functools.cache
+_LN_FACTORIALS = [Decimal(0)]
+
+
 def _ln_factorial(k: int) -> Decimal:
-    return sum((Decimal(j).ln() for j in range(2, k + 1)), Decimal(0))
+    # ln k! as the running sum of ln j over j <= k; call in a 50-digit context
+    while len(_LN_FACTORIALS) <= k:
+        _LN_FACTORIALS.append(_LN_FACTORIALS[-1] + Decimal(len(_LN_FACTORIALS)).ln())
+    return _LN_FACTORIALS[k]
 
 
 @functools.cache
@@ -601,6 +603,21 @@ def _exact_log_frobenius(m, n, p, q) -> Decimal:
     return lead + _dec(1 - _inv_fraction(q)) * min(_ln_card(m, n), (m - 1) * ln_n)
 
 
+def _exact_log_polarization(m, n, q) -> Decimal:
+    # ln(m^m / m!) + (m - 1)(1 - 1/q) ln n; call in a 50-digit context
+    return (m * Decimal(m).ln() - _ln_factorial(m)
+            + _dec((m - 1) * (1 - _inv_fraction(q))) * Decimal(n).ln())
+
+
+def _exact_log_schur(m, n, p, q) -> Decimal:
+    # (m max(0, 1/p - 1/2) + (m - 2)(1 - 1/q) + max(0, 3/2 - 2/q)) ln n, m >= 2;
+    # call in a 50-digit context
+    inv_q = _inv_fraction(q)
+    x = (m * max(Fraction(0), _inv_fraction(p) - Fraction(1, 2)) + (m - 2) * (1 - inv_q)
+         + max(Fraction(0), Fraction(3, 2) - 2 * inv_q))
+    return _dec(x) * Decimal(n).ln()
+
+
 def _exact_log_chi_upper(m, n, p, q, count_past=math.inf) -> Decimal:
     """ln of the least closed-form chi upper bound that holds at the float
     exponents (as exact fractions); for m > count_past the lemma's
@@ -617,6 +634,10 @@ def _exact_log_chi_upper(m, n, p, q, count_past=math.inf) -> Decimal:
         ends.append(_dec(m * (inv_p - inv_q)) * ln_n + _exact_log_chi_upper(m, n, p, p, count_past))
     if q <= 2:  # Frobenius-Hoelder
         ends.append(_exact_log_frobenius(m, n, p, q))
+    if q <= p:  # polarization-Hoelder
+        ends.append(_exact_log_polarization(m, n, q))
+    if q < 2 and m > 1:  # Schur-Hadamard
+        ends.append(_exact_log_schur(m, n, p, q))
     if q <= p <= 2:
         lemma = Decimal(m).ln() + 1 + _dec((m - 1) * inv_p)
         if q > 1:
@@ -671,7 +692,7 @@ def test_k_lower_ends_hold_their_exact_value(p, q, n):
 @pytest.mark.parametrize("p, q", PAIRS_50)
 def test_log_tails_bound_every_later_degree(p, q, monkeypatch):
     # each record's log_tail(m0) is at least its log over m at every
-    # m0 < m <= 2000: the 50-digit value for records A, B and C and for the
+    # m0 < m <= 2000: the 50-digit value for records A to E and for the
     # lemma at beta = 0, else the lemma's float log plus its error bound
     # (powered past the default budget at n = 2^40); the m = 1 record has
     # none
@@ -694,6 +715,10 @@ def test_log_tails_bound_every_later_degree(p, q, monkeypatch):
                             for m in ms]
                 elif src.source == FROBENIUS_SOURCE:
                     logs = [_exact_log_frobenius(m, n, p, q) for m in ms]
+                elif src.source == POLARIZATION_SOURCE:
+                    logs = [_exact_log_polarization(m, n, q) for m in ms]
+                elif src.source == SCHUR_SOURCE:  # m = 1 is not read: m0 >= 8
+                    logs = [_exact_log_schur(m, n, p, q) for m in ms]
                 elif e.beta:
                     logs = [Decimal(v) + Decimal(err) for v, err in src.log_bounds(ms, n, e)]
                 else:  # the lemma at q = p: the multiplicity sum is the count
@@ -703,6 +728,28 @@ def test_log_tails_bound_every_later_degree(p, q, monkeypatch):
                     tau = src.log_tail(m0, n, e)
                     assert Decimal(tau) >= max(logs[m - 1] / m for m in ms[m0:]), (src.source, n, m0)
                     assert log_chi_tail(m0, n, e) <= tau
+
+
+PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510582")
+
+
+def test_polarization_record_past_the_exact_factorials():
+    # record D forms m! up to POLARIZATION_EXACT_M and takes Robbins' bound
+    # m - ln(2 pi m)/2 - 1/(12m + 1) past it: its log plus error is at least
+    # the 50-digit ln(m^m / m!), and above it by at most the error twice
+    # (and Robbins' gap 1/(144 m^2) past the exact range); at m = 10^6 and
+    # 10^12 it holds Robbins' bound itself without forming m!
+    src, e = SOURCES[POLARIZATION_SOURCE], ExponentPair(1.0, 1.0)
+    ms = [1, 2, 3, 255, 256, 257, 300, 1000, 2000]
+    with localcontext(prec=50):
+        for m, (v, err) in zip(ms, src.log_bounds(ms, 7, e)):
+            exact = _exact_log_polarization(m, 7, 1.0)
+            gap = Decimal(1) / (144 * m * m) if m > bounds.POLARIZATION_EXACT_M else 0
+            assert exact <= Decimal(v) + Decimal(err) <= exact + gap + 2 * Decimal(err), m
+        ms = [10**6, 10**12]
+        for m, (v, err) in zip(ms, src.log_bounds(ms, 2, e)):
+            robbins = m - (2 * PI_50 * m).ln() / 2 - Decimal(1) / (12 * m + 1)
+            assert Decimal(v) - Decimal(err) <= robbins <= Decimal(v) + Decimal(err), m
 
 
 def test_sweep_upper_ends_hold_their_exact_value(tmp_path):

@@ -173,7 +173,7 @@ def test_csv_on_json_only_kind_exits_2(tmp_path, capsys, argv, kind):
 def test_format_is_offered_only_where_csv_exists():
     offering = {path for path, sp in LEAVES if any(a.dest == "format" for a in sp._actions)}
     assert offering == {"enumerate", "bound jsum", "bound chiupper", "bound envelope",
-                        "bound rate", "bound bayart", "bohr table", "sweep"}
+                        "bound rate", "bohr table", "sweep"}
 
 
 @pytest.mark.parametrize("argv", [
@@ -195,7 +195,8 @@ def test_format_is_offered_only_where_csv_exists():
     ["poly", "sign", "--M", "2"],
     ["bound", "region", "--p", "2", "--q", "2", "--n", "4"],
     ["bound", "rate", "--n", "4", "--p", "2", "--q", "2", "--m", "2"],
-    ["bound", "bayart", "--m", "2", "--n", "2", "--p", "2", "--q", "2"],
+    ["bound", "chiupper", "--m", "2", "--n", "2", "--p", "2", "--q", "2",
+     "--beta-override", "1"],
     ["bound", "envelope", "--m", "2", "--n", "2", "--p", "2", "--q", "2",
      "--beta-override", "1"],
     ["bound", "region", "--p", "2", "--q", "2", "--format", "json"],  # JSON is all it writes
@@ -234,7 +235,7 @@ LEAVES = list(_leaf_parsers(build_parser()))
 
 
 def test_leaf_parsers_cover_every_kind():
-    assert len(LEAVES) == 20  # 4 commands without kinds, 16 kinds
+    assert len(LEAVES) == 19  # 4 commands without kinds, 15 kinds
     assert {"bohr oned", "bound jsum", "poly sign", "witness brute", "selftest"} <= dict(LEAVES).keys()
 
 
@@ -264,7 +265,6 @@ MINIMAL = {
     "bound envelope": "--m 2 --n 3 --p 2 --q 3/2",
     "bound region": "--p 2 --q 2",
     "bound rate": "--n 4 --p 2 --q 2",
-    "bound bayart": "--m 2 --n 2 --p 2",
     "witness search": "--m 2 --n 2 --p 2 --budget 20 --restarts 2 --iters 5",
     "witness brute": "--m 2 --n 2 --p 2 --q 3/2 --restarts 2 --iters 5",
     "witness bracket": "--m 2 --n 2 --p 2 --q 3/2 --budget 20 --restarts 2 --iters 5",
@@ -345,8 +345,10 @@ def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
       "--budget", "0"], 0),
     (["bohr", "table", "--n-grid", "100000", "--p", "2", "--q", "3/2", "--mmax", "20",
       "--budget", "0"], 0),
-    (["bound", "bayart", "--m", "200", "--n", "10", "--p", "2"], 0),
-    (["bound", "bayart", "--m", "171", "--n", "10", "--p", "3"], 0),
+    # no m! is formed at m = 10^6; the Wiener sum at (1, 1), n = 2^40
+    (["bound", "chiupper", "--m", "1000000", "--n", "64", "--p", "1", "--q", "1"], 0),
+    (["bohr", "table", "--n-grid", "1099511627776", "--p", "1", "--q", "1", "--mmax", "20",
+      "--budget", "0"], 0),
     # --mmax bounds only the upper end's witness degrees: no grid of ten
     # times it is powered for the lower end, and q = p powers nothing
     (["bohr", "table", "--n-grid", "64", "--p", "2", "--q", "4/3", "--mmax", "1000",
@@ -372,20 +374,18 @@ EXPONENTS = st.sampled_from(["1", "5/4", "4/3", "3/2", "2", "3", "inf"])
 
 
 @settings(max_examples=30, deadline=None)
-@given(kind=st.sampled_from(["jsum", "envelope", "chiupper", "bayart"]), m=st.integers(1, 400),
+@given(kind=st.sampled_from(["jsum", "envelope", "chiupper"]), m=st.integers(1, 400),
        n=st.integers(1, 2**40), p=EXPONENTS, q=EXPONENTS)
 def test_closed_forms_answer_or_fail_fast(kind, m, n, p, q):
     err = io.StringIO()
     t0 = time.perf_counter()
     with contextlib.redirect_stderr(err):
         code = run(["bound", kind, "--m", str(m), "--n", str(n), "--p", p,
-                    *(["--q", q] if kind != "bayart" else []), "--out", os.devnull])
+                    "--q", q, "--out", os.devnull])
     assert time.perf_counter() - t0 <= 2.0
     assert code in (0, 2, 3), err.getvalue()
     if kind == "jsum" and code == 2 and "beta must be finite" not in err.getvalue():
         assert "ln j_sum = " in err.getvalue()
-    if kind == "bayart" and code == 2:
-        assert "ln bayart_bound = " in err.getvalue()
     if kind == "chiupper" and code == 2:
         assert "ln chi_upper = " in err.getvalue()
 
@@ -441,7 +441,7 @@ def test_witness_bracket(capsys):
     assert _strict_json(out)["result"]["lower"] == 1.0
 
 
-BOUND_FLAGS = {"jsum": "mnpq", "chiupper": "mnpq", "rate": "npq", "bayart": "mnp", "region": "pq"}
+BOUND_FLAGS = {"jsum": "mnpq", "chiupper": "mnpq", "rate": "npq", "region": "pq"}
 
 
 @pytest.mark.parametrize("p, q", [("inf", "2"), ("4/3", "inf"), ("inf", "inf")])

@@ -6,8 +6,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from bohrlab.bounds import (FOURIER_SOURCE, FROBENIUS_SOURCE, LINEAR_SOURCE, ExponentPair,
-                            chi_upper_ends, log_chi_uppers)
+from bohrlab.bounds import (FOURIER_SOURCE, FROBENIUS_SOURCE, LINEAR_SOURCE, SCHUR_SOURCE,
+                            SPLIT_SOURCE, ExponentPair, chi_upper_ends, log_chi_uppers)
 from bohrlab.multiindex import enumerate_lambda, multiplicity
 from bohrlab.optimize import NormEstimate, OptConfig, lp_norm, majorant_sups, sup_norm, sup_norms
 from bohrlab import polynomial, witness
@@ -396,6 +396,25 @@ def test_fourier_form_closes_the_hilbert_space_cell(n):
     assert br.upper.value / br.lower.value - 1 <= 2.0 ** -49 * math.log(br.upper.value) + 2.0 ** -47
 
 
+@pytest.mark.parametrize("n", [2, 3, 16, 1039, 2**40])
+@pytest.mark.parametrize("q", [1.0, 6 / 5, 4 / 3, 3 / 2])
+def test_schur_record_closes_the_m_2_column_at_p_2(n, q):
+    # chi(2, n; 2, q) = n^max(0, 3/2 - 2/q) for q < 2: the Fourier form
+    # attains it and the Schur-Hadamard record bounds it (the split record
+    # at q = 1, both 1).  For q <= 4/3 both ends are exactly 1; else the
+    # width is the record's stated error, 2^-49 of its log, and a few ulps
+    br = chi_bracket(2, n, ExponentPair(2.0, q), OptConfig(2, 10, 0), sign_budget=0)
+    if q <= 4 / 3:
+        assert (br.lower.value, br.upper.value) == (1.0, 1.0)
+        assert br.upper.source == (SPLIT_SOURCE if q == 1 else SCHUR_SOURCE)
+        return
+    assert (br.lower.source, br.upper.source) == (FOURIER_SOURCE, SCHUR_SOURCE)
+    with localcontext(prec=50):
+        exact = (Decimal(n).ln() / 6).exp()
+        assert Decimal(br.lower.value) <= exact <= Decimal(br.upper.value)
+    assert br.upper.value / br.lower.value - 1 <= 2.0 ** -49 * math.log(br.upper.value) + 2.0 ** -47
+
+
 def _fourier_form(n):
     # z^T F z with F_jk = e^(2 pi i jk / n): z_j^2 has coefficient F_jj,
     # z_j z_k (j < k) 2 F_jk
@@ -457,10 +476,10 @@ def test_stub_candidate_above_the_proved_upper_end_is_dropped(monkeypatch):
     assert end == witness.Endpoint(1.0, "trivial; brute oracle 9.5 dropped above the proved "
                                         "upper end 1")
     assert len(calls) == 1
-    # a candidate at or below the upper end chi(2, 2; 2, 4/3) <= 2^(1/4)
-    # stands as it was (the Fourier exponent is 0 there: no closed-form end)
+    # a candidate at or below the upper end chi(3, 2; 2, 4/3) <= 2^(1/4)
+    # (Schur-Hadamard) stands as it was
     monkeypatch.setattr(witness, "brute_chi", _stub_brute(1.15))
-    end = witness.chi_lower_end(2, 2, ExponentPair(2.0, 4 / 3), CFG, sign_budget=0)
+    end = witness.chi_lower_end(3, 2, ExponentPair(2.0, 4 / 3), CFG, sign_budget=0)
     assert end == witness.Endpoint(1.15, "brute oracle (estimate-based, slack-deflated)", True)
     assert len(calls) == 2
     # no upper end is taken where no estimate leads: below the trivial end,
