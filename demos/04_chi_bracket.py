@@ -5,9 +5,9 @@
 # found by annealing, flat coefficients, random ensembles) and, at m = 2,
 # the Fourier quadratic form z^T F z with its certified value; uppers from
 # the least closed-form record.  At p = q = 2 and m = 2 both ends are
-# sqrt(n): the Fourier form attains it and the Frobenius-Hoelder record
-# (Banach's polarization theorem on l_2) bounds it, so the bracket
-# closes.  Witness values are slack-deflated because the norm optimizer
+# sqrt(n): the Fourier form attains it and the Schur-Hadamard record
+# (Banach's polarization theorem on l_2 and Schur's product bound) bounds
+# it, so the bracket closes.  Witness values are slack-deflated because the norm optimizer
 # certifies only lower bounds, and the endpoint they set is marked
 # estimate; one above the proved upper end is dropped.  K_m's ends keep
 # the marks of the chi ends they come from.

@@ -2,9 +2,8 @@
 unconditionality constant of linear forms, the Fourier quadratic form's
 lower bound at m = 2, the chi upper bounds (the Parseval exact-count
 split, its transfer to q > p, the small-exponent lemma, the
-Frobenius-Hoelder, polarization-Hoelder and Schur-Hadamard records), the
-random-sign norm envelope, and the asymptotic region map with its rate
-expressions.
+polarization-Hoelder and Schur-Hadamard records), the random-sign norm
+envelope, and the asymptotic region map with its rate expressions.
 
 Exponents p, q live in [1, inf] (math.inf allowed); 1/inf = 0 throughout and
 the conjugate of 1 is inf.
@@ -152,7 +151,10 @@ class _LogSeriesProducts:
         return out
 
 
-def log_j_sums(M: int, n: int, beta: float, budget: int = 10**8) -> np.ndarray:
+J_SUM_BUDGET = 10**8  # most terms log_j_sums spends by default
+
+
+def log_j_sums(M: int, n: int, beta: float, budget: int = J_SUM_BUDGET) -> np.ndarray:
     """ln j_sum(m, n) for m = 1..M (entry m - 1), from
     j_sum(m, n) = (k!)^(-beta) [x^k] (sum_{j<=k} (j!)^beta x^j)^n, k = m-1:
     one binary powering of truncated log-coefficient series, positive terms
@@ -206,7 +208,7 @@ def _exp(log_value: float, what: str) -> float:
 
 
 def j_sum(m: int, n: int, e: ExponentPair | None = None, beta: float | None = None,
-          method: str = "gf", budget: int = 10**8) -> float:
+          method: str = "gf", budget: int = J_SUM_BUDGET) -> float:
     """Sum over the length-(m-1) index tuples of multiplicity^(-beta).
 
     beta defaults to the pair's derived exponent; the m = 1 sum (over the
@@ -234,7 +236,6 @@ def j_sum(m: int, n: int, e: ExponentPair | None = None, beta: float | None = No
 LINEAR_SOURCE = "exact at m = 1 (linear forms)"
 SPLIT_SOURCE = "exact-count split (Cauchy-Schwarz + Parseval)"
 TRANSFER_SOURCE = "transfer from q = p (B_q in n^(1/p - 1/q) B_p)"
-FROBENIUS_SOURCE = "Frobenius-Hoelder (Banach polarization on l_2)"
 POLARIZATION_SOURCE = "polarization-Hoelder (m^m/m!)"
 SCHUR_SOURCE = "Schur-Hadamard (Cauchy-Schwarz + Schur product on l_2 slices)"
 FOURIER_SOURCE = "closed-form (Fourier quadratic form)"
@@ -298,7 +299,7 @@ def chi_fourier(n: int, e: ExponentPair) -> float:
     of z_j^2 has modulus 1 and that of z_j z_k (j < k) modulus 2, so the
     majorant at x = |z| is (sum x_j)^2 = ||x||_1^2, whose sup on B_q is
     n^(2 - 2/q), at the flat point.  At p = q = 2 it is exactly sqrt(n),
-    the Frobenius-Hoelder record's value."""
+    the Schur-Hadamard record's value."""
     x = (Fraction(3, 2) - 2 * _inv_exact(e.q)
          - max(Fraction(0), 1 - 2 * _inv_exact(e.p)))
     return _power_lower(n, max(Fraction(0), x))
@@ -346,10 +347,6 @@ def _split_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[floa
     terms gives h_m(v) <= |Lambda|^(1 - 1/s) h_m(v^s)^(1/s), and
     h_m(v^s) <= (sum v_i^s)^m <= 1; (1 - 1/s) / 2 = 1/2 + 1/p - 1/q.
 
-    It never loses to the coefficient bound |Lambda| n^(m/p) that it
-    replaced: x <= 1/2 + 1/p and |Lambda| <= n^m give |Lambda|^x <=
-    |Lambda|^(1/2) n^(m/p).
-
     x is exact as a fraction of the float exponents, so x = 0 (region I,
     and p >= 2 at q = 1) gives the log 0 exactly, and no count is formed.
     Error: math.log of the integer within 4u of its log (rounding the
@@ -383,9 +380,6 @@ def _transfer_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[f
     ||P||_{B_p}.  Record A's formula itself is false for q > p (its
     factorization needs 1 - q/p >= 0).
 
-    It never loses to the coefficient bound: over |Lambda| n^(m/p), with
-    record A at (p, p), it is n^(-m/q) |Lambda|^(-1/2) <= 1.
-
     The (p, p) log comes from log_chi_uppers, already rounded up.  Error:
     float(m (1/p - 1/q)) and the product 2u, math.log(n) 4u, the sum u:
     16u of the sum."""
@@ -410,10 +404,11 @@ def _lemma_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[floa
     for 1 <= q <= p <= 2.  At beta = 0 (q = p) every multiplicity^-beta is
     1, so the sum is the count |Lambda(m - 1, n)|, whose log is record A's
     (16u, as there).  Otherwise it comes from one powering at the largest m
-    (its budget error first).  Error: log_j_sums's over q', plus 8u
-    (log + ln (m-1)!) for the roundings here (6u log) and beta's: 1/q - 1/p
-    loses digits for p near q, so beta is off by 3u q' + 2u beta, ln j_sum
-    by that ln k!."""
+    of ms whose m^2 bit_length(n) terms fit J_SUM_BUDGET, and it is
+    (inf, 0.0) at every larger m, so no budget error ends a log_chi_uppers
+    call.  Error: log_j_sums's over q', plus 8u (log + ln (m-1)!) for
+    the roundings here (6u log) and beta's: 1/q - 1/p loses digits for p
+    near q, so beta is off by 3u q' + 2u beta, ln j_sum by that ln k!."""
     logs = [math.log(m) + 1.0 + (m - 1) * inv(e.p) for m in ms]
     if e.q == 1:
         # q' = inf: the l_q' aggregate degenerates to a sup, and every
@@ -423,10 +418,18 @@ def _lemma_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[floa
     if not e.beta:
         counts = [math.log(lambda_card(m - 1, n)) for m in ms]
         return [(v + s * w, w * 2.0**-49 * s + 2.0**-50 * v) for v, s in zip(logs, counts)]
-    log_sums = log_j_sums(max(ms), n, e.beta).tolist()
-    ends = [(v + log_sums[m - 1] * w, log_sums[m - 1], math.lgamma(m)) for v, m in zip(logs, ms)]
-    return [(v, w * 2.0**-47 * n.bit_length() * (s + 2 * e.beta * f) + 2.0**-50 * (v + f))
-            for v, s, f in ends]
+    top = math.isqrt(J_SUM_BUDGET // n.bit_length())
+    fit = max((m for m in ms if m <= top), default=0)
+    log_sums = log_j_sums(fit, n, e.beta, J_SUM_BUDGET).tolist() if fit else []
+    ends = []
+    for v, m in zip(logs, ms):
+        if m > top:
+            ends.append((INF, 0.0))
+            continue
+        s, f = log_sums[m - 1], math.lgamma(m)
+        v += s * w
+        ends.append((v, w * 2.0**-47 * n.bit_length() * (s + 2 * e.beta * f) + 2.0**-50 * (v + f)))
+    return ends
 
 
 def _lemma_log_tail(m0: int, n: int, e: ExponentPair) -> float:
@@ -449,66 +452,13 @@ def _lemma_log_tail(m0: int, n: int, e: ExponentPair) -> float:
 
 
 @functools.cache
-def _frobenius_exponents(e: ExponentPair) -> tuple[float, float]:
-    """Record C's exponents max(0, 1/p - 1/2) of n^m and 1/q' of the
-    count, each an exact fraction rounded once: 0.0 exactly where it is
-    0."""
+def _schur_exponents(e: ExponentPair) -> tuple[float, float, float]:
+    """Record E's exponents max(0, 1/p - 1/2), 1/q' (record D's too) and
+    max(0, 3/2 - 2/q), each an exact fraction rounded once: 0.0 exactly
+    where it is 0."""
     return (float(max(Fraction(0), _inv_exact(e.p) - Fraction(1, 2))),
-            float(1 - _inv_exact(e.q)))
-
-
-def _frobenius_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
-    """Record C, Frobenius-Hoelder, for 1 <= q <= 2 and any p:
-    chi(m, n; p, q) <= n^(m max(0, 1/p - 1/2)) min(|Lambda(m, n)|,
-    n^(m-1))^(1/q').
-
-    Proof.  Let T be the symmetric tensor of P = sum c_a z^a, T_j =
-    c_a / (m!/a!) for each j in [n]^m of type a, and s = ||P||_{B_2}.
-    (i) max_j |T_j| <= s: on a Hilbert space the symmetric m-linear form
-    has the norm of its polynomial (Banach, Studia Math. 7 (1938)).
-    (ii) ||T||_F^2 <= n^(m-1) s^2: ||T||_F^2 = sum_j ||T(e_j, .)||_F^2,
-    and by (i) each slice is a symmetric (m-1)-form of norm <= s, so
-    induction on m gives it from ||a||_2 = s at m = 1.
-    (ii') ||T||_F^2 <= |Lambda(m, n)| s^2: the mean of |P|^2 over the unit
-    sphere of C^n is ||T||_F^2 / |Lambda(m, n)|.
-    (iii) At x = |z| in B_q the majorant sum_a |c_a| x^a is sum_j |T_j|
-    x_j1...x_jm, and Hoelder (q', q) bounds it by (sum_j |T_j|^q')^(1/q')
-    ||x||_q^m; q' >= 2, so sum_j |T_j|^q' <= max_j |T_j|^(q'-2) ||T||_F^2
-    <= s^q' min(|Lambda|, n^(m-1)).
-    (iv) s <= n^(m max(0, 1/p - 1/2)) ||P||_{B_p}, since B_2 lies in
-    n^max(0, 1/p - 1/2) B_p.
-
-    Either branch of the min bounds the count, so the choice is only
-    about tightness: where ln m! <= ln n, n^(m-1) is the smaller, since
-    |Lambda(m, n)| >= n^m / m!, and it is taken without forming the
-    count; at q = 1 (1/q' = 0) no count is formed.  At p = 2 the
-    |Lambda| branch is record A's value, which then keeps its source.
-    Error: math.log of an integer 4u, each exponent and each product u,
-    the sum u: 16u of it."""
-    lead, w = _frobenius_exponents(e)
-    log_n = math.log(n)
-    logs = []
-    for m in ms:
-        count = (m - 1) * log_n
-        if w and math.lgamma(m + 1) > log_n:
-            count = min(count, math.log(lambda_card(m, n)))
-        logs.append(m * lead * log_n + w * count)
-    return [(v, 2.0 ** -49 * v) for v in logs]
-
-
-def _frobenius_log_tail(m0: int, n: int, e: ExponentPair) -> float:
-    """max(0, 1/p - 1/2) ln n + (1/q') ln |Lambda(m0 + 1, n)| / (m0 + 1):
-    record C's log over m is at most the first term plus (1/q')
-    ln |Lambda(m, n)| / m, which decreases in m (record A's tail).  The
-    n^(m-1) branch adds nothing past m0: (m - 1) ln n / m < ln n, and
-    ln |Lambda(m, n)| / m <= ln n since |Lambda(m, n)| <= n^m.  Error: the
-    logs 4u each, the exponents, products and division u each, the sum u:
-    inside 2^-48 of the total, then one ulp up."""
-    lead, w = _frobenius_exponents(e)
-    tau = lead * math.log(n)
-    if w:
-        tau += w * math.log(lambda_card(m0 + 1, n)) / (m0 + 1)
-    return _up(tau * (1 + 2.0 ** -48))
+            float(1 - _inv_exact(e.q)),
+            float(max(Fraction(0), Fraction(3, 2) - 2 * _inv_exact(e.q))))
 
 
 POLARIZATION_EXACT_M = 256  # record D forms the integer m! up to this m
@@ -519,7 +469,7 @@ def _polarization_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tup
     chi(m, n; p, q) <= (m^m / m!) n^((m-1)(1 - 1/q)).
 
     Proof.  Let T be the symmetric tensor of P = sum c_a z^a (as in record
-    C) and x = |z| with z in B_q.  For j' in [n]^(m-1) let v_j' =
+    E) and x = |z| with z in B_q.  For j' in [n]^(m-1) let v_j' =
     (T_(j',k))_k.  Then
         sum_j |T_j| x^j = sum_j' x^j' sum_k |v_j',k| x_k
                         <= (sum_i x_i)^(m-1) max_j' ||v_j'||_q'
@@ -546,7 +496,7 @@ def _polarization_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tup
       differences make error at most 4u (m + ln(2 pi m)/2 + 1).
     Then 1/q', math.log(n) 4u, the products and the sum: the stated error
     is that 4u term, as 2^-50 of its bracket, plus 2^-49 of the log."""
-    w, log_n = _frobenius_exponents(e)[1], math.log(n)
+    w, log_n = _schur_exponents(e)[1], math.log(n)
     ends = []
     for m in ms:
         if m <= POLARIZATION_EXACT_M:
@@ -565,25 +515,17 @@ def _polarization_log_tail(m0: int, n: int, e: ExponentPair) -> float:
     ln(m^m / m!) < m, and (m - 1)/m < 1.  Error: 1/q', math.log(n) 4u, the
     product and the sum u each, inside 2^-49 of the total, then one ulp
     up."""
-    return _up((1.0 + _frobenius_exponents(e)[1] * math.log(n)) * (1 + 2.0 ** -49))
-
-
-@functools.cache
-def _schur_exponents(e: ExponentPair) -> tuple[float, float, float]:
-    """Record E's exponents: record C's max(0, 1/p - 1/2) and 1/q', and
-    max(0, 3/2 - 2/q), each an exact fraction rounded once: 0.0 exactly
-    where it is 0."""
-    return (*_frobenius_exponents(e),
-            float(max(Fraction(0), Fraction(3, 2) - 2 * _inv_exact(e.q))))
+    return _up((1.0 + _schur_exponents(e)[1] * math.log(n)) * (1 + 2.0 ** -49))
 
 
 def _schur_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[float, float]]:
-    """Record E, Schur-Hadamard, for 1 <= q < 2, m >= 2 and any p:
+    """Record E, Schur-Hadamard, for 1 <= q <= 2, m >= 2 and any p:
     chi(m, n; p, q) <= n^(m max(0, 1/p - 1/2)) n^((m-2)(1 - 1/q) +
     max(0, 3/2 - 2/q)); (inf, 0.0) at m = 1.
 
-    Proof.  Let T be the symmetric tensor of P (as in record C), s =
-    ||P||_{B_2}, x = |z| with z in B_q, x^j = x_j1 ... x_jm.
+    Proof.  Let T be the symmetric tensor of P = sum c_a z^a, T_j =
+    c_a / (m!/a!) for each j in [n]^m of type a, s = ||P||_{B_2}, x = |z|
+    with z in B_q, and x^j = x_j1 ... x_jm.
     (i) Cauchy-Schwarz with u = x^(2-q) entrywise:
         sum_j |T_j| x^j <= (sum_j |T_j|^2 u^j)^(1/2) (sum_j (x^j)^q)^(1/2),
     and the second factor is ||x||_q^(qm/2) <= 1.
@@ -591,20 +533,20 @@ def _schur_log_bounds(ms: list[int], n: int, e: ExponentPair) -> list[tuple[floa
     slice T(e_j'', ., .).  Then sum_(a,b) |B_ab|^2 u_a u_b = u^T (B o
     conj B) u <= ||B o conj B|| ||u||_2^2 <= ||B||^2 ||u||_2^2, by Schur's
     bound ||A o C|| <= ||A|| ||C|| for the spectral norm, and ||B|| <= s:
-    the symmetric form's norm is the polynomial's on l_2 (Banach, as in
-    record C (i)).
+    on a Hilbert space the symmetric m-linear form has the norm of its
+    polynomial (Banach, Studia Math. 7 (1938)).
     (iii) The sum over j'' is (sum_i u_i)^(m-2), and 2 - q <= q, so Hoelder
     gives sum_i x_i^(2-q) <= n^(2 (1 - 1/q)).  ||u||_2^2 = sum_i
     x_i^(4-2q) is at most 1 for q <= 4/3 (4 - 2q >= q), else at most
-    n^(3 - 4/q) by Hoelder.
-    (iv) s <= n^(m max(0, 1/p - 1/2)) ||P||_{B_p}, as in record C (iv).
+    n^(3 - 4/q) by Hoelder.  At q = 2, u = 1 and both sums are n.
+    (iv) s <= n^(m max(0, 1/p - 1/2)) ||P||_{B_p}, since B_2 lies in
+    n^max(0, 1/p - 1/2) B_p.
 
-    It is below record C's n^(m-1) branch for q < 2 (max(0, 3/2 - 2/q) <
-    1 - 1/q), and equals it at q = 2, which is left to C.  At m = 2 and
+    At q = 2 it reads n^(m max(0, 1/p - 1/2) + (m - 1)/2).  At m = 2 and
     p = 2 it is the Fourier end n^max(0, 3/2 - 2/q): chi(2, n; 2, q) is
-    closed for every q < 2, and exactly 1 for q <= 4/3.  Error: each
-    exponent u, the two products and sums u each, math.log(n) 4u, the
-    product u: 16u of it."""
+    closed for every q <= 2 (sqrt(n) at q = 2), and exactly 1 for
+    q <= 4/3.  Error: each exponent u, the two products and sums u each,
+    math.log(n) 4u, the product u: 16u of it."""
     lead, w, c = _schur_exponents(e)
     log_n = math.log(n)
     logs = [(m * lead + (m - 2) * w + c) * log_n if m > 1 else INF for m in ms]
@@ -630,11 +572,9 @@ CHI_UPPER_SOURCES = (
                    _transfer_log_tail),
     ChiUpperSource("small-exponent lemma", lambda e: 1 <= e.q <= e.p <= 2, _lemma_log_bounds,
                    _lemma_log_tail),
-    ChiUpperSource(FROBENIUS_SOURCE, lambda e: e.q <= 2, _frobenius_log_bounds,
-                   _frobenius_log_tail),
     ChiUpperSource(POLARIZATION_SOURCE, lambda e: e.q <= e.p, _polarization_log_bounds,
                    _polarization_log_tail),
-    ChiUpperSource(SCHUR_SOURCE, lambda e: e.q < 2, _schur_log_bounds, _schur_log_tail),
+    ChiUpperSource(SCHUR_SOURCE, lambda e: e.q <= 2, _schur_log_bounds, _schur_log_tail),
 )
 
 

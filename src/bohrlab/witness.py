@@ -418,10 +418,9 @@ def chi_bracket(
     least closed form (bounds.log_chi_uppers), rounded up by
     bounds.chi_upper_ends; at m = 1 both ends are the exact value, a few
     ulps outward where it is not 1, and no search runs inside the float
-    range.  At m = 2 and p = q = 2 both ends are sqrt(n), the Fourier
-    quadratic form's value and the Frobenius-Hoelder record's, and at
-    p = 2, q < 2 both are n^max(0, 3/2 - 2/q), with the Schur-Hadamard
-    record, each rounded outward.
+    range.  At m = 2 and p = 2, q <= 2 both ends are n^max(0, 3/2 - 2/q)
+    (sqrt(n) at q = 2), the Fourier quadratic form's value and the
+    Schur-Hadamard record's, each rounded outward.
     """
     lower = chi_lower_end(m, n, e, cfg, sign_budget, samples)
     [(log_up, source)] = log_chi_uppers([m], n, e)

@@ -208,7 +208,7 @@ def test_wiener_lower_end_is_a_third_at_n_1(p, q):
                                          (1.0, 1.0, 0.238)])
 def test_rate_table_lower_ends_on_their_rate(p, q, floor):
     # the rate table's cells (demos/05_rate_table.py) that the Wiener sum,
-    # at (2, 2) the Frobenius-Hoelder record and at (1, 1) the
+    # at (2, 2) the Schur-Hadamard record and at (1, 1) the
     # polarization-Hoelder record moved: lower / rate at n = 2^10, 2^20 and
     # 2^40
     e = ExponentPair(p, q)

@@ -18,7 +18,6 @@ from bohrlab.bohr import k_bracket, k_m_bracket
 from bohrlab.bounds import (
     CHI_UPPER_SOURCES,
     FOURIER_SOURCE,
-    FROBENIUS_SOURCE,
     LINEAR_SOURCE,
     POLARIZATION_SOURCE,
     SCHUR_SOURCE,
@@ -326,12 +325,12 @@ def test_coefficient_chi_upper():
                     assert Decimal(log_up) <= coefficient, (p, q, n, m)
     # where it was the source, the split record is now: 15 -> 1 in region I,
     # 3 -> |Lambda(2, 2)|^(1/2) at p = q = inf; at p = q = 2 (6 at first)
-    # the Frobenius-Hoelder record's min(|Lambda(2, 2)|, 2)^(1/2) is less
+    # the Schur-Hadamard record's 2^(1/2) is less
     for (m, n, e), value, source in [((2, 5, ExponentPair(math.inf, 2.0)), 1.0, SPLIT_SOURCE),
                                      ((2, 2, ExponentPair(math.inf, math.inf)), math.sqrt(3),
                                       SPLIT_SOURCE),
                                      ((2, 2, ExponentPair(2.0, 2.0)), math.sqrt(2),
-                                      FROBENIUS_SOURCE)]:
+                                      SCHUR_SOURCE)]:
         [(log_value, src)] = log_chi_uppers([m], n, e)
         assert src == source
         assert math.exp(log_value) == pytest.approx(value)
@@ -374,13 +373,12 @@ SOUNDNESS_CELLS = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (2, 6), (4, 2), (5, 2
 def test_split_and_transfer_hold_against_brute(p):
     # the brute oracle's raw ratio (an estimate of chi from below) never
     # passes the split or transfer record where it holds (336 cases), nor
-    # the Frobenius-Hoelder record at q <= 2 (240 cases; at (2, 2), m = 2
-    # and n in {2, 4} the record is exact and the ratio meets it), the
-    # polarization-Hoelder record at q <= p, or the Schur-Hadamard record at
-    # q < 2 (where it is 1 the ratio meets it)
+    # the polarization-Hoelder record at q <= p, or the Schur-Hadamard
+    # record at q <= 2 (where it is 1 the ratio meets it; at (2, 2), m = 2
+    # and n in {2, 4} the record is exact and the ratio meets it)
     cfg = OptConfig(16, 150, 3)
-    records = [SOURCES[s] for s in (SPLIT_SOURCE, TRANSFER_SOURCE, FROBENIUS_SOURCE,
-                                    POLARIZATION_SOURCE, SCHUR_SOURCE)]
+    records = [SOURCES[s] for s in (SPLIT_SOURCE, TRANSFER_SOURCE, POLARIZATION_SOURCE,
+                                    SCHUR_SOURCE)]
     for q, (m, n) in itertools.product(SOUNDNESS_QS, SOUNDNESS_CELLS):
         e = ExponentPair(p, q)
         raw = brute_chi(m, n, e, samples=1000, seed=3, cfg=cfg).raw
@@ -449,25 +447,16 @@ def _no_count(*args):
 
 
 def test_zero_exponents_form_no_count(monkeypatch):
-    # record A's exponent is exactly 0 in region I and at q = 1, p >= 2, and
-    # record C's count exponent 1/q' at q = 1: the logs are exactly 0 (or
-    # record C's n^(m (1/p - 1/2)) alone) and no count is formed, even at
-    # n = 10^309 and m <= 300; record C takes n^(m-1) without the count
-    # where m! <= n (ln 20! = 42.3 < ln 10^20 = 46.1); once every log is 0,
-    # log_chi_uppers evaluates no later record
+    # record A's exponent is exactly 0 in region I and at q = 1, p >= 2:
+    # the logs are exactly 0 and no count is formed, even at n = 10^309 and
+    # m <= 300; once every log is 0, log_chi_uppers evaluates no later
+    # record
     monkeypatch.setattr(bounds, "lambda_card", _no_count)
     ms, huge = list(range(1, 301)), 10**309
     for p, q in [(math.inf, 2.0), (4.0, 4 / 3), (2.0, 1.0), (math.inf, 1.0)]:
         e = ExponentPair(p, q)
         assert SOURCES[SPLIT_SOURCE].log_bounds(ms, huge, e) == [(0.0, 0.0)] * 300
         assert log_chi_uppers(ms, huge, e) == [(0.0, LINEAR_SOURCE)] + [(0.0, SPLIT_SOURCE)] * 299
-    frobenius = SOURCES[FROBENIUS_SOURCE]
-    assert frobenius.log_bounds(ms, huge, ExponentPair(math.inf, 1.0)) == [(0.0, 0.0)] * 300
-    for m, (v, err) in zip(ms, frobenius.log_bounds(ms, huge, ExponentPair(1.0, 1.0))):
-        assert v == pytest.approx(m * 309 * math.log(10) / 2, rel=1e-15) and err == 2.0 ** -49 * v
-    ends = frobenius.log_bounds(list(range(1, 21)), 10**20, ExponentPair(2.0, 1.5))
-    assert [v for v, _ in ends] == pytest.approx([(m - 1) * 20 * math.log(10) / 3
-                                                  for m in range(1, 21)], rel=1e-15)
 
 
 def test_envelope_constant():
@@ -596,6 +585,8 @@ def _inv_fraction(r: float) -> Fraction:
 
 
 def _exact_log_frobenius(m, n, p, q) -> Decimal:
+    # the Frobenius-Hoelder bound n^(m max(0, 1/p - 1/2)) min(|Lambda(m, n)|,
+    # n^(m-1))^(1/q') at q <= 2, which the records dominate:
     # m max(0, 1/p - 1/2) ln n + (1/q') min(ln |Lambda(m, n)|, (m - 1) ln n);
     # call in a 50-digit context
     ln_n = Decimal(n).ln()
@@ -632,11 +623,9 @@ def _exact_log_chi_upper(m, n, p, q, count_past=math.inf) -> Decimal:
         ends.append(_dec(max(Fraction(0), Fraction(1, 2) + inv_p - inv_q)) * ln_card)
     else:  # transfer from q = p
         ends.append(_dec(m * (inv_p - inv_q)) * ln_n + _exact_log_chi_upper(m, n, p, p, count_past))
-    if q <= 2:  # Frobenius-Hoelder
-        ends.append(_exact_log_frobenius(m, n, p, q))
     if q <= p:  # polarization-Hoelder
         ends.append(_exact_log_polarization(m, n, q))
-    if q < 2 and m > 1:  # Schur-Hadamard
+    if q <= 2 and m > 1:  # Schur-Hadamard
         ends.append(_exact_log_schur(m, n, p, q))
     if q <= p <= 2:
         lemma = Decimal(m).ln() + 1 + _dec((m - 1) * inv_p)
@@ -692,11 +681,11 @@ def test_k_lower_ends_hold_their_exact_value(p, q, n):
 @pytest.mark.parametrize("p, q", PAIRS_50)
 def test_log_tails_bound_every_later_degree(p, q, monkeypatch):
     # each record's log_tail(m0) is at least its log over m at every
-    # m0 < m <= 2000: the 50-digit value for records A to E and for the
-    # lemma at beta = 0, else the lemma's float log plus its error bound
+    # m0 < m <= 2000: the 50-digit value for records A, B, D and E and for
+    # the lemma at beta = 0, else the lemma's float log plus its error bound
     # (powered past the default budget at n = 2^40); the m = 1 record has
     # none
-    monkeypatch.setattr(bounds, "log_j_sums", functools.partial(log_j_sums, budget=10**9))
+    monkeypatch.setattr(bounds, "J_SUM_BUDGET", 10**9)
     e = ExponentPair(p, q)
     inv_p, inv_q = _inv_fraction(p), _inv_fraction(q)
     ms = list(range(1, 2001))
@@ -713,8 +702,6 @@ def test_log_tails_bound_every_later_degree(p, q, monkeypatch):
                     ln_n = Decimal(n).ln()
                     logs = [_dec(m * (inv_p - inv_q)) * ln_n + _exact_log_chi_upper(m, n, p, p)
                             for m in ms]
-                elif src.source == FROBENIUS_SOURCE:
-                    logs = [_exact_log_frobenius(m, n, p, q) for m in ms]
                 elif src.source == POLARIZATION_SOURCE:
                     logs = [_exact_log_polarization(m, n, q) for m in ms]
                 elif src.source == SCHUR_SOURCE:  # m = 1 is not read: m0 >= 8
@@ -728,6 +715,64 @@ def test_log_tails_bound_every_later_degree(p, q, monkeypatch):
                     tau = src.log_tail(m0, n, e)
                     assert Decimal(tau) >= max(logs[m - 1] / m for m in ms[m0:]), (src.source, n, m0)
                     assert log_chi_tail(m0, n, e) <= tau
+
+
+@pytest.mark.parametrize("p, q", [(p, q) for p, q in PAIRS_50 if q <= 2])
+def test_frobenius_bound_is_dominated(p, q):
+    # the Frobenius-Hoelder bound is never below the least record, in 50
+    # digits (up to 10^-40 of rounding, where both are the same real
+    # value): its |Lambda| branch is at least record A (q <= p) or B
+    # (q > p), and its n^(m-1) branch is at least record E, equal at q = 2,
+    # where E's float log is within its stated error of that branch
+    e = ExponentPair(p, q)
+    ms = list(range(1, 41))
+    for n in (1, 2, 3, 16, 1039, 2**40):
+        schur = SOURCES[SCHUR_SOURCE].log_bounds(ms, n, e)
+        with localcontext(prec=50):
+            ln_n = Decimal(n).ln()
+            for m, (v, err) in zip(ms, schur):
+                frobenius = _exact_log_frobenius(m, n, p, q)
+                assert _exact_log_chi_upper(m, n, p, q) <= frobenius + Decimal("1e-40"), (n, m)
+                if q == 2 and m > 1:
+                    branch = (_dec(m * max(Fraction(0), _inv_fraction(p) - Fraction(1, 2))) * ln_n
+                              + (m - 1) * ln_n / 2)
+                    assert abs(_exact_log_schur(m, n, p, q) - branch) <= Decimal("1e-40")
+                    assert abs(Decimal(v) - branch) <= Decimal(err), (n, m)
+
+
+def test_every_record_is_somewhere_the_least():
+    # each record but the exact m = 1 value is, at some cell, below every
+    # other record that holds there by more than 1e-9 relative (logs plus
+    # error bounds, as log_chi_uppers takes them): none is dead weight,
+    # e.g. A at (1, 1, n = 2, m = 2), E at (1, 6/5, 2, 2) and the lemma at
+    # (5/4, 1, 1039, 32)
+    ms, least = list(range(1, 41)), set()
+    for p, q in itertools.product(SOUNDNESS_PS, SOUNDNESS_QS):
+        e = ExponentPair(p, q)
+        records = [src for src in CHI_UPPER_SOURCES if src.holds(e)]
+        for n in (2, 3, 16, 1039, 2**40):
+            logs = {src.source: [v + err for v, err in src.log_bounds(ms, n, e)]
+                    for src in records}
+            for i, src in itertools.product(range(len(ms)), records):
+                v = logs[src.source][i]
+                if all(v < (1 - 1e-9) * w[i] for s, w in logs.items() if s != src.source):
+                    least.add(src.source)
+    assert least == {src.source for src in CHI_UPPER_SOURCES} - {LINEAR_SOURCE}
+
+
+def test_lemma_past_its_budget_leaves_the_other_records():
+    # past the largest m whose powering fits J_SUM_BUDGET (m^2 bit_length(n)
+    # terms) the lemma bounds nothing, so at (2, 3/2), n = 2, m = 10^4
+    # record A answers, |Lambda(10^4, 2)|^(1/3) = 10001^(1/3), instead of
+    # a budget error; the entries within the budget are those of a call
+    # that asks only for them
+    e = ExponentPair(2.0, 1.5)
+    top = math.isqrt(bounds.J_SUM_BUDGET // 2)
+    assert SOURCES["small-exponent lemma"].log_bounds([3, top + 1], 2, e)[1] == (math.inf, 0.0)
+    ends = log_chi_uppers([3, 50, top, 10**4], 2, e)
+    assert ends[:2] == log_chi_uppers([3, 50], 2, e)
+    assert ends[3][1] == SPLIT_SOURCE
+    assert chi_upper_ends(ends[3][0], 10**4)[0] == pytest.approx(10001 ** (1 / 3), rel=1e-14)
 
 
 PI_50 = Decimal("3.14159265358979323846264338327950288419716939937510582")

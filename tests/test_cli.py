@@ -358,6 +358,8 @@ def test_readme_command_block_runs(tmp_path, monkeypatch, capsys):
     (["bohr", "table", "--n-grid", "64", "--p", "2", "--q", "2", "--mmax", "1000",
       "--budget", "0"], 0),
     (["bound", "chiupper", "--m", "5000", "--n", "64", "--p", "2", "--q", "2"], 0),
+    # past the lemma's powering budget the split record answers
+    (["bound", "chiupper", "--m", "10000", "--n", "2", "--p", "2", "--q", "3/2"], 0),
 ])
 def test_paper_range_closed_forms_answer_fast(capsys, argv, code):
     t0 = time.perf_counter()
@@ -366,6 +368,8 @@ def test_paper_range_closed_forms_answer_fast(capsys, argv, code):
     res = capsys.readouterr()
     if argv[1] == "jsum":  # the sum overflows a float; the message gives its log
         assert "ln j_sum = 2017.11" in res.err
+    if argv[:2] == ["bound", "chiupper"] and argv[3] == "10000":
+        assert json.loads(res.out)["result"]["value"] == pytest.approx(10001 ** (1 / 3))
     if argv[1] == "envelope":
         assert json.loads(res.out)["result"]["value"] == pytest.approx(0.7383, abs=1e-4)
 

@@ -6,8 +6,8 @@ from decimal import Decimal, localcontext
 import numpy as np
 import pytest
 
-from bohrlab.bounds import (FOURIER_SOURCE, FROBENIUS_SOURCE, LINEAR_SOURCE, SCHUR_SOURCE,
-                            SPLIT_SOURCE, ExponentPair, chi_upper_ends, log_chi_uppers)
+from bohrlab.bounds import (FOURIER_SOURCE, LINEAR_SOURCE, SCHUR_SOURCE, SPLIT_SOURCE,
+                            ExponentPair, chi_upper_ends, log_chi_uppers)
 from bohrlab.multiindex import enumerate_lambda, multiplicity
 from bohrlab.optimize import NormEstimate, OptConfig, lp_norm, majorant_sups, sup_norm, sup_norms
 from bohrlab import polynomial, witness
@@ -386,10 +386,10 @@ def test_chi_bracket_linear_past_the_float_range(monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 1039, 2**40])
 def test_fourier_form_closes_the_hilbert_space_cell(n):
     # chi(2, n; 2, 2) = sqrt(n): the Fourier quadratic form attains it and
-    # the Frobenius-Hoelder record bounds it, each end rounded outward; the
+    # the Schur-Hadamard record bounds it, each end rounded outward; the
     # width is the record's stated error, 2^-49 of its log, and a few ulps
     br = chi_bracket(2, n, ExponentPair(2.0, 2.0), OptConfig(2, 10, 0), sign_budget=0)
-    assert (br.lower.source, br.upper.source) == (FOURIER_SOURCE, FROBENIUS_SOURCE)
+    assert (br.lower.source, br.upper.source) == (FOURIER_SOURCE, SCHUR_SOURCE)
     assert not br.lower.estimate
     with localcontext(prec=50):
         assert Decimal(br.lower.value) <= Decimal(n).sqrt() <= Decimal(br.upper.value)
